@@ -29,6 +29,7 @@ class BenchCell:
     seconds: float
     n_simplices: int | None
     status: str  # "ok" | "timeout" | "failed"
+    error: str | None = None  # "ExceptionType: message" of a failed cell
 
 
 def _worker(conn, method, points, max_hom_dim):
@@ -50,10 +51,8 @@ def _worker(conn, method, points, max_hom_dim):
         compute_diagram(filt)
         elapsed = time.perf_counter() - t0
         conn.send((elapsed, len(filt)))
-    except MemoryError:
-        conn.send(None)
-    except Exception:
-        conn.send(None)
+    except Exception as exc:  # MemoryError included
+        conn.send(f"{type(exc).__name__}: {exc}")
     finally:
         conn.close()
 
@@ -75,8 +74,9 @@ def run_cell(method: str, points, max_hom_dim: int, trial: int,
         return BenchCell(method, len(points), trial, timeout, None, "timeout")
     result = parent.recv() if parent.poll() else None
     parent.close()
-    if result is None:
-        return BenchCell(method, len(points), trial, timeout, None, "failed")
+    if not isinstance(result, tuple):  # the worker's error message, or none
+        return BenchCell(method, len(points), trial, timeout, None, "failed",
+                         result or f"worker exited with code {proc.exitcode}")
     seconds, n_simplices = result
     if seconds > timeout:
         return BenchCell(method, len(points), trial, timeout, n_simplices,

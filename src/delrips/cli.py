@@ -165,6 +165,8 @@ def cmd_bench(args) -> int:
         size = "" if c.n_simplices is None else str(c.n_simplices)
         lines.append(f"{c.method},{c.n},{c.trial},{fmt_float(c.seconds, 6)},"
                      f"{size},{c.status}")
+        if c.error is not None:
+            print(f"{c.method} n={c.n} trial {c.trial}: {c.error}", file=sys.stderr)
     for method, n, med in medians:
         lines.append(f"{method},{n},median,{fmt_float(med, 6)},,summary")
     Path(args.output).write_text("\n".join(lines) + "\n")

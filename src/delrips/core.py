@@ -187,11 +187,23 @@ class PersistenceDiagram:
         return len(self.entries)
 
 
-def pairwise_distances(cloud: PointCloud) -> list:
-    """Dense symmetric distance matrix as nested lists.
+def point_distance(p, q) -> float:
+    """Distance between two cloud points (2 or 3 coordinates): sqrt of the
+    squared differences summed in coordinate order. Rips and Delaunay-Rips
+    take every length from here, so a pair always gets the same bits."""
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    if len(p) == 2:
+        return math.sqrt(dx * dx + dy * dy)
+    dz = p[2] - q[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
-    Scalar formula (sqrt of coordinate-wise sum) so repeated computations of
-    the same distance are bit-identical across builders.
+
+def pairwise_distances(cloud: PointCloud) -> list:
+    """Dense symmetric distance matrix as nested lists, by ``point_distance``.
+
+    Only the Rips builder needs every pair; Delaunay-Rips computes lengths
+    for the Delaunay edges alone.
     """
     pts = cloud.points
     n = len(pts)
@@ -200,14 +212,7 @@ def pairwise_distances(cloud: PointCloud) -> list:
         pi = pts[i]
         row = mat[i]
         for j in range(i + 1, n):
-            pj = pts[j]
-            s = 0.0
-            for a, b in zip(pi, pj):
-                d = a - b
-                s += d * d
-            d = math.sqrt(s)
-            row[j] = d
-            mat[j][i] = d
+            row[j] = mat[j][i] = point_distance(pi, pts[j])
     return mat
 
 

@@ -17,7 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Filtration, PointCloud, _sort_key, pairwise_distances
+from .core import (Filtration, PointCloud, _sort_key, pairwise_distances,
+                   point_distance)
 from .delaunay import delaunay
 from .errors import ValidationError
 from .geometry import circumsphere
@@ -97,27 +98,25 @@ def _tiny_cloud_entries(cloud: PointCloud):
     """Degenerate 1- and 2-point complexes shared by the Delaunay builders."""
     if len(cloud) == 1:
         return [((0,), 0.0)]
-    d = math.dist(cloud[0], cloud[1])
+    d = point_distance(cloud[0], cloud[1])
     return [((0,), 0.0), ((1,), 0.0), ((0, 1), d)]
 
 
 def build_delaunay_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     """Delaunay-Rips filtration: the faces of the Delaunay triangulation with
-    Rips scales (largest pairwise vertex distance)."""
+    Rips scales (largest pairwise vertex distance). Lengths are computed
+    for the Delaunay edges only, with the ``point_distance`` that fills the
+    Rips matrix, so scales match Rips bit for bit without an O(n^2) matrix.
+    """
     _check_delaunay_cap(spec, cloud.dim)
     cap = spec.max_hom_dim + 1
     if len(cloud) <= 2:
         return Filtration(entries=tuple(_tiny_cloud_entries(cloud)), max_dim=cap)
-    dc = delaunay(cloud)
-    dist = pairwise_distances(cloud)
-    simplices = set()
-    for top in dc.top_simplices:
-        for k in range(2, min(len(top), cap + 1) + 1):
-            simplices.update(combinations(top, k))
-    entries = [((i,), 0.0) for i in range(len(cloud))]
-    for verts in simplices:
-        scale = max(dist[a][b] for a, b in combinations(verts, 2))
-        entries.append((verts, scale))
+    faces = [s for s in delaunay(cloud).all_simplices if len(s) <= cap + 1]
+    length = {s: point_distance(cloud[s[0]], cloud[s[1]])
+              for s in faces if len(s) == 2}
+    entries = [(s, max((length[e] for e in combinations(s, 2)), default=0.0))
+               for s in faces]
     entries.sort(key=_sort_key)
     return Filtration(entries=tuple(entries), max_dim=cap)
 

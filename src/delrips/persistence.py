@@ -17,17 +17,7 @@ from .core import Filtration, PersistenceDiagram, simplex_faces
 from .errors import UnsortedFiltration
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Per-column sparse boundary of each simplex, in filtration order."""
-
-    columns: tuple  # tuple of tuples of row indices, strictly increasing
-    dims: tuple
-    scales: tuple
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
+class _SparseColumns:
     def dense(self):
         """0/1 nested lists, for golden-matrix comparisons."""
         n = len(self.columns)
@@ -39,19 +29,23 @@ class BoundaryMatrix:
 
 
 @dataclass(frozen=True)
-class ReducedMatrix:
+class BoundaryMatrix(_SparseColumns):
+    """Per-column sparse boundary of each simplex, in filtration order."""
+
+    columns: tuple  # tuple of tuples of row indices, strictly increasing
+    dims: tuple
+    scales: tuple
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+
+@dataclass(frozen=True)
+class ReducedMatrix(_SparseColumns):
     columns: tuple
     low: tuple  # per column: pivot row index, or None for a zero column
     dims: tuple
     scales: tuple
-
-    def dense(self):
-        n = len(self.columns)
-        out = [[0] * n for _ in range(n)]
-        for j, col in enumerate(self.columns):
-            for i in col:
-                out[i][j] = 1
-        return out
 
 
 def boundary_matrix(filt: Filtration) -> BoundaryMatrix:

@@ -14,6 +14,15 @@ def test_cell_completes_within_budget():
     assert cell.status == "ok"
     assert cell.seconds < 30.0
     assert cell.n_simplices and cell.n_simplices > 40
+    assert cell.error is None
+
+
+def test_failed_cell_reports_exception():
+    collinear = [(float(i), 2.0 * i) for i in range(6)]
+    cell = run_cell("delaunay_rips", collinear, 1, trial=0, timeout=30.0)
+    assert cell.status == "failed"
+    assert cell.n_simplices is None
+    assert cell.error.startswith("AffinelyDegenerateInput: ")
 
 
 def test_cell_timeout_recorded_at_cap():

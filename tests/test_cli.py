@@ -185,6 +185,18 @@ def test_bench_command_small(tmp_path):
     assert all(row[5] == "ok" for row in trials)
 
 
+def test_bench_command_reports_failed_cells(tmp_path, capsys):
+    # A noiseless circle is planar in R^3: every Delaunay cell fails.
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--shape", "circle", "--nu", "0", "--sizes", "12",
+                 "--methods", "dr", "--maxdim", "1", "--trials", "1",
+                 "--timeout", "30", "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == \
+        "delaunay_rips,12,0,30,,failed"
+    err = capsys.readouterr().err
+    assert "delaunay_rips n=12 trial 0: AffinelyDegenerateInput: " in err
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["pd", str(tmp_path / "missing.csv")]) == 4
     collinear = tmp_path / "line.csv"

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import random_cloud
-from delrips import (FiltrationSpec, PointCloud, build_alpha,
-                     build_delaunay_rips, build_rips, compute_diagram,
-                     delaunay, near_cocircular_quad, sort_filtration)
+from delrips import (FiltrationSpec, PointCloud, ShapeClass, add_noise,
+                     build_alpha, build_delaunay_rips, build_rips,
+                     compute_diagram, delaunay, near_cocircular_quad,
+                     sample_shape, sort_filtration)
+from delrips.core import pairwise_distances
 from delrips.errors import ValidationError
 
 SQ3 = math.sqrt(3.0)
@@ -120,6 +124,63 @@ class TestDelaunayRips:
             for verts, s in filt.entries:
                 if len(verts) >= 3:
                     assert s == max(scales[e] for e in combinations(verts, 2))
+
+
+def _noisy(kind, n, seed, dim):
+    cloud = add_noise(sample_shape(ShapeClass(kind=kind), n, seed), 0.1, seed + 1)
+    return PointCloud.from_points([p[:dim] for p in cloud.points])
+
+
+def _scaled_uniform(dim, seed):
+    rng = np.random.default_rng(seed)
+    return PointCloud.from_points(rng.uniform(-1.0, 1.0, (50, dim)) * 1e150)
+
+
+BIT_IDENTITY_CLOUDS = {
+    "noisy-circle-r2": lambda: _noisy("circle", 80, 3, 2),
+    "noisy-torus-r3": lambda: _noisy("torus", 120, 5, 3),
+    "quad-minus": lambda: near_cocircular_quad(-0.1),
+    "quad-cocircular": lambda: near_cocircular_quad(0.0),
+    "quad-plus": lambda: near_cocircular_quad(0.1),
+    "uniform-r2-1e150": lambda: _scaled_uniform(2, 7),
+    "uniform-r3-1e150": lambda: _scaled_uniform(3, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_IDENTITY_CLOUDS))
+def test_dr_scales_bit_identical_to_dense_matrix(name):
+    # Delaunay-Rips computes edge lengths itself; they must equal the Rips
+    # matrix entries exactly, and the filtration must equal the one built
+    # from that matrix.
+    cloud = BIT_IDENTITY_CLOUDS[name]()
+    dist = pairwise_distances(cloud)
+
+    def diameter(verts):
+        return max((dist[a][b] for a, b in combinations(verts, 2)), default=0.0)
+
+    faces = delaunay(cloud).all_simplices
+    for cap in range(1, cloud.dim + 1):
+        filt = build_delaunay_rips(cloud, spec("delaunay_rips", maxdim=cap - 1))
+        for verts, scale in filt.entries:
+            assert scale == diameter(verts)
+        reference = sorted(((s, diameter(s)) for s in faces if len(s) <= cap + 1),
+                           key=lambda e: (e[1], len(e[0]), e[0]))
+        assert filt.entries == tuple(reference)
+
+
+def test_dr_build_peak_memory_below_dense_matrix():
+    # The old build held the n x n distance matrix; its bare float payload
+    # (n*n*8 bytes) alone exceeds what the output-sensitive build allocates.
+    n = 1000
+    cloud = PointCloud.from_points(
+        np.random.default_rng(2024).uniform(0.0, 1.0, (n, 2)))
+    tracemalloc.start()
+    try:
+        build_delaunay_rips(cloud, spec("delaunay_rips"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 class TestAlpha:
