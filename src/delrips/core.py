@@ -9,6 +9,7 @@ build it. All types are immutable after construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -20,6 +21,7 @@ from .errors import InvalidFiltration, ValidationError
 Simplex = tuple  # strictly increasing tuple of vertex indices
 
 INF = math.inf
+_FLOAT_MIN = sys.float_info.min
 
 
 def make_simplex(vertices: Iterable[int]) -> Simplex:
@@ -146,6 +148,16 @@ def sort_filtration(filt: Filtration) -> Filtration:
     return Filtration(entries=ordered, max_dim=filt.max_dim)
 
 
+def diagram_pair(birth, death) -> tuple:
+    """``(birth, death)`` as floats; raises ValidationError when a value is
+    NaN or birth > death. Diagrams and the bottleneck distance both check
+    their pairs here."""
+    birth, death = float(birth), float(death)
+    if not birth <= death:
+        raise ValidationError(f"invalid pair: birth {birth}, death {death}")
+    return birth, death
+
+
 @dataclass(frozen=True)
 class PersistenceDiagram:
     """Multiset of (birth, death) pairs per homology dimension.
@@ -161,9 +173,7 @@ class PersistenceDiagram:
         rows = []
         for dim, pairs in pairs_by_dim.items():
             for birth, death in pairs:
-                if not birth <= death:
-                    raise ValidationError(f"birth {birth} > death {death}")
-                rows.append((int(dim), float(birth), float(death)))
+                rows.append((int(dim), *diagram_pair(birth, death)))
         return cls(entries=tuple(sorted(rows)))
 
     @property
@@ -190,13 +200,20 @@ class PersistenceDiagram:
 def point_distance(p, q) -> float:
     """Distance between two cloud points (2 or 3 coordinates): sqrt of the
     squared differences summed in coordinate order. Rips and Delaunay-Rips
-    take every length from here, so a pair always gets the same bits."""
+    take every length from here, so a pair always gets the same bits.
+
+    When that sum underflows below the smallest normal float (coordinates
+    near 1e-200), ``math.hypot`` recomputes it scaled by the largest
+    difference; identical points still get 0.0.
+    """
     dx = p[0] - q[0]
     dy = p[1] - q[1]
     if len(p) == 2:
-        return math.sqrt(dx * dx + dy * dy)
+        s = dx * dx + dy * dy
+        return math.sqrt(s) if s >= _FLOAT_MIN else math.hypot(dx, dy)
     dz = p[2] - q[2]
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+    s = dx * dx + dy * dy + dz * dz
+    return math.sqrt(s) if s >= _FLOAT_MIN else math.hypot(dx, dy, dz)
 
 
 def pairwise_distances(cloud: PointCloud) -> list:

@@ -168,6 +168,23 @@ def test_dr_scales_bit_identical_to_dense_matrix(name):
         assert filt.entries == tuple(reference)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dr_scales_survive_tiny_coordinates(dim):
+    # Near 1e-200 the squared differences underflow to 0; the scales must
+    # still be the unscaled ones times the exact power-of-two factor.
+    pts = np.random.default_rng(60 + dim).uniform(-1.0, 1.0, (60, dim))
+    tiny = 2.0 ** -664
+    cap = spec("delaunay_rips", maxdim=dim - 1)
+    want = build_delaunay_rips(PointCloud.from_points(pts), cap).scale_of()
+    got = build_delaunay_rips(PointCloud.from_points(pts * tiny),
+                              cap).scale_of()
+    assert got.keys() == want.keys()
+    for verts, scale in got.items():
+        if len(verts) > 1:
+            assert scale > 0.0
+            assert abs(scale - want[verts] * tiny) <= 1e-15 * want[verts] * tiny
+
+
 def test_dr_build_peak_memory_below_dense_matrix():
     # The old build held the n x n distance matrix; its bare float payload
     # (n*n*8 bytes) alone exceeds what the output-sensitive build allocates.

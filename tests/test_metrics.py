@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
-from delrips import FiltrationSpec, bottleneck, build_delaunay_rips, compute_diagram, near_cocircular_quad
+from delrips import (FiltrationSpec, ShapeClass, add_noise, bottleneck,
+                     build_delaunay_rips, compute_diagram, epsilon_perturb,
+                     near_cocircular_quad, sample_shape)
 from delrips.errors import InfiniteDistance, ValidationError
-from naive_oracle import brute_bottleneck
+from delrips.geometry import min_pairwise_distance
+from naive_oracle import brute_bottleneck, matching_bottleneck
 
 SQ3 = math.sqrt(3.0)
 
@@ -132,3 +136,84 @@ def test_symmetry_and_triangle_inequality(rng):
         dxz, _ = bottleneck(x, z)
         dzy, _ = bottleneck(z, y)
         assert dxy <= dxz + dzy + 1e-12
+
+
+@pytest.mark.parametrize("x, y", [
+    ([(0.0, math.nan)], [(0.0, 1.0)]),
+    ([(0.0, 1.0)], [(math.nan, 1.0)]),
+    ([(2.0, 1.0)], []),
+    ([(0.0, 1.0)], [(0.5, 0.25)]),
+])
+def test_rejects_nan_and_birth_after_death(x, y):
+    with pytest.raises(ValidationError):
+        bottleneck(x, y)
+
+
+def test_long_augmenting_chain():
+    # At c = 0.5 the greedy start pairs x_i with y_i, and the last x point
+    # reaches only y_0, so covering it needs one 1500-step augmenting path.
+    x = [(0, 10.5 + i) for i in range(1500)] + [(0, 9.5)]
+    y = [(0, 10 + j) for j in range(1501)]
+    value, m = bottleneck(x, y)
+    assert value == 0.5
+    assert_valid_matching(x, y, value, m)
+
+
+def h0_like_diagram(rng, k):
+    # Deaths clustered near 1 (ties included), births 0, as Rips H0 gives.
+    deaths = 1.0 + np.round(rng.normal(0.0, 1e-3, k), 6)
+    return [(0.0, float(d)) for d in deaths]
+
+
+def uniform_diagram(rng, k):
+    births = rng.uniform(0.0, 2.0, k)
+    return [(float(b), float(b + p)) for b, p in
+            zip(births, rng.exponential(0.5, k))]
+
+
+@pytest.mark.parametrize("diagonal", ["half", "full"])
+@pytest.mark.parametrize("make", [h0_like_diagram, uniform_diagram])
+def test_matches_matching_oracle(make, diagonal):
+    rng = np.random.default_rng(7)
+    for k in (20, 60, 150, 300):
+        x = make(rng, k)
+        y = make(rng, k + int(rng.integers(-5, 6)))
+        value, m = bottleneck(x, y, diagonal=diagonal)
+        assert value == matching_bottleneck(x, y, diagonal)
+        assert_valid_matching(x, y, value, m, diagonal)
+        assert m.cost == value
+
+
+# float.hex() bottleneck values (H0, H1, H2) between the Delaunay-Rips
+# diagrams (zero pairs dropped) of an n = 300 noisy sphere and its
+# epsilon-perturbed copy, as computed by the recursive-matching search this
+# module's search replaced; the values must not change by a bit.
+GOLDEN_STABILITY = {
+    1: {"half": ("0x1.f36b532195d40p-8", "0x1.ef844a4cdb5e0p-7",
+                 "0x1.a1942ab98fc40p-4"),
+        "full": ("0x1.f36b532195d40p-8", "0x1.ef844a4cdb5e0p-7",
+                 "0x1.a1942ab98fc40p-4")},
+    2: {"half": ("0x1.94a9e8a0ea120p-9", "0x1.473307cbf36a0p-6",
+                 "0x1.b3c84c485eb40p-8"),
+        "full": ("0x1.94a9e8a0ea120p-9", "0x1.473307cbf36a0p-6",
+                 "0x1.b3c84c485eb40p-7")},
+    3: {"half": ("0x1.e2d7b1688d040p-9", "0x1.817bf4b3f7880p-8",
+                 "0x1.0895b01ac0e30p-4"),
+        "full": ("0x1.e2d7b1688d040p-9", "0x1.817bf4b3f7880p-8",
+                 "0x1.0895b01ac0e30p-4")},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_STABILITY))
+def test_stability_pair_golden_values(seed):
+    cloud = add_noise(sample_shape(ShapeClass(kind="sphere"), 300, seed),
+                      0.1, seed + 1)
+    pair = epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud),
+                           seed + 2)
+    spec = FiltrationSpec(method="delaunay_rips", max_hom_dim=2)
+    source, target = (compute_diagram(build_delaunay_rips(c, spec)).drop_zero()
+                      for c in (pair.source, pair.target))
+    for diagonal, want in GOLDEN_STABILITY[seed].items():
+        got = tuple(bottleneck(source.pairs(p), target.pairs(p),
+                               diagonal=diagonal)[0].hex() for p in range(3))
+        assert got == want
