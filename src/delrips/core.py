@@ -149,11 +149,11 @@ def sort_filtration(filt: Filtration) -> Filtration:
 
 
 def diagram_pair(birth, death) -> tuple:
-    """``(birth, death)`` as floats; raises ValidationError when a value is
-    NaN or birth > death. Diagrams and the bottleneck distance both check
-    their pairs here."""
+    """``(birth, death)`` as floats; raises ValidationError when the birth
+    is not finite, the death is NaN, or birth > death (deaths may be inf).
+    Diagrams and the bottleneck distance both check their pairs here."""
     birth, death = float(birth), float(death)
-    if not birth <= death:
+    if not (math.isfinite(birth) and birth <= death):
         raise ValidationError(f"invalid pair: birth {birth}, death {death}")
     return birth, death
 
@@ -203,17 +203,18 @@ def point_distance(p, q) -> float:
     take every length from here, so a pair always gets the same bits.
 
     When that sum underflows below the smallest normal float (coordinates
-    near 1e-200), ``math.hypot`` recomputes it scaled by the largest
-    difference; identical points still get 0.0.
+    near 1e-200) or overflows to inf (coordinates near 1e160),
+    ``math.hypot`` recomputes it scaled by the largest difference; identical
+    points still get 0.0.
     """
     dx = p[0] - q[0]
     dy = p[1] - q[1]
     if len(p) == 2:
         s = dx * dx + dy * dy
-        return math.sqrt(s) if s >= _FLOAT_MIN else math.hypot(dx, dy)
+        return math.sqrt(s) if _FLOAT_MIN <= s < INF else math.hypot(dx, dy)
     dz = p[2] - q[2]
     s = dx * dx + dy * dy + dz * dz
-    return math.sqrt(s) if s >= _FLOAT_MIN else math.hypot(dx, dy, dz)
+    return math.sqrt(s) if _FLOAT_MIN <= s < INF else math.hypot(dx, dy, dz)
 
 
 def pairwise_distances(cloud: PointCloud) -> list:

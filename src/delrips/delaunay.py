@@ -6,21 +6,40 @@ configurations. Points exactly on a circumsphere are treated as outside it
 (no conflict); with points inserted in index order this resolves every
 cospherical tie deterministically in favor of the earliest-built simplices.
 
-The triangulation of the hull exterior is represented by ghost simplices,
-one per hull facet, sharing a single synthetic vertex ``GHOST``. A point
-conflicts with a ghost simplex when it lies strictly beyond the facet's
-hyperplane, or lies on the hyperplane and conflicts with the facet's real
-neighbor; this keeps the cavity star-shaped and never produces flat
-simplices.
+The hull exterior is covered by ghost simplices, one per hull facet, sharing
+a synthetic vertex ``GHOST``. A point conflicts with a ghost when it lies
+strictly beyond the facet's hyperplane, or on it and in conflict with the
+facet's real neighbor; this keeps the cavity star-shaped and never produces
+flat simplices.
+
+Simplices live in reusable slots (memory O(live simplices)): ``verts[s]``
+holds d+1 vertex ids and ``nbrs[s][i]`` the slot across the facet opposite
+``verts[s][i]``. A real simplex is stored positively oriented; a ghost keeps
+``GHOST`` where a point strictly beyond its hull facet would give positive
+orientation. All simplices are thus oriented consistently, so replacing a
+cavity simplex's vertex by the new point keeps the orientation, and each new
+real simplex must come out positive (asserted).
+
+A walk locates the point, crossing face i whenever the point in position i
+gives negative orientation. It starts at a simplex incident to the vertex
+last inserted in the point's cell of a uniform grid of about n cells, else
+at the last simplex created; a walk that cycles falls back to a linear scan.
+The walk only seeds the cavity search: the simplices in conflict with a
+point form a connected set, so every seed gives the same cavity and the
+output does not depend on the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .core import PointCloud, closure_of
 from .errors import AffinelyDegenerateInput, DuplicatePoints, TooFewPoints
-from .predicates import collinear3d, incircle, insphere, orient2d, orient3d
+from .predicates import (collinear3d, incircle, inball_certified_nonzero,
+                         insphere, orient2d, orient3d)
 
 GHOST = -1
 
@@ -43,152 +62,182 @@ class DelaunayComplex:
         return tuple(sorted(s for s in self.all_simplices if len(s) == dim + 1))
 
 
+def _grid_cells(pts, dim):
+    """Cell id of every point in a uniform grid of about n cells over the
+    cloud's bounding box. Halved coordinates keep the differences finite."""
+    a = np.asarray(pts, dtype=float) / 2.0
+    lo, hi = a.min(axis=0), a.max(axis=0)
+    k = max(1, round(len(pts) ** (1.0 / dim)))
+    with np.errstate(all="ignore"):
+        t = np.nan_to_num((a - lo) / (hi - lo))
+    idx = np.clip((t * k).astype(np.int64), 0, k - 1)
+    return (idx @ (k ** np.arange(dim))).tolist()
+
+
 class _Triangulation:
-    """Mutable Bowyer-Watson state; real + ghost simplices keyed by sorted
-    vertex tuples, with a face -> incident-simplices map for adjacency."""
+    """Mutable Bowyer-Watson state over simplex slots (see module doc)."""
 
-    def __init__(self, pts, dim):
+    def __init__(self, pts, dim, init):
         self.pts = pts
-        self.dim = dim
-        self.simplices = set()
-        self.faces = {}
-        self.orient_sign = {}
-        self.start = None
-        if dim == 2:
-            self._orient = lambda q: orient2d(*q)
-            self._inball = lambda q: incircle(*q)
+        self.orient = orient2d if dim == 2 else orient3d
+        self.inball = incircle if dim == 2 else insphere
+        self.verts = []
+        self.nbrs = []
+        self.free = []
+        self.last = None  # last real simplex created
+        self.incident = [None] * len(pts)  # vertex -> a real simplex with it
+        self.cell = _grid_cells(pts, dim)
+        self.cell_vertex = {}  # grid cell -> last vertex inserted there
+        first = list(init)
+        if self.orient(*[pts[v] for v in first]) < 0:
+            first[0], first[1] = first[1], first[0]
+        real = self._new(first)
+        ghosts = []
+        for i in range(dim + 1):
+            g = list(first)
+            g[i] = GHOST
+            a, b = [k for k in range(dim + 1) if k != i][:2]
+            g[a], g[b] = g[b], g[a]
+            ghosts.append(self._new(g))
+            self.nbrs[real][i] = ghosts[-1]
+            self.nbrs[ghosts[-1]][i] = real
+        self._glue(ghosts)
+        for v in init:
+            self.cell_vertex[self.cell[v]] = v
+
+    def _new(self, vs):
+        real = GHOST not in vs
+        if real:
+            assert self.orient(*[self.pts[v] for v in vs]) > 0, f"flat simplex {vs}"
+        if self.free:
+            s = self.free.pop()
+            self.verts[s] = vs
+            self.nbrs[s] = [None] * len(vs)
         else:
-            self._orient = lambda q: orient3d(*q)
-            self._inball = lambda q: insphere(*q)
+            s = len(self.verts)
+            self.verts.append(vs)
+            self.nbrs.append([None] * len(vs))
+        if real:
+            self.last = s
+            for v in vs:
+                self.incident[v] = s
+        return s
 
-    # -- structure maintenance -------------------------------------------
+    def _glue(self, slots):
+        """Link the still-open facets of the given simplices to each other."""
+        verts, nbrs = self.verts, self.nbrs
+        open_facets = {}
+        for t in slots:
+            vs = verts[t]
+            for k in range(len(vs)):
+                if nbrs[t][k] is None:
+                    key = tuple(sorted(vs[:k] + vs[k + 1:]))
+                    other = open_facets.pop(key, None)
+                    if other is None:
+                        open_facets[key] = (t, k)
+                    else:
+                        nbrs[t][k] = other[0]
+                        nbrs[other[0]][other[1]] = t
 
-    def _facets(self, key):
-        return [key[:i] + key[i + 1:] for i in range(len(key))]
+    def _in_ball(self, s, p):
+        """p strictly inside the circumball of real simplex s."""
+        return self.inball(*[self.pts[v] for v in self.verts[s]], self.pts[p]) > 0
 
-    def _add(self, key):
-        self.simplices.add(key)
-        for f in self._facets(key):
-            self.faces.setdefault(f, []).append(key)
-        if key[0] != GHOST:
-            sign = self._orient([self.pts[v] for v in key])
-            assert sign != 0, f"flat simplex {key}"
-            self.orient_sign[key] = sign
-            self.start = key
-
-    def _remove(self, key):
-        self.simplices.discard(key)
-        for f in self._facets(key):
-            lst = self.faces[f]
-            lst.remove(key)
-            if not lst:
-                del self.faces[f]
-        self.orient_sign.pop(key, None)
-
-    def _neighbor(self, key, facet):
-        for other in self.faces[facet]:
-            if other != key:
-                return other
-        return None
-
-    # -- predicates on the structure --------------------------------------
-
-    def _beyond(self, key, facet, p):
-        """Side of ``facet``'s hyperplane the point p is on, relative to the
-        real simplex ``key``: +1 strictly beyond (away from key's interior),
-        0 on the hyperplane, -1 on key's side."""
-        opp = next(v for v in key if v not in facet)
-        pos = key.index(opp)
-        coords = [self.pts[v] for v in key]
-        coords[pos] = self.pts[p]
-        rep = self._orient(coords)
-        if rep == 0:
-            return 0
-        return 1 if rep != self.orient_sign[key] else -1
-
-    def _in_ball(self, key, p):
-        """Sign of 'p strictly inside the circumball of real simplex key'."""
-        coords = [self.pts[v] for v in key] + [self.pts[p]]
-        return self._inball(coords) * self.orient_sign[key]
-
-    def _conflicts(self, key, p) -> bool:
-        if key[0] == GHOST:
-            facet = key[1:]
-            nb = self._neighbor(key, facet)
-            side = self._beyond(nb, facet, p)
+    def _conflicts(self, s, p) -> bool:
+        vs = self.verts[s]
+        if GHOST in vs:
+            pp = self.pts[p]
+            side = self.orient(*[pp if v == GHOST else self.pts[v] for v in vs])
             if side != 0:
                 return side > 0
-            return self._in_ball(nb, p) > 0
-        return self._in_ball(key, p) > 0
+            return self._in_ball(self.nbrs[s][vs.index(GHOST)], p)
+        return self._in_ball(s, p)
 
-    # -- point location ----------------------------------------------------
+    def _start(self, p):
+        v = self.cell_vertex.get(self.cell[p])
+        if v is not None:
+            vs = self.verts[self.incident[v]]
+            if vs is not None and v in vs and GHOST not in vs:
+                return self.incident[v]
+        return self.last
 
     def _locate(self, p):
         """Walk to one simplex in conflict with p."""
-        cur = self.start
-        limit = 4 * len(self.simplices) + 32
-        for _ in range(limit):
-            moved = False
-            for i in range(len(cur)):
-                facet = cur[:i] + cur[i + 1:]
-                if self._beyond(cur, facet, p) > 0:
-                    nxt = self._neighbor(cur, facet)
-                    if nxt[0] == GHOST:
-                        return nxt  # p beyond a hull facet
-                    cur = nxt
-                    moved = True
+        verts, nbrs, pts, orient = self.verts, self.nbrs, self.pts, self.orient
+        pp = pts[p]
+        cur, prev = self._start(p), None
+        for _ in range(4 * len(verts) + 32):
+            coords = [pts[v] for v in verts[cur]]
+            nxt = None
+            for i, nb in enumerate(nbrs[cur]):
+                if nb == prev:
+                    continue  # p is strictly on cur's side of the entry face
+                q, coords[i] = coords[i], pp
+                if orient(*coords) < 0:
+                    nxt = nb
                     break
-            if not moved:
+                coords[i] = q
+            if nxt is None:
                 return cur  # p inside the closed simplex
+            if GHOST in verts[nxt]:
+                return nxt  # p beyond a hull facet
+            prev, cur = cur, nxt
         return self._locate_scan(p)  # walk cycled on a degenerate input
 
     def _locate_scan(self, p):
-        for key in sorted(self.simplices):
-            if self._conflicts(key, p):
-                return key
+        for s, vs in enumerate(self.verts):
+            if vs is not None and self._conflicts(s, p):
+                return s
         raise AssertionError("no conflicting simplex found")  # unreachable
 
-    # -- insertion ----------------------------------------------------------
-
     def insert(self, p):
+        verts, nbrs = self.verts, self.nbrs
         seed = self._locate(p)
         if not self._conflicts(seed, p):
             seed = self._locate_scan(p)
-        cavity = {seed}
+        conflict = {seed: True}
         queue = [seed]
+        boundary = []
         while queue:
             s = queue.pop()
-            for facet in self._facets(s):
-                nb = self._neighbor(s, facet)
-                if nb is None or nb in cavity:
-                    continue
-                if self._conflicts(nb, p):
-                    cavity.add(nb)
-                    queue.append(nb)
-        new_keys = []
-        for s in sorted(cavity):
-            for facet in self._facets(s):
-                nb = self._neighbor(s, facet)
-                if nb in cavity:
-                    continue
-                new_keys.append(tuple(sorted(facet + (p,))))
-        for s in cavity:
-            self._remove(s)
-        for key in new_keys:
-            self._add(key)
-
-    # -- degeneracy ----------------------------------------------------------
+            for i, nb in enumerate(nbrs[s]):
+                hit = conflict.get(nb)
+                if hit is None:
+                    hit = conflict[nb] = self._conflicts(nb, p)
+                    if hit:
+                        queue.append(nb)
+                if not hit:
+                    boundary.append((s, i, nb))
+        made = [(verts[s][:i] + [p] + verts[s][i + 1:], i, nb, nbrs[nb].index(s))
+                for s, i, nb in boundary]
+        for s, hit in conflict.items():
+            if hit:
+                verts[s] = nbrs[s] = None
+                self.free.append(s)
+        new = []
+        for vs, i, nb, j in made:
+            t = self._new(vs)
+            nbrs[t][i] = nb
+            nbrs[nb][j] = t
+            new.append(t)
+        self._glue(new)
+        self.cell_vertex[self.cell[p]] = p
 
     def had_tie_break(self) -> bool:
-        """True iff some internal facet has cospherical opposite vertices."""
-        for facet, incident in self.faces.items():
-            if len(incident) != 2:
-                continue
-            s1, s2 = incident
-            if s1[0] == GHOST or s2[0] == GHOST:
-                continue
-            opp = next(v for v in s2 if v not in facet)
-            if self._in_ball(s1, opp) == 0:
+        """True iff some internal facet has cospherical opposite vertices.
+        The float filter runs on batches of real neighbor pairs, and only
+        pairs it cannot certify get the exact test; small batches keep the
+        filter's numpy temporaries small."""
+        verts, nbrs, pts = self.verts, self.nbrs, self.pts
+        pairs = ((s, verts[nb][nbrs[nb].index(s)])  # (simplex, opposite vertex)
+                 for s, vs in enumerate(verts) if vs is not None and GHOST not in vs
+                 for nb in nbrs[s] if nb > s and GHOST not in verts[nb])
+        coords = np.asarray(pts, dtype=float)
+        while batch := list(islice(pairs, 1024)):
+            sure = inball_certified_nonzero(coords[[verts[s] for s, _ in batch]],
+                                            coords[[q for _, q in batch]])
+            if any(self.inball(*[pts[v] for v in verts[s]], pts[q]) == 0
+                   for (s, q), ok in zip(batch, sure.tolist()) if not ok):
                 return True
         return False
 
@@ -243,17 +292,14 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
         seen[p] = i
 
     init = _initial_vertices(pts, dim)
-    tri = _Triangulation(pts, dim)
-    first = tuple(sorted(init))
-    tri._add(first)
-    for facet in tri._facets(first):
-        tri._add(tuple(sorted((GHOST,) + facet)))
+    tri = _Triangulation(pts, dim, init)
     used = set(init)
     for p in range(n):
         if p not in used:
             tri.insert(p)
 
-    tops = tuple(sorted(k for k in tri.simplices if k[0] != GHOST))
+    tops = tuple(sorted(tuple(sorted(vs)) for vs in tri.verts
+                        if vs is not None and GHOST not in vs))
     all_simplices = frozenset(closure_of(tops))
     return DelaunayComplex(
         cloud=cloud,

@@ -88,16 +88,24 @@ def _sym_diff(a: list, b) -> list:
     return out
 
 
-def reduce_standard(mat: BoundaryMatrix) -> ReducedMatrix:
-    """Left-to-right column reduction until all pivots are distinct."""
+def _reduce(mat: BoundaryMatrix, order) -> ReducedMatrix:
+    """Reduce the columns in the given order until all pivots are distinct.
+
+    Whenever column j acquires pivot i, simplex i is known to be a cycle
+    creator, so column i is cleared without reduction if it comes later.
+    Left to right, i < j was already reduced and clearing never fires.
+    """
     cols = [list(c) for c in mat.columns]
     pivot_owner = {}
     lows = [None] * len(cols)
-    for j in range(len(cols)):
+    cleared = set()
+    for j in order:
+        if j in cleared:
+            cols[j] = []
+            continue
         col = cols[j]
         while col:
-            i = col[-1]
-            k = pivot_owner.get(i)
+            k = pivot_owner.get(col[-1])
             if k is None:
                 break
             col = _sym_diff(col, cols[k])
@@ -105,43 +113,24 @@ def reduce_standard(mat: BoundaryMatrix) -> ReducedMatrix:
         if col:
             pivot_owner[col[-1]] = j
             lows[j] = col[-1]
+            cleared.add(col[-1])
     return ReducedMatrix(columns=tuple(tuple(c) for c in cols),
                          low=tuple(lows), dims=mat.dims, scales=mat.scales)
+
+
+def reduce_standard(mat: BoundaryMatrix) -> ReducedMatrix:
+    """Left-to-right column reduction until all pivots are distinct."""
+    return _reduce(mat, range(len(mat.columns)))
 
 
 def reduce_twist(mat: BoundaryMatrix) -> ReducedMatrix:
     """Clearing variant: same pairing as reduce_standard.
 
-    Dimensions are processed from high to low; whenever column j acquires
-    pivot i, simplex i is known to be a cycle creator, so column i is cleared
-    without reduction when its dimension comes up.
+    Dimensions are processed from high to low (left to right within one),
+    so the pivots found in dimension p clear columns of dimension p-1.
     """
-    cols = [list(c) for c in mat.columns]
-    pivot_owner = {}
-    lows = [None] * len(cols)
-    cleared = set()
-    max_dim = max(mat.dims, default=0)
-    for dim in range(max_dim, -1, -1):
-        for j in range(len(cols)):
-            if mat.dims[j] != dim:
-                continue
-            if j in cleared:
-                cols[j] = []
-                continue
-            col = cols[j]
-            while col:
-                i = col[-1]
-                k = pivot_owner.get(i)
-                if k is None:
-                    break
-                col = _sym_diff(col, cols[k])
-            cols[j] = col
-            if col:
-                pivot_owner[col[-1]] = j
-                lows[j] = col[-1]
-                cleared.add(col[-1])
-    return ReducedMatrix(columns=tuple(tuple(c) for c in cols),
-                         low=tuple(lows), dims=mat.dims, scales=mat.scales)
+    return _reduce(mat, sorted(range(len(mat.columns)),
+                               key=mat.dims.__getitem__, reverse=True))
 
 
 def extract_pairs(reduced: ReducedMatrix, filt: Filtration) -> PersistenceDiagram:

@@ -7,12 +7,16 @@ rational arithmetic over the original float coordinates, which Fraction
 represents without loss. The fallback only fires near degeneracy, so the
 exact path costs nothing on generic input.
 
-All predicates return -1, 0, or +1.
+All predicates return -1, 0, or +1. ``inball_certified_nonzero`` runs the
+in-circle/in-sphere filter over many tests at once with numpy, using the same
+float formula and bound, and leaves the uncertified ones to the scalar calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 _EPS = 2.0 ** -53
 
@@ -27,6 +31,14 @@ _ISP_BOUND = (16.0 + 224.0 * _EPS) * _EPS
 # sum is this small (or overflows to inf/nan, which fails every comparison),
 # skip the filter and evaluate exactly.
 _UNDERFLOW_GUARD = 1e-250
+
+
+def _certified(det, permanent, bound):
+    """The static filter: the float sign of det is the true, nonzero sign.
+    Never true when the permanent is tiny (possible underflow), inf or nan;
+    elementwise for numpy arrays."""
+    errbound = bound * permanent
+    return (permanent >= _UNDERFLOW_GUARD) & ((det > errbound) | (-det > errbound))
 
 
 def _sign(x) -> int:
@@ -117,6 +129,15 @@ def incircle(a, b, c, p) -> int:
     Positive when p lies strictly inside the circle through a, b, c,
     provided abc is counterclockwise; the sign flips with orientation.
     """
+    det, permanent = _incircle_terms(a, b, c, p)
+    if _certified(det, permanent, _ICC_BOUND):
+        return _sign(det)
+    return _incircle_exact(a, b, c, p)
+
+
+def _incircle_terms(a, b, c, p):
+    """Float determinant and permanent of the in-circle test; the
+    coordinates may be floats or numpy arrays (one entry per test)."""
     adx = a[0] - p[0]
     bdx = b[0] - p[0]
     cdx = c[0] - p[0]
@@ -140,12 +161,7 @@ def incircle(a, b, c, p) -> int:
     permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
                  + (abs(cdxady) + abs(adxcdy)) * blift
                  + (abs(adxbdy) + abs(bdxady)) * clift)
-    if permanent < _UNDERFLOW_GUARD:
-        return _incircle_exact(a, b, c, p)
-    errbound = _ICC_BOUND * permanent
-    if det > errbound or -det > errbound:
-        return _sign(det)
-    return _incircle_exact(a, b, c, p)
+    return det, permanent
 
 
 def _incircle_exact(a, b, c, p) -> int:
@@ -165,6 +181,15 @@ def insphere(a, b, c, d, e) -> int:
     provided orient3d(a, b, c, d) is positive; the sign flips with
     orientation.
     """
+    det, permanent = _insphere_terms(a, b, c, d, e)
+    if _certified(det, permanent, _ISP_BOUND):
+        return _sign(det)
+    return _insphere_exact(a, b, c, d, e)
+
+
+def _insphere_terms(a, b, c, d, e):
+    """Float determinant and permanent of the in-sphere test; the
+    coordinates may be floats or numpy arrays (one entry per test)."""
     aex = a[0] - e[0]
     bex = b[0] - e[0]
     cex = c[0] - e[0]
@@ -237,12 +262,7 @@ def insphere(a, b, c, d, e) -> int:
                  + ((bexceyplus + cexbeyplus) * aezplus
                     + (cexaeyplus + aexceyplus) * bezplus
                     + (aexbeyplus + bexaeyplus) * cezplus) * dlift)
-    if permanent < _UNDERFLOW_GUARD:
-        return _insphere_exact(a, b, c, d, e)
-    errbound = _ISP_BOUND * permanent
-    if det > errbound or -det > errbound:
-        return _sign(det)
-    return _insphere_exact(a, b, c, d, e)
+    return det, permanent
 
 
 def _insphere_exact(a, b, c, d, e) -> int:
@@ -272,6 +292,20 @@ def _det4(m):
         total += sign * m[0][col] * _det3(minor)
         sign = -sign
     return total
+
+
+def inball_certified_nonzero(simplices, queries) -> np.ndarray:
+    """Batch static filter of ``incircle`` / ``insphere``: entry k is True
+    when the float filter alone proves query k off the circumsphere of
+    simplex k. ``simplices`` has shape (m, d+1, d) and ``queries`` (m, d).
+    Same formula and bound as the scalar predicates, so a True entry means
+    their exact sign is nonzero; a False entry decides nothing."""
+    cols = np.asarray(simplices, dtype=float).transpose(1, 2, 0)
+    q = np.asarray(queries, dtype=float).T
+    with np.errstate(all="ignore"):
+        if len(q) == 2:
+            return _certified(*_incircle_terms(*cols, q), _ICC_BOUND)
+        return _certified(*_insphere_terms(*cols, q), _ISP_BOUND)
 
 
 def collinear3d(a, b, c) -> bool:

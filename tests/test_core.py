@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from delrips import Filtration, PersistenceDiagram, PointCloud, make_simplex, sort_filtration
+from delrips import (Filtration, PersistenceDiagram, PointCloud, bottleneck,
+                     make_simplex, sort_filtration)
 from delrips.core import pairwise_distances, simplex_faces
 from delrips.errors import InvalidFiltration, ValidationError
 
@@ -112,6 +113,18 @@ def test_diagram_pairs_and_views():
     assert len(diag) == 3
     with pytest.raises(ValidationError):
         PersistenceDiagram.from_pairs({0: [(1.0, 0.5)]})
+
+
+@pytest.mark.parametrize("birth", [-math.inf, math.inf])
+def test_rejects_infinite_birth(birth):
+    # Deaths may be inf (essential classes), births may not: the bottleneck
+    # would subtract inf from inf.
+    with pytest.raises(ValidationError):
+        PersistenceDiagram.from_pairs({0: [(birth, math.inf)]})
+    with pytest.raises(ValidationError):
+        bottleneck([(birth, 1.0)], [(birth, 2.0)])
+    with pytest.raises(ValidationError):
+        bottleneck([(0.0, 1.0)], [(birth, math.inf)])
 
 
 def test_pairwise_distances_matches_math_dist():

@@ -186,13 +186,9 @@ def test_scan_locate_matches_walk(rng):
     # that is not yet inserted, like the walk does.
     cloud = random_cloud(rng, 20)
     pts = cloud.points
-    tri = _Triangulation(pts, 2)
-    from delrips.delaunay import GHOST, _initial_vertices
+    from delrips.delaunay import _initial_vertices
     init = _initial_vertices(pts, 2)
-    first = tuple(sorted(init))
-    tri._add(first)
-    for facet in tri._facets(first):
-        tri._add(tuple(sorted((GHOST,) + facet)))
+    tri = _Triangulation(pts, 2, init)
     for p in range(len(pts)):
         if p in init:
             continue

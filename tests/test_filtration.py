@@ -185,6 +185,23 @@ def test_dr_scales_survive_tiny_coordinates(dim):
             assert abs(scale - want[verts] * tiny) <= 1e-15 * want[verts] * tiny
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dr_scales_survive_huge_coordinates(dim):
+    # Near 1e160 the squared differences overflow to inf; the scales must
+    # still be finite and the unscaled ones times the exact power-of-two
+    # factor 2**532 (about 1.4e160).
+    pts = np.random.default_rng(160 + dim).uniform(-1.0, 1.0, (30, dim))
+    huge = 2.0 ** 532
+    cap = spec("delaunay_rips", maxdim=dim - 1)
+    want = build_delaunay_rips(PointCloud.from_points(pts), cap).scale_of()
+    got = build_delaunay_rips(PointCloud.from_points(pts * huge),
+                              cap).scale_of()
+    assert got.keys() == want.keys()
+    for verts, scale in got.items():
+        assert math.isfinite(scale)
+        assert abs(scale - want[verts] * huge) <= 1e-15 * want[verts] * huge
+
+
 def test_dr_build_peak_memory_below_dense_matrix():
     # The old build held the n x n distance matrix; its bare float payload
     # (n*n*8 bytes) alone exceeds what the output-sensitive build allocates.

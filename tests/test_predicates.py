@@ -1,7 +1,10 @@
 import math
 
-from delrips.predicates import (collinear3d, incircle, insphere, orient2d,
-                                orient3d)
+import numpy as np
+import pytest
+
+from delrips.predicates import (collinear3d, incircle, inball_certified_nonzero,
+                                insphere, orient2d, orient3d)
 
 
 def test_orient2d_basic_signs():
@@ -76,3 +79,34 @@ def test_collinear3d():
     assert collinear3d((0, 0, 0), (1, 1, 1), (2, 2, 2))
     assert collinear3d((0, 0, 0), (1, 1, 1), (0.5, 0.5, 0.5))
     assert not collinear3d((0, 0, 0), (1, 1, 1), (1, 1, 1.0000000000000002))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batch_inball_filter_certifies_only_nonzero_signs(dim):
+    # Generic, exactly cospherical, one-ulp-off, tiny and huge cases: the
+    # batch filter may certify only tests whose exact sign is nonzero, and
+    # must certify the well-conditioned generic ones.
+    rng = np.random.default_rng(7 + dim)
+    inball = incircle if dim == 2 else insphere
+    simplices, queries, generic = [], [], []
+    for k in range(300):
+        pts = rng.uniform(-1.0, 1.0, (dim + 2, dim))
+        kind = k % 5
+        if kind in (1, 2):  # +-unit vectors: on (or one ulp off) a sphere
+            pts = np.vstack([np.eye(dim), -np.eye(dim)])[:dim + 2]
+            if kind == 2:
+                pts[-1, -1] = math.nextafter(pts[-1, -1], -2.0)
+        elif kind == 3:
+            pts *= 2.0 ** -664
+        elif kind == 4:
+            pts *= 1e150
+        simplices.append(pts[:-1])
+        queries.append(pts[-1])
+        generic.append(kind == 0)
+    sure = inball_certified_nonzero(np.array(simplices), np.array(queries))
+    for simplex, q, ok, gen in zip(simplices, queries, sure.tolist(), generic):
+        sign = inball(*simplex.tolist(), q.tolist())
+        if ok:
+            assert sign != 0
+        if gen:
+            assert ok
