@@ -16,8 +16,8 @@ from pathlib import Path
 from . import bench as bench_mod
 from .core import PersistenceDiagram
 from .datagen import SHAPE_KINDS, ShapeClass, add_noise, near_cocircular_quad, sample_shape
-from .errors import (DelripsError, GeometryError, InfiniteDistance,
-                     InputFormatError, ValidationError)
+from .errors import (DelripsError, InfiniteDistance, InputFormatError,
+                     ValidationError)
 from .fileio import (DEFAULT_PRECISION, fmt_float, read_diagram,
                      read_point_cloud, read_series, write_diagram,
                      write_features_csv, write_point_cloud)
@@ -52,6 +52,20 @@ def _parse_sizes(text: str):
 
 def _parse_xs(text: str):
     return [float(v) for v in text.split(",")]
+
+
+def _parse_methods(text: str):
+    try:
+        return [_METHOD_ALIASES[m] for m in text.split(",")]
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(f"unknown method {exc}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
 
 
 def _filtration_spec(args) -> FiltrationSpec:
@@ -116,7 +130,7 @@ def cmd_hausdorff(args) -> int:
 
 def cmd_vectorize_pi(args) -> int:
     diagrams = [read_diagram(path) for path in args.diagrams]
-    blocks = _parse_resolution(args.resolution)
+    blocks = args.resolution
     dims = list(range(args.maxdim + 1))
     if len(blocks) == 1:
         blocks = blocks * len(dims)
@@ -132,12 +146,8 @@ def cmd_vectorize_pi(args) -> int:
         header.extend(f"pi_h{p}_r{r}_c{c}"
                       for r in range(rows) for c in range(cols))
         columns.append(vecs)
-    rows_out = []
-    for i in range(len(diagrams)):
-        row = []
-        for vecs in columns:
-            row.extend(vecs[i])
-        rows_out.append(row)
+    rows_out = [[v for vecs in columns for v in vecs[i]]
+                for i in range(len(diagrams))]
     write_features_csv(args.output, header, rows_out, args.precision)
     print(f"wrote {len(rows_out)} x {len(header)} feature matrix to {args.output}")
     return 0
@@ -155,10 +165,8 @@ def cmd_vectorize_stats(args) -> int:
 
 def cmd_bench(args) -> int:
     shape = ShapeClass(kind=args.shape)
-    sizes = _parse_sizes(args.sizes)
-    methods = [_METHOD_ALIASES[m] for m in args.methods.split(",")]
     cells, medians = bench_mod.run_grid(
-        shape, args.nu, sizes, methods, args.maxdim, args.trials,
+        shape, args.nu, args.sizes, args.methods, args.maxdim, args.trials,
         args.timeout, args.seed)
     lines = ["method,n,trial,seconds,n_simplices,status"]
     for c in cells:
@@ -177,7 +185,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_demo_instability(args) -> int:
-    xs = _parse_xs(args.x_values)
+    xs = args.x_values
     cap = 2.0 - math.sqrt(3.0)
     for x in xs:
         if x >= cap:
@@ -284,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = vsub.add_parser("pi", help="persistence images on a shared grid", **fmt)
     vp.add_argument("diagrams", nargs="+", help="diagram files, one per sample")
-    vp.add_argument("--resolution", default="5x1,5x5,5x5",
+    vp.add_argument("--resolution", type=_parse_resolution,
+                    default="5x1,5x5,5x5",
                     help="RxC, or one block per dimension")
     vp.add_argument("--sigma", type=float, default=None,
                     help="Gaussian bandwidth; None uses half the pixel height")
@@ -308,13 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=SHAPE_KINDS, default="sphere",
                    help="sampled shape class")
     p.add_argument("--nu", type=float, default=0.1, help="noise magnitude")
-    p.add_argument("--sizes", default="100:500:100",
+    p.add_argument("--sizes", type=_parse_sizes, default="100:500:100",
                    help="start:stop[:step] or comma list")
-    p.add_argument("--methods", default="dr,rips,alpha",
+    p.add_argument("--methods", type=_parse_methods, default="dr,rips,alpha",
                    help="comma list of methods to time")
     p.add_argument("--maxdim", type=int, default=1,
                    help="largest homology dimension to compute")
-    p.add_argument("--trials", type=int, default=10, help="trials per cell")
+    p.add_argument("--trials", type=_positive_int, default=10,
+                   help="trials per cell")
     p.add_argument("--timeout", type=float, default=7.0,
                    help="per-cell wall-time cap in seconds")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -325,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-instability",
                        help="diagrams of the near-cocircular quad across x=0",
                        **fmt)
-    p.add_argument("--x-values", default="-0.05,0.01,0.05,0.1,0.2",
+    p.add_argument("--x-values", type=_parse_xs,
+                   default="-0.05,0.01,0.05,0.1,0.2",
                    help="comma list; use --x-values=-0.05,... for negatives")
     p.add_argument("--diagonal-cost", choices=("half", "full"), default="half",
                    help="diagonal cost convention for the reported distances")
@@ -343,18 +354,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, OSError) as exc:
+    except (DelripsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DelripsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, (InputFormatError, OSError)):
+            return 4
+        return 2 if isinstance(exc, ValidationError) else 3
 
 
 if __name__ == "__main__":

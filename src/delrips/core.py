@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidFiltration, ValidationError
+from .errors import InvalidFiltration, UnsortedFiltration, ValidationError
 
 Simplex = tuple  # strictly increasing tuple of vertex indices
 
@@ -34,10 +34,6 @@ def make_simplex(vertices: Iterable[int]) -> Simplex:
     if verts[0] < 0:
         raise ValidationError(f"negative vertex index in simplex {verts}")
     return verts
-
-
-def simplex_dim(verts: Simplex) -> int:
-    return len(verts) - 1
 
 
 def simplex_faces(verts: Simplex):
@@ -86,6 +82,40 @@ def _sort_key(entry):
     return (scale, len(verts), verts)
 
 
+def boundary_columns(entries) -> list:
+    """The one filtration check: each entry's sorted face indices, or
+    UnsortedFiltration when an entry's ``_sort_key`` is below its
+    predecessor's (checked before any face lookup), or InvalidFiltration on
+    a simplex listed twice, a missing face or a face after its coface.
+    """
+    index = {}
+    prev = ()
+    for j, entry in enumerate(entries):
+        if entry[0] in index:
+            raise InvalidFiltration(f"simplex {entry[0]} listed twice")
+        key = _sort_key(entry)
+        if key < prev:
+            raise UnsortedFiltration(
+                f"{entry[0]} is out of order (use sort_filtration)")
+        index[entry[0]] = j
+        prev = key
+    columns = []
+    for j, (verts, scale) in enumerate(entries):
+        col = []
+        for face in simplex_faces(verts):
+            i = index.get(face)
+            if i is None:
+                raise InvalidFiltration(f"face {face} of {verts} is missing")
+            if i > j:
+                raise InvalidFiltration(
+                    f"face {face} (scale {entries[i][1]}) appears after "
+                    f"coface {verts} (scale {scale})")
+            col.append(i)
+        col.sort()
+        columns.append(tuple(col))
+    return columns
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Simplices with monotone scales, capped at dimension ``max_dim``.
@@ -118,33 +148,14 @@ class Filtration:
     def scale_of(self) -> dict:
         return {verts: scale for verts, scale in self.entries}
 
-    def is_sorted(self) -> bool:
-        keys = [_sort_key(e) for e in self.entries]
-        return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
-
 
 def sort_filtration(filt: Filtration) -> Filtration:
-    """Canonically order a filtration by (scale, dimension, vertex tuple).
-
-    Validates closure (every codimension-1 face present) and monotonicity
-    (no face with a larger scale than its coface) before sorting; raises
-    InvalidFiltration on a violation. Idempotent and deterministic.
-    """
-    scale_of = {}
-    for verts, scale in filt.entries:
-        if verts in scale_of:
-            raise InvalidFiltration(f"simplex {verts} listed twice")
-        scale_of[verts] = scale
-    for verts, scale in filt.entries:
-        for face in simplex_faces(verts):
-            fscale = scale_of.get(face)
-            if fscale is None:
-                raise InvalidFiltration(f"face {face} of {verts} is missing")
-            if fscale > scale:
-                raise InvalidFiltration(
-                    f"face {face} (scale {fscale}) appears after coface "
-                    f"{verts} (scale {scale})")
+    """Canonically order a filtration by (scale, dimension, vertex tuple),
+    then run the one filtration check, ``boundary_columns``, on the result
+    (InvalidFiltration on a duplicate, a missing face or a face with a larger
+    scale than its coface). Idempotent and deterministic."""
     ordered = tuple(sorted(filt.entries, key=_sort_key))
+    boundary_columns(ordered)
     return Filtration(entries=ordered, max_dim=filt.max_dim)
 
 

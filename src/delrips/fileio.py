@@ -25,12 +25,16 @@ def fmt_float(x: float, precision: int = DEFAULT_PRECISION) -> str:
     return s if s not in ("", "-0") else "0"
 
 
-def read_point_cloud(path) -> PointCloud:
-    path = Path(path)
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text()
+        return path.read_text()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def read_point_cloud(path) -> PointCloud:
+    path = Path(path)
+    text = _read_text(path)
     try:
         if path.suffix.lower() == ".json":
             rows = json.loads(text)
@@ -53,10 +57,7 @@ def write_point_cloud(path, cloud: PointCloud, precision: int = DEFAULT_PRECISIO
 
 def read_series(path) -> list:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     vals = []
     try:
         for line in text.splitlines():
@@ -70,10 +71,7 @@ def read_series(path) -> list:
 
 def read_diagram(path) -> PersistenceDiagram:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     pairs: dict = {}
     try:
         if path.suffix.lower() == ".json":

@@ -141,9 +141,9 @@ def build_alpha(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     convention (scales are twice the usual alpha radii).
 
     A simplex that passes the Gabriel test (no other point strictly inside
-    its smallest circumball) takes its circumdiameter; otherwise its value
-    propagates down as the minimum over its cofaces. Top simplices always
-    take their circumdiameter.
+    its smallest circumball) takes its circumdiameter, capped at the minimum
+    over its cofaces (rounding can put it above); otherwise its value is that
+    minimum. Top simplices always take their circumdiameter.
     """
     _check_delaunay_cap(spec, cloud.dim)
     cap = spec.max_hom_dim + 1
@@ -168,10 +168,11 @@ def build_alpha(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     for k in range(d, 0, -1):
         for verts in by_dim[k]:
             center, r = circumsphere([pts[v] for v in verts])
-            if k == d or _is_gabriel(pts, verts, np.asarray(center)):
-                radius[verts] = r
-            else:
-                radius[verts] = min(radius[cf] for cf in cofaces[verts])
+            if k < d:
+                low = min(radius[cf] for cf in cofaces[verts])
+                gabriel = _is_gabriel(pts, verts, np.asarray(center))
+                r = min(r, low) if gabriel else low
+            radius[verts] = r
 
     entries = [((i,), 0.0) for i in range(len(cloud))]
     for verts, r in radius.items():

@@ -51,16 +51,19 @@ def circumsphere(points) -> tuple:
     return tuple(float(x) for x in center), radius
 
 
+def _distances(p: PointCloud, q: PointCloud) -> np.ndarray:
+    """(len(p), len(q)) array of the distances between their points."""
+    diff = p.as_array()[:, None, :] - q.as_array()[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
 def hausdorff_distance(p: PointCloud, q: PointCloud) -> float:
     """Symmetric Hausdorff distance between two finite clouds."""
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloud("hausdorff_distance requires non-empty clouds")
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimensions differ: {p.dim} vs {q.dim}")
-    a = p.as_array()
-    b = q.as_array()
-    diff = a[:, None, :] - b[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=2))
+    d = _distances(p, q)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
@@ -69,9 +72,7 @@ def min_pairwise_distance(cloud: PointCloud) -> float:
     n = len(cloud)
     if n < 2:
         return math.inf
-    a = cloud.as_array()
-    diff = a[:, None, :] - a[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=2))
+    d = _distances(cloud, cloud)
     d[np.diag_indices(n)] = np.inf
     return float(d.min())
 
@@ -95,10 +96,7 @@ class PerturbationPairing:
             raise DimensionMismatch("source and target dimensions differ")
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
-        a = self.source.as_array()
-        b = self.target.as_array()
-        diff = a[:, None, :] - b[None, :, :]
-        d = np.sqrt(np.sum(diff * diff, axis=2))
+        d = _distances(self.source, self.target)
         n = len(self.source)
         within = d < self.epsilon
         for i in range(n):
@@ -107,10 +105,6 @@ class PerturbationPairing:
                     f"pair {i} displaced by {d[i, i]} >= epsilon {self.epsilon}")
         if n > 1 and (within.sum(axis=0).max() > 1 or within.sum(axis=1).max() > 1):
             raise ValidationError("pairing is not mutually unique")
-
-    @property
-    def pairing(self) -> tuple:
-        return tuple(range(len(self.source)))
 
     def max_displacement(self) -> float:
         a = self.source.as_array()

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Filtration, PersistenceDiagram, simplex_faces
-from .errors import UnsortedFiltration
+from .core import Filtration, PersistenceDiagram, boundary_columns
 
 
 class _SparseColumns:
@@ -49,22 +48,17 @@ class ReducedMatrix(_SparseColumns):
 
 
 def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
-    """Exact Z2 boundary matrix of a canonically sorted filtration."""
-    if not filt.is_sorted():
-        raise UnsortedFiltration("filtration must be sorted (use sort_filtration)")
-    index = {verts: j for j, (verts, _) in enumerate(filt.entries)}
-    columns = []
-    dims = []
-    scales = []
-    for j, (verts, scale) in enumerate(filt.entries):
-        col = sorted(index[f] for f in simplex_faces(verts))
-        if col and col[-1] >= j:
-            raise UnsortedFiltration(f"face of {verts} does not precede it")
-        columns.append(tuple(col))
-        dims.append(len(verts) - 1)
-        scales.append(scale)
-    return BoundaryMatrix(columns=tuple(columns), dims=tuple(dims),
-                          scales=tuple(scales))
+    """Exact Z2 boundary matrix of a canonically sorted filtration.
+
+    The columns come from ``core.boundary_columns``, the one filtration
+    check: UnsortedFiltration when the entries are out of canonical order
+    (use ``sort_filtration``), InvalidFiltration on a duplicated simplex, a
+    missing face or a face that comes after its coface.
+    """
+    entries = filt.entries
+    return BoundaryMatrix(columns=tuple(boundary_columns(entries)),
+                          dims=tuple(len(verts) - 1 for verts, _ in entries),
+                          scales=tuple(scale for _, scale in entries))
 
 
 def _sym_diff(a: list, b) -> list:

@@ -274,10 +274,6 @@ def _insphere_exact(a, b, c, d, e) -> int:
     return _sign(_det4(rows))
 
 
-def _det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
 def _det3(m):
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])

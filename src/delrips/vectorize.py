@@ -99,11 +99,10 @@ def persistence_image(pairs, grid: PIGrid) -> np.ndarray:
     xs = np.linspace(b0, b1, cols + 1)
     ys = np.linspace(p0, p1, rows + 1)
     s = grid.sigma * math.sqrt(2.0)
-    max_pers = grid.persistence_range[1]
     img = np.zeros((rows, cols))
     for b, d in _finite(pairs):
         pers = d - b
-        w = pers / max_pers
+        w = pers / p1
         if w == 0.0:
             continue
         cx = 0.5 * (1.0 + np.array([math.erf((x - b) / s) for x in xs]))

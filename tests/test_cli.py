@@ -208,3 +208,17 @@ def test_exit_codes(tmp_path, capsys):
     pts = tmp_path / "ok.csv"
     pts.write_text("0,0\n1,0\n0,1\n")
     assert main(["pd", "--method", "dr", "--maxdim", "5", str(pts)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["vectorize", "pi", "d.csv", "--resolution", "5", "-o", "f.csv"],
+    ["bench", "--sizes", "abc", "-o", "b.csv"],
+    ["bench", "--methods", "foo", "-o", "b.csv"],
+    ["bench", "--trials", "0", "-o", "b.csv"],
+    ["demo-instability", "--x-values=a"],
+])
+def test_malformed_option_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from delrips import (FiltrationSpec, PointCloud, ShapeClass, add_noise,
                      sample_shape, sort_filtration)
 from delrips.core import pairwise_distances
 from delrips.errors import ValidationError
+from test_delaunay_golden import _jittered_grid
 
 SQ3 = math.sqrt(3.0)
 
@@ -250,6 +251,17 @@ class TestAlpha:
         assert scales[(0, 1)] == pytest.approx(2 * r)
         assert scales[(0, 1, 2)] == pytest.approx(2 * r)
         assert scales[(0, 1)] > 4.0  # exceeds the edge length
+
+    # Jittered grids on which a Gabriel face's rounded circumradius came out
+    # above a coface's, so the unclamped filtration was not monotone.
+    @pytest.mark.parametrize("dim,n,seed", [(2, 10, 50), (2, 12, 52),
+                                            (2, 20, 110), (3, 14, 4),
+                                            (3, 15, 5)])
+    def test_monotone_on_jittered_grid(self, dim, n, seed):
+        pc = PointCloud.from_points(_jittered_grid(dim, n, seed))
+        filt = build_alpha(pc, spec("alpha", maxdim=dim - 1))
+        assert sort_filtration(filt) == filt
+        compute_diagram(filt)
 
 
 class TestCrossFiltration:

@@ -6,9 +6,9 @@ from conftest import random_cloud
 from delrips import (Filtration, FiltrationSpec, PointCloud, boundary_matrix,
                      build_delaunay_rips, build_rips, compute_diagram,
                      extract_pairs, near_cocircular_quad, persistent_betti,
-                     reduce_standard, reduce_twist)
+                     reduce_standard, reduce_twist, sort_filtration)
 from delrips.core import PersistenceDiagram
-from delrips.errors import UnsortedFiltration
+from delrips.errors import InvalidFiltration, UnsortedFiltration
 from naive_oracle import naive_vr_diagram
 
 SQ3 = math.sqrt(3.0)
@@ -50,6 +50,37 @@ def test_boundary_matrix_requires_sorted():
                       max_dim=1)
     with pytest.raises(UnsortedFiltration):
         boundary_matrix(filt)
+
+
+# Canonically ordered but not closed, not unique or not monotone: the one
+# filtration check rejects each the same way, whether boundary_matrix meets
+# it as given or sort_filtration after sorting.
+INVALID_FILTRATIONS = {
+    "missing-face": ((((0,), 0.0), ((0, 1), 1.0)), "is missing"),
+    "duplicate": ((((0,), 0.0), ((0,), 0.0)), "listed twice"),
+    "face-after-coface": ((((0,), 0.0), ((0, 1), 1.0), ((1,), 2.0)),
+                          "appears after"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_FILTRATIONS))
+@pytest.mark.parametrize("entry", [boundary_matrix, sort_filtration,
+                                   compute_diagram])
+def test_one_check_rejects_invalid_filtration(entry, name):
+    entries, message = INVALID_FILTRATIONS[name]
+    with pytest.raises(InvalidFiltration, match=message):
+        entry(Filtration(entries=entries, max_dim=1))
+
+
+@pytest.mark.parametrize("entries", [
+    (((0,), 1.0), ((1,), 0.0)),  # scale descends
+    (((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0), ((2,), 1.0)),  # dimension
+    (((1,), 0.0), ((0,), 0.0)),  # vertex tuple
+    (((0, 1), 1.0), ((0,), 0.0)),  # order is checked before faces
+])
+def test_boundary_matrix_rejects_each_unsorted_key(entries):
+    with pytest.raises(UnsortedFiltration):
+        boundary_matrix(Filtration(entries=entries, max_dim=1))
 
 
 def test_quad_boundary_matrix_golden():
