@@ -34,24 +34,47 @@ _METHOD_ALIASES = {"rips": "rips", "dr": "delaunay_rips",
 
 def _parse_resolution(text: str):
     """Either one RxC, or a comma list of RxC blocks (one per dimension)."""
-    blocks = []
-    for part in text.split(","):
-        r, _, c = part.lower().partition("x")
-        blocks.append((int(r), int(c)))
+    try:
+        blocks = []
+        for part in text.split(","):
+            r, _, c = part.lower().partition("x")
+            blocks.append((int(r), int(c)))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected RxC or a comma list of RxC blocks, got {text!r}") from None
     return blocks
 
 
 def _parse_sizes(text: str):
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 100
-        return list(range(start, stop + 1, step))
-    return [int(v) for v in text.split(",")]
+    """start:stop[:step] (step 100 by default), or a comma list of sizes."""
+    try:
+        if ":" in text:
+            parts = [int(v) for v in text.split(":")]
+            if len(parts) > 3:
+                raise ValueError(text)
+            start, stop = parts[0], parts[1]
+            step = parts[2] if len(parts) > 2 else 100
+            if step < 1:
+                raise argparse.ArgumentTypeError(
+                    f"the step of {text!r} must be positive")
+            sizes = list(range(start, stop + 1, step))
+        else:
+            sizes = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop[:step] or a comma list of integers, "
+            f"got {text!r}") from None
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"{text!r} gives no sizes")
+    return sizes
 
 
 def _parse_xs(text: str):
-    return [float(v) for v in text.split(",")]
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}") from None
 
 
 def _parse_methods(text: str):
@@ -62,7 +85,11 @@ def _parse_methods(text: str):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is below 1")
     return value

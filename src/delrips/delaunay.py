@@ -18,7 +18,7 @@ holds d+1 vertex ids and ``nbrs[s][i]`` the slot across the facet opposite
 ``GHOST`` where a point strictly beyond its hull facet would give positive
 orientation. All simplices are thus oriented consistently, so replacing a
 cavity simplex's vertex by the new point keeps the orientation, and each new
-real simplex must come out positive (asserted).
+real simplex comes out positive.
 
 A walk locates the point, crossing face i whenever the point in position i
 gives negative orientation. It starts at a simplex incident to the vertex
@@ -27,21 +27,38 @@ at the last simplex created; a walk that cycles falls back to a linear scan.
 The walk only seeds the cavity search: the simplices in conflict with a
 point form a connected set, so every seed gives the same cavity and the
 output does not depend on the walk.
+
+The finished triangulation is certified once (Mehlhorn et al., "Checking
+geometric programs or verification of geometric structures", 1999): every
+real simplex is positively oriented and every interior facet is locally
+Delaunay, which by Delaunay's lemma makes the triangulation Delaunay. Both
+signs come from ``certificate``, one numpy filter pass per batch with exact
+fallbacks; a cospherical facet (sign 0) sets ``degenerate``, and a failed
+check raises ``CertificateError``, also under ``python -O``.
+
+The predicates run on the coordinates scaled by a power of two that brings
+the largest one near 1. The scaling is exact, so every sign is unchanged,
+and it keeps the float filter away from underflow and overflow at extreme
+scales, where it would fall back to exact arithmetic on every call.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .core import PointCloud, closure_of
-from .errors import AffinelyDegenerateInput, DuplicatePoints, TooFewPoints
-from .predicates import (collinear3d, incircle, inball_certified_nonzero,
-                         insphere, orient2d, orient3d)
+from .errors import (AffinelyDegenerateInput, CertificateError,
+                     DuplicatePoints, TooFewPoints)
+from .predicates import (collinear3d, incircle, inball_signs, insphere,
+                         orient2d, orient3d, orient_signs)
 
 GHOST = -1
+# Tests per numpy filter pass: bounds the filter's temporaries.
+_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -107,8 +124,6 @@ class _Triangulation:
 
     def _new(self, vs):
         real = GHOST not in vs
-        if real:
-            assert self.orient(*[self.pts[v] for v in vs]) > 0, f"flat simplex {vs}"
         if self.free:
             s = self.free.pop()
             self.verts[s] = vs
@@ -223,23 +238,74 @@ class _Triangulation:
         self._glue(new)
         self.cell_vertex[self.cell[p]] = p
 
-    def had_tie_break(self) -> bool:
-        """True iff some internal facet has cospherical opposite vertices.
-        The float filter runs on batches of real neighbor pairs, and only
-        pairs it cannot certify get the exact test; small batches keep the
-        filter's numpy temporaries small."""
-        verts, nbrs, pts = self.verts, self.nbrs, self.pts
-        pairs = ((s, verts[nb][nbrs[nb].index(s)])  # (simplex, opposite vertex)
-                 for s, vs in enumerate(verts) if vs is not None and GHOST not in vs
-                 for nb in nbrs[s] if nb > s and GHOST not in verts[nb])
-        coords = np.asarray(pts, dtype=float)
-        while batch := list(islice(pairs, 1024)):
-            sure = inball_certified_nonzero(coords[[verts[s] for s, _ in batch]],
-                                            coords[[q for _, q in batch]])
-            if any(self.inball(*[pts[v] for v in verts[s]], pts[q]) == 0
-                   for (s, q), ok in zip(batch, sure.tolist()) if not ok):
-                return True
-        return False
+
+def interior_facets(simplices) -> np.ndarray:
+    """(i, q) rows, one for every facet shared by two of the simplices: i
+    indexes the first of them and q is the second's vertex opposite the
+    facet. Each simplex's vertex order may be any."""
+    verts = np.sort(np.asarray(simplices, dtype=np.int64), axis=1)
+    t, k = verts.shape
+    faces = np.stack([np.delete(verts, j, axis=1) for j in range(k)], axis=1)
+    faces = faces.reshape(t * k, k - 1)
+    order = np.lexsort(faces.T[::-1])
+    faces = faces[order]
+    shared = np.flatnonzero((faces[1:] == faces[:-1]).all(axis=1))
+    owner = order[shared] // k
+    opposite = verts.reshape(-1)[order[shared + 1]]
+    return np.stack([owner, opposite], axis=1)
+
+
+def certificate(points, simplices, facets) -> tuple:
+    """Orientation signs of the simplices and in-ball signs of the facets.
+
+    ``simplices`` are vertex-id sequences into ``points`` and ``facets``
+    (i, q) pairs as from ``interior_facets``. Returns two int arrays: the
+    exact orientation sign of every simplex in the order given, and for every
+    pair the exact in-ball sign of point q against simplex i times that
+    simplex's orientation sign, which is positive iff q lies strictly inside
+    the circumball (the facet is not locally Delaunay) and 0 when q is on it
+    or the simplex is flat. Runs the float filter in batches of ``_BATCH``
+    tests, with the exact predicates where it cannot certify.
+    """
+    coords = np.asarray(points, dtype=float)
+    verts = np.asarray(simplices, dtype=np.int64)
+    orient = np.zeros(len(verts), dtype=np.int64)
+    for k in range(0, len(verts), _BATCH):
+        orient[k:k + _BATCH] = orient_signs(coords[verts[k:k + _BATCH]])
+    pairs = np.asarray(facets, dtype=np.int64).reshape(-1, 2)
+    inball = np.zeros(len(pairs), dtype=np.int64)
+    for k in range(0, len(pairs), _BATCH):
+        i, q = pairs[k:k + _BATCH].T
+        inball[k:k + _BATCH] = inball_signs(coords[verts[i]], coords[q]) * orient[i]
+    return orient, inball
+
+
+def _certify(points, simplices) -> bool:
+    """Check a finished triangulation: every simplex positively oriented and
+    no interior facet strictly non-locally-Delaunay. Returns whether some
+    interior facet is cospherical (the tie-break decided it); raises
+    CertificateError otherwise."""
+    simplices = np.asarray(simplices, dtype=np.int64)
+    orient, inball = certificate(points, simplices, interior_facets(simplices))
+    if (orient <= 0).any():
+        raise CertificateError(
+            f"{int((orient <= 0).sum())} simplices are not positively oriented")
+    if (inball > 0).any():
+        raise CertificateError(
+            f"{int((inball > 0).sum())} interior facets are not locally Delaunay")
+    return bool((inball == 0).any())
+
+
+def _prescaled(points):
+    """The points times 2**-e, with e the binary exponent of the largest
+    |coordinate|. Returned unscaled when that would make some nonzero
+    coordinate subnormal: only an exact scaling keeps every sign."""
+    a = np.asarray(points, dtype=float)
+    mags = np.abs(a[a != 0.0])
+    e = math.frexp(float(mags.max()))[1]
+    if e == 0 or math.ldexp(float(mags.min()), -e) < sys.float_info.min:
+        return points
+    return tuple(map(tuple, np.ldexp(a, -e).tolist()))
 
 
 def _initial_vertices(pts, dim):
@@ -278,7 +344,8 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
     ``degenerate`` flag).
 
     Raises TooFewPoints for n < dim+1, DuplicatePoints for coincident points,
-    and AffinelyDegenerateInput when all points share a hyperplane.
+    and AffinelyDegenerateInput when all points share a hyperplane. A result
+    that fails its certificate raises CertificateError, which would be a bug.
     """
     dim = cloud.dim
     pts = cloud.points
@@ -291,6 +358,7 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
             raise DuplicatePoints(f"points {seen[p]} and {i} coincide")
         seen[p] = i
 
+    pts = _prescaled(pts)
     init = _initial_vertices(pts, dim)
     tri = _Triangulation(pts, dim, init)
     used = set(init)
@@ -298,12 +366,12 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
         if p not in used:
             tri.insert(p)
 
-    tops = tuple(sorted(tuple(sorted(vs)) for vs in tri.verts
-                        if vs is not None and GHOST not in vs))
-    all_simplices = frozenset(closure_of(tops))
+    real = [vs for vs in tri.verts if vs is not None and GHOST not in vs]
+    degenerate = _certify(pts, real)
+    tops = tuple(sorted(tuple(sorted(vs)) for vs in real))
     return DelaunayComplex(
         cloud=cloud,
         top_simplices=tops,
-        all_simplices=all_simplices,
-        degenerate=tri.had_tie_break(),
+        all_simplices=frozenset(closure_of(tops)),
+        degenerate=degenerate,
     )

@@ -70,5 +70,10 @@ class InfiniteDistance(DelripsError):
     """Bottleneck distance is infinite (essential-class counts differ)."""
 
 
+class CertificateError(RuntimeError):
+    """A computed triangulation failed its Delaunay certificate: an internal
+    error, not an input error, so it is not a DelripsError."""
+
+
 class InputFormatError(DelripsError):
     """Point/diagram file could not be parsed."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PointCloud
-from .delaunay import delaunay
+from .delaunay import certificate, delaunay, interior_facets
 from .errors import (DegenerateSimplex, DimensionMismatch, EmptyCloud,
                      EpsilonTooLarge, ValidationError)
 
@@ -144,7 +144,37 @@ def epsilon_perturb(cloud: PointCloud, eps: float, seed: int) -> PerturbationPai
 
 def same_triangulation(pair: PerturbationPairing) -> bool:
     """True iff source and target have identical Delaunay simplex sets under
-    the index pairing."""
-    a = delaunay(pair.source)
-    b = delaunay(pair.target)
-    return a.all_simplices == b.all_simplices
+    the index pairing.
+
+    Only the source is triangulated up front. Its top simplices are then
+    checked against the target coordinates with ``delaunay.certificate``,
+    and the answer is False without triangulating the target when either
+    check gives strict evidence:
+
+    - The orientation signs flip: some tops keep their source orientation
+      sign in the target and others reverse it. Adjacent simplices of any
+      triangulation lie on opposite sides of their shared facet, which fixes
+      the ratio of their orientation signs by the combinatorics alone, and
+      the tops' dual graph is connected; so if the source triangulation
+      triangulated the target too, every top would keep its sign or every
+      top would reverse it.
+    - An interior facet is strictly non-locally-Delaunay in the target: a
+      point lies strictly inside the circumball of a top, so that top is not
+      a simplex of the target's Delaunay triangulation, whose circumballs
+      are all empty.
+
+    A zero sign proves nothing here (a target flat everywhere must still
+    raise AffinelyDegenerateInput from ``delaunay``), so it and every other
+    case fall back to comparing with ``delaunay(target)``. Both shortcuts
+    only return False where that comparison does, so the answer, errors
+    included, is exactly the two-triangulation comparison.
+    """
+    src = delaunay(pair.source)
+    tops = np.asarray(src.top_simplices, dtype=np.int64)
+    facets = interior_facets(tops)
+    before, _ = certificate(pair.source.points, tops, ())
+    after, inball = certificate(pair.target.points, tops, facets)
+    flips = before * after
+    if ((flips > 0).any() and (flips < 0).any()) or (inball > 0).any():
+        return False
+    return src.all_simplices == delaunay(pair.target).all_simplices

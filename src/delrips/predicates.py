@@ -7,9 +7,9 @@ rational arithmetic over the original float coordinates, which Fraction
 represents without loss. The fallback only fires near degeneracy, so the
 exact path costs nothing on generic input.
 
-All predicates return -1, 0, or +1. ``inball_certified_nonzero`` runs the
-in-circle/in-sphere filter over many tests at once with numpy, using the same
-float formula and bound, and leaves the uncertified ones to the scalar calls.
+All predicates return -1, 0, or +1. ``orient_signs`` and ``inball_signs``
+evaluate many tests at once: the same float formula and bound in one numpy
+pass, and the exact evaluation for the tests the filter cannot certify.
 """
 
 from __future__ import annotations
@@ -51,29 +51,22 @@ def _sign(x) -> int:
 
 def orient2d(a, b, c) -> int:
     """Sign of the signed area of triangle abc (+1 = counterclockwise)."""
+    det, detsum = _orient2d_terms(a, b, c)
+    if _certified(det, detsum, _O2D_BOUND):
+        return _sign(det)
+    return _orient2d_exact(a, b, c)
+
+
+def _orient2d_terms(a, b, c):
+    """Float determinant and permanent of orient2d; the coordinates may be
+    floats or numpy arrays (one entry per test)."""
     acx = a[0] - c[0]
     acy = a[1] - c[1]
     bcx = b[0] - c[0]
     bcy = b[1] - c[1]
     detleft = acx * bcy
     detright = acy * bcx
-    det = detleft - detright
-
-    opposite = ((detleft > 0.0 and detright <= 0.0)
-                or (detleft < 0.0 and detright >= 0.0)
-                or (detleft == 0.0 and detright != 0.0))
-    if opposite:
-        # No cancellation: the float sign is the true sign unless everything
-        # vanished (possible only through underflow).
-        if det != 0.0:
-            return _sign(det)
-        return _orient2d_exact(a, b, c)
-    detsum = abs(detleft) + abs(detright)
-    if detsum < _UNDERFLOW_GUARD:
-        return _orient2d_exact(a, b, c)
-    if det > _O2D_BOUND * detsum or -det > _O2D_BOUND * detsum:
-        return _sign(det)
-    return _orient2d_exact(a, b, c)
+    return detleft - detright, abs(detleft) + abs(detright)
 
 
 def _orient2d_exact(a, b, c) -> int:
@@ -85,6 +78,15 @@ def _orient2d_exact(a, b, c) -> int:
 
 def orient3d(a, b, c, d) -> int:
     """Sign of det[[a-d], [b-d], [c-d]] for points in R^3."""
+    det, permanent = _orient3d_terms(a, b, c, d)
+    if _certified(det, permanent, _O3D_BOUND):
+        return _sign(det)
+    return _orient3d_exact(a, b, c, d)
+
+
+def _orient3d_terms(a, b, c, d):
+    """Float determinant and permanent of orient3d; the coordinates may be
+    floats or numpy arrays (one entry per test)."""
     adx = a[0] - d[0]
     bdx = b[0] - d[0]
     cdx = c[0] - d[0]
@@ -108,12 +110,7 @@ def orient3d(a, b, c, d) -> int:
     permanent = ((abs(bdxcdy) + abs(cdxbdy)) * abs(adz)
                  + (abs(cdxady) + abs(adxcdy)) * abs(bdz)
                  + (abs(adxbdy) + abs(bdxady)) * abs(cdz))
-    if permanent < _UNDERFLOW_GUARD:
-        return _orient3d_exact(a, b, c, d)
-    errbound = _O3D_BOUND * permanent
-    if det > errbound or -det > errbound:
-        return _sign(det)
-    return _orient3d_exact(a, b, c, d)
+    return det, permanent
 
 
 def _orient3d_exact(a, b, c, d) -> int:
@@ -290,18 +287,37 @@ def _det4(m):
     return total
 
 
-def inball_certified_nonzero(simplices, queries) -> np.ndarray:
-    """Batch static filter of ``incircle`` / ``insphere``: entry k is True
-    when the float filter alone proves query k off the circumsphere of
-    simplex k. ``simplices`` has shape (m, d+1, d) and ``queries`` (m, d).
-    Same formula and bound as the scalar predicates, so a True entry means
-    their exact sign is nonzero; a False entry decides nothing."""
-    cols = np.asarray(simplices, dtype=float).transpose(1, 2, 0)
-    q = np.asarray(queries, dtype=float).T
+def orient_signs(simplices) -> np.ndarray:
+    """Exact ``orient2d`` / ``orient3d`` sign of every simplex, as an int
+    array; ``simplices`` has shape (m, d+1, d)."""
+    pts = np.asarray(simplices, dtype=float)
+    if pts.shape[2] == 2:
+        return _batch_signs(pts, _orient2d_terms, _O2D_BOUND, _orient2d_exact)
+    return _batch_signs(pts, _orient3d_terms, _O3D_BOUND, _orient3d_exact)
+
+
+def inball_signs(simplices, queries) -> np.ndarray:
+    """Exact ``incircle`` / ``insphere`` sign of query k against simplex k,
+    as an int array; ``simplices`` has shape (m, d+1, d), ``queries``
+    (m, d)."""
+    pts = np.concatenate([np.asarray(simplices, dtype=float),
+                          np.asarray(queries, dtype=float)[:, None, :]], axis=1)
+    if pts.shape[2] == 2:
+        return _batch_signs(pts, _incircle_terms, _ICC_BOUND, _incircle_exact)
+    return _batch_signs(pts, _insphere_terms, _ISP_BOUND, _insphere_exact)
+
+
+def _batch_signs(pts, terms, bound, exact) -> np.ndarray:
+    """One numpy pass of a scalar predicate's float formula and static
+    filter over pts (shape (m, k, d), one test's k points per row); the
+    rows the filter cannot certify get the exact rational evaluation."""
     with np.errstate(all="ignore"):
-        if len(q) == 2:
-            return _certified(*_incircle_terms(*cols, q), _ICC_BOUND)
-        return _certified(*_insphere_terms(*cols, q), _ISP_BOUND)
+        det, permanent = terms(*pts.transpose(1, 2, 0))
+        sure = _certified(det, permanent, bound)
+        signs = np.where(sure, np.sign(det), 0.0).astype(np.int64)
+    for k in np.flatnonzero(~sure).tolist():
+        signs[k] = exact(*pts[k].tolist())
+    return signs
 
 
 def collinear3d(a, b, c) -> bool:

@@ -216,9 +216,18 @@ def test_exit_codes(tmp_path, capsys):
     ["bench", "--methods", "foo", "-o", "b.csv"],
     ["bench", "--trials", "0", "-o", "b.csv"],
     ["demo-instability", "--x-values=a"],
+    ["bench", "--sizes", "100:500:0", "-o", "b.csv"],
+    ["bench", "--sizes", "500:100:-100", "-o", "b.csv"],
+    ["bench", "--sizes", "500:100", "-o", "b.csv"],
+    ["bench", "--sizes", "1:2:3:4", "-o", "b.csv"],
+    ["vectorize", "pi", "d.csv", "--resolution", "5xa", "-o", "f.csv"],
+    ["bench", "--trials", "x", "-o", "b.csv"],
 ])
 def test_malformed_option_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error: argument" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    # The message gives the expected format, not the parser function's name.
+    assert "invalid _parse" not in err

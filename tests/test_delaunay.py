@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import delrips
 from conftest import random_cloud
 from delrips import PointCloud, delaunay, near_cocircular_quad
-from delrips.delaunay import _Triangulation
-from delrips.errors import (AffinelyDegenerateInput, DuplicatePoints,
-                            TooFewPoints)
+from delrips.delaunay import _certify, _prescaled, _Triangulation
+from delrips.errors import (AffinelyDegenerateInput, CertificateError,
+                            DuplicatePoints, TooFewPoints)
 from delrips.predicates import incircle, insphere, orient2d, orient3d
 
 
@@ -197,3 +202,65 @@ def test_scan_locate_matches_walk(rng):
         assert tri._conflicts(walked, p)
         assert tri._conflicts(scanned, p)
         tri.insert(p)
+
+
+DELAUNAY_MODULE = sys.modules[_Triangulation.__module__]
+
+
+def _positive(pts, simplex):
+    return simplex if orient2d(*[pts[v] for v in simplex]) > 0 else simplex[::-1]
+
+
+def test_certificate_rejects_non_delaunay_diagonal():
+    pts = near_cocircular_quad(0.1).points
+    delaunay_tris = [_positive(pts, t) for t in ((0, 1, 3), (0, 2, 3))]
+    other_tris = [_positive(pts, t) for t in ((0, 1, 2), (1, 2, 3))]
+    assert _certify(pts, delaunay_tris) is False
+    with pytest.raises(CertificateError, match="not locally Delaunay"):
+        _certify(pts, other_tris)
+    with pytest.raises(CertificateError, match="not positively oriented"):
+        _certify(pts, [delaunay_tris[0], delaunay_tris[1][::-1]])
+
+
+def test_certificate_flags_cospherical_facet():
+    pts = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    assert _certify(pts, [_positive(pts, t) for t in ((0, 1, 2), (0, 2, 3))])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flipped_inball_sign_trips_certificate(dim, rng, monkeypatch):
+    real = DELAUNAY_MODULE.inball_signs
+    monkeypatch.setattr(DELAUNAY_MODULE, "inball_signs", lambda s, q: -real(s, q))
+    with pytest.raises(CertificateError):
+        delaunay(random_cloud(rng, 30, dim=dim))
+
+
+def test_certificate_runs_under_optimize():
+    # The check is an explicit raise, not an assert, so -O keeps it.
+    code = (
+        "import sys\n"
+        "import delrips\n"
+        "from delrips.errors import CertificateError\n"
+        "mod = sys.modules['delrips.delaunay']\n"
+        "real = mod.inball_signs\n"
+        "mod.inball_signs = lambda s, q: -real(s, q)\n"
+        "cloud = delrips.PointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1.1)])\n"
+        "try:\n"
+        "    delrips.delaunay(cloud)\n"
+        "except CertificateError:\n"
+        "    print('raised', sys.flags.optimize)\n")
+    src = str(Path(delrips.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["raised", "1"]
+
+
+def test_prescale_is_exact_or_skipped():
+    assert _prescaled(((3.0, -0.25), (1e-3, 0.0))) == (
+        (0.75, -0.0625), (0.25e-3, 0.0))
+    unit = ((0.5, -0.75), (0.0, 0.25))
+    assert _prescaled(unit) is unit
+    # 1e-20 * 2**-997 would be subnormal, so the scaling would round it.
+    wide = ((1e300, 0.0), (0.0, 1e-20))
+    assert _prescaled(wide) is wide

@@ -17,6 +17,7 @@ import pytest
 import scipy.spatial
 
 from delrips import PointCloud, ShapeClass, add_noise, delaunay, sample_shape
+from delrips import predicates
 
 
 def _jittered_grid(dim, n, seed):
@@ -117,3 +118,35 @@ def test_matches_qhull_at_n2000(dim):
             for s in scipy.spatial.Delaunay(pts).simplices}
     assert not dc.degenerate
     assert set(dc.top_simplices) == want
+
+
+# The corpus clouds whose triangulation needed the tie-break, recorded with
+# the neighbor-pair scan that preceded the Delaunay certificate.
+DEGENERATE = {"cospherical-r9", "cube-corners", "integer-grid-3x3x2"}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_degenerate_flag(name):
+    cloud = PointCloud.from_points(CORPUS[name]())
+    assert delaunay(cloud).degenerate == (name in DEGENERATE)
+
+
+@pytest.mark.parametrize("name, unscaled", [
+    ("tiny-2d", (2, 60, 14)), ("tiny-3d", (3, 60, 15)),
+    ("huge-2d", (2, 60, 16)), ("huge-3d", (3, 60, 17))])
+def test_extreme_scales_stay_on_the_float_filter(name, unscaled, monkeypatch):
+    # Unscaled, these clouds took 605 to 3489 exact evaluations each: the
+    # filter underflowed near 2**-664 and overflowed near 1e150.
+    calls = []
+    for exact in ("_orient2d_exact", "_orient3d_exact", "_incircle_exact",
+                  "_insphere_exact"):
+        monkeypatch.setattr(predicates, exact,
+                            lambda *a, _f=getattr(predicates, exact):
+                            calls.append(1) or _f(*a))
+    delaunay(PointCloud.from_points(_uniform(*unscaled)))
+    unscaled_calls = len(calls)
+    calls.clear()
+    cloud = PointCloud.from_points(CORPUS[name]())
+    dc = delaunay(cloud)
+    assert len(calls) <= unscaled_calls + 10
+    assert dc.cloud is cloud

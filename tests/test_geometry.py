@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
+import delrips.geometry
 from delrips import (PerturbationPairing, PointCloud, circumsphere,
-                     epsilon_perturb, hausdorff_distance, near_cocircular_quad,
-                     same_triangulation)
+                     delaunay, epsilon_perturb, hausdorff_distance,
+                     near_cocircular_quad, same_triangulation)
 from delrips.errors import (DegenerateSimplex, DimensionMismatch,
                             EpsilonTooLarge, ValidationError)
 from delrips.geometry import min_pairwise_distance
@@ -146,3 +147,57 @@ class TestSameTriangulation:
         b = near_cocircular_quad(0.01)
         pair = PerturbationPairing(source=a, target=b, epsilon=0.1)
         assert not same_triangulation(pair)
+
+    def test_matches_two_triangulations(self):
+        # The certificate shortcuts must give exactly the answer of comparing
+        # both Delaunay triangulations.
+        rng = np.random.default_rng(606)
+        pairs = []
+        for k in range(360):
+            dim = 2 + k % 2
+            n = int(rng.integers(dim + 3, 30 if dim == 2 else 18))
+            cloud = PointCloud.from_points(rng.uniform(-1.0, 1.0, (n, dim)))
+            # Half log-uniform over 1e-9..0.45 (mostly unchanged), half in
+            # 0.05..0.45 (mostly changed), of the minimum distance.
+            frac = (10.0 ** rng.uniform(-9.0, math.log10(0.45)) if k < 180
+                    else rng.uniform(0.05, 0.45))
+            eps = frac * min_pairwise_distance(cloud)
+            pairs.append(epsilon_perturb(cloud, eps, seed=k))
+        shapes = ([(s, s) for s in range(3, 9)]
+                  + [(2, 2, 2), (3, 3, 2), (2, 2, 4), (3, 3, 3)])
+        for shape in shapes:  # integer grids: zero signs, exact copies
+            grid = PointCloud.from_points(
+                np.indices(shape).reshape(len(shape), -1).T)
+            pairs.append(PerturbationPairing(source=grid, target=grid, epsilon=0.5))
+        for k in range(20):  # mirror images: every orientation reverses
+            dim = 2 + k % 2
+            n = 6 + k
+            pts = np.column_stack([np.arange(n) + rng.uniform(0.0, 0.2, n),
+                                   rng.uniform(-0.1, 0.1, (n, dim - 1))])
+            mirror = pts * np.array([1.0] * (dim - 1) + [-1.0])
+            pairs.append(PerturbationPairing(source=PointCloud.from_points(pts),
+                                             target=PointCloud.from_points(mirror),
+                                             epsilon=0.25))
+        xs = [-0.2, -0.05, -0.01, -1e-9, 0.0, 1e-9, 0.01, 0.05, 0.2]
+        for a in xs:  # the near-cocircular quad across x = 0
+            for b in xs:
+                ca, cb = near_cocircular_quad(a), near_cocircular_quad(b)
+                eps = 1.01 * max(hausdorff_distance(ca, cb), 1e-12)
+                pairs.append(PerturbationPairing(source=ca, target=cb, epsilon=eps))
+        assert len(pairs) >= 400
+        got = [same_triangulation(pair) for pair in pairs]
+        want = [delaunay(pair.source).all_simplices
+                == delaunay(pair.target).all_simplices for pair in pairs]
+        assert got == want
+        assert 100 <= sum(want) <= len(want) - 100
+        assert all(got[360:390])
+
+    def test_changed_pair_triangulates_source_only(self, monkeypatch):
+        calls = []
+        real = delrips.geometry.delaunay
+        monkeypatch.setattr(delrips.geometry, "delaunay",
+                            lambda cloud: calls.append(cloud) or real(cloud))
+        cloud = random_cloud(np.random.default_rng(5), 80, dim=3)
+        pair = epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud), seed=3)
+        assert not same_triangulation(pair)
+        assert calls == [pair.source]

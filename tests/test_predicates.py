@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from delrips.predicates import (collinear3d, incircle, inball_certified_nonzero,
-                                insphere, orient2d, orient3d)
+from delrips import predicates
+from delrips.predicates import (collinear3d, incircle, inball_signs, insphere,
+                                orient2d, orient3d, orient_signs)
 
 
 def test_orient2d_basic_signs():
@@ -82,13 +83,14 @@ def test_collinear3d():
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_batch_inball_filter_certifies_only_nonzero_signs(dim):
-    # Generic, exactly cospherical, one-ulp-off, tiny and huge cases: the
-    # batch filter may certify only tests whose exact sign is nonzero, and
-    # must certify the well-conditioned generic ones.
+def test_batch_signs_match_scalar_predicates(dim, monkeypatch):
+    # Generic, exactly cospherical, one-ulp-off, tiny, huge and collinear
+    # cases: the batch signs must equal the scalar predicates' exact signs, and the
+    # well-conditioned generic tests must never reach exact arithmetic.
     rng = np.random.default_rng(7 + dim)
     inball = incircle if dim == 2 else insphere
-    simplices, queries, generic = [], [], []
+    orient = orient2d if dim == 2 else orient3d
+    simplices, queries = [], []
     for k in range(300):
         pts = rng.uniform(-1.0, 1.0, (dim + 2, dim))
         kind = k % 5
@@ -102,11 +104,24 @@ def test_batch_inball_filter_certifies_only_nonzero_signs(dim):
             pts *= 1e150
         simplices.append(pts[:-1])
         queries.append(pts[-1])
-        generic.append(kind == 0)
-    sure = inball_certified_nonzero(np.array(simplices), np.array(queries))
-    for simplex, q, ok, gen in zip(simplices, queries, sure.tolist(), generic):
-        sign = inball(*simplex.tolist(), q.tolist())
-        if ok:
-            assert sign != 0
-        if gen:
-            assert ok
+    line = np.outer(np.arange(dim + 2.0), np.ones(dim))  # flat: every sign 0
+    simplices.append(line[:-1])
+    queries.append(line[-1])
+    want_in = [inball(*t.tolist(), q.tolist()) for t, q in zip(simplices, queries)]
+    want_or = [orient(*t.tolist()) for t in simplices]
+    assert inball_signs(np.array(simplices), np.array(queries)).tolist() == want_in
+    assert orient_signs(np.array(simplices)).tolist() == want_or
+    assert 0 in want_in and 0 in want_or
+
+    calls = []
+    for name in ("_orient2d_exact", "_orient3d_exact", "_incircle_exact",
+                 "_insphere_exact"):
+        monkeypatch.setattr(predicates, name,
+                            lambda *a, _f=getattr(predicates, name):
+                            calls.append(1) or _f(*a))
+    generic = np.array(simplices[:300:5])
+    inball_signs(generic, np.array(queries[:300:5]))
+    orient_signs(generic)
+    assert not calls
+
+
