@@ -4,6 +4,10 @@ A simplex is represented throughout as a strictly increasing tuple of point
 indices; its dimension is ``len(verts) - 1``. A filtration is a flat list of
 ``(simplex, scale)`` entries together with the dimension cap that was used to
 build it. All types are immutable after construction.
+
+``distances`` is the one point-distance formula, with a ``math.hypot``
+guard for sums that underflow or overflow; ``distance_blocks`` runs it over
+an n x m array in row blocks, so no input size holds the whole array.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ Simplex = tuple  # strictly increasing tuple of vertex indices
 
 INF = math.inf
 _FLOAT_MIN = sys.float_info.min
+# Entries per block of an n x m distance array (see ``distance_blocks``).
+_BLOCK = 1 << 16
 
 
 def make_simplex(vertices: Iterable[int]) -> Simplex:
@@ -208,41 +214,45 @@ class PersistenceDiagram:
         return len(self.entries)
 
 
-def point_distance(p, q) -> float:
-    """Distance between two cloud points (2 or 3 coordinates): sqrt of the
-    squared differences summed in coordinate order. Rips and Delaunay-Rips
-    take every length from here, so a pair always gets the same bits.
+def distances(a, b) -> np.ndarray:
+    """Distances between the points of ``a`` and ``b``, two broadcastable
+    ``(..., d)`` arrays with d = 2 or 3: sqrt of the squared differences
+    summed in coordinate order, elementwise. Every point distance in the
+    package comes from here, so a pair always gets the same bits.
 
-    When that sum underflows below the smallest normal float (coordinates
-    near 1e-200) or overflows to inf (coordinates near 1e160),
-    ``math.hypot`` recomputes it scaled by the largest difference; identical
-    points still get 0.0.
+    Entries whose sum underflows below the smallest normal float
+    (coordinates near 1e-200) or overflows to inf (coordinates near 1e160)
+    are recomputed by ``math.hypot``, scaled by the largest difference;
+    identical points still get 0.0.
     """
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    if len(p) == 2:
-        s = dx * dx + dy * dy
-        return math.sqrt(s) if _FLOAT_MIN <= s < INF else math.hypot(dx, dy)
-    dz = p[2] - q[2]
-    s = dx * dx + dy * dy + dz * dz
-    return math.sqrt(s) if _FLOAT_MIN <= s < INF else math.hypot(dx, dy, dz)
+    diff = np.subtract(a, b, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        s = sum(diff[..., k] * diff[..., k] for k in range(diff.shape[-1]))
+        out = np.sqrt(s, out=np.empty(np.shape(s)))
+        bad = ~((s >= _FLOAT_MIN) & (s < INF))
+    if bad.any():
+        out[bad] = [math.hypot(*v) for v in diff[bad].tolist()]
+    return out
+
+
+def distance_blocks(a: np.ndarray, b: np.ndarray):
+    """The (len(a), len(b)) array of ``distances`` between the rows of two
+    (n, d) arrays, as ``(rows, block)`` pairs of about ``_BLOCK`` entries
+    each, so that no caller holds the whole array at once."""
+    step = max(1, _BLOCK // max(len(b), 1))
+    for i in range(0, len(a), step):
+        rows = slice(i, min(i + step, len(a)))
+        yield rows, distances(a[rows, None, :], b)
 
 
 def pairwise_distances(cloud: PointCloud) -> list:
-    """Dense symmetric distance matrix as nested lists, by ``point_distance``.
+    """Dense symmetric distance matrix as nested lists, by ``distances``.
 
     Only the Rips builder needs every pair; Delaunay-Rips computes lengths
     for the Delaunay edges alone.
     """
-    pts = cloud.points
-    n = len(pts)
-    mat = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        pi = pts[i]
-        row = mat[i]
-        for j in range(i + 1, n):
-            row[j] = mat[j][i] = point_distance(pi, pts[j])
-    return mat
+    pts = cloud.as_array()
+    return [row for _, block in distance_blocks(pts, pts) for row in block.tolist()]
 
 
 def closure_of(top_simplices: Iterable[Simplex], max_dim: int | None = None) -> set:

@@ -19,10 +19,14 @@ DEFAULT_PRECISION = 10
 
 
 def fmt_float(x: float, precision: int = DEFAULT_PRECISION) -> str:
+    """``x`` with ``precision`` decimals and no trailing zeros; a nonzero
+    value that would round to 0 keeps ``precision`` significant digits."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     s = f"{x:.{precision}f}".rstrip("0").rstrip(".")
-    return s if s not in ("", "-0") else "0"
+    if s in ("", "0", "-0"):
+        return f"{x:.{precision}g}" if x != 0 else "0"
+    return s
 
 
 def _read_text(path: Path) -> str:

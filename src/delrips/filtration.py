@@ -17,8 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (Filtration, PointCloud, _sort_key, pairwise_distances,
-                   point_distance)
+from .core import (Filtration, PointCloud, _sort_key, distances,
+                   pairwise_distances)
 from .delaunay import delaunay
 from .errors import ValidationError
 from .geometry import circumsphere
@@ -98,23 +98,24 @@ def _tiny_cloud_entries(cloud: PointCloud):
     """Degenerate 1- and 2-point complexes shared by the Delaunay builders."""
     if len(cloud) == 1:
         return [((0,), 0.0)]
-    d = point_distance(cloud[0], cloud[1])
+    d = float(distances(cloud[0], cloud[1]))
     return [((0,), 0.0), ((1,), 0.0), ((0, 1), d)]
 
 
 def build_delaunay_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     """Delaunay-Rips filtration: the faces of the Delaunay triangulation with
     Rips scales (largest pairwise vertex distance). Lengths are computed
-    for the Delaunay edges only, with the ``point_distance`` that fills the
-    Rips matrix, so scales match Rips bit for bit without an O(n^2) matrix.
+    for the Delaunay edges only, by the ``distances`` that fills the Rips
+    matrix, so scales match Rips bit for bit without an O(n^2) matrix.
     """
     _check_delaunay_cap(spec, cloud.dim)
     cap = spec.max_hom_dim + 1
     if len(cloud) <= 2:
         return Filtration(entries=tuple(_tiny_cloud_entries(cloud)), max_dim=cap)
     faces = [s for s in delaunay(cloud).all_simplices if len(s) <= cap + 1]
-    length = {s: point_distance(cloud[s[0]], cloud[s[1]])
-              for s in faces if len(s) == 2}
+    edges = [s for s in faces if len(s) == 2]
+    a, b = cloud.as_array()[np.array(edges)].transpose(1, 0, 2)
+    length = dict(zip(edges, distances(a, b).tolist()))
     entries = [(s, max((length[e] for e in combinations(s, 2)), default=0.0))
                for s in faces]
     entries.sort(key=_sort_key)

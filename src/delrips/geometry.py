@@ -1,5 +1,10 @@
 """Geometric operations on point clouds: circumspheres, Hausdorff distance,
-random perturbations, and triangulation-equality checks."""
+random perturbations, and triangulation-equality checks.
+
+Distances come from ``core.distances`` (finite and nonzero near 1e-200 or
+1e160) in the row blocks of ``core.distance_blocks``; the minima, maxima
+and counts taken from the blocks combine exactly.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointCloud
+from .core import PointCloud, distance_blocks, distances
 from .delaunay import certificate, delaunay, interior_facets
 from .errors import (DegenerateSimplex, DimensionMismatch, EmptyCloud,
                      EpsilonTooLarge, ValidationError)
@@ -51,30 +56,28 @@ def circumsphere(points) -> tuple:
     return tuple(float(x) for x in center), radius
 
 
-def _distances(p: PointCloud, q: PointCloud) -> np.ndarray:
-    """(len(p), len(q)) array of the distances between their points."""
-    diff = p.as_array()[:, None, :] - q.as_array()[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
-
-
 def hausdorff_distance(p: PointCloud, q: PointCloud) -> float:
     """Symmetric Hausdorff distance between two finite clouds."""
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloud("hausdorff_distance requires non-empty clouds")
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimensions differ: {p.dim} vs {q.dim}")
-    d = _distances(p, q)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    p_to_q = 0.0
+    q_to_p = np.full(len(q), np.inf)
+    for _, d in distance_blocks(p.as_array(), q.as_array()):
+        p_to_q = max(p_to_q, float(d.min(axis=1).max()))
+        np.minimum(q_to_p, d.min(axis=0), out=q_to_p)
+    return max(p_to_q, float(q_to_p.max()))
 
 
 def min_pairwise_distance(cloud: PointCloud) -> float:
     """Smallest distance between two distinct points; inf for n < 2."""
-    n = len(cloud)
-    if n < 2:
-        return math.inf
-    d = _distances(cloud, cloud)
-    d[np.diag_indices(n)] = np.inf
-    return float(d.min())
+    best = math.inf
+    pts = cloud.as_array()
+    for rows, d in distance_blocks(pts, pts):
+        np.fill_diagonal(d[:, rows.start:], np.inf)  # the point itself
+        best = min(best, float(d.min()))
+    return best
 
 
 @dataclass(frozen=True)
@@ -96,20 +99,20 @@ class PerturbationPairing:
             raise DimensionMismatch("source and target dimensions differ")
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
-        d = _distances(self.source, self.target)
-        n = len(self.source)
-        within = d < self.epsilon
-        for i in range(n):
-            if not within[i, i]:
+        a, b = self.source.as_array(), self.target.as_array()
+        for i, moved in enumerate(distances(a, b).tolist()):
+            if not moved < self.epsilon:
                 raise ValidationError(
-                    f"pair {i} displaced by {d[i, i]} >= epsilon {self.epsilon}")
-        if n > 1 and (within.sum(axis=0).max() > 1 or within.sum(axis=1).max() > 1):
+                    f"pair {i} displaced by {moved} >= epsilon {self.epsilon}")
+        # Every pair is within epsilon, so the pairing is mutually unique
+        # iff no other source-target pair is.
+        within = sum(int((d < self.epsilon).sum()) for _, d in distance_blocks(a, b))
+        if within > len(a):
             raise ValidationError("pairing is not mutually unique")
 
     def max_displacement(self) -> float:
-        a = self.source.as_array()
-        b = self.target.as_array()
-        return float(np.linalg.norm(a - b, axis=1).max())
+        a, b = self.source.as_array(), self.target.as_array()
+        return float(distances(a, b).max())
 
 
 def _ball_offsets(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Each predicate evaluates its determinant in plain floating point first and
 accepts the sign when the magnitude clears a forward error bound (the static
-filter of Shewchuk's adaptive predicates). Otherwise it falls back to exact
-rational arithmetic over the original float coordinates, which Fraction
-represents without loss. The fallback only fires near degeneracy, so the
-exact path costs nothing on generic input.
+filter of Shewchuk's adaptive predicates). Otherwise ``_exact_sign``
+evaluates the same expression in Python integers (as Fortune and Van Wyk
+do): every float is an integer times a power of two, so one common left
+shift makes all coordinates integers, and each determinant is homogeneous,
+so that common scaling keeps its sign. The fallback only fires near
+degeneracy, so the exact path costs nothing on generic input.
 
 All predicates return -1, 0, or +1. ``orient_signs`` and ``inball_signs``
 evaluate many tests at once: the same float formula and bound in one numpy
@@ -13,8 +15,6 @@ pass, and the exact evaluation for the tests the filter cannot certify.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,6 +49,17 @@ def _sign(x) -> int:
     return 0
 
 
+def _exact_sign(terms, *points) -> int:
+    """Exact sign of the determinant that ``terms`` computes, evaluated on
+    the points' float coordinates scaled to integers by one common power of
+    two."""
+    ratios = [[float(x).as_integer_ratio() for x in p] for p in points]
+    shift = max(den for p in ratios for _, den in p).bit_length()
+    det, _ = terms(*([num << (shift - den.bit_length()) for num, den in p]
+                     for p in ratios))
+    return _sign(det)
+
+
 def orient2d(a, b, c) -> int:
     """Sign of the signed area of triangle abc (+1 = counterclockwise)."""
     det, detsum = _orient2d_terms(a, b, c)
@@ -59,7 +70,7 @@ def orient2d(a, b, c) -> int:
 
 def _orient2d_terms(a, b, c):
     """Float determinant and permanent of orient2d; the coordinates may be
-    floats or numpy arrays (one entry per test)."""
+    floats, ints (the exact stage) or numpy arrays (one entry per test)."""
     acx = a[0] - c[0]
     acy = a[1] - c[1]
     bcx = b[0] - c[0]
@@ -70,10 +81,7 @@ def _orient2d_terms(a, b, c):
 
 
 def _orient2d_exact(a, b, c) -> int:
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    cx, cy = Fraction(c[0]), Fraction(c[1])
-    return _sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
+    return _exact_sign(_orient2d_terms, a, b, c)
 
 
 def orient3d(a, b, c, d) -> int:
@@ -86,7 +94,7 @@ def orient3d(a, b, c, d) -> int:
 
 def _orient3d_terms(a, b, c, d):
     """Float determinant and permanent of orient3d; the coordinates may be
-    floats or numpy arrays (one entry per test)."""
+    floats, ints (the exact stage) or numpy arrays (one entry per test)."""
     adx = a[0] - d[0]
     bdx = b[0] - d[0]
     cdx = c[0] - d[0]
@@ -114,10 +122,7 @@ def _orient3d_terms(a, b, c, d):
 
 
 def _orient3d_exact(a, b, c, d) -> int:
-    rows = []
-    for p in (a, b, c):
-        rows.append([Fraction(p[i]) - Fraction(d[i]) for i in range(3)])
-    return _sign(_det3(rows))
+    return _exact_sign(_orient3d_terms, a, b, c, d)
 
 
 def incircle(a, b, c, p) -> int:
@@ -134,7 +139,8 @@ def incircle(a, b, c, p) -> int:
 
 def _incircle_terms(a, b, c, p):
     """Float determinant and permanent of the in-circle test; the
-    coordinates may be floats or numpy arrays (one entry per test)."""
+    coordinates may be floats, ints (the exact stage) or numpy arrays (one
+    entry per test)."""
     adx = a[0] - p[0]
     bdx = b[0] - p[0]
     cdx = c[0] - p[0]
@@ -162,13 +168,7 @@ def _incircle_terms(a, b, c, p):
 
 
 def _incircle_exact(a, b, c, p) -> int:
-    px, py = Fraction(p[0]), Fraction(p[1])
-    rows = []
-    for q in (a, b, c):
-        qx = Fraction(q[0]) - px
-        qy = Fraction(q[1]) - py
-        rows.append([qx, qy, qx * qx + qy * qy])
-    return _sign(_det3(rows))
+    return _exact_sign(_incircle_terms, a, b, c, p)
 
 
 def insphere(a, b, c, d, e) -> int:
@@ -186,7 +186,8 @@ def insphere(a, b, c, d, e) -> int:
 
 def _insphere_terms(a, b, c, d, e):
     """Float determinant and permanent of the in-sphere test; the
-    coordinates may be floats or numpy arrays (one entry per test)."""
+    coordinates may be floats, ints (the exact stage) or numpy arrays (one
+    entry per test)."""
     aex = a[0] - e[0]
     bex = b[0] - e[0]
     cex = c[0] - e[0]
@@ -263,28 +264,7 @@ def _insphere_terms(a, b, c, d, e):
 
 
 def _insphere_exact(a, b, c, d, e) -> int:
-    ex = [Fraction(e[i]) for i in range(3)]
-    rows = []
-    for q in (a, b, c, d):
-        v = [Fraction(q[i]) - ex[i] for i in range(3)]
-        rows.append(v + [v[0] * v[0] + v[1] * v[1] + v[2] * v[2]])
-    return _sign(_det4(rows))
-
-
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _det4(m):
-    total = 0
-    sign = 1
-    for col in range(4):
-        minor = [[m[r][c] for c in range(4) if c != col] for r in (1, 2, 3)]
-        total += sign * m[0][col] * _det3(minor)
-        sign = -sign
-    return total
+    return _exact_sign(_insphere_terms, a, b, c, d, e)
 
 
 def orient_signs(simplices) -> np.ndarray:
@@ -310,7 +290,7 @@ def inball_signs(simplices, queries) -> np.ndarray:
 def _batch_signs(pts, terms, bound, exact) -> np.ndarray:
     """One numpy pass of a scalar predicate's float formula and static
     filter over pts (shape (m, k, d), one test's k points per row); the
-    rows the filter cannot certify get the exact rational evaluation."""
+    rows the filter cannot certify get the exact integer evaluation."""
     with np.errstate(all="ignore"):
         det, permanent = terms(*pts.transpose(1, 2, 0))
         sure = _certified(det, permanent, bound)

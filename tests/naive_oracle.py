@@ -3,12 +3,14 @@
 Nothing here imports the package's builders or reduction: the Rips oracle
 enumerates the full powerset and reduces a dense GF(2) matrix with numpy,
 the bottleneck oracles enumerate every partial bijection or run scipy's
-bipartite matching on the standard diagonal-copy reduction, and the image
-oracle integrates by midpoint quadrature.
+bipartite matching on the standard diagonal-copy reduction, the image
+oracle integrates by midpoint quadrature, and the predicate oracles expand
+each determinant by cofactors in exact rational arithmetic.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -245,3 +247,49 @@ def quadrature_pi(pairs, grid, cells=50):
                                   / (2.0 * grid.sigma ** 2)) / two_pi_s2
             out[r, c] = tot.mean() * dx * dy
     return out.reshape(-1)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _det4(m):
+    total = 0
+    sign = 1
+    for col in range(4):
+        minor = [[m[r][c] for c in range(4) if c != col] for r in (1, 2, 3)]
+        total += sign * m[0][col] * _det3(minor)
+        sign = -sign
+    return total
+
+
+def _rows(points, apex, lift):
+    """Rows p - apex (plus |p - apex|^2 when lifted) in Fractions."""
+    rows = []
+    for p in points:
+        v = [Fraction(x) - Fraction(y) for x, y in zip(p, apex)]
+        rows.append(v + [sum(x * x for x in v)] if lift else v)
+    return rows
+
+
+def exact_orient2d(a, b, c):
+    (ax, ay), (bx, by) = _rows((a, b), c, False)
+    return _sign(ax * by - ay * bx)
+
+
+def exact_orient3d(a, b, c, d):
+    return _sign(_det3(_rows((a, b, c), d, False)))
+
+
+def exact_incircle(a, b, c, p):
+    return _sign(_det3(_rows((a, b, c), p, True)))
+
+
+def exact_insphere(a, b, c, d, e):
+    return _sign(_det4(_rows((a, b, c, d), e, True)))

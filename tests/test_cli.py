@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from delrips import FiltrationSpec, build_delaunay_rips, compute_diagram, near_cocircular_quad
+from delrips import (FiltrationSpec, PointCloud, build_delaunay_rips,
+                     compute_diagram, hausdorff_distance, near_cocircular_quad)
 from delrips.cli import main
 from delrips.fileio import (read_diagram, read_point_cloud, write_diagram,
                             write_point_cloud)
@@ -231,3 +233,19 @@ def test_malformed_option_is_usage_error(argv, capsys):
     assert "error: argument" in err
     # The message gives the expected format, not the parser function's name.
     assert "invalid _parse" not in err
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -664, 2.0 ** 532])
+def test_hausdorff_at_extreme_scales(tmp_path, capsys, scale):
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-1.0, 1.0, (30, 3))
+    clouds = [PointCloud.from_points(pts),
+              PointCloud.from_points(pts + rng.uniform(-0.1, 0.1, pts.shape))]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, cloud in zip(paths, clouds):
+        write_point_cloud(path, PointCloud.from_points(cloud.as_array() * scale))
+    capsys.readouterr()
+    assert main(["hausdorff", *map(str, paths)]) == 0
+    got = float(capsys.readouterr().out.strip())
+    assert got > 0.0
+    assert got == pytest.approx(scale * hausdorff_distance(*clouds), rel=1e-9, abs=0.0)

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from delrips import (Filtration, PersistenceDiagram, PointCloud, bottleneck,
@@ -134,3 +136,24 @@ def test_pairwise_distances_matches_math_dist():
     assert mat[1][0] == 5.0
     assert mat[2][2] == 0.0
     assert mat[0][2] == pytest.approx(math.sqrt(2.0), abs=0)
+
+
+def _point_distance(p, q):
+    # The per-pair loop formula the numpy kernel replaced: the reference.
+    diffs = [a - b for a, b in zip(p, q)]
+    s = diffs[0] * diffs[0] + diffs[1] * diffs[1]
+    if len(diffs) == 3:
+        s = s + diffs[2] * diffs[2]
+    return math.sqrt(s) if sys.float_info.min <= s < math.inf else math.hypot(*diffs)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 123.456, 2.0 ** 532, 2.0 ** -664])
+def test_pairwise_distances_equal_scalar_formula(dim, scale):
+    pts = np.random.default_rng(dim).standard_normal((70, dim)) * scale
+    pts[5] = pts[4]  # a repeated point: distance exactly 0.0
+    pc = PointCloud.from_points(pts)
+    mat = pairwise_distances(pc)
+    want = [[_point_distance(p, q) for q in pc.points] for p in pc.points]
+    assert mat == want
+    assert mat[4][5] == 0.0 and all(math.isfinite(x) for row in mat for x in row)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,3 +202,55 @@ class TestSameTriangulation:
         pair = epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud), seed=3)
         assert not same_triangulation(pair)
         assert calls == [pair.source]
+
+
+def _scaled(cloud, scale):
+    return PointCloud.from_points(cloud.as_array() * scale)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [2.0 ** -664, 2.0 ** 532])
+def test_extreme_scales_scale_the_geometry(dim, scale):
+    # Squared differences underflow near 2**-664 and overflow near 2**532;
+    # the distance kernel's hypot guard must keep every value finite and
+    # nonzero, and equal to the scaled unscaled value.
+    rng = np.random.default_rng(90 + dim)
+    p = random_cloud(rng, 40, dim)
+    q = PointCloud.from_points(p.as_array()[:30] + rng.uniform(-0.05, 0.05, (30, dim)))
+    eps = 0.25 * min_pairwise_distance(p)
+    pair = epsilon_perturb(p, eps, seed=dim)
+    big_pair = PerturbationPairing(source=_scaled(p, scale),
+                                   target=_scaled(pair.target, scale),
+                                   epsilon=eps * scale)
+    checks = [
+        (hausdorff_distance(p, q), hausdorff_distance(_scaled(p, scale), _scaled(q, scale))),
+        (min_pairwise_distance(p), min_pairwise_distance(_scaled(p, scale))),
+        (pair.max_displacement(), big_pair.max_displacement()),
+    ]
+    for want, got in checks:
+        assert math.isfinite(got) and got > 0.0
+        assert got == pytest.approx(scale * want, rel=1e-15, abs=0.0)
+
+    big = _scaled(p, scale)
+    big_perturbed = epsilon_perturb(big, 0.25 * min_pairwise_distance(big), seed=5)
+    perturbed = epsilon_perturb(p, eps, seed=5)
+    assert same_triangulation(big_perturbed) == same_triangulation(perturbed)
+
+
+def test_distance_blocks_stay_below_the_full_array():
+    # n = m = 2000 in R^3: a full (n, m) float array alone is n*m*8 bytes,
+    # the (n, m, 3) difference tensor three times that.
+    rng = np.random.default_rng(2000)
+    p = random_cloud(rng, 2000, dim=3)
+    q = PointCloud.from_points(p.as_array() + rng.uniform(-1e-4, 1e-4, (2000, 3)))
+    calls = [lambda: hausdorff_distance(p, q),
+             lambda: min_pairwise_distance(p),
+             lambda: PerturbationPairing(source=p, target=q, epsilon=2e-4)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 8

@@ -6,6 +6,8 @@ import pytest
 from delrips import predicates
 from delrips.predicates import (collinear3d, incircle, inball_signs, insphere,
                                 orient2d, orient3d, orient_signs)
+from naive_oracle import (exact_incircle, exact_insphere, exact_orient2d,
+                          exact_orient3d)
 
 
 def test_orient2d_basic_signs():
@@ -125,3 +127,59 @@ def test_batch_signs_match_scalar_predicates(dim, monkeypatch):
     assert not calls
 
 
+
+
+def _near_degenerate_cases(dim, count, seed):
+    """``count`` tuples of dim + 2 points, cycling through grid points with
+    0 or 1e-13 jitter, +-unit vectors exactly on the unit sphere or with one
+    coordinate one ulp off it, a mix of 1e-300 and 1e300 coordinates, and
+    Python ints; the float families are scaled by 1, 2**-664 or 1e150."""
+    rng = np.random.default_rng(seed)
+    units = np.vstack([np.eye(dim), -np.eye(dim)])
+    scales = (1.0, 2.0 ** -664, 1e150)
+    cases = []
+    for k in range(count):
+        kind = k % 6
+        if kind in (0, 1):
+            pts = rng.integers(0, 4, (dim + 2, dim)) / 4.0
+            if kind == 1:
+                pts += rng.uniform(-1e-13, 1e-13, pts.shape)
+        elif kind in (2, 3):
+            pts = units[rng.permutation(2 * dim)[:dim + 2]]
+            if kind == 3:
+                i, j = rng.integers(0, dim + 2), rng.integers(0, dim)
+                pts[i, j] = math.nextafter(pts[i, j], rng.choice([-2.0, 2.0]))
+        elif kind == 4:
+            pts = (rng.integers(-1, 2, (dim + 2, dim))
+                   * rng.choice([1e-300, 1e300], (dim + 2, dim)))
+        else:
+            cases.append([tuple(int(x) for x in p)
+                          for p in rng.integers(-2, 3, (dim + 2, dim))])
+            continue
+        if kind < 4:
+            pts = pts * scales[(k // 6) % 3]
+        cases.append([tuple(p) for p in pts.tolist()])
+    return cases
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_signs_agree_with_rational_oracle(dim):
+    # Near-degenerate inputs, where the exact stage decides: the scalar
+    # predicates, the numpy batch and the cofactor Fraction oracle must all
+    # give the same sign.
+    if dim == 2:
+        orient, inball = orient2d, incircle
+        orient_oracle, inball_oracle = exact_orient2d, exact_incircle
+    else:
+        orient, inball = orient3d, insphere
+        orient_oracle, inball_oracle = exact_orient3d, exact_insphere
+    cases = _near_degenerate_cases(dim, 3000, seed=40 + dim)
+    want_or = [orient_oracle(*c[:-1]) for c in cases]
+    want_in = [inball_oracle(*c) for c in cases]
+    assert [orient(*c[:-1]) for c in cases] == want_or
+    assert [inball(*c) for c in cases] == want_in
+    pts = np.array(cases, dtype=float)
+    assert orient_signs(pts[:, :-1]).tolist() == want_or
+    assert inball_signs(pts[:, :-1], pts[:, -1]).tolist() == want_in
+    for want in (want_or, want_in):
+        assert {-1, 0, 1} <= set(want)

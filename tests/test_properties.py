@@ -41,6 +41,10 @@ def test_fmt_float_specials():
     assert fmt_float(math.inf) == "inf"
     assert fmt_float(0.0) == "0"
     assert fmt_float(1.9) == "1.9"
+    assert fmt_float(-0.0) == "0"
+    # Below the fixed precision a nonzero value keeps significant digits.
+    assert fmt_float(1.25e-200) == "1.25e-200"
+    assert fmt_float(-3e-11) == "-3e-11"
 
 
 @given(st.integers(2, 3), st.integers(1, 7), st.integers(1, 5),
