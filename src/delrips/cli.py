@@ -84,15 +84,22 @@ def _parse_methods(text: str):
         raise argparse.ArgumentTypeError(f"unknown method {exc}") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
+def _int_from(low: int, what: str):
+    """Argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a {what} integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return parse
+
+
+_positive_int = _int_from(1, "positive")
+_non_negative_int = _int_from(0, "non-negative")
 
 
 def _filtration_spec(args) -> FiltrationSpec:
@@ -247,7 +254,8 @@ def cmd_demo_instability(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+    p.add_argument("--precision", type=_non_negative_int,
+                   default=DEFAULT_PRECISION,
                    help="decimal places in numeric output")
 
 

@@ -21,12 +21,23 @@ cavity simplex's vertex by the new point keeps the orientation, and each new
 real simplex comes out positive.
 
 A walk locates the point, crossing face i whenever the point in position i
-gives negative orientation. It starts at a simplex incident to the vertex
-last inserted in the point's cell of a uniform grid of about n cells, else
-at the last simplex created; a walk that cycles falls back to a linear scan.
+gives negative orientation (jump-and-walk: Muecke, Saias and Zhu, "Fast
+randomized point location without preprocessing", 1999; Devillers, Pion
+and Teillaud, "Walking in a triangulation", 2002). It starts at a simplex
+incident to the vertex last inserted in the point's finest non-empty cell
+of nested uniform grids: about n cells, then half as many per axis at each
+level, down to one cell. A walk that cycles falls back to a linear scan.
 The walk only seeds the cavity search: the simplices in conflict with a
 point form a connected set, so every seed gives the same cavity and the
 output does not depend on the walk.
+
+The new simplices of an insertion all contain the new point, so when they
+are glued to each other each open facet is keyed on its other d-1 vertices
+a <= b (a == b in 2-D) as the one int a*n + b.
+
+``delaunay`` returns the top simplices; the faces of each dimension are
+derived from them as a sorted array when first asked for, and the whole
+closure as a frozenset only on request.
 
 The finished triangulation is certified once (Mehlhorn et al., "Checking
 geometric programs or verification of geometric structures", 1999): every
@@ -46,7 +57,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -63,7 +76,13 @@ _BATCH = 1024
 
 @dataclass(frozen=True)
 class DelaunayComplex:
-    """Delaunay triangulation plus its face closure.
+    """Delaunay triangulation: its top simplices and, on demand, its faces.
+
+    ``top_simplices`` holds the d-simplices as sorted vertex tuples in
+    sorted order. ``faces(k)`` gives the k-faces as a sorted int array,
+    derived from the top simplices on first use and kept; ``simplices_of_dim``
+    serves them as tuples and ``all_simplices`` builds the whole closure as
+    a frozenset on first use.
 
     ``degenerate`` is set when some cospherical (d+2)-point configuration was
     resolved by the insertion-order tie-break, i.e. the triangulation is not
@@ -72,23 +91,73 @@ class DelaunayComplex:
 
     cloud: PointCloud
     top_simplices: tuple
-    all_simplices: frozenset
     degenerate: bool
+    _faces: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def faces(self, dim: int) -> np.ndarray:
+        """The dim-simplices as a lexicographically sorted (m, dim+1) int64
+        array, one simplex per row (m = 0 above the ambient dimension)."""
+        cache, d = self._faces, self.cloud.dim
+        if not cache:
+            cache[d] = np.array(self.top_simplices, dtype=np.int64)
+        if dim not in cache:
+            cache[dim] = _face_array(cache[d], dim)
+        return cache[dim]
 
     def simplices_of_dim(self, dim: int) -> tuple:
-        return tuple(sorted(s for s in self.all_simplices if len(s) == dim + 1))
+        return tuple(map(tuple, self.faces(dim).tolist())) if dim >= 0 else ()
+
+    @cached_property
+    def all_simplices(self) -> frozenset:
+        return frozenset(closure_of(self.top_simplices))
+
+
+def _face_array(tops: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-faces of sorted top-simplex rows: every column combination,
+    then one lexsort and a drop of repeated adjacent rows."""
+    cols = list(combinations(range(tops.shape[1]), dim + 1))
+    faces = tops[:, cols].reshape(-1, dim + 1)
+    faces = faces[np.lexsort(faces.T[::-1])]
+    keep = np.ones(len(faces), dtype=bool)
+    keep[1:] = (faces[1:] != faces[:-1]).any(axis=1)
+    return faces[keep]
 
 
 def _grid_cells(pts, dim):
-    """Cell id of every point in a uniform grid of about n cells over the
-    cloud's bounding box. Halved coordinates keep the differences finite."""
+    """Each point's cells in nested uniform grids over the cloud's bounding
+    box, finest first: about n cells, then half as many per axis at each
+    coarser level, down to one cell. Returns the per-point lists of cell ids,
+    distinct across levels, and the number of cells. Halved coordinates keep
+    the differences finite."""
     a = np.asarray(pts, dtype=float) / 2.0
     lo, hi = a.min(axis=0), a.max(axis=0)
     k = max(1, round(len(pts) ** (1.0 / dim)))
     with np.errstate(all="ignore"):
         t = np.nan_to_num((a - lo) / (hi - lo))
     idx = np.clip((t * k).astype(np.int64), 0, k - 1)
-    return (idx @ (k ** np.arange(dim))).tolist()
+    levels, total = [], 0
+    while True:
+        levels.append(total + idx @ (k ** np.arange(dim)))
+        total += k ** dim
+        if k == 1:
+            return np.stack(levels, axis=1).tolist(), total
+        idx, k = idx // 2, (k + 1) // 2
+
+
+def _ridge_positions(dim):
+    """Row i: (k, x, y) for every facet k != i of a simplex whose new point
+    sits at position i, where x and y are the positions of the facet's other
+    vertices (x == y in 2-D)."""
+    out = []
+    for i in range(dim + 1):
+        row = []
+        for k in range(dim + 1):
+            if k != i:
+                rest = [j for j in range(dim + 1) if j not in (i, k)]
+                row.append((k, rest[0], rest[-1]))
+        out.append(row)
+    return out
 
 
 class _Triangulation:
@@ -98,13 +167,14 @@ class _Triangulation:
         self.pts = pts
         self.orient = orient2d if dim == 2 else orient3d
         self.inball = incircle if dim == 2 else insphere
+        self.ridges = _ridge_positions(dim)
         self.verts = []
         self.nbrs = []
         self.free = []
         self.last = None  # last real simplex created
         self.incident = [None] * len(pts)  # vertex -> a real simplex with it
-        self.cell = _grid_cells(pts, dim)
-        self.cell_vertex = {}  # grid cell -> last vertex inserted there
+        self.cells, ncells = _grid_cells(pts, dim)
+        self.cell_vertex = [None] * ncells  # cell -> last vertex inserted there
         first = list(init)
         if self.orient(*[pts[v] for v in first]) < 0:
             first[0], first[1] = first[1], first[0]
@@ -118,9 +188,9 @@ class _Triangulation:
             ghosts.append(self._new(g))
             self.nbrs[real][i] = ghosts[-1]
             self.nbrs[ghosts[-1]][i] = real
-        self._glue(ghosts)
+        self._glue(ghosts, GHOST)
         for v in init:
-            self.cell_vertex[self.cell[v]] = v
+            self._mark(v)
 
     def _new(self, vs):
         real = GHOST not in vs
@@ -138,42 +208,52 @@ class _Triangulation:
                 self.incident[v] = s
         return s
 
-    def _glue(self, slots):
-        """Link the still-open facets of the given simplices to each other."""
-        verts, nbrs = self.verts, self.nbrs
+    def _mark(self, v):
+        """Record v as the last vertex inserted in each of its grid cells."""
+        for c in self.cells[v]:
+            self.cell_vertex[c] = v
+
+    def _glue(self, slots, p):
+        """Link the open facets of the given simplices to each other. Every
+        simplex holds the shared vertex p with its facet opposite p already
+        linked, so each open facet contains p and is keyed on its other
+        vertices a <= b: a*n + b (GHOST = -1 gives negative keys)."""
+        verts, nbrs, ridges, n = self.verts, self.nbrs, self.ridges, len(self.pts)
         open_facets = {}
         for t in slots:
             vs = verts[t]
-            for k in range(len(vs)):
-                if nbrs[t][k] is None:
-                    key = tuple(sorted(vs[:k] + vs[k + 1:]))
-                    other = open_facets.pop(key, None)
-                    if other is None:
-                        open_facets[key] = (t, k)
-                    else:
-                        nbrs[t][k] = other[0]
-                        nbrs[other[0]][other[1]] = t
-
-    def _in_ball(self, s, p):
-        """p strictly inside the circumball of real simplex s."""
-        return self.inball(*[self.pts[v] for v in self.verts[s]], self.pts[p]) > 0
+            for k, x, y in ridges[vs.index(p)]:
+                a, b = vs[x], vs[y]
+                key = a * n + b if a <= b else b * n + a
+                other = open_facets.pop(key, None)
+                if other is None:
+                    open_facets[key] = (t, k)
+                else:
+                    u, j = other
+                    nbrs[t][k] = u
+                    nbrs[u][j] = t
 
     def _conflicts(self, s, p) -> bool:
-        vs = self.verts[s]
+        pts, vs = self.pts, self.verts[s]
+        pp = pts[p]
         if GHOST in vs:
-            pp = self.pts[p]
-            side = self.orient(*[pp if v == GHOST else self.pts[v] for v in vs])
+            side = self.orient(*[pp if v == GHOST else pts[v] for v in vs])
             if side != 0:
                 return side > 0
-            return self._in_ball(self.nbrs[s][vs.index(GHOST)], p)
-        return self._in_ball(s, p)
+            vs = self.verts[self.nbrs[s][vs.index(GHOST)]]
+        return self.inball(*[pts[v] for v in vs], pp) > 0
 
     def _start(self, p):
-        v = self.cell_vertex.get(self.cell[p])
-        if v is not None:
-            vs = self.verts[self.incident[v]]
-            if vs is not None and v in vs and GHOST not in vs:
-                return self.incident[v]
+        """A real simplex incident to the vertex last inserted in p's finest
+        non-empty grid cell, else the last real simplex created."""
+        for c in self.cells[p]:
+            v = self.cell_vertex[c]
+            if v is not None:
+                s = self.incident[v]
+                vs = self.verts[s]
+                if vs is not None and v in vs and GHOST not in vs:
+                    return s
+                break
         return self.last
 
     def _locate(self, p):
@@ -206,7 +286,8 @@ class _Triangulation:
         raise AssertionError("no conflicting simplex found")  # unreachable
 
     def insert(self, p):
-        verts, nbrs = self.verts, self.nbrs
+        verts, nbrs, pts, inball = self.verts, self.nbrs, self.pts, self.inball
+        pp = pts[p]
         seed = self._locate(p)
         if not self._conflicts(seed, p):
             seed = self._locate_scan(p)
@@ -218,13 +299,21 @@ class _Triangulation:
             for i, nb in enumerate(nbrs[s]):
                 hit = conflict.get(nb)
                 if hit is None:
-                    hit = conflict[nb] = self._conflicts(nb, p)
+                    vs = verts[nb]
+                    if GHOST in vs:
+                        hit = self._conflicts(nb, p)
+                    else:
+                        hit = inball(*[pts[v] for v in vs], pp) > 0
+                    conflict[nb] = hit
                     if hit:
                         queue.append(nb)
                 if not hit:
                     boundary.append((s, i, nb))
-        made = [(verts[s][:i] + [p] + verts[s][i + 1:], i, nb, nbrs[nb].index(s))
-                for s, i, nb in boundary]
+        made = []
+        for s, i, nb in boundary:
+            vs = verts[s].copy()
+            vs[i] = p
+            made.append((vs, i, nb, nbrs[nb].index(s)))
         for s, hit in conflict.items():
             if hit:
                 verts[s] = nbrs[s] = None
@@ -235,8 +324,8 @@ class _Triangulation:
             nbrs[t][i] = nb
             nbrs[nb][j] = t
             new.append(t)
-        self._glue(new)
-        self.cell_vertex[self.cell[p]] = p
+        self._glue(new, p)
+        self._mark(p)
 
 
 def interior_facets(simplices) -> np.ndarray:
@@ -369,9 +458,5 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
     real = [vs for vs in tri.verts if vs is not None and GHOST not in vs]
     degenerate = _certify(pts, real)
     tops = tuple(sorted(tuple(sorted(vs)) for vs in real))
-    return DelaunayComplex(
-        cloud=cloud,
-        top_simplices=tops,
-        all_simplices=frozenset(closure_of(tops)),
-        degenerate=degenerate,
-    )
+    return DelaunayComplex(cloud=cloud, top_simplices=tops,
+                           degenerate=degenerate)

@@ -19,11 +19,14 @@ DEFAULT_PRECISION = 10
 
 
 def fmt_float(x: float, precision: int = DEFAULT_PRECISION) -> str:
-    """``x`` with ``precision`` decimals and no trailing zeros; a nonzero
-    value that would round to 0 keeps ``precision`` significant digits."""
+    """``x`` with ``precision`` decimals and no trailing zeros after the
+    decimal point; a nonzero value that would round to 0 keeps ``precision``
+    significant digits."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    s = f"{x:.{precision}f}".rstrip("0").rstrip(".")
+    s = f"{x:.{precision}f}"
+    if "." in s:
+        s = s.rstrip("0").rstrip(".")
     if s in ("", "0", "-0"):
         return f"{x:.{precision}g}" if x != 0 else "0"
     return s

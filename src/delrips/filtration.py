@@ -104,22 +104,46 @@ def _tiny_cloud_entries(cloud: PointCloud):
 
 def build_delaunay_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     """Delaunay-Rips filtration: the faces of the Delaunay triangulation with
-    Rips scales (largest pairwise vertex distance). Lengths are computed
-    for the Delaunay edges only, by the ``distances`` that fills the Rips
-    matrix, so scales match Rips bit for bit without an O(n^2) matrix.
+    Rips scales (largest pairwise vertex distance).
+
+    The faces come per dimension from ``DelaunayComplex.faces``, sorted.
+    Lengths are computed for the Delaunay edges only, by the ``distances``
+    that fills the Rips matrix, so scales match Rips bit for bit without an
+    O(n^2) matrix. Each simplex finds its longest edge by binary search over
+    the sorted edge keys a*n + b. The faces are listed by dimension, then
+    vertices, so a stable sort by scale gives the canonical order. The
+    entries share one int object per vertex id and one float object per
+    edge length.
     """
     _check_delaunay_cap(spec, cloud.dim)
     cap = spec.max_hom_dim + 1
-    if len(cloud) <= 2:
+    n = len(cloud)
+    if n <= 2:
         return Filtration(entries=tuple(_tiny_cloud_entries(cloud)), max_dim=cap)
-    faces = [s for s in delaunay(cloud).all_simplices if len(s) <= cap + 1]
-    edges = [s for s in faces if len(s) == 2]
-    a, b = cloud.as_array()[np.array(edges)].transpose(1, 0, 2)
-    length = dict(zip(edges, distances(a, b).tolist()))
-    entries = [(s, max((length[e] for e in combinations(s, 2)), default=0.0))
-               for s in faces]
-    entries.sort(key=_sort_key)
-    return Filtration(entries=tuple(entries), max_dim=cap)
+    dc = delaunay(cloud)
+    edges = dc.faces(1)
+    a, b = cloud.as_array()[edges].transpose(1, 0, 2)
+    lengths = np.append(distances(a, b), 0.0)  # the last one for vertices
+    shared_lengths = np.array(lengths.tolist(), dtype=object)
+    ids = np.empty(n, dtype=object)
+    ids[:] = range(n)
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    verts, longest = [], []
+    for k in range(cap + 1):
+        faces = dc.faces(k)
+        verts.extend(map(tuple, ids[faces].tolist()))
+        if k == 0:
+            longest.append(np.full(len(faces), len(edges)))
+            continue
+        pos = np.column_stack([
+            np.searchsorted(edge_keys, faces[:, x] * n + faces[:, y])
+            for x, y in combinations(range(k + 1), 2)])
+        longest.append(pos[np.arange(len(faces)), lengths[pos].argmax(axis=1)])
+    longest = np.concatenate(longest)
+    order = np.argsort(lengths[longest], kind="stable")
+    entries = tuple(zip([verts[i] for i in order.tolist()],
+                        shared_lengths[longest[order]].tolist()))
+    return Filtration(entries=entries, max_dim=cap)
 
 
 def _is_gabriel(pts: np.ndarray, verts, center) -> bool:

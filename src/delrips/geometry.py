@@ -168,9 +168,10 @@ def same_triangulation(pair: PerturbationPairing) -> bool:
 
     A zero sign proves nothing here (a target flat everywhere must still
     raise AffinelyDegenerateInput from ``delaunay``), so it and every other
-    case fall back to comparing with ``delaunay(target)``. Both shortcuts
-    only return False where that comparison does, so the answer, errors
-    included, is exactly the two-triangulation comparison.
+    case fall back to comparing the top simplices with ``delaunay(target)``'s;
+    a full-dimensional triangulation's d-simplices fix all its faces. Both
+    shortcuts only return False where that comparison does, so the answer,
+    errors included, is exactly the two-triangulation comparison.
     """
     src = delaunay(pair.source)
     tops = np.asarray(src.top_simplices, dtype=np.int64)
@@ -180,4 +181,4 @@ def same_triangulation(pair: PerturbationPairing) -> bool:
     flips = before * after
     if ((flips > 0).any() and (flips < 0).any()) or (inball > 0).any():
         return False
-    return src.all_simplices == delaunay(pair.target).all_simplices
+    return src.top_simplices == delaunay(pair.target).top_simplices

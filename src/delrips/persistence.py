@@ -1,16 +1,17 @@
 """Z2 boundary matrices, column reduction, and persistence pairs.
 
 Columns are sparse sorted row-index lists; Z2 column addition is a
-symmetric-difference merge, so the pivot (largest index) sits at the end of
-the list. ``reduce_standard`` is the textbook left-to-right reduction;
-``reduce_twist`` processes dimensions from high to low and clears columns
-whose simplices are already known to be paired, which computes the same
-pairing faster on larger inputs.
+symmetric difference that keeps them sorted, so the pivot (largest index)
+sits at the end of the list. ``reduce_standard`` is the textbook
+left-to-right reduction; ``reduce_twist`` processes dimensions from high to
+low and clears columns whose simplices are already known to be paired,
+which computes the same pairing faster on larger inputs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import Filtration, PersistenceDiagram, boundary_columns
@@ -62,23 +63,19 @@ def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
 
 
 def _sym_diff(a: list, b) -> list:
-    """Z2 sum of two strictly increasing index lists."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif y < x:
-            out.append(y)
-            j += 1
+    """Z2 sum of two strictly increasing index lists: a copy of the longer
+    one, with each entry of the shorter deleted or inserted at its bisection
+    point (a column addition mostly pairs a long column with a short one)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    i = 0
+    for x in b:
+        i = bisect_left(out, x, i)
+        if i < len(out) and out[i] == x:
+            del out[i]
         else:
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+            out.insert(i, x)
     return out
 
 

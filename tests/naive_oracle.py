@@ -4,8 +4,9 @@ Nothing here imports the package's builders or reduction: the Rips oracle
 enumerates the full powerset and reduces a dense GF(2) matrix with numpy,
 the bottleneck oracles enumerate every partial bijection or run scipy's
 bipartite matching on the standard diagonal-copy reduction, the image
-oracle integrates by midpoint quadrature, and the predicate oracles expand
-each determinant by cofactors in exact rational arithmetic.
+oracle integrates by midpoint quadrature, the predicate oracles expand
+each determinant by cofactors in exact rational arithmetic, and the column
+addition oracle is a two-pointer merge.
 """
 
 import itertools
@@ -173,6 +174,23 @@ def matching_bottleneck(x_pairs, y_pairs, diagonal="half"):
         else:
             lo = mid + 1
     return float(cands[lo])
+
+
+def merge_sym_diff(a, b):
+    """Z2 sum of two strictly increasing index lists by a two-pointer merge."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        elif b[j] < a[i]:
+            out.append(b[j])
+            j += 1
+        else:
+            i += 1
+            j += 1
+    return out + list(a[i:]) + list(b[j:])
 
 
 def naive_alpha_edge_value(points, a, b, samples=200001, span=50.0):

@@ -224,6 +224,7 @@ def test_exit_codes(tmp_path, capsys):
     ["bench", "--sizes", "1:2:3:4", "-o", "b.csv"],
     ["vectorize", "pi", "d.csv", "--resolution", "5xa", "-o", "f.csv"],
     ["bench", "--trials", "x", "-o", "b.csv"],
+    ["hausdorff", "--precision", "-1", "a.csv", "b.csv"],
 ])
 def test_malformed_option_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

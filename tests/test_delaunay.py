@@ -10,6 +10,7 @@ import pytest
 import delrips
 from conftest import random_cloud
 from delrips import PointCloud, delaunay, near_cocircular_quad
+from delrips.core import closure_of
 from delrips.delaunay import _certify, _prescaled, _Triangulation
 from delrips.errors import (AffinelyDegenerateInput, CertificateError,
                             DuplicatePoints, TooFewPoints)
@@ -264,3 +265,18 @@ def test_prescale_is_exact_or_skipped():
     # 1e-20 * 2**-997 would be subnormal, so the scaling would round it.
     wide = ((1e300, 0.0), (0.0, 1e-20))
     assert _prescaled(wide) is wide
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_faces_per_dimension_match_the_closure(dim, rng):
+    dc = delaunay(random_cloud(rng, 40, dim=dim))
+    closure = closure_of(dc.top_simplices)
+    assert dc.all_simplices == frozenset(closure)
+    for k in range(dim + 2):
+        got = dc.simplices_of_dim(k)
+        assert list(got) == sorted(got)
+        assert set(got) == {s for s in closure if len(s) == k + 1}
+        assert len(got) == len(set(got))
+        assert dc.faces(k).shape == (len(got), k + 1)
+        assert dc.faces(k).tolist() == [list(s) for s in got]
+    assert dc.simplices_of_dim(dim) == dc.top_simplices

@@ -10,6 +10,7 @@ scan that alters any output shows up here.
 """
 
 import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,9 @@ import scipy.spatial
 
 from delrips import PointCloud, ShapeClass, add_noise, delaunay, sample_shape
 from delrips import predicates
+from delrips.delaunay import _Triangulation
+
+DELAUNAY_MODULE = importlib.import_module("delrips.delaunay")
 
 
 def _jittered_grid(dim, n, seed):
@@ -150,3 +154,24 @@ def test_extreme_scales_stay_on_the_float_filter(name, unscaled, monkeypatch):
     dc = delaunay(cloud)
     assert len(calls) <= unscaled_calls + 10
     assert dc.cloud is cloud
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_output_does_not_depend_on_the_walk_start(name, monkeypatch):
+    # The walk only seeds the cavity search, so starting every walk at the
+    # last simplex created instead of the nested-grid start changes nothing.
+    monkeypatch.setattr(_Triangulation, "_start", lambda self, p: self.last)
+    cloud = PointCloud.from_points(CORPUS[name]())
+    assert _digest(delaunay(cloud)) == GOLDEN[name]
+
+
+def test_nested_grid_start_bounds_the_walk(monkeypatch):
+    # Scalar orient3d calls on the benchmark sphere: 47,523 when the walk
+    # started in the point's own cell of a single grid, else at the last
+    # simplex created.
+    calls = []
+    real = DELAUNAY_MODULE.orient3d
+    monkeypatch.setattr(DELAUNAY_MODULE, "orient3d",
+                        lambda *a: calls.append(1) or real(*a))
+    delaunay(PointCloud.from_points(CORPUS["dr-sphere3d-seed1"]()))
+    assert len(calls) <= 35_000

@@ -12,7 +12,7 @@ from delrips import (FiltrationSpec, PointCloud, ShapeClass, add_noise,
                      sample_shape, sort_filtration)
 from delrips.core import pairwise_distances
 from delrips.errors import ValidationError
-from test_delaunay_golden import _jittered_grid
+from test_delaunay_golden import _jittered_grid, _uniform
 
 SQ3 = math.sqrt(3.0)
 
@@ -145,6 +145,24 @@ BIT_IDENTITY_CLOUDS = {
     "quad-plus": lambda: near_cocircular_quad(0.1),
     "uniform-r2-1e150": lambda: _scaled_uniform(2, 7),
     "uniform-r3-1e150": lambda: _scaled_uniform(3, 8),
+    "jittered-grid-r2": lambda: PointCloud.from_points(_jittered_grid(2, 60, 33)),
+    "jittered-grid-r3": lambda: PointCloud.from_points(_jittered_grid(3, 50, 34)),
+    "integer-grid-r2": lambda: PointCloud.from_points(
+        [(i, j) for i in range(5) for j in range(4)]),
+    "integer-grid-r3": lambda: PointCloud.from_points(
+        [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]),
+    "uniform-r2-tiny": lambda: PointCloud.from_points(
+        _uniform(2, 60, 35) * 2.0 ** -664),
+    "uniform-r3-tiny": lambda: PointCloud.from_points(
+        _uniform(3, 60, 36) * 2.0 ** -664),
+    "uniform-r2-huge": lambda: PointCloud.from_points(
+        _uniform(2, 60, 37) * 2.0 ** 532),
+    "uniform-r3-huge": lambda: PointCloud.from_points(
+        _uniform(3, 60, 38) * 2.0 ** 532),
+    "triangle": lambda: PointCloud.from_points([(0.0, 0.0), (3.0, 0.5),
+                                                (1.0, 2.0)]),
+    "tetrahedron": lambda: PointCloud.from_points(
+        [(0.0, 0.0, 0.0), (2.0, 0.0, 0.5), (0.5, 1.5, 0.0), (0.5, 0.5, 1.0)]),
 }
 
 
@@ -167,6 +185,15 @@ def test_dr_scales_bit_identical_to_dense_matrix(name):
         reference = sorted(((s, diameter(s)) for s in faces if len(s) <= cap + 1),
                            key=lambda e: (e[1], len(e[0]), e[0]))
         assert filt.entries == tuple(reference)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dr_entries_share_vertex_ints_and_edge_floats(dim):
+    cloud = PointCloud.from_points(_uniform(dim, 400, 40 + dim))
+    filt = build_delaunay_rips(cloud, spec("delaunay_rips", maxdim=dim - 1))
+    edges = sum(1 for verts, _ in filt.entries if len(verts) == 2)
+    assert len({id(v) for verts, _ in filt.entries for v in verts}) <= len(cloud)
+    assert len({id(scale) for _, scale in filt.entries}) <= edges + 1
 
 
 @pytest.mark.parametrize("dim", [2, 3])

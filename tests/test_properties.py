@@ -9,7 +9,7 @@ from delrips import (FiltrationSpec, PointCloud, bottleneck, build_rips,
                      delay_embed, persistent_entropy, sort_filtration)
 from delrips.fileio import fmt_float
 from delrips.persistence import _sym_diff
-from naive_oracle import brute_bottleneck
+from naive_oracle import brute_bottleneck, merge_sym_diff
 
 index_lists = st.lists(st.integers(0, 40), max_size=12).map(
     lambda xs: sorted(set(xs)))
@@ -32,6 +32,15 @@ def test_sym_diff_associative(a, b, c):
             == _sym_diff(a, _sym_diff(b, c)))
 
 
+@given(st.lists(st.integers(0, 3000), max_size=300).map(lambda xs: sorted(set(xs))),
+       st.lists(st.integers(0, 3000), max_size=12).map(lambda xs: sorted(set(xs))))
+def test_sym_diff_equals_merge(long, short):
+    # Reduction mostly adds a short column to a long one, in either order.
+    want = merge_sym_diff(long, short)
+    assert _sym_diff(long, short) == want
+    assert _sym_diff(tuple(short), tuple(long)) == want
+
+
 @given(st.floats(0, 1e3))
 def test_fmt_float_round_trip(x):
     assert abs(float(fmt_float(x, 10)) - x) <= 5e-10
@@ -45,6 +54,13 @@ def test_fmt_float_specials():
     # Below the fixed precision a nonzero value keeps significant digits.
     assert fmt_float(1.25e-200) == "1.25e-200"
     assert fmt_float(-3e-11) == "-3e-11"
+
+
+def test_fmt_float_keeps_integer_zeros():
+    assert fmt_float(10.0, 0) == "10"
+    assert fmt_float(100.0, 0) == "100"
+    assert fmt_float(99.7, 0) == "100"
+    assert fmt_float(-20.0, 0) == "-20"
 
 
 @given(st.integers(2, 3), st.integers(1, 7), st.integers(1, 5),
