@@ -108,6 +108,13 @@ def _filtration_spec(args) -> FiltrationSpec:
                           threshold=getattr(args, "threshold", None))
 
 
+def _write_dimension(path, diag: PersistenceDiagram, p: int, args):
+    """Write the dimension-p pairs of diag to one diagram file, with the
+    command's ``--keep-zero-pairs`` and ``--precision``."""
+    write_diagram(path, PersistenceDiagram.from_pairs({p: diag.pairs(p)}),
+                  keep_zero=args.keep_zero_pairs, precision=args.precision)
+
+
 def cmd_generate(args) -> int:
     shape = ShapeClass(kind=args.shape)
     cloud = sample_shape(shape, args.n, args.seed)
@@ -135,10 +142,8 @@ def cmd_pd(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
     for p in range(args.maxdim + 1):
-        sub = PersistenceDiagram.from_pairs({p: diag.pairs(p)})
         path = outdir / f"{stem}_h{p}.csv"
-        write_diagram(path, sub, keep_zero=args.keep_zero_pairs,
-                      precision=args.precision)
+        _write_dimension(path, diag, p, args)
         print(f"wrote {path}")
     return 0
 
@@ -232,10 +237,7 @@ def cmd_demo_instability(args) -> int:
         cloud = near_cocircular_quad(x)
         diags[x] = compute_diagram(build(cloud, spec))
         for p in (0, 1):
-            sub = PersistenceDiagram.from_pairs({p: diags[x].pairs(p)})
-            write_diagram(outdir / f"x{x:+.4f}_h{p}.csv", sub,
-                          keep_zero=args.keep_zero_pairs,
-                          precision=args.precision)
+            _write_dimension(outdir / f"x{x:+.4f}_h{p}.csv", diags[x], p, args)
     report = ["pair,same_triangulation,h1_bottleneck"]
     print("x-grid:", ", ".join(f"{x:+g}" for x in xs))
     for a, b in zip(xs, xs[1:]):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -254,12 +253,3 @@ def pairwise_distances(cloud: PointCloud) -> list:
     pts = cloud.as_array()
     return [row for _, block in distance_blocks(pts, pts) for row in block.tolist()]
 
-
-def closure_of(top_simplices: Iterable[Simplex], max_dim: int | None = None) -> set:
-    """All non-empty faces of the given simplices up to ``max_dim``."""
-    out: set = set()
-    for top in top_simplices:
-        cap = len(top) if max_dim is None else min(len(top), max_dim + 1)
-        for k in range(1, cap + 1):
-            out.update(combinations(top, k))
-    return out

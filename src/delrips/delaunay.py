@@ -35,9 +35,10 @@ The new simplices of an insertion all contain the new point, so when they
 are glued to each other each open facet is keyed on its other d-1 vertices
 a <= b (a == b in 2-D) as the one int a*n + b.
 
-``delaunay`` returns the top simplices; the faces of each dimension are
-derived from them as a sorted array when first asked for, and the whole
-closure as a frozenset only on request.
+``delaunay`` returns the top simplices. The one face routine,
+``facet_incidence``, derives the k-faces as the facets of the (k+1)-faces,
+top-down and only when asked for, and gives ``interior_facets`` the facets
+that two simplices share; the whole closure is the union of the faces.
 
 The finished triangulation is certified once (Mehlhorn et al., "Checking
 geometric programs or verification of geometric structures", 1999): every
@@ -59,11 +60,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain
 
 import numpy as np
 
-from .core import PointCloud, closure_of
+from .core import PointCloud
 from .errors import (AffinelyDegenerateInput, CertificateError,
                      DuplicatePoints, TooFewPoints)
 from .predicates import (collinear3d, incircle, inball_signs, insphere,
@@ -79,10 +80,10 @@ class DelaunayComplex:
     """Delaunay triangulation: its top simplices and, on demand, its faces.
 
     ``top_simplices`` holds the d-simplices as sorted vertex tuples in
-    sorted order. ``faces(k)`` gives the k-faces as a sorted int array,
-    derived from the top simplices on first use and kept; ``simplices_of_dim``
-    serves them as tuples and ``all_simplices`` builds the whole closure as
-    a frozenset on first use.
+    sorted order. ``faces(k)`` gives the k-faces as a sorted int array, the
+    facets of the (k+1)-faces, derived on first use and kept;
+    ``simplices_of_dim`` serves them as tuples and ``all_simplices`` gathers
+    them all into a frozenset on first use.
 
     ``degenerate`` is set when some cospherical (d+2)-point configuration was
     resolved by the insertion-order tie-break, i.e. the triangulation is not
@@ -99,10 +100,12 @@ class DelaunayComplex:
         """The dim-simplices as a lexicographically sorted (m, dim+1) int64
         array, one simplex per row (m = 0 above the ambient dimension)."""
         cache, d = self._faces, self.cloud.dim
-        if not cache:
-            cache[d] = np.array(self.top_simplices, dtype=np.int64)
         if dim not in cache:
-            cache[dim] = _face_array(cache[d], dim)
+            if dim < d:
+                cache[dim] = facet_incidence(self.faces(dim + 1))[0]
+            else:
+                tops = self.top_simplices if dim == d else ()
+                cache[dim] = np.array(tops, dtype=np.int64).reshape(-1, dim + 1)
         return cache[dim]
 
     def simplices_of_dim(self, dim: int) -> tuple:
@@ -110,18 +113,27 @@ class DelaunayComplex:
 
     @cached_property
     def all_simplices(self) -> frozenset:
-        return frozenset(closure_of(self.top_simplices))
+        return frozenset(chain.from_iterable(
+            self.simplices_of_dim(k) for k in range(self.cloud.dim + 1)))
 
 
-def _face_array(tops: np.ndarray, dim: int) -> np.ndarray:
-    """The dim-faces of sorted top-simplex rows: every column combination,
-    then one lexsort and a drop of repeated adjacent rows."""
-    cols = list(combinations(range(tops.shape[1]), dim + 1))
-    faces = tops[:, cols].reshape(-1, dim + 1)
-    faces = faces[np.lexsort(faces.T[::-1])]
-    keep = np.ones(len(faces), dtype=bool)
-    keep[1:] = (faces[1:] != faces[:-1]).any(axis=1)
-    return faces[keep]
+def facet_incidence(rows) -> tuple:
+    """``(facets, facet_row, owner, opposite)`` of simplices given as the
+    rows, in any order, of an (m, k+1) int array with ascending vertices:
+    the distinct facets as a sorted (f, k) array and, for each of the
+    m(k+1) incidences in facet order (ties by owner), the facet's row, the
+    owning simplex's row and its vertex opposite the facet. One column
+    gather, one lexsort and an adjacent-row compare."""
+    rows = np.asarray(rows, dtype=np.int64)
+    m, k = rows.shape
+    keep = [[j for j in range(k) if j != i] for i in range(k)]
+    faces = rows[:, keep].reshape(m * k, k - 1)  # incidence r*k + i drops rows[r, i]
+    order = np.lexsort(faces.T[::-1])
+    faces = faces[order]
+    new = np.ones(len(faces), dtype=bool)
+    new[1:] = (faces[1:] != faces[:-1]).any(axis=1)
+    return (faces[new], np.cumsum(new) - 1, order // k,
+            rows.reshape(-1)[order])
 
 
 def _grid_cells(pts, dim):
@@ -333,15 +345,9 @@ def interior_facets(simplices) -> np.ndarray:
     indexes the first of them and q is the second's vertex opposite the
     facet. Each simplex's vertex order may be any."""
     verts = np.sort(np.asarray(simplices, dtype=np.int64), axis=1)
-    t, k = verts.shape
-    faces = np.stack([np.delete(verts, j, axis=1) for j in range(k)], axis=1)
-    faces = faces.reshape(t * k, k - 1)
-    order = np.lexsort(faces.T[::-1])
-    faces = faces[order]
-    shared = np.flatnonzero((faces[1:] == faces[:-1]).all(axis=1))
-    owner = order[shared] // k
-    opposite = verts.reshape(-1)[order[shared + 1]]
-    return np.stack([owner, opposite], axis=1)
+    _, facet_row, owner, opposite = facet_incidence(verts)
+    shared = np.flatnonzero(facet_row[1:] == facet_row[:-1])
+    return np.stack([owner[shared], opposite[shared + 1]], axis=1)
 
 
 def certificate(points, simplices, facets) -> tuple:
@@ -385,16 +391,23 @@ def _certify(points, simplices) -> bool:
     return bool((inball == 0).any())
 
 
-def _prescaled(points):
-    """The points times 2**-e, with e the binary exponent of the largest
-    |coordinate|. Returned unscaled when that would make some nonzero
-    coordinate subnormal: only an exact scaling keeps every sign."""
+def scale_exponent(points) -> int:
+    """The binary exponent e of the largest |coordinate|, or 0 when scaling
+    by 2**-e would make some nonzero coordinate subnormal: only an exact
+    scaling keeps every sign (and every ratio)."""
     a = np.asarray(points, dtype=float)
     mags = np.abs(a[a != 0.0])
     e = math.frexp(float(mags.max()))[1]
-    if e == 0 or math.ldexp(float(mags.min()), -e) < sys.float_info.min:
+    return 0 if math.ldexp(float(mags.min()), -e) < sys.float_info.min else e
+
+
+def _prescaled(points):
+    """The points times 2**-scale_exponent(points), or the points as given
+    when that exponent is 0."""
+    e = scale_exponent(points)
+    if e == 0:
         return points
-    return tuple(map(tuple, np.ldexp(a, -e).tolist()))
+    return tuple(map(tuple, np.ldexp(np.asarray(points, float), -e).tolist()))
 
 
 def _initial_vertices(pts, dim):

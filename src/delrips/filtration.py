@@ -6,6 +6,9 @@ the Rips/Delaunay-Rips scale of a simplex is its largest pairwise vertex
 distance, and Alpha scales are twice the usual radius values. Outputs are
 canonically sorted and satisfy the filtration closure and monotonicity
 invariants by construction.
+
+Delaunay-Rips and Alpha are the faces of ``delaunay(cloud)`` with two scale
+rules, built and ordered by one function, ``_delaunay_filtration``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .core import (Filtration, PointCloud, _sort_key, distances,
                    pairwise_distances)
-from .delaunay import delaunay
+from .delaunay import delaunay, facet_incidence, scale_exponent
 from .errors import ValidationError
 from .geometry import circumsphere
 
@@ -94,56 +97,63 @@ def build_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     return Filtration(entries=tuple(entries), max_dim=cap)
 
 
-def _tiny_cloud_entries(cloud: PointCloud):
-    """Degenerate 1- and 2-point complexes shared by the Delaunay builders."""
-    if len(cloud) == 1:
-        return [((0,), 0.0)]
-    d = float(distances(cloud[0], cloud[1]))
-    return [((0,), 0.0), ((1,), 0.0), ((0, 1), d)]
-
-
-def build_delaunay_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
-    """Delaunay-Rips filtration: the faces of the Delaunay triangulation with
-    Rips scales (largest pairwise vertex distance).
-
-    The faces come per dimension from ``DelaunayComplex.faces``, sorted.
-    Lengths are computed for the Delaunay edges only, by the ``distances``
-    that fills the Rips matrix, so scales match Rips bit for bit without an
-    O(n^2) matrix. Each simplex finds its longest edge by binary search over
-    the sorted edge keys a*n + b. The faces are listed by dimension, then
-    vertices, so a stable sort by scale gives the canonical order. The
-    entries share one int object per vertex id and one float object per
-    edge length.
+def _delaunay_filtration(cloud: PointCloud, spec: FiltrationSpec,
+                         rule) -> Filtration:
+    """The Delaunay faces up to the cap at the scales of ``rule(dc, cap)``,
+    which returns a float array of values and an int array giving each face
+    (``dc.faces(0)``, ..., ``dc.faces(cap)`` in turn) its value's position.
+    The faces are listed by dimension, then vertices, so a stable sort by
+    scale gives the canonical order. The entries share one int object per
+    vertex id and one float object per value.
     """
     _check_delaunay_cap(spec, cloud.dim)
     cap = spec.max_hom_dim + 1
     n = len(cloud)
-    if n <= 2:
-        return Filtration(entries=tuple(_tiny_cloud_entries(cloud)), max_dim=cap)
+    if n <= 2:  # no triangulation: the vertices, and an edge at its length
+        edge = [((0, 1), float(distances(*cloud.points)))] if n == 2 else []
+        return Filtration(entries=tuple([((i,), 0.0) for i in range(n)] + edge),
+                          max_dim=cap)
     dc = delaunay(cloud)
-    edges = dc.faces(1)
-    a, b = cloud.as_array()[edges].transpose(1, 0, 2)
-    lengths = np.append(distances(a, b), 0.0)  # the last one for vertices
-    shared_lengths = np.array(lengths.tolist(), dtype=object)
+    values, index = rule(dc, cap)
     ids = np.empty(n, dtype=object)
     ids[:] = range(n)
-    edge_keys = edges[:, 0] * n + edges[:, 1]
-    verts, longest = [], []
+    verts = []
     for k in range(cap + 1):
+        verts.extend(map(tuple, ids[dc.faces(k)].tolist()))
+    order = np.argsort(values[index], kind="stable")
+    shared_values = np.array(values.tolist(), dtype=object)
+    entries = tuple(zip([verts[i] for i in order.tolist()],
+                        shared_values[index[order]].tolist()))
+    return Filtration(entries=entries, max_dim=cap)
+
+
+def _rips_scales(dc, cap):
+    """Delaunay-Rips rule: each simplex at its longest edge.
+
+    Lengths are computed for the Delaunay edges only, by the ``distances``
+    that fills the Rips matrix, so scales match Rips bit for bit without an
+    O(n^2) matrix. Each simplex finds its longest edge by binary search over
+    the sorted edge keys a*n + b; vertices point at a trailing 0.0.
+    """
+    n = len(dc.cloud)
+    edges = dc.faces(1)
+    a, b = dc.cloud.as_array()[edges].transpose(1, 0, 2)
+    lengths = np.append(distances(a, b), 0.0)
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    longest = [np.full(len(dc.faces(0)), len(edges))]
+    for k in range(1, cap + 1):
         faces = dc.faces(k)
-        verts.extend(map(tuple, ids[faces].tolist()))
-        if k == 0:
-            longest.append(np.full(len(faces), len(edges)))
-            continue
         pos = np.column_stack([
             np.searchsorted(edge_keys, faces[:, x] * n + faces[:, y])
             for x, y in combinations(range(k + 1), 2)])
         longest.append(pos[np.arange(len(faces)), lengths[pos].argmax(axis=1)])
-    longest = np.concatenate(longest)
-    order = np.argsort(lengths[longest], kind="stable")
-    entries = tuple(zip([verts[i] for i in order.tolist()],
-                        shared_lengths[longest[order]].tolist()))
-    return Filtration(entries=entries, max_dim=cap)
+    return lengths, np.concatenate(longest)
+
+
+def build_delaunay_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
+    """Delaunay-Rips filtration: the faces of the Delaunay triangulation with
+    Rips scales (largest pairwise vertex distance)."""
+    return _delaunay_filtration(cloud, spec, _rips_scales)
 
 
 def _is_gabriel(pts: np.ndarray, verts, center) -> bool:
@@ -161,50 +171,45 @@ def _is_gabriel(pts: np.ndarray, verts, center) -> bool:
     return not bool(inside.any())
 
 
+def _alpha_scales(dc, cap):
+    """Alpha rule: circumdiameters, clamped to the cofaces top-down.
+
+    Top simplices take their circumdiameter. Below, a face's coface minimum
+    comes from ``facet_incidence`` of the dimension above; a face that
+    passes the Gabriel test (no other point strictly inside its smallest
+    circumball) takes its circumdiameter capped at that minimum (rounding
+    can put it above), any other face the minimum. The geometry runs on the
+    points scaled by the exact power of two ``scale_exponent`` gives, and
+    the values are scaled back, so extreme scales neither overflow nor
+    underflow and ordinary ones give the same bits.
+    """
+    if dc.degenerate:  # stacklevel 4 names the caller of build_alpha
+        warnings.warn("cospherical points: alpha values may depend on the "
+                      "Delaunay tie-break", stacklevel=4)
+    d = dc.cloud.dim
+    e = scale_exponent(dc.cloud.points)
+    pts = np.ldexp(dc.cloud.as_array(), -e)
+    radius = [np.zeros(len(dc.faces(0)))] + [None] * d
+    radius[d] = np.array([circumsphere(pts[verts])[1]
+                          for verts in dc.faces(d).tolist()])
+    for k in range(d - 1, 0, -1):
+        faces = dc.faces(k)
+        _, facet_row, owner, _ = facet_incidence(dc.faces(k + 1))
+        low = np.full(len(faces), np.inf)
+        np.minimum.at(low, facet_row, radius[k + 1][owner])
+        for i, verts in enumerate(faces.tolist()):
+            center, r = circumsphere(pts[verts])
+            if _is_gabriel(pts, verts, np.asarray(center)):
+                low[i] = min(r, low[i])
+        radius[k] = low
+    values = np.ldexp(2.0 * np.concatenate(radius[:cap + 1]), e)
+    return values, np.arange(len(values))
+
+
 def build_alpha(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     """Alpha filtration on the Delaunay triangulation, in the shared diameter
-    convention (scales are twice the usual alpha radii).
-
-    A simplex that passes the Gabriel test (no other point strictly inside
-    its smallest circumball) takes its circumdiameter, capped at the minimum
-    over its cofaces (rounding can put it above); otherwise its value is that
-    minimum. Top simplices always take their circumdiameter.
-    """
-    _check_delaunay_cap(spec, cloud.dim)
-    cap = spec.max_hom_dim + 1
-    if len(cloud) <= 2:
-        return Filtration(entries=tuple(_tiny_cloud_entries(cloud)), max_dim=cap)
-    dc = delaunay(cloud)
-    if dc.degenerate:
-        warnings.warn("cospherical points: alpha values may depend on the "
-                      "Delaunay tie-break", stacklevel=2)
-    pts = cloud.as_array()
-    d = cloud.dim
-
-    by_dim = {k: dc.simplices_of_dim(k) for k in range(d + 1)}
-    cofaces = {}
-    for k in range(1, d + 1):
-        for verts in by_dim[k]:
-            for i in range(len(verts)):
-                face = verts[:i] + verts[i + 1:]
-                cofaces.setdefault(face, []).append(verts)
-
-    radius = {}
-    for k in range(d, 0, -1):
-        for verts in by_dim[k]:
-            center, r = circumsphere([pts[v] for v in verts])
-            if k < d:
-                low = min(radius[cf] for cf in cofaces[verts])
-                gabriel = _is_gabriel(pts, verts, np.asarray(center))
-                r = min(r, low) if gabriel else low
-            radius[verts] = r
-
-    entries = [((i,), 0.0) for i in range(len(cloud))]
-    for verts, r in radius.items():
-        if len(verts) - 1 <= cap:
-            entries.append((verts, 2.0 * r))
-    entries.sort(key=_sort_key)
-    return Filtration(entries=tuple(entries), max_dim=cap)
+    convention (scales are twice the usual alpha radii)."""
+    return _delaunay_filtration(cloud, spec, _alpha_scales)
 
 
 def build(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:

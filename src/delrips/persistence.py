@@ -82,18 +82,15 @@ def _sym_diff(a: list, b) -> list:
 def _reduce(mat: BoundaryMatrix, order) -> ReducedMatrix:
     """Reduce the columns in the given order until all pivots are distinct.
 
-    Whenever column j acquires pivot i, simplex i is known to be a cycle
-    creator, so column i is cleared without reduction if it comes later.
-    Left to right, i < j was already reduced and clearing never fires.
+    Whenever column j takes pivot i, simplex i is a cycle creator, whose
+    column reduces to zero in any reduction, so column i is zeroed at once.
+    Left to right, column i was already reduced to zero and this changes
+    nothing; in an order that reaches column i later, it is the clearing.
     """
     cols = [list(c) for c in mat.columns]
     pivot_owner = {}
     lows = [None] * len(cols)
-    cleared = set()
     for j in order:
-        if j in cleared:
-            cols[j] = []
-            continue
         col = cols[j]
         while col:
             k = pivot_owner.get(col[-1])
@@ -102,9 +99,10 @@ def _reduce(mat: BoundaryMatrix, order) -> ReducedMatrix:
             col = _sym_diff(col, cols[k])
         cols[j] = col
         if col:
-            pivot_owner[col[-1]] = j
-            lows[j] = col[-1]
-            cleared.add(col[-1])
+            i = col[-1]
+            pivot_owner[i] = j
+            lows[j] = i
+            cols[i] = []
     return ReducedMatrix(columns=tuple(tuple(c) for c in cols),
                          low=tuple(lows), dims=mat.dims, scales=mat.scales)
 
@@ -136,21 +134,17 @@ def extract_pairs(reduced: ReducedMatrix, filt: Filtration) -> PersistenceDiagra
     dims = reduced.dims
     scales = reduced.scales
     max_hom = filt.max_dim - 1
-    paired = set()
+    pivots = set(reduced.low)
     pairs: dict = {}
     for j, piv in enumerate(reduced.low):
-        if piv is None:
+        if piv is not None:
+            p, pair = dims[piv], (scales[piv], scales[j])
+        elif j not in pivots:
+            p, pair = dims[j], (scales[j], math.inf)
+        else:
             continue
-        paired.add(piv)
-        paired.add(j)
-        p = dims[piv]
         if p <= max_hom:
-            pairs.setdefault(p, []).append((scales[piv], scales[j]))
-    for j, piv in enumerate(reduced.low):
-        if piv is None and j not in paired:
-            p = dims[j]
-            if p <= max_hom:
-                pairs.setdefault(p, []).append((scales[j], math.inf))
+            pairs.setdefault(p, []).append(pair)
     return PersistenceDiagram.from_pairs(pairs)
 
 

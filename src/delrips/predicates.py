@@ -65,7 +65,7 @@ def orient2d(a, b, c) -> int:
     det, detsum = _orient2d_terms(a, b, c)
     if _certified(det, detsum, _O2D_BOUND):
         return _sign(det)
-    return _orient2d_exact(a, b, c)
+    return _exact_sign(_orient2d_terms, a, b, c)
 
 
 def _orient2d_terms(a, b, c):
@@ -80,16 +80,12 @@ def _orient2d_terms(a, b, c):
     return detleft - detright, abs(detleft) + abs(detright)
 
 
-def _orient2d_exact(a, b, c) -> int:
-    return _exact_sign(_orient2d_terms, a, b, c)
-
-
 def orient3d(a, b, c, d) -> int:
     """Sign of det[[a-d], [b-d], [c-d]] for points in R^3."""
     det, permanent = _orient3d_terms(a, b, c, d)
     if _certified(det, permanent, _O3D_BOUND):
         return _sign(det)
-    return _orient3d_exact(a, b, c, d)
+    return _exact_sign(_orient3d_terms, a, b, c, d)
 
 
 def _orient3d_terms(a, b, c, d):
@@ -121,10 +117,6 @@ def _orient3d_terms(a, b, c, d):
     return det, permanent
 
 
-def _orient3d_exact(a, b, c, d) -> int:
-    return _exact_sign(_orient3d_terms, a, b, c, d)
-
-
 def incircle(a, b, c, p) -> int:
     """In-circle test in R^2.
 
@@ -134,7 +126,7 @@ def incircle(a, b, c, p) -> int:
     det, permanent = _incircle_terms(a, b, c, p)
     if _certified(det, permanent, _ICC_BOUND):
         return _sign(det)
-    return _incircle_exact(a, b, c, p)
+    return _exact_sign(_incircle_terms, a, b, c, p)
 
 
 def _incircle_terms(a, b, c, p):
@@ -167,10 +159,6 @@ def _incircle_terms(a, b, c, p):
     return det, permanent
 
 
-def _incircle_exact(a, b, c, p) -> int:
-    return _exact_sign(_incircle_terms, a, b, c, p)
-
-
 def insphere(a, b, c, d, e) -> int:
     """In-sphere test in R^3.
 
@@ -181,7 +169,7 @@ def insphere(a, b, c, d, e) -> int:
     det, permanent = _insphere_terms(a, b, c, d, e)
     if _certified(det, permanent, _ISP_BOUND):
         return _sign(det)
-    return _insphere_exact(a, b, c, d, e)
+    return _exact_sign(_insphere_terms, a, b, c, d, e)
 
 
 def _insphere_terms(a, b, c, d, e):
@@ -263,17 +251,13 @@ def _insphere_terms(a, b, c, d, e):
     return det, permanent
 
 
-def _insphere_exact(a, b, c, d, e) -> int:
-    return _exact_sign(_insphere_terms, a, b, c, d, e)
-
-
 def orient_signs(simplices) -> np.ndarray:
     """Exact ``orient2d`` / ``orient3d`` sign of every simplex, as an int
     array; ``simplices`` has shape (m, d+1, d)."""
     pts = np.asarray(simplices, dtype=float)
     if pts.shape[2] == 2:
-        return _batch_signs(pts, _orient2d_terms, _O2D_BOUND, _orient2d_exact)
-    return _batch_signs(pts, _orient3d_terms, _O3D_BOUND, _orient3d_exact)
+        return _batch_signs(pts, _orient2d_terms, _O2D_BOUND)
+    return _batch_signs(pts, _orient3d_terms, _O3D_BOUND)
 
 
 def inball_signs(simplices, queries) -> np.ndarray:
@@ -283,20 +267,21 @@ def inball_signs(simplices, queries) -> np.ndarray:
     pts = np.concatenate([np.asarray(simplices, dtype=float),
                           np.asarray(queries, dtype=float)[:, None, :]], axis=1)
     if pts.shape[2] == 2:
-        return _batch_signs(pts, _incircle_terms, _ICC_BOUND, _incircle_exact)
-    return _batch_signs(pts, _insphere_terms, _ISP_BOUND, _insphere_exact)
+        return _batch_signs(pts, _incircle_terms, _ICC_BOUND)
+    return _batch_signs(pts, _insphere_terms, _ISP_BOUND)
 
 
-def _batch_signs(pts, terms, bound, exact) -> np.ndarray:
+def _batch_signs(pts, terms, bound) -> np.ndarray:
     """One numpy pass of a scalar predicate's float formula and static
     filter over pts (shape (m, k, d), one test's k points per row); the
-    rows the filter cannot certify get the exact integer evaluation."""
+    rows the filter cannot certify get ``_exact_sign`` of the same
+    formula."""
     with np.errstate(all="ignore"):
         det, permanent = terms(*pts.transpose(1, 2, 0))
         sure = _certified(det, permanent, bound)
         signs = np.where(sure, np.sign(det), 0.0).astype(np.int64)
     for k in np.flatnonzero(~sure).tolist():
-        signs[k] = exact(*pts[k].tolist())
+        signs[k] = _exact_sign(terms, *pts[k].tolist())
     return signs
 
 

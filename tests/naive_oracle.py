@@ -6,7 +6,9 @@ the bottleneck oracles enumerate every partial bijection or run scipy's
 bipartite matching on the standard diagonal-copy reduction, the image
 oracle integrates by midpoint quadrature, the predicate oracles expand
 each determinant by cofactors in exact rational arithmetic, and the column
-addition oracle is a two-pointer merge.
+addition oracle is a two-pointer merge. The face oracles enumerate vertex
+combinations into sets and dicts; the Alpha oracle keeps a dict of coface
+tuples over the package's triangulation, circumsphere and Gabriel test.
 """
 
 import itertools
@@ -16,6 +18,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+
+from delrips import delaunay
+from delrips.filtration import _is_gabriel
+from delrips.geometry import circumsphere
 
 
 def naive_vr_diagram(points, max_hom_dim):
@@ -311,3 +317,58 @@ def exact_incircle(a, b, c, p):
 
 def exact_insphere(a, b, c, d, e):
     return _sign(_det4(_rows((a, b, c, d), e, True)))
+
+
+def closure_of(top_simplices):
+    """All non-empty faces of the given simplices, as a set of tuples."""
+    out = set()
+    for top in top_simplices:
+        for k in range(1, len(top) + 1):
+            out.update(itertools.combinations(top, k))
+    return out
+
+
+def shared_facets(simplices):
+    """(i, q) for every facet shared by two simplices, by a dict from each
+    sorted facet to the simplices holding it: i is the first holder and q
+    the next holder's vertex opposite the facet. Sorted like
+    ``interior_facets``: by facet, then by simplex index."""
+    holders = {}
+    for i, verts in enumerate(simplices):
+        verts = sorted(verts)
+        for q in verts:
+            holders.setdefault(tuple(v for v in verts if v != q), []).append((i, q))
+    return [(a[0], b[1]) for facet in sorted(holders)
+            for a, b in zip(holders[facet], holders[facet][1:])]
+
+
+def naive_alpha_entries(cloud, cap):
+    """Alpha filtration entries up to dimension ``cap`` (diameter
+    convention), canonically sorted: radii top-down over a dict of coface
+    tuples, a Gabriel face at its circumradius capped at the coface
+    minimum, any other face at that minimum."""
+    dc = delaunay(cloud)
+    pts = cloud.as_array()
+    d = cloud.dim
+    by_dim = {k: dc.simplices_of_dim(k) for k in range(d + 1)}
+    cofaces = {}
+    for k in range(1, d + 1):
+        for verts in by_dim[k]:
+            for i in range(len(verts)):
+                face = verts[:i] + verts[i + 1:]
+                cofaces.setdefault(face, []).append(verts)
+    radius = {}
+    for k in range(d, 0, -1):
+        for verts in by_dim[k]:
+            center, r = circumsphere([pts[v] for v in verts])
+            if k < d:
+                low = min(radius[cf] for cf in cofaces[verts])
+                gabriel = _is_gabriel(pts, verts, np.asarray(center))
+                r = min(r, low) if gabriel else low
+            radius[verts] = r
+    entries = [((i,), 0.0) for i in range(len(cloud))]
+    for verts, r in radius.items():
+        if len(verts) - 1 <= cap:
+            entries.append((verts, 2.0 * r))
+    entries.sort(key=lambda e: (e[1], len(e[0]), e[0]))
+    return tuple(entries)

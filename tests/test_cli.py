@@ -250,3 +250,22 @@ def test_hausdorff_at_extreme_scales(tmp_path, capsys, scale):
     got = float(capsys.readouterr().out.strip())
     assert got > 0.0
     assert got == pytest.approx(scale * hausdorff_distance(*clouds), rel=1e-9, abs=0.0)
+
+
+def test_pd_alpha_at_huge_scale(tmp_path):
+    # At 2**532 the circumsphere solve overflowed and the command exited 2
+    # with "negative or NaN scale"; the values are now the unscaled cloud's
+    # times 2**532.
+    pts = np.random.default_rng(19).uniform(-1.0, 1.0, (30, 3))
+    for name, scale in (("unit", 1.0), ("huge", 2.0 ** 532)):
+        write_point_cloud(tmp_path / f"{name}.json",
+                          PointCloud.from_points(pts * scale))
+        assert main(["pd", "--method", "alpha", "--maxdim", "2",
+                     "--keep-zero-pairs", str(tmp_path / f"{name}.json")]) == 0
+    for p in range(3):
+        unit = read_diagram(tmp_path / f"unit_h{p}.csv").pairs(p)
+        huge = read_diagram(tmp_path / f"huge_h{p}.csv").pairs(p)
+        assert len(huge) == len(unit)
+        for (b, d), (ub, ud) in zip(huge, unit):
+            assert b == pytest.approx(ub * 2.0 ** 532, rel=1e-9)
+            assert d == pytest.approx(ud * 2.0 ** 532, rel=1e-9)

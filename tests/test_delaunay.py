@@ -10,11 +10,12 @@ import pytest
 import delrips
 from conftest import random_cloud
 from delrips import PointCloud, delaunay, near_cocircular_quad
-from delrips.core import closure_of
-from delrips.delaunay import _certify, _prescaled, _Triangulation
+from delrips.delaunay import (_certify, _prescaled, _Triangulation,
+                              facet_incidence, interior_facets)
 from delrips.errors import (AffinelyDegenerateInput, CertificateError,
                             DuplicatePoints, TooFewPoints)
 from delrips.predicates import incircle, insphere, orient2d, orient3d
+from naive_oracle import closure_of, shared_facets
 
 
 def _inside_ball(top, pts, q):
@@ -280,3 +281,34 @@ def test_faces_per_dimension_match_the_closure(dim, rng):
         assert dc.faces(k).shape == (len(got), k + 1)
         assert dc.faces(k).tolist() == [list(s) for s in got]
     assert dc.simplices_of_dim(dim) == dc.top_simplices
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_facet_incidence_lists_faces_and_opposite_vertices(dim, rng):
+    for n in (dim + 1, 12, 40):
+        dc = delaunay(random_cloud(rng, n, dim=dim))
+        closure = closure_of(dc.top_simplices)
+        for k in range(1, dim + 1):
+            rows = dc.faces(k)
+            facets, facet_row, owner, opposite = facet_incidence(rows)
+            assert facets.tolist() == sorted(
+                list(s) for s in closure if len(s) == k)
+            assert len(facet_row) == len(owner) == len(opposite) == rows.size
+            assert (np.diff(facet_row) >= 0).all()
+            for f, r, q in zip(facet_row.tolist(), owner.tolist(),
+                               opposite.tolist()):
+                assert sorted(facets[f].tolist() + [q]) == rows[r].tolist()
+            # every (owner, opposite) incidence appears exactly once
+            assert sorted(zip(owner.tolist(), opposite.tolist())) == sorted(
+                (r, q) for r, row in enumerate(rows.tolist()) for q in row)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interior_facets_match_dict_reference(dim, rng):
+    for n in (dim + 2, 15, 50):
+        tops = np.array(delaunay(random_cloud(rng, n, dim=dim)).top_simplices)
+        shuffled = rng.permuted(tops[rng.permutation(len(tops))], axis=1)
+        got = interior_facets(shuffled)
+        assert got.tolist() == [list(f) for f in shared_facets(shuffled.tolist())]
+        # every facet lies on one simplex (hull) or two (interior)
+        assert len(got) == tops.size - len(facet_incidence(tops)[0])

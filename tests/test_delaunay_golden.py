@@ -142,11 +142,9 @@ def test_extreme_scales_stay_on_the_float_filter(name, unscaled, monkeypatch):
     # Unscaled, these clouds took 605 to 3489 exact evaluations each: the
     # filter underflowed near 2**-664 and overflowed near 1e150.
     calls = []
-    for exact in ("_orient2d_exact", "_orient3d_exact", "_incircle_exact",
-                  "_insphere_exact"):
-        monkeypatch.setattr(predicates, exact,
-                            lambda *a, _f=getattr(predicates, exact):
-                            calls.append(1) or _f(*a))
+    real = predicates._exact_sign
+    monkeypatch.setattr(predicates, "_exact_sign",
+                        lambda *a: calls.append(1) or real(*a))
     delaunay(PointCloud.from_points(_uniform(*unscaled)))
     unscaled_calls = len(calls)
     calls.clear()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -11,8 +12,9 @@ from delrips import (FiltrationSpec, PointCloud, ShapeClass, add_noise,
                      compute_diagram, delaunay, near_cocircular_quad,
                      sample_shape, sort_filtration)
 from delrips.core import pairwise_distances
-from delrips.errors import ValidationError
-from test_delaunay_golden import _jittered_grid, _uniform
+from delrips.errors import DelripsError, ValidationError
+from naive_oracle import naive_alpha_entries
+from test_delaunay_golden import CORPUS, _jittered_grid, _uniform
 
 SQ3 = math.sqrt(3.0)
 
@@ -245,6 +247,9 @@ def test_dr_build_peak_memory_below_dense_matrix():
     assert peak < n * n * 8
 
 
+JITTERED_GRIDS = [(2, 10, 50), (2, 12, 52), (2, 20, 110), (3, 14, 4), (3, 15, 5)]
+
+
 class TestAlpha:
     def test_two_points(self):
         filt = build_alpha(PointCloud.from_points([(0, 0), (0, 1.5)]),
@@ -281,14 +286,66 @@ class TestAlpha:
 
     # Jittered grids on which a Gabriel face's rounded circumradius came out
     # above a coface's, so the unclamped filtration was not monotone.
-    @pytest.mark.parametrize("dim,n,seed", [(2, 10, 50), (2, 12, 52),
-                                            (2, 20, 110), (3, 14, 4),
-                                            (3, 15, 5)])
+    @pytest.mark.parametrize("dim,n,seed", JITTERED_GRIDS)
     def test_monotone_on_jittered_grid(self, dim, n, seed):
         pc = PointCloud.from_points(_jittered_grid(dim, n, seed))
         filt = build_alpha(pc, spec("alpha", maxdim=dim - 1))
         assert sort_filtration(filt) == filt
         compute_diagram(filt)
+
+    @pytest.mark.parametrize("dim,n,seed", JITTERED_GRIDS)
+    def test_equals_coface_dict_reference_on_jittered_grid(self, dim, n, seed):
+        pc = PointCloud.from_points(_jittered_grid(dim, n, seed))
+        for cap in range(1, dim + 1):
+            filt = build_alpha(pc, spec("alpha", maxdim=cap - 1))
+            assert filt.entries == naive_alpha_entries(pc, cap)
+
+    def test_equals_coface_dict_reference_on_random_clouds(self, rng):
+        for trial in range(16):
+            dim = 2 + trial % 2
+            n = int(rng.integers(dim + 1, 40))
+            pc = random_cloud(rng, n, dim=dim, width=10.0 ** (trial % 5 - 2))
+            for cap in range(1, dim + 1):
+                filt = build_alpha(pc, spec("alpha", maxdim=cap - 1))
+                assert filt.entries == naive_alpha_entries(pc, cap)
+
+    # The corpus clouds at 2**-664 made the reference's circumsphere solve
+    # underflow; their expected entries are the unscaled cloud's, scaled back.
+    # Where the reference raises (the jittered grids, ROADMAP item 1), the
+    # builder must raise the same error.
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_equals_coface_dict_reference_on_golden_corpus(self, name):
+        pts = np.asarray(CORPUS[name](), dtype=float)
+        p = -664 if name.startswith("tiny") else 0
+        dim = pts.shape[1]
+        cloud = PointCloud.from_points(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cospherical corpus
+            try:
+                want = naive_alpha_entries(
+                    PointCloud.from_points(np.ldexp(pts, -p)), dim)
+            except DelripsError as exc:
+                with pytest.raises(type(exc)):
+                    build_alpha(cloud, spec("alpha", maxdim=dim - 1))
+                return
+            filt = build_alpha(cloud, spec("alpha", maxdim=dim - 1))
+        assert filt.entries == tuple((v, math.ldexp(s, p)) for v, s in want)
+
+    # Near 2**-664 the circumsphere solve underflowed (DegenerateSimplex) and
+    # near 2**532 it overflowed (NaN scales); the geometry now runs on the
+    # exactly rescaled points, so every value is the unscaled one times 2**p.
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("p", [-664, 532])
+    def test_values_scale_exactly_at_extreme_scales(self, dim, p):
+        for seed in range(3):
+            pts = np.random.default_rng(70 + 10 * dim + seed).uniform(
+                -1.0, 1.0, (40, dim))
+            for cap in range(1, dim + 1):
+                sp = spec("alpha", maxdim=cap - 1)
+                want = build_alpha(PointCloud.from_points(pts), sp).entries
+                got = build_alpha(PointCloud.from_points(np.ldexp(pts, p)),
+                                  sp).entries
+                assert got == tuple((v, math.ldexp(s, p)) for v, s in want)
 
 
 class TestCrossFiltration:
