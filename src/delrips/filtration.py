@@ -8,7 +8,11 @@ canonically sorted and satisfy the filtration closure and monotonicity
 invariants by construction.
 
 Delaunay-Rips and Alpha are the faces of ``delaunay(cloud)`` with two scale
-rules, built and ordered by one function, ``_delaunay_filtration``.
+rules, built and ordered by one function, ``_delaunay_filtration``, which
+returns the filtration in its integer-array form (the ``dc.faces(k)`` arrays
+and each row's position in filtration order) without building per-simplex
+tuples, and warns when the triangulation's cospherical tie-break decided
+the complex.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .core import (Filtration, PointCloud, _sort_key, distances,
                    pairwise_distances)
 from .delaunay import delaunay, facet_incidence, scale_exponent
-from .errors import ValidationError
+from .errors import DuplicatePoints, ValidationError
 from .geometry import circumsphere
 
 _METHODS = ("rips", "delaunay_rips", "alpha")
@@ -103,28 +107,34 @@ def _delaunay_filtration(cloud: PointCloud, spec: FiltrationSpec,
     which returns a float array of values and an int array giving each face
     (``dc.faces(0)``, ..., ``dc.faces(cap)`` in turn) its value's position.
     The faces are listed by dimension, then vertices, so a stable sort by
-    scale gives the canonical order. The entries share one int object per
-    vertex id and one float object per value.
+    scale gives the canonical order. The result is in the array form of
+    ``Filtration``: ``dc.faces(k)`` and each row's position in that order.
+
+    Warns when the triangulation's tie-break decided a cospherical case, and
+    raises DuplicatePoints on coincident points, also for n = 2.
     """
     _check_delaunay_cap(spec, cloud.dim)
     cap = spec.max_hom_dim + 1
     n = len(cloud)
     if n <= 2:  # no triangulation: the vertices, and an edge at its length
+        if n == 2 and cloud[0] == cloud[1]:
+            raise DuplicatePoints("points 0 and 1 coincide")
         edge = [((0, 1), float(distances(*cloud.points)))] if n == 2 else []
         return Filtration(entries=tuple([((i,), 0.0) for i in range(n)] + edge),
                           max_dim=cap)
     dc = delaunay(cloud)
+    if dc.degenerate:  # stacklevel 3 names the caller of build_*
+        warnings.warn("cospherical points: the filtration may depend on the "
+                      "Delaunay tie-break", stacklevel=3)
     values, index = rule(dc, cap)
-    ids = np.empty(n, dtype=object)
-    ids[:] = range(n)
-    verts = []
-    for k in range(cap + 1):
-        verts.extend(map(tuple, ids[dc.faces(k)].tolist()))
-    order = np.argsort(values[index], kind="stable")
-    shared_values = np.array(values.tolist(), dtype=object)
-    entries = tuple(zip([verts[i] for i in order.tolist()],
-                        shared_values[index[order]].tolist()))
-    return Filtration(entries=entries, max_dim=cap)
+    faces = [dc.faces(k) for k in range(cap + 1)]
+    scales = values[index]
+    order = np.argsort(scales, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    split = np.cumsum([len(f) for f in faces[:-1]])
+    return Filtration._from_arrays(faces, np.split(position, split),
+                                   scales[order], cap)
 
 
 def _rips_scales(dc, cap):
@@ -183,9 +193,6 @@ def _alpha_scales(dc, cap):
     the values are scaled back, so extreme scales neither overflow nor
     underflow and ordinary ones give the same bits.
     """
-    if dc.degenerate:  # stacklevel 4 names the caller of build_alpha
-        warnings.warn("cospherical points: alpha values may depend on the "
-                      "Delaunay tie-break", stacklevel=4)
     d = dc.cloud.dim
     e = scale_exponent(dc.cloud.points)
     pts = np.ldexp(dc.cloud.as_array(), -e)

@@ -1,11 +1,16 @@
 """Z2 boundary matrices, column reduction, and persistence pairs.
 
-Columns are sparse sorted row-index lists; Z2 column addition is a
-symmetric difference that keeps them sorted, so the pivot (largest index)
-sits at the end of the list. ``reduce_standard`` is the textbook
-left-to-right reduction; ``reduce_twist`` processes dimensions from high to
-low and clears columns whose simplices are already known to be paired,
-which computes the same pairing faster on larger inputs.
+Columns are sparse sorted row-index tuples. ``boundary_matrix`` takes them
+from ``core.boundary_columns``, the one filtration check, which runs on the
+filtration's integer arrays, so a Delaunay-Rips or Alpha diagram never
+builds per-simplex vertex tuples. Z2 column addition is a symmetric
+difference that keeps a column sorted, so the pivot (largest index) sits
+at its end; the reduction works on the boundary tuples as they are and
+allocates a list only for a column that an addition changes.
+``reduce_standard`` is the textbook left-to-right reduction;
+``reduce_twist`` processes dimensions from high to low and clears columns
+whose simplices are already known to be paired, which computes the same
+pairing faster on larger inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import Filtration, PersistenceDiagram, boundary_columns
+from .core import (Filtration, PersistenceDiagram, _shared_floats,
+                   boundary_columns)
 
 
 class _SparseColumns:
@@ -54,18 +60,19 @@ def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
     The columns come from ``core.boundary_columns``, the one filtration
     check: UnsortedFiltration when the entries are out of canonical order
     (use ``sort_filtration``), InvalidFiltration on a duplicated simplex, a
-    missing face or a face that comes after its coface.
+    missing face or a face that comes after its coface. The scales share one
+    float object per value.
     """
-    entries = filt.entries
-    return BoundaryMatrix(columns=tuple(boundary_columns(entries)),
-                          dims=tuple(len(verts) - 1 for verts, _ in entries),
-                          scales=tuple(scale for _, scale in entries))
+    columns = boundary_columns(filt)
+    return BoundaryMatrix(columns=columns, dims=tuple(filt._dims().tolist()),
+                          scales=tuple(_shared_floats(filt._array_form()[2])))
 
 
-def _sym_diff(a: list, b) -> list:
-    """Z2 sum of two strictly increasing index lists: a copy of the longer
-    one, with each entry of the shorter deleted or inserted at its bisection
-    point (a column addition mostly pairs a long column with a short one)."""
+def _sym_diff(a, b) -> list:
+    """Z2 sum of two strictly increasing index sequences: a list copy of the
+    longer one, with each entry of the shorter deleted or inserted at its
+    bisection point (a column addition mostly pairs a long column with a
+    short one)."""
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -87,7 +94,7 @@ def _reduce(mat: BoundaryMatrix, order) -> ReducedMatrix:
     Left to right, column i was already reduced to zero and this changes
     nothing; in an order that reaches column i later, it is the clearing.
     """
-    cols = [list(c) for c in mat.columns]
+    cols = list(mat.columns)
     pivot_owner = {}
     lows = [None] * len(cols)
     for j in order:
@@ -102,9 +109,9 @@ def _reduce(mat: BoundaryMatrix, order) -> ReducedMatrix:
             i = col[-1]
             pivot_owner[i] = j
             lows[j] = i
-            cols[i] = []
-    return ReducedMatrix(columns=tuple(tuple(c) for c in cols),
-                         low=tuple(lows), dims=mat.dims, scales=mat.scales)
+            cols[i] = ()
+    return ReducedMatrix(columns=tuple(map(tuple, cols)), low=tuple(lows),
+                         dims=mat.dims, scales=mat.scales)
 
 
 def reduce_standard(mat: BoundaryMatrix) -> ReducedMatrix:

@@ -100,14 +100,21 @@ def persistence_image(pairs, grid: PIGrid) -> np.ndarray:
     ys = np.linspace(p0, p1, rows + 1)
     s = grid.sigma * math.sqrt(2.0)
     img = np.zeros((rows, cols))
-    for b, d in _finite(pairs):
-        pers = d - b
-        w = pers / p1
-        if w == 0.0:
-            continue
-        cx = 0.5 * (1.0 + np.array([math.erf((x - b) / s) for x in xs]))
-        cy = 0.5 * (1.0 + np.array([math.erf((y - pers) / s) for y in ys]))
-        img += w * np.outer(np.diff(cy), np.diff(cx))
+    finite = np.array(_finite(pairs), dtype=float).reshape(-1, 2)
+    births = finite[:, 0]
+    pers = finite[:, 1] - births
+    weights = pers / p1
+    kept = weights != 0.0
+    births, pers, weights = births[kept], pers[kept], weights[kept]
+    # Every erf argument of every pair, then one flat pass of math.erf.
+    args = np.concatenate([((xs - births[:, None]) / s).reshape(-1),
+                           ((ys - pers[:, None]) / s).reshape(-1)])
+    erf = np.array(list(map(math.erf, args.tolist())))
+    split = len(births) * (cols + 1)
+    dcx = np.diff(0.5 * (1.0 + erf[:split].reshape(-1, cols + 1)), axis=1)
+    dcy = np.diff(0.5 * (1.0 + erf[split:].reshape(-1, rows + 1)), axis=1)
+    for w, cy, cx in zip(weights.tolist(), dcy, dcx):
+        img += w * np.outer(cy, cx)
     return img.reshape(-1)
 
 

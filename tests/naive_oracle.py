@@ -8,7 +8,9 @@ oracle integrates by midpoint quadrature, the predicate oracles expand
 each determinant by cofactors in exact rational arithmetic, and the column
 addition oracle is a two-pointer merge. The face oracles enumerate vertex
 combinations into sets and dicts; the Alpha oracle keeps a dict of coface
-tuples over the package's triangulation, circumsphere and Gabriel test.
+tuples over the package's triangulation, circumsphere and Gabriel test. The
+filtration check is the dict of vertex tuples the package's array check
+replaced, and the persistence image is the per-pair ``math.erf`` loop.
 """
 
 import itertools
@@ -20,6 +22,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from delrips import delaunay
+from delrips.core import simplex_faces
+from delrips.errors import InvalidFiltration, UnsortedFiltration
 from delrips.filtration import _is_gabriel
 from delrips.geometry import circumsphere
 
@@ -372,3 +376,59 @@ def naive_alpha_entries(cloud, cap):
             entries.append((verts, 2.0 * r))
     entries.sort(key=lambda e: (e[1], len(e[0]), e[0]))
     return tuple(entries)
+
+
+def persistence_image_loop(pairs, grid):
+    """Persistence image by one pair at a time, two list comprehensions of
+    ``math.erf`` each, summed in pair order."""
+    rows, cols = grid.resolution
+    b0, b1 = grid.birth_range
+    p0, p1 = grid.persistence_range
+    xs = np.linspace(b0, b1, cols + 1)
+    ys = np.linspace(p0, p1, rows + 1)
+    s = grid.sigma * math.sqrt(2.0)
+    img = np.zeros((rows, cols))
+    for b, d in pairs:
+        if not math.isfinite(d):
+            continue
+        pers = d - b
+        w = pers / p1
+        if w == 0.0:
+            continue
+        cx = 0.5 * (1.0 + np.array([math.erf((x - b) / s) for x in xs]))
+        cy = 0.5 * (1.0 + np.array([math.erf((y - pers) / s) for y in ys]))
+        img += w * np.outer(np.diff(cy), np.diff(cx))
+    return img.reshape(-1)
+
+
+def boundary_columns(entries):
+    """Each entry's sorted face indices by a dict from vertex tuples to
+    positions, with the package's error types and messages: for the first
+    offending entry UnsortedFiltration or "listed twice", then "is missing"
+    or "appears after" for the first offending face."""
+    index = {}
+    prev = ()
+    for j, entry in enumerate(entries):
+        if entry[0] in index:
+            raise InvalidFiltration(f"simplex {entry[0]} listed twice")
+        key = (entry[1], len(entry[0]), entry[0])
+        if key < prev:
+            raise UnsortedFiltration(
+                f"{entry[0]} is out of order (use sort_filtration)")
+        index[entry[0]] = j
+        prev = key
+    columns = []
+    for j, (verts, scale) in enumerate(entries):
+        col = []
+        for face in simplex_faces(verts):
+            i = index.get(face)
+            if i is None:
+                raise InvalidFiltration(f"face {face} of {verts} is missing")
+            if i > j:
+                raise InvalidFiltration(
+                    f"face {face} (scale {entries[i][1]}) appears after "
+                    f"coface {verts} (scale {scale})")
+            col.append(i)
+        col.sort()
+        columns.append(tuple(col))
+    return columns

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,29 @@ def test_exit_codes(tmp_path, capsys):
     pts = tmp_path / "ok.csv"
     pts.write_text("0,0\n1,0\n0,1\n")
     assert main(["pd", "--method", "dr", "--maxdim", "5", str(pts)]) == 2
+
+
+def test_pd_duplicate_pair_is_compute_error(tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    path.write_text("0,0\n0,0\n")
+    for method in ("dr", "alpha"):
+        assert main(["pd", "--method", method, "--maxdim", "0", str(path)]) == 3
+        assert "points 0 and 1 coincide" in capsys.readouterr().err
+    assert main(["pd", "--method", "rips", "--maxdim", "0", str(path)]) == 0
+
+
+def test_pd_dr_tie_break_warns_and_writes_files(tmp_path):
+    # A fresh interpreter, so the warning reaches stderr as a user sees it.
+    path = tmp_path / "square.csv"
+    path.write_text("0,0\n1,0\n0,1\n1,1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-m", "delrips", "pd", "--method",
+                          "dr", "--maxdim", "1", str(path)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0
+    assert "UserWarning: cospherical points" in run.stderr
+    assert (tmp_path / "square_h0.csv").read_text() == "0,0,1\n" * 3 + "0,0,inf\n"
+    assert (tmp_path / "square_h1.csv").read_text() == "1,1,1.4142135624\n"
 
 
 @pytest.mark.parametrize("argv", [

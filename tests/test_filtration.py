@@ -12,7 +12,7 @@ from delrips import (FiltrationSpec, PointCloud, ShapeClass, add_noise,
                      compute_diagram, delaunay, near_cocircular_quad,
                      sample_shape, sort_filtration)
 from delrips.core import pairwise_distances
-from delrips.errors import DelripsError, ValidationError
+from delrips.errors import DelripsError, DuplicatePoints, ValidationError
 from naive_oracle import naive_alpha_entries
 from test_delaunay_golden import CORPUS, _jittered_grid, _uniform
 
@@ -106,7 +106,8 @@ class TestDelaunayRips:
         pc = PointCloud.from_points([(0, 0), (2, 0), (2, 1), (0, 1)])
         with pytest.warns(UserWarning):
             filt = build_alpha(pc, spec("alpha"))  # degeneracy warns
-        filt = build_delaunay_rips(pc, spec("delaunay_rips"))
+        with pytest.warns(UserWarning):
+            filt = build_delaunay_rips(pc, spec("delaunay_rips"))
         diag = compute_diagram(filt)
         nonzero = [p for p in diag.pairs(1) if p[0] != p[1]]
         assert nonzero == [(2.0, pytest.approx(math.sqrt(5)))]
@@ -118,6 +119,23 @@ class TestDelaunayRips:
         two = build_delaunay_rips(PointCloud.from_points([(0, 0), (0, 3)]),
                                   spec("delaunay_rips"))
         assert two.entries == (((0,), 0.0), ((1,), 0.0), ((0, 1), 3.0))
+
+    @pytest.mark.parametrize("build", [build_delaunay_rips, build_alpha])
+    def test_two_coincident_points_raise(self, build):
+        pc = PointCloud.from_points([(0, 0), (0, 0)])
+        method = "alpha" if build is build_alpha else "delaunay_rips"
+        with pytest.raises(DuplicatePoints, match="points 0 and 1 coincide"):
+            build(pc, spec(method))
+        assert build_rips(pc, spec("rips")).entries[-1] == ((0, 1), 0.0)
+
+    def test_tie_break_warns_at_the_caller(self):
+        square = PointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+        with pytest.warns(UserWarning, match="cospherical points") as record:
+            build_delaunay_rips(square, spec("delaunay_rips"))
+        assert record[0].filename == __file__
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_delaunay_rips(near_cocircular_quad(0.1), spec("delaunay_rips"))
 
     def test_scale_is_max_edge_scale(self, rng):
         for _ in range(5):
@@ -168,6 +186,7 @@ BIT_IDENTITY_CLOUDS = {
 }
 
 
+@pytest.mark.filterwarnings("ignore:cospherical points")  # integer grids
 @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_CLOUDS))
 def test_dr_scales_bit_identical_to_dense_matrix(name):
     # Delaunay-Rips computes edge lengths itself; they must equal the Rips

@@ -1,14 +1,17 @@
 import math
+import re
 
 import pytest
 
 from conftest import random_cloud
 from delrips import (Filtration, FiltrationSpec, PointCloud, boundary_matrix,
-                     build_delaunay_rips, build_rips, compute_diagram,
+                     build, build_delaunay_rips, build_rips, compute_diagram,
                      extract_pairs, near_cocircular_quad, persistent_betti,
                      reduce_standard, reduce_twist, sort_filtration)
 from delrips.core import PersistenceDiagram
-from delrips.errors import InvalidFiltration, UnsortedFiltration
+from delrips.errors import (InvalidFiltration, UnsortedFiltration,
+                            ValidationError)
+from naive_oracle import boundary_columns as naive_boundary_columns
 from naive_oracle import naive_vr_diagram
 
 SQ3 = math.sqrt(3.0)
@@ -211,3 +214,66 @@ def test_dimension_cap_suppresses_top_births(rng):
     filt = build_rips(pc, FiltrationSpec(method="rips", max_hom_dim=0))
     diag = compute_diagram(filt)
     assert diag.dims() == (0,)
+
+
+def test_boundary_matrix_shares_int_and_float_objects(rng):
+    cloud = random_cloud(rng, 300, dim=3)
+    mat = boundary_matrix(build_delaunay_rips(cloud, FiltrationSpec(max_hom_dim=2)))
+    rows = [i for col in mat.columns for i in col]
+    assert len({id(i) for i in rows}) == len(set(rows))
+    assert len({id(s) for s in mat.scales}) == len(set(mat.scales))
+
+
+@pytest.mark.parametrize("method", ["delaunay_rips", "alpha"])
+def test_diagram_of_delaunay_filtration_builds_no_entries(method, rng,
+                                                          monkeypatch):
+    def fail(self):
+        pytest.fail("entries were built")
+
+    cloud = random_cloud(rng, 60, dim=3)
+    filt = build(cloud, FiltrationSpec(method=method, max_hom_dim=2))
+    monkeypatch.setattr(Filtration, "entries", property(fail))
+    assert len(filt) > 60
+    diag = compute_diagram(filt)
+    monkeypatch.undo()
+    assert diag == compute_diagram(Filtration(entries=filt.entries,
+                                              max_dim=filt.max_dim))
+
+
+@pytest.mark.parametrize("vertex", [2 ** 63, -2 ** 63 - 1, 1.5, "a"])
+@pytest.mark.parametrize("entry", [boundary_matrix, sort_filtration])
+def test_vertex_ids_must_fit_int64(entry, vertex):
+    filt = Filtration(entries=(((vertex,), 0.0),), max_dim=0)
+    with pytest.raises(ValidationError, match="fit in int64"):
+        entry(filt)
+
+
+def test_extreme_int64_vertex_ids_match_reference():
+    lo, hi = -2 ** 63, 2 ** 63 - 1
+    entries = sorted([((lo,), 0.0), ((-5,), 0.0), ((hi,), 0.0), ((7,), 0.0),
+                      ((lo, -5), 1.0), ((lo, hi), 1.0), ((-5, hi), 1.0),
+                      ((lo, -5, hi), 2.0), ((hi, 7), 3.0)],
+                     key=lambda e: (e[1], len(e[0]), e[0]))
+    mat = boundary_matrix(Filtration(entries=entries, max_dim=2))
+    assert mat.columns == tuple(naive_boundary_columns(entries))
+    with pytest.raises(InvalidFiltration, match=f"face \\({lo},\\) of"):
+        boundary_matrix(Filtration(entries=entries[1:], max_dim=2))
+
+
+@pytest.mark.parametrize("entries", [
+    (((0,), 0.0), ((1, 2), 1.0)),  # two faces missing: the reference's first
+    (((0,), 0.0), ((1,), 0.0), ((0,), 0.0)),  # repeated and out of order
+    (((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 1, 2), 1.0),
+     ((0, 2), 2.0), ((1, 2), 2.0)),  # two faces after their coface
+])
+def test_error_names_the_reference_entry_and_face(entries):
+    with pytest.raises(ValidationError) as want:
+        naive_boundary_columns(entries)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        boundary_matrix(Filtration(entries=entries, max_dim=2))
+
+
+def test_empty_simplex_is_rejected():
+    filt = Filtration(entries=(((0,), 0.0), ((), 0.0)), max_dim=0)
+    with pytest.raises(ValidationError, match="at least one vertex"):
+        boundary_matrix(filt)

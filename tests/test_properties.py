@@ -2,13 +2,18 @@
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delrips import (FiltrationSpec, PointCloud, bottleneck, build_rips,
-                     delay_embed, persistent_entropy, sort_filtration)
+from delrips import (Filtration, FiltrationSpec, PointCloud, bottleneck, build,
+                     build_rips, delay_embed, persistent_entropy,
+                     sort_filtration)
+from delrips.core import boundary_columns
+from delrips.errors import ValidationError
 from delrips.fileio import fmt_float
 from delrips.persistence import _sym_diff
+from naive_oracle import boundary_columns as naive_boundary_columns
 from naive_oracle import brute_bottleneck, merge_sym_diff
 
 index_lists = st.lists(st.integers(0, 40), max_size=12).map(
@@ -102,3 +107,46 @@ def test_rips_output_is_canonically_sorted(pts):
     cloud = PointCloud.from_points(pts)
     filt = build_rips(cloud, FiltrationSpec(method="rips", max_hom_dim=1))
     assert sort_filtration(filt) == filt
+
+
+def _outcome(check, filt_or_entries):
+    """What a filtration check returns, or the (type, message) it raises."""
+    try:
+        return check(filt_or_entries)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _corrupt(entries, how, rng):
+    """A copy of canonically sorted entries broken in one way."""
+    out = list(entries)
+    i, j = sorted(rng.choice(len(out), size=2, replace=False).tolist())
+    if how == "swap":
+        out[i], out[j] = out[j], out[i]
+    elif how == "duplicate":
+        out.insert(j, out[i])
+    elif how == "drop":
+        del out[i]
+    else:  # raise a face above its cofaces, then sort again
+        out[i] = (out[i][0], out[-1][1] + 1.0)
+        out.sort(key=lambda e: (e[1], len(e[0]), e[0]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
+       st.sampled_from(["rips", "delaunay_rips", "alpha"]), st.data())
+def test_array_check_equals_dict_reference(seed, dim, method, data):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(dim + 2, 9 if method == "rips" else 30))
+    cloud = PointCloud.from_points(rng.uniform(-1.0, 1.0, (n, dim)))
+    maxdim = data.draw(st.integers(0, dim - 1), label="max_hom_dim")
+    filt = build(cloud, FiltrationSpec(method=method, max_hom_dim=maxdim))
+    assert boundary_columns(filt) == tuple(naive_boundary_columns(filt.entries))
+    how = data.draw(st.sampled_from(["swap", "duplicate", "drop", "raise"]),
+                    label="corruption")
+    broken = _corrupt(filt.entries, how, rng)
+    got = _outcome(boundary_columns, Filtration(entries=broken,
+                                                max_dim=filt.max_dim))
+    want = _outcome(lambda e: tuple(naive_boundary_columns(e)), broken)
+    assert got == want

@@ -9,7 +9,7 @@ from delrips import (FiltrationSpec, build_delaunay_rips, compute_diagram,
                      stats_feature_vector)
 from delrips.errors import AllEmpty, SeriesTooShort, ValidationError
 from delrips.vectorize import PIGrid, stats_header
-from naive_oracle import quadrature_pi
+from naive_oracle import persistence_image_loop, quadrature_pi
 
 
 class TestGrid:
@@ -197,3 +197,17 @@ class TestDelayEmbed:
             delay_embed([1, 2, 3], embed_dim=3, tau=5)
         with pytest.raises(ValidationError):
             delay_embed(list(range(30)), embed_dim=4, tau=1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_persistence_image_bit_identical_to_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 300))
+    births = rng.uniform(-1.0, 2.0, n)
+    pers = rng.exponential(0.5, n) * (rng.random(n) > 0.2)  # some zero pairs
+    pairs = list(zip(births.tolist(), (births + pers).tolist()))
+    pairs += [(0.0, math.inf)] + [(1.0, 2.5)]
+    resolution = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+    grid = fit_pi_grid([pairs], resolution)
+    assert (persistence_image(pairs, grid).tobytes()
+            == persistence_image_loop(pairs, grid).tobytes())
