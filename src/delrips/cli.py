@@ -16,6 +16,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .core import PersistenceDiagram
 from .datagen import SHAPE_KINDS, ShapeClass, add_noise, near_cocircular_quad, sample_shape
+from .delaunay import delaunay
 from .errors import (DelripsError, InfiniteDistance, InputFormatError,
                      ValidationError)
 from .fileio import (DEFAULT_PRECISION, fmt_float, read_diagram,
@@ -233,13 +234,14 @@ def cmd_demo_instability(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     spec = FiltrationSpec(method="delaunay_rips", max_hom_dim=1)
     diags = {}
+    print("x-grid:", ", ".join(f"{x:+g}" for x in xs))
     for x in xs:
         cloud = near_cocircular_quad(x)
+        print(f"x={x:+g}: delaunay degenerate={delaunay(cloud).degenerate}")
         diags[x] = compute_diagram(build(cloud, spec))
         for p in (0, 1):
             _write_dimension(outdir / f"x{x:+.4f}_h{p}.csv", diags[x], p, args)
     report = ["pair,same_triangulation,h1_bottleneck"]
-    print("x-grid:", ", ".join(f"{x:+g}" for x in xs))
     for a, b in zip(xs, xs[1:]):
         ca, cb = near_cocircular_quad(a), near_cocircular_quad(b)
         eps = 1.01 * max(hausdorff_distance(ca, cb), 1e-12)

@@ -118,9 +118,13 @@ def add_noise(cloud: PointCloud, nu: float, seed: int) -> PointCloud:
 def near_cocircular_quad(x: float) -> PointCloud:
     """Three fixed points on the unit circle plus a fourth at (1 - x, 0).
 
-    At x = 0 all four points are cocircular and the Delaunay triangulation is
-    ambiguous; for 0 < x < 2 - sqrt(3) the fourth point sits inside the
-    circle and the triangulation pairs it with the two off-axis points.
+    The off-axis points are (0.5, +-s) with s = fl(sqrt(3)/2), whose square
+    is just below 3/4, so at x = 0 the four points are not exactly
+    cocircular: (1, 0) lies just outside the circle through the other three,
+    and the exact predicates triangulate x = 0 as they do x < 0, with no
+    tie (``delaunay(...).degenerate`` is False). For 0 < x < 2 - sqrt(3) the
+    fourth point sits inside the circle and the triangulation pairs it with
+    the two off-axis points.
     """
     if x >= 2.0 - math.sqrt(3.0):
         raise ValidationError(

@@ -12,7 +12,11 @@ rules, built and ordered by one function, ``_delaunay_filtration``, which
 returns the filtration in its integer-array form (the ``dc.faces(k)`` arrays
 and each row's position in filtration order) without building per-simplex
 tuples, and warns when the triangulation's cospherical tie-break decided
-the complex.
+the complex. Alpha makes its geometric decisions on the same exact
+predicates as the triangulation: whether a face is attached is one exact
+sign per coface, and each circumdiameter is a closed form certified
+against its rounding error or else evaluated exactly, so Alpha accepts
+every cloud that ``delaunay`` accepts.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .core import (Filtration, PointCloud, _sort_key, distances,
                    pairwise_distances)
 from .delaunay import delaunay, facet_incidence, scale_exponent
 from .errors import DuplicatePoints, ValidationError
-from .geometry import circumsphere
+from .predicates import circumdiameters, diametral_signs
 
 _METHODS = ("rips", "delaunay_rips", "alpha")
 
@@ -166,50 +170,36 @@ def build_delaunay_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     return _delaunay_filtration(cloud, spec, _rips_scales)
 
 
-def _is_gabriel(pts: np.ndarray, verts, center) -> bool:
-    """Is the smallest circumball of the simplex empty of other points?
-
-    The squared radius is taken from the simplex's own vertices with the same
-    arithmetic as the point distances, so a point exactly on the sphere (the
-    tie case) is reliably classified as outside.
-    """
-    diff = pts - center
-    sq = np.sum(diff * diff, axis=1)
-    sq_r = float(np.max(sq[list(verts)]))
-    inside = sq < sq_r
-    inside[list(verts)] = False
-    return not bool(inside.any())
-
-
 def _alpha_scales(dc, cap):
     """Alpha rule: circumdiameters, clamped to the cofaces top-down.
 
     Top simplices take their circumdiameter. Below, a face's coface minimum
-    comes from ``facet_incidence`` of the dimension above; a face that
-    passes the Gabriel test (no other point strictly inside its smallest
-    circumball) takes its circumdiameter capped at that minimum (rounding
-    can put it above), any other face the minimum. The geometry runs on the
-    points scaled by the exact power of two ``scale_exponent`` gives, and
-    the values are scaled back, so extreme scales neither overflow nor
-    underflow and ordinary ones give the same bits.
+    comes from ``facet_incidence`` of the dimension above. A face is
+    attached when the vertex opposite it in one of those cofaces lies
+    strictly inside its smallest circumball (Edelsbrunner and Muecke,
+    "Three-dimensional alpha shapes", 1994), one exact ``diametral_signs``
+    test per incidence. An attached face takes the coface minimum, any other
+    face its circumdiameter capped at that minimum (rounding can put it
+    above). Edges take their ``distances`` length, triangles and tetrahedra
+    their ``circumdiameters``. All of it runs on the points scaled by the
+    exact power of two ``scale_exponent`` gives, and the values are scaled
+    back, so extreme scales neither overflow nor underflow and ordinary ones
+    give the same bits.
     """
     d = dc.cloud.dim
     e = scale_exponent(dc.cloud.points)
     pts = np.ldexp(dc.cloud.as_array(), -e)
-    radius = [np.zeros(len(dc.faces(0)))] + [None] * d
-    radius[d] = np.array([circumsphere(pts[verts])[1]
-                          for verts in dc.faces(d).tolist()])
+    edges = pts[dc.faces(1)]
+    value = [np.zeros(len(dc.faces(0))), distances(edges[:, 0], edges[:, 1])]
+    value += [circumdiameters(pts[dc.faces(k)]) for k in range(2, d + 1)]
     for k in range(d - 1, 0, -1):
-        faces = dc.faces(k)
-        _, facet_row, owner, _ = facet_incidence(dc.faces(k + 1))
-        low = np.full(len(faces), np.inf)
-        np.minimum.at(low, facet_row, radius[k + 1][owner])
-        for i, verts in enumerate(faces.tolist()):
-            center, r = circumsphere(pts[verts])
-            if _is_gabriel(pts, verts, np.asarray(center)):
-                low[i] = min(r, low[i])
-        radius[k] = low
-    values = np.ldexp(2.0 * np.concatenate(radius[:cap + 1]), e)
+        _, facet_row, owner, opposite = facet_incidence(dc.faces(k + 1))
+        low = np.full(len(value[k]), np.inf)
+        np.minimum.at(low, facet_row, value[k + 1][owner])
+        inside = diametral_signs(pts[dc.faces(k)[facet_row]], pts[opposite]) > 0
+        attached = np.bincount(facet_row[inside], minlength=len(low)) > 0
+        value[k] = np.where(attached, low, np.minimum(value[k], low))
+    values = np.ldexp(np.concatenate(value[:cap + 1]), e)
     return values, np.arange(len(values))
 
 

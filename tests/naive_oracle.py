@@ -7,8 +7,10 @@ bipartite matching on the standard diagonal-copy reduction, the image
 oracle integrates by midpoint quadrature, the predicate oracles expand
 each determinant by cofactors in exact rational arithmetic, and the column
 addition oracle is a two-pointer merge. The face oracles enumerate vertex
-combinations into sets and dicts; the Alpha oracle keeps a dict of coface
-tuples over the package's triangulation, circumsphere and Gabriel test. The
+combinations into sets and dicts; the Alpha oracle takes the package's
+triangulation and nothing else from it: circumdiameters in exact integer
+arithmetic, a Gabriel test against all points (a k-d tree picks the
+candidates, each decided exactly) and a dict of coface tuples. The
 filtration check is the dict of vertex tuples the package's array check
 replaced, and the persistence image is the per-pair ``math.erf`` loop.
 """
@@ -20,12 +22,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.spatial import cKDTree
 
 from delrips import delaunay
 from delrips.core import simplex_faces
 from delrips.errors import InvalidFiltration, UnsortedFiltration
-from delrips.filtration import _is_gabriel
-from delrips.geometry import circumsphere
 
 
 def naive_vr_diagram(points, max_hom_dim):
@@ -323,6 +324,31 @@ def exact_insphere(a, b, c, d, e):
     return _sign(_det4(_rows((a, b, c, d), e, True)))
 
 
+def exact_in_diametral_ball(face, q):
+    """+1 when q lies strictly inside the smallest circumball of ``face``
+    (an edge, or a non-degenerate triangle in R^3), 0 on its sphere, -1
+    outside, in Fractions. The center is the edge's midpoint, or the point
+    a + o of the triangle's plane with 2 u.o = |u|^2, 2 v.o = |v|^2 and
+    (u x v).o = 0 for u = b - a and v = c - a, by Cramer's rule."""
+    pts = [[Fraction(x) for x in p] for p in face]
+    if len(pts) == 2:
+        center = [(x + y) / 2 for x, y in zip(*pts)]
+    else:
+        a, b, c = pts
+        u = [y - x for x, y in zip(a, b)]
+        v = [y - x for x, y in zip(a, c)]
+        normal = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                  u[0] * v[1] - u[1] * v[0]]
+        rows = [[2 * x for x in u], [2 * x for x in v], normal]
+        rhs = [sum(x * x for x in u), sum(x * x for x in v), 0]
+        det = _det3(rows)
+        center = [x + _det3([row[:i] + [r] + row[i + 1:]
+                             for row, r in zip(rows, rhs)]) / det
+                  for i, x in enumerate(a)]
+    r2 = sum((x - y) ** 2 for x, y in zip(pts[0], center))
+    return _sign(r2 - sum((Fraction(x) - y) ** 2 for x, y in zip(q, center)))
+
+
 def closure_of(top_simplices):
     """All non-empty faces of the given simplices, as a set of tuples."""
     out = set()
@@ -346,36 +372,133 @@ def shared_facets(simplices):
             for a, b in zip(holders[facet], holders[facet][1:])]
 
 
-def naive_alpha_entries(cloud, cap):
-    """Alpha filtration entries up to dimension ``cap`` (diameter
-    convention), canonically sorted: radii top-down over a dict of coface
-    tuples, a Gabriel face at its circumradius capped at the coface
-    minimum, any other face at that minimum."""
+def _integer_points(points):
+    """The points' coordinates times one common power of two 2**shift that
+    makes them all integers, as tuples of ints; and shift."""
+    fracs = [[Fraction(float(x)) for x in p] for p in points]
+    shift = max(x.denominator for p in fracs for x in p).bit_length() - 1
+    return [tuple(int(x * 2 ** shift) for x in p) for p in fracs], shift
+
+
+def _dot(x, y):
+    return sum(s * t for s, t in zip(x, y))
+
+
+def exact_circumball(points):
+    """The smallest circumball of affinely independent integer points P0, ...,
+    Pk as (m, g): its center is P0 + m / (2g) for the int vector m and the
+    int g > 0, so its squared diameter is |m|^2 / g^2. With v_i = Pi - P0,
+    g is the Gram determinant det(v_i . v_j) and m = sum_i y_i v_i for
+    y = adj(G) (|v_i|^2), by Cramer's rule."""
+    p0 = points[0]
+    vs = [tuple(a - b for a, b in zip(p, p0)) for p in points[1:]]
+    gram = [[_dot(x, y) for y in vs] for x in vs]
+    lifts = [_dot(x, x) for x in vs]
+    k = len(vs)
+    if k == 1:
+        adj = [[1]]
+        g = gram[0][0]
+    elif k == 2:
+        (a, b), (c, d) = gram
+        adj = [[d, -b], [-c, a]]
+        g = a * d - b * c
+    else:
+        adj = [[gram[(j + 1) % 3][(i + 1) % 3] * gram[(j + 2) % 3][(i + 2) % 3]
+                - gram[(j + 1) % 3][(i + 2) % 3] * gram[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        g = sum(gram[0][j] * adj[j][0] for j in range(3))
+    y = [sum(adj[i][j] * lifts[j] for j in range(k)) for i in range(k)]
+    m = tuple(sum(y[i] * vs[i][c] for i in range(k)) for c in range(len(p0)))
+    return m, g
+
+
+def _ratio(num, den, shift):
+    """num / (den * 2**shift), correctly rounded, for ints num and den."""
+    return num / (den << shift) if shift >= 0 else (num << -shift) / den
+
+
+def exact_alpha(cloud):
+    """Exact Alpha data of every Delaunay face of dimension >= 1, from
+    integer arithmetic and a Gabriel scan over all points: a dict from
+    vertex tuples to (value, own, gabriel), with value and own the squared
+    Alpha value and the squared circumdiameter as Fractions (diameter
+    convention). A face is Gabriel when no other point lies strictly inside
+    its smallest circumball; top simplices and Gabriel faces take their own
+    value, any other face the minimum of its cofaces' values.
+
+    A k-d tree over all points, in coordinates scaled by a power of two,
+    picks the candidates: every point within a relative 1e-6 of the ball,
+    plus a margin for the rounded center. Each candidate is then tested
+    exactly."""
     dc = delaunay(cloud)
-    pts = cloud.as_array()
     d = cloud.dim
-    by_dim = {k: dc.simplices_of_dim(k) for k in range(d + 1)}
+    ints, shift = _integer_points(cloud.points)
+    raw = cloud.as_array()
+    exponent = math.frexp(float(np.abs(raw).max()))[1]
+    pts = np.ldexp(raw, -exponent)  # == ints / 2**(shift + exponent)
+    faces = [verts for k in range(1, d + 1) for verts in dc.simplices_of_dim(k)]
+    balls = [exact_circumball([ints[v] for v in verts]) for verts in faces]
+    offsets = np.array([[_ratio(x, 2 * g, shift + exponent) for x in m]
+                        for m, g in balls])
+    centers = pts[[verts[0] for verts in faces]] + offsets
+    radii = np.sqrt((offsets ** 2).sum(axis=1))
+    near = cKDTree(pts).query_ball_point(
+        centers, radii * (1 + 1e-6) + 1e-14 * (1 + np.abs(centers).max(axis=1)))
     cofaces = {}
-    for k in range(1, d + 1):
-        for verts in by_dim[k]:
-            for i in range(len(verts)):
-                face = verts[:i] + verts[i + 1:]
-                cofaces.setdefault(face, []).append(verts)
-    radius = {}
-    for k in range(d, 0, -1):
-        for verts in by_dim[k]:
-            center, r = circumsphere([pts[v] for v in verts])
-            if k < d:
-                low = min(radius[cf] for cf in cofaces[verts])
-                gabriel = _is_gabriel(pts, verts, np.asarray(center))
-                r = min(r, low) if gabriel else low
-            radius[verts] = r
-    entries = [((i,), 0.0) for i in range(len(cloud))]
-    for verts, r in radius.items():
-        if len(verts) - 1 <= cap:
-            entries.append((verts, 2.0 * r))
-    entries.sort(key=lambda e: (e[1], len(e[0]), e[0]))
-    return tuple(entries)
+    for verts in faces:
+        for i in range(len(verts) if len(verts) > 2 else 0):
+            cofaces.setdefault(verts[:i] + verts[i + 1:], []).append(verts)
+    out = {}
+    for verts, (m, g), candidates in reversed(list(zip(faces, balls, near))):
+        p0 = ints[verts[0]]
+        gabriel = True
+        for q in set(candidates) - set(verts):
+            w = tuple(a - b for a, b in zip(ints[q], p0))
+            if _dot(w, w) * g < _dot(w, m):
+                gabriel = False
+                break
+        own = Fraction(_dot(m, m), g * g << 2 * shift)
+        value = own
+        if verts in cofaces and not gabriel:
+            value = min(out[cf][0] for cf in cofaces[verts])
+        out[verts] = (value, own, gabriel)
+    return out
+
+
+def alpha_disagreements(entries, exact, rel=1e-12):
+    """The faces of Alpha filtration ``entries`` that disagree with
+    ``exact_alpha``, as (vertices, reason) pairs: a face set other than the
+    Delaunay faces up to the top dimension of the entries, a value more
+    than ``rel`` (relative) from the exact one, a Gabriel face more than
+    ``rel`` from its own circumdiameter, or a face of dimension >= 1 above
+    its cofaces' minimum in the entries or, when not Gabriel, not equal to
+    it."""
+    scale = dict(entries)
+    top = max(len(verts) for verts in scale)
+    lo, hi = (1 - rel) ** 2, (1 + rel) ** 2
+    bad = [(verts, "not a Delaunay face") for verts in scale
+           if len(verts) > 1 and verts not in exact]
+    bad += [(verts, "missing") for verts in exact
+            if len(verts) <= top and verts not in scale]
+    cofaces = {}
+    for verts in scale:
+        for i in range(len(verts) if len(verts) > 2 else 0):
+            cofaces.setdefault(verts[:i] + verts[i + 1:], []).append(verts)
+    for verts, s in scale.items():
+        if len(verts) == 1:
+            bad += [(verts, "vertex not at 0")] if s != 0.0 else []
+        if verts not in exact:
+            continue
+        value, own, gabriel = exact[verts]
+        if not lo <= float(Fraction(s) ** 2 / value) <= hi:
+            bad.append((verts, "value"))
+        if gabriel and not lo <= float(Fraction(s) ** 2 / own) <= hi:
+            bad.append((verts, "Gabriel face not at its circumdiameter"))
+        if verts in cofaces:
+            low = min(scale[cf] for cf in cofaces[verts])
+            if s > low or (not gabriel and s != low):
+                bad.append((verts, "coface minimum"))
+    return bad
 
 
 def persistence_image_loop(pairs, grid):

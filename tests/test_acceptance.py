@@ -7,12 +7,13 @@ only, with timed-out cells recorded at the cap.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_cloud
-from delrips import (FiltrationSpec, bottleneck, boundary_matrix,
+from delrips import (FiltrationSpec, PointCloud, bottleneck, boundary_matrix,
                      build_alpha, build_delaunay_rips, build_rips,
                      compute_diagram, delaunay, epsilon_perturb,
                      hausdorff_distance, near_cocircular_quad,
@@ -24,6 +25,7 @@ from delrips.datagen import ShapeClass
 from delrips.errors import EpsilonTooLarge
 from delrips.persistence import _sym_diff, extract_pairs
 from delrips.vectorize import fit_pi_grid
+from families import jittered_grid_member, near_planar_member
 from naive_oracle import brute_bottleneck, naive_vr_diagram
 
 SQ3 = math.sqrt(3.0)
@@ -173,19 +175,28 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_final_complex_identity():
     rng = np.random.default_rng(24680)
-    ok = True
+    clouds = []
     for trial in range(100):
         dim = 2 if trial % 2 == 0 else 3
         n = int(rng.integers(dim + 2, 41))
-        cloud = random_cloud(rng, n, dim=dim)
-        spec = FiltrationSpec(max_hom_dim=dim - 1)
-        dr = build_delaunay_rips(cloud, spec)
-        al = build_alpha(cloud, FiltrationSpec(method="alpha",
-                                               max_hom_dim=dim - 1))
-        dc = delaunay(cloud)
-        ok &= dr.simplex_set() == al.simplex_set() == dc.all_simplices
+        clouds.append(random_cloud(rng, n, dim=dim))
+    clouds += [PointCloud.from_points(jittered_grid_member(dim, seed))
+               for seed in range(0, 150, 10) for dim in (2, 3)]
+    clouds += [PointCloud.from_points(near_planar_member(seed))
+               for seed in range(0, 50, 5)]
+    ok = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # cospherical grids
+        for cloud in clouds:
+            dim = cloud.dim
+            dr = build_delaunay_rips(cloud, FiltrationSpec(max_hom_dim=dim - 1))
+            al = build_alpha(cloud, FiltrationSpec(method="alpha",
+                                                   max_hom_dim=dim - 1))
+            dc = delaunay(cloud)
+            ok &= dr.simplex_set() == al.simplex_set() == dc.all_simplices
     report(6, ok, "final Delaunay-Rips and Alpha complexes equal the "
-                  "Delaunay closure on 100 random clouds (2D and 3D)")
+                  "Delaunay closure on 100 random clouds (2D and 3D), 30 "
+                  "jittered grids and 10 near-planar clouds")
 
 
 def test_criterion_7_size_separation_and_runtime():

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from delrips import (FiltrationSpec, PointCloud, build_delaunay_rips,
-                     compute_diagram, hausdorff_distance, near_cocircular_quad)
+                     compute_diagram, delaunay, hausdorff_distance,
+                     near_cocircular_quad)
 from delrips.cli import main
 from delrips.fileio import (read_diagram, read_point_cloud, write_diagram,
                             write_point_cloud)
 from delrips import bottleneck
+from families import jittered_grid_member, near_planar_member
 
 
 def quad_file(tmp_path, x=0.1, name="quad.csv"):
@@ -172,6 +174,17 @@ def test_demo_instability(tmp_path, capsys):
     assert (out / "x+0.0100_h1.csv").exists()
 
 
+def test_demo_instability_prints_the_tie_break_flag(tmp_path, capsys):
+    # fl(sqrt(3)/2) keeps the quad at x = 0 off the circle, so the exact
+    # predicates see no tie there either.
+    assert main(["demo-instability", "--x-values=-0.05,0.0,0.02",
+                 "-o", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for x in ("-0.05", "+0", "+0.02"):
+        assert f"x={x}: delaunay degenerate=False" in printed
+    assert not delaunay(near_cocircular_quad(0.0)).degenerate
+
+
 def test_demo_instability_rejects_large_x(capsys):
     assert main(["demo-instability", "--x-values", "0.3"]) == 2
 
@@ -277,6 +290,23 @@ def test_hausdorff_at_extreme_scales(tmp_path, capsys, scale):
     got = float(capsys.readouterr().out.strip())
     assert got > 0.0
     assert got == pytest.approx(scale * hausdorff_distance(*clouds), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("pts", [jittered_grid_member(2, 24),
+                                 jittered_grid_member(3, 45),
+                                 near_planar_member(16)],
+                         ids=["jittered-grid-r2", "jittered-grid-r3",
+                              "near-planar"])
+def test_pd_alpha_on_regression_families(tmp_path, pts):
+    # These clouds made Alpha raise DegenerateSimplex (exit 3), though
+    # delaunay() accepts them.
+    path = tmp_path / "cloud.json"
+    write_point_cloud(path, PointCloud.from_points(pts))
+    maxdim = pts.shape[1] - 1
+    assert main(["pd", "--method", "alpha", "--maxdim", str(maxdim),
+                 str(path)]) == 0
+    assert len(read_diagram(tmp_path / "cloud_h0.csv").pairs(0)) == len(pts)
+    assert (tmp_path / f"cloud_h{maxdim}.csv").exists()
 
 
 def test_pd_alpha_at_huge_scale(tmp_path):

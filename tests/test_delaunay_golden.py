@@ -13,21 +13,15 @@ import hashlib
 import importlib
 import math
 
-import numpy as np
 import pytest
 import scipy.spatial
 
 from delrips import PointCloud, ShapeClass, add_noise, delaunay, sample_shape
 from delrips import predicates
 from delrips.delaunay import _Triangulation
+from families import jittered_grid, near_planar, uniform
 
 DELAUNAY_MODULE = importlib.import_module("delrips.delaunay")
-
-
-def _jittered_grid(dim, n, seed):
-    rng = np.random.default_rng(seed)
-    pts = np.round(rng.uniform(0.0, 1.0, (n, dim)) * 8.0) / 8.0
-    return pts + rng.uniform(-1e-13, 1e-13, (n, dim))
 
 
 def _cospherical():
@@ -42,22 +36,11 @@ def _cospherical():
     return sorted(pts)
 
 
-def _near_planar(seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, (40, 3))
-    pts[:, 2] *= 1e-12
-    return pts
-
-
-def _uniform(dim, n, seed):
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, (n, dim))
-
-
 CORPUS = {
     "dr-sphere3d-seed1": lambda: add_noise(
         sample_shape(ShapeClass(kind="sphere"), 2000, 1000), 0.1, 1001).points,
-    "jittered-grid-2d": lambda: _jittered_grid(2, 60, 11),
-    "jittered-grid-3d": lambda: _jittered_grid(3, 50, 12),
+    "jittered-grid-2d": lambda: jittered_grid(2, 60, 11),
+    "jittered-grid-3d": lambda: jittered_grid(3, 50, 12),
     "integer-grid-3x3x2": lambda: [(i, j, k) for i in range(3)
                                    for j in range(3) for k in range(2)],
     "regular-12-gon": lambda: [(math.cos(2 * math.pi * k / 12),
@@ -66,11 +49,11 @@ CORPUS = {
     "cube-corners": lambda: [(i, j, k) for i in (0, 1) for j in (0, 1)
                              for k in (0, 1)],
     "cospherical-r9": _cospherical,
-    "near-planar-3d": lambda: _near_planar(13),
-    "tiny-2d": lambda: _uniform(2, 60, 14) * 2.0 ** -664,
-    "tiny-3d": lambda: _uniform(3, 60, 15) * 2.0 ** -664,
-    "huge-2d": lambda: _uniform(2, 60, 16) * 1e150,
-    "huge-3d": lambda: _uniform(3, 60, 17) * 1e150,
+    "near-planar-3d": lambda: near_planar(40, 13, 1e-12),
+    "tiny-2d": lambda: uniform(2, 60, 14) * 2.0 ** -664,
+    "tiny-3d": lambda: uniform(3, 60, 15) * 2.0 ** -664,
+    "huge-2d": lambda: uniform(2, 60, 16) * 1e150,
+    "huge-3d": lambda: uniform(3, 60, 17) * 1e150,
 }
 
 GOLDEN = {
@@ -116,7 +99,7 @@ def test_golden_triangulation(name):
 def test_matches_qhull_at_n2000(dim):
     # Generic uniform clouds: the triangulation is unique, so it must equal
     # Qhull's simplex for simplex.
-    pts = _uniform(dim, 2000, 20 + dim)
+    pts = uniform(dim, 2000, 20 + dim)
     dc = delaunay(PointCloud.from_points(pts))
     want = {tuple(sorted(int(v) for v in s))
             for s in scipy.spatial.Delaunay(pts).simplices}
@@ -145,7 +128,7 @@ def test_extreme_scales_stay_on_the_float_filter(name, unscaled, monkeypatch):
     real = predicates._exact_sign
     monkeypatch.setattr(predicates, "_exact_sign",
                         lambda *a: calls.append(1) or real(*a))
-    delaunay(PointCloud.from_points(_uniform(*unscaled)))
+    delaunay(PointCloud.from_points(uniform(*unscaled)))
     unscaled_calls = len(calls)
     calls.clear()
     cloud = PointCloud.from_points(CORPUS[name]())

@@ -12,9 +12,11 @@ from delrips import (FiltrationSpec, PointCloud, ShapeClass, add_noise,
                      compute_diagram, delaunay, near_cocircular_quad,
                      sample_shape, sort_filtration)
 from delrips.core import pairwise_distances
-from delrips.errors import DelripsError, DuplicatePoints, ValidationError
-from naive_oracle import naive_alpha_entries
-from test_delaunay_golden import CORPUS, _jittered_grid, _uniform
+from delrips.errors import DuplicatePoints, ValidationError
+from families import (jittered_grid, jittered_grid_member,
+                      near_planar_member, uniform)
+from naive_oracle import alpha_disagreements, exact_alpha
+from test_delaunay_golden import CORPUS
 
 SQ3 = math.sqrt(3.0)
 
@@ -165,20 +167,20 @@ BIT_IDENTITY_CLOUDS = {
     "quad-plus": lambda: near_cocircular_quad(0.1),
     "uniform-r2-1e150": lambda: _scaled_uniform(2, 7),
     "uniform-r3-1e150": lambda: _scaled_uniform(3, 8),
-    "jittered-grid-r2": lambda: PointCloud.from_points(_jittered_grid(2, 60, 33)),
-    "jittered-grid-r3": lambda: PointCloud.from_points(_jittered_grid(3, 50, 34)),
+    "jittered-grid-r2": lambda: PointCloud.from_points(jittered_grid(2, 60, 33)),
+    "jittered-grid-r3": lambda: PointCloud.from_points(jittered_grid(3, 50, 34)),
     "integer-grid-r2": lambda: PointCloud.from_points(
         [(i, j) for i in range(5) for j in range(4)]),
     "integer-grid-r3": lambda: PointCloud.from_points(
         [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]),
     "uniform-r2-tiny": lambda: PointCloud.from_points(
-        _uniform(2, 60, 35) * 2.0 ** -664),
+        uniform(2, 60, 35) * 2.0 ** -664),
     "uniform-r3-tiny": lambda: PointCloud.from_points(
-        _uniform(3, 60, 36) * 2.0 ** -664),
+        uniform(3, 60, 36) * 2.0 ** -664),
     "uniform-r2-huge": lambda: PointCloud.from_points(
-        _uniform(2, 60, 37) * 2.0 ** 532),
+        uniform(2, 60, 37) * 2.0 ** 532),
     "uniform-r3-huge": lambda: PointCloud.from_points(
-        _uniform(3, 60, 38) * 2.0 ** 532),
+        uniform(3, 60, 38) * 2.0 ** 532),
     "triangle": lambda: PointCloud.from_points([(0.0, 0.0), (3.0, 0.5),
                                                 (1.0, 2.0)]),
     "tetrahedron": lambda: PointCloud.from_points(
@@ -210,7 +212,7 @@ def test_dr_scales_bit_identical_to_dense_matrix(name):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_dr_entries_share_vertex_ints_and_edge_floats(dim):
-    cloud = PointCloud.from_points(_uniform(dim, 400, 40 + dim))
+    cloud = PointCloud.from_points(uniform(dim, 400, 40 + dim))
     filt = build_delaunay_rips(cloud, spec("delaunay_rips", maxdim=dim - 1))
     edges = sum(1 for verts, _ in filt.entries if len(verts) == 2)
     assert len({id(v) for verts, _ in filt.entries for v in verts}) <= len(cloud)
@@ -307,48 +309,39 @@ class TestAlpha:
     # above a coface's, so the unclamped filtration was not monotone.
     @pytest.mark.parametrize("dim,n,seed", JITTERED_GRIDS)
     def test_monotone_on_jittered_grid(self, dim, n, seed):
-        pc = PointCloud.from_points(_jittered_grid(dim, n, seed))
+        pc = PointCloud.from_points(jittered_grid(dim, n, seed))
         filt = build_alpha(pc, spec("alpha", maxdim=dim - 1))
         assert sort_filtration(filt) == filt
         compute_diagram(filt)
 
+    # The reference is exact: integer circumdiameters and a Gabriel scan
+    # over all points (``naive_oracle.exact_alpha``). An attached face must
+    # equal its coface minimum, a Gabriel face its circumdiameter within
+    # 1e-12 (relative), capped at that minimum.
     @pytest.mark.parametrize("dim,n,seed", JITTERED_GRIDS)
     def test_equals_coface_dict_reference_on_jittered_grid(self, dim, n, seed):
-        pc = PointCloud.from_points(_jittered_grid(dim, n, seed))
+        pc = PointCloud.from_points(jittered_grid(dim, n, seed))
+        exact = exact_alpha(pc)
         for cap in range(1, dim + 1):
             filt = build_alpha(pc, spec("alpha", maxdim=cap - 1))
-            assert filt.entries == naive_alpha_entries(pc, cap)
+            assert alpha_disagreements(filt.entries, exact) == []
 
     def test_equals_coface_dict_reference_on_random_clouds(self, rng):
         for trial in range(16):
             dim = 2 + trial % 2
             n = int(rng.integers(dim + 1, 40))
             pc = random_cloud(rng, n, dim=dim, width=10.0 ** (trial % 5 - 2))
+            exact = exact_alpha(pc)
             for cap in range(1, dim + 1):
                 filt = build_alpha(pc, spec("alpha", maxdim=cap - 1))
-                assert filt.entries == naive_alpha_entries(pc, cap)
+                assert alpha_disagreements(filt.entries, exact) == []
 
-    # The corpus clouds at 2**-664 made the reference's circumsphere solve
-    # underflow; their expected entries are the unscaled cloud's, scaled back.
-    # Where the reference raises (the jittered grids, ROADMAP item 1), the
-    # builder must raise the same error.
+    @pytest.mark.filterwarnings("ignore:cospherical points")
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_equals_coface_dict_reference_on_golden_corpus(self, name):
-        pts = np.asarray(CORPUS[name](), dtype=float)
-        p = -664 if name.startswith("tiny") else 0
-        dim = pts.shape[1]
-        cloud = PointCloud.from_points(pts)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # cospherical corpus
-            try:
-                want = naive_alpha_entries(
-                    PointCloud.from_points(np.ldexp(pts, -p)), dim)
-            except DelripsError as exc:
-                with pytest.raises(type(exc)):
-                    build_alpha(cloud, spec("alpha", maxdim=dim - 1))
-                return
-            filt = build_alpha(cloud, spec("alpha", maxdim=dim - 1))
-        assert filt.entries == tuple((v, math.ldexp(s, p)) for v, s in want)
+        cloud = PointCloud.from_points(CORPUS[name]())
+        filt = build_alpha(cloud, spec("alpha", maxdim=cloud.dim - 1))
+        assert alpha_disagreements(filt.entries, exact_alpha(cloud)) == []
 
     # Near 2**-664 the circumsphere solve underflowed (DegenerateSimplex) and
     # near 2**532 it overflowed (NaN scales); the geometry now runs on the
@@ -407,7 +400,56 @@ class TestCrossFiltration:
             for verts, s in dr.items():
                 assert al[verts] >= s - 1e-9
 
+    def test_gabriel_edge_alpha_value_is_its_dr_length(self, rng):
+        # Both rules take edge lengths from core.distances, so an edge whose
+        # diametral ball is empty enters Alpha at its Delaunay-Rips scale,
+        # bit for bit.
+        for dim in (2, 3):
+            for _ in range(3):
+                pc = random_cloud(rng, 30, dim=dim)
+                sp = spec("delaunay_rips", maxdim=dim - 1)
+                dr = build_delaunay_rips(pc, sp).scale_of()
+                al = build_alpha(pc, spec("alpha", maxdim=dim - 1)).scale_of()
+                gabriel = [verts for verts, (_, _, empty) in exact_alpha(pc).items()
+                           if len(verts) == 2 and empty]
+                assert gabriel
+                for verts in gabriel:
+                    assert al[verts] == dr[verts]
+
     def test_size_bound_100_points(self, rng):
         pc = random_cloud(rng, 100)
         dr = build_delaunay_rips(pc, spec("delaunay_rips"))
         assert len(dr) <= 589
+
+
+# Fixed members of the regression families (``families``). Before Alpha
+# used the attached-face rule, it raised DegenerateSimplex on 262 of the 300
+# jittered grids and on all 50 near-planar clouds, which ``delaunay()``
+# accepts; 17 of these 18 were among them.
+FAMILY_CLOUDS = (
+    [pytest.param(jittered_grid_member, (dim, seed),
+                  id=f"jittered-grid-r{dim}-{seed}")
+     for seed in range(3, 150, 21) for dim in (2, 3)]
+    + [pytest.param(near_planar_member, (seed,), id=f"near-planar-{seed}")
+       for seed in range(0, 50, 16)])
+
+
+@pytest.mark.filterwarnings("ignore:cospherical points")
+@pytest.mark.parametrize("member,args", FAMILY_CLOUDS)
+def test_regression_families_on_all_builders(member, args):
+    cloud = PointCloud.from_points(member(*args))
+    exact = exact_alpha(cloud)
+    for cap in range(1, cloud.dim + 1):
+        sp = spec("alpha", maxdim=cap - 1)
+        al = build_alpha(cloud, sp)
+        assert al.entries == build_alpha(cloud, sp).entries
+        assert all(math.isfinite(s) for _, s in al.entries)
+        assert alpha_disagreements(al.entries, exact) == []
+        dr = build_delaunay_rips(cloud, spec("delaunay_rips", maxdim=cap - 1))
+        for filt in (al, dr):
+            assert sort_filtration(filt) == filt
+            compute_diagram(filt)
+        if cap <= 2:
+            vr = build_rips(cloud, spec("rips", maxdim=cap - 1))
+            assert sort_filtration(vr) == vr
+    assert al.simplex_set() == dr.simplex_set() == delaunay(cloud).all_simplices

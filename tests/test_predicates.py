@@ -1,13 +1,17 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from delrips import predicates
-from delrips.predicates import (collinear3d, incircle, inball_signs, insphere,
-                                orient2d, orient3d, orient_signs)
-from naive_oracle import (exact_incircle, exact_insphere, exact_orient2d,
-                          exact_orient3d)
+from delrips.predicates import (circumdiameters, collinear3d, diametral_signs,
+                                incircle, inball_signs, insphere, orient2d,
+                                orient3d, orient_signs)
+from naive_oracle import (_dot, _integer_points, exact_circumball,
+                          exact_in_diametral_ball, exact_incircle,
+                          exact_insphere, exact_orient2d, exact_orient3d)
 
 
 def test_orient2d_basic_signs():
@@ -181,3 +185,103 @@ def test_signs_agree_with_rational_oracle(dim):
     assert inball_signs(pts[:, :-1], pts[:, -1]).tolist() == want_in
     for want in (want_or, want_in):
         assert {-1, 0, 1} <= set(want)
+
+
+def _sphere25(dim):
+    """The integer points of the sphere |p| = 5 about the origin."""
+    return [p for p in itertools.product(range(-5, 6), repeat=dim)
+            if sum(x * x for x in p) == 25]
+
+
+def _diametral_cases(k, dim, seed):
+    """(face, query) pairs with k + 1 face points in R^dim: the
+    near-degenerate cases above, then exact ties and their one-ulp
+    neighbours. Each tie face has the sphere |p| = 5 as its smallest
+    circumball: an edge p, -p through the center (Thales), or a right
+    triangle p, -p, q. Its queries are points of that sphere (sign 0), each
+    also moved one ulp along a random coordinate. Last, random faces with
+    a query on their sphere up to the rounding of its float center, where
+    the float formula's sign is often wrong."""
+    rng = np.random.default_rng(seed)
+    cases = [(c[:k + 1], c[-1]) for c in _near_degenerate_cases(dim, 600, seed)]
+    if k == 2:  # drop collinear triangles: they have no circumball
+        cases = [(f, q) for f, q in cases
+                 if any(exact_orient2d(*[(p[i], p[j]) for p in f]) != 0
+                        for i, j in ((0, 1), (0, 2), (1, 2)))]
+    sphere = _sphere25(dim)
+    for _ in range(150):
+        p, r, q = (sphere[i] for i in rng.choice(len(sphere), 3))
+        if k == 2 and r in (p, tuple(-x for x in p)):
+            continue
+        face = [p, tuple(-x for x in p), r][:k + 1]
+        cases.append((face, q))
+        moved = list(map(float, q))
+        j = int(rng.integers(dim))
+        moved[j] = math.nextafter(moved[j], rng.choice([-10.0, 10.0]))
+        cases.append((face, tuple(moved)))
+    for _ in range(150):
+        face = rng.uniform(-1.0, 1.0, (k + 1, dim))
+        u = face[1] - face[0]
+        center = face[0] + u / 2
+        if k == 2:
+            v = face[2] - face[0]
+            gram = np.array([[u @ u, u @ v], [u @ v, v @ v]])
+            s, t = np.linalg.solve(2 * gram, [u @ u, v @ v])
+            center = face[0] + s * u + t * v
+        direction = rng.normal(size=dim)
+        radius = np.linalg.norm(face[0] - center)
+        q = center + radius * direction / np.linalg.norm(direction)
+        cases.append(([tuple(p) for p in face.tolist()], tuple(q.tolist())))
+    return cases
+
+
+@pytest.mark.parametrize("k,dim", [(1, 2), (1, 3), (2, 3)])
+def test_diametral_signs_agree_with_rational_oracle(k, dim, monkeypatch):
+    # Near-degenerate cases, exact ties and ties one ulp off, at unit scale,
+    # at 2**-664 and 2**532, and at the two binary scales on either side of
+    # the float filter's underflow guard and of its overflow threshold,
+    # where the exact stage takes over. Generic cases stay on the filter.
+    cases = _diametral_cases(k, dim, seed=70 + 10 * k + dim)
+    want = [exact_in_diametral_ball(f, q) for f, q in cases]
+    assert {-1, 0, 1} <= set(want)
+    pts = np.array([list(f) + [q] for f, q in cases], dtype=float)
+    want = np.array(want)
+    degree = 2 if k == 1 else 6
+    low = math.ceil(math.log2(predicates._UNDERFLOW_GUARD) / degree)
+    high = 1024 // degree
+    for p in (0, -664, 532, low - 1, low, high - 1, high):
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(pts, p)
+        kept = (np.ldexp(scaled, -p) == pts).all(axis=(1, 2))  # signs kept
+        assert kept.sum() >= 400
+        got = diametral_signs(scaled[kept, :-1], scaled[kept, -1])
+        assert (got == want[kept]).all(), p
+
+    calls = []
+    real = predicates._exact_sign
+    monkeypatch.setattr(predicates, "_exact_sign",
+                        lambda *a: calls.append(1) or real(*a))
+    rng = np.random.default_rng(dim)
+    diametral_signs(rng.uniform(-1.0, 1.0, (200, k + 1, dim)),
+                    rng.uniform(-1.0, 1.0, (200, dim)))
+    assert not calls
+
+
+@pytest.mark.parametrize("k,dim", [(2, 2), (2, 3), (3, 3)])
+def test_circumdiameters_match_exact_values(k, dim):
+    # Random simplices, and every third one nearly flat (its last vertex
+    # 1e-13, 1e-9 or 1e-5 off the others' hyperplane): the float closed form
+    # where it is certified, exact integers rounded once where it is not;
+    # every value within 1e-12 (relative) of the exact diameter.
+    rng = np.random.default_rng(90 + 10 * k + dim)
+    simplices = rng.uniform(-1.0, 1.0, (300, k + 1, dim))
+    flat = simplices[::3]  # a view
+    flat[:, -1] = flat[:, :-1].mean(axis=1)
+    flat[:, -1, -1] += rng.choice([1e-13, 1e-9, 1e-5], len(flat))
+    ints, shift = _integer_points(simplices.reshape(-1, dim).tolist())
+    got = circumdiameters(simplices)
+    for i, simplex in enumerate(np.array(ints, dtype=object).reshape(
+            -1, k + 1, dim).tolist()):
+        m, g = exact_circumball([tuple(p) for p in simplex])
+        want = Fraction(_dot(m, m), g * g << 2 * shift)
+        assert abs(float(Fraction(got[i]) ** 2 / want) - 1.0) <= 2e-12
