@@ -35,10 +35,10 @@ The new simplices of an insertion all contain the new point, so when they
 are glued to each other each open facet is keyed on its other d-1 vertices
 a <= b (a == b in 2-D) as the one int a*n + b.
 
-``delaunay`` returns the top simplices. The one face routine,
-``facet_incidence``, derives the k-faces as the facets of the (k+1)-faces,
-top-down and only when asked for, and gives ``interior_facets`` the facets
-that two simplices share; the whole closure is the union of the faces.
+``delaunay`` sorts the real simplices into a lexicographic int64 array. The
+one face routine, ``facet_incidence``, maps each dimension's simplices to
+their facets once, top-down on demand; ``DelaunayComplex`` keeps the map for
+the certificate, the faces, both scale rules and ``same_triangulation``.
 
 The finished triangulation is certified once (Mehlhorn et al., "Checking
 geometric programs or verification of geometric structures", 1999): every
@@ -93,23 +93,30 @@ class DelaunayComplex:
     cloud: PointCloud
     top_simplices: tuple
     degenerate: bool
-    _faces: dict = field(default_factory=dict, init=False, repr=False,
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def faces(self, dim: int) -> np.ndarray:
         """The dim-simplices as a lexicographically sorted (m, dim+1) int64
-        array, one simplex per row (m = 0 above the ambient dimension)."""
-        cache, d = self._faces, self.cloud.dim
+        array, one simplex per row (m = 0 outside 0 <= dim <= d)."""
+        return self._cofaces(dim)[0]
+
+    def _cofaces(self, dim: int) -> tuple:
+        """``facet_incidence(self.faces(dim + 1))`` for 0 < dim < d, derived
+        once and kept; at dim 0 (the edges' incidence has no other reader),
+        at d and outside, a 1-tuple of the faces."""
+        cache, d = self._cache, self.cloud.dim
         if dim not in cache:
-            if dim < d:
-                cache[dim] = facet_incidence(self.faces(dim + 1))[0]
+            if 0 <= dim < d:
+                got = facet_incidence(self.faces(dim + 1))
+                cache[dim] = got if dim else got[:1]
             else:
-                tops = self.top_simplices if dim == d else ()
-                cache[dim] = np.array(tops, dtype=np.int64).reshape(-1, dim + 1)
+                rows = np.asarray(self.top_simplices if dim == d else (), np.int64)
+                cache[dim] = (rows.reshape(len(rows), max(dim + 1, 0)),)
         return cache[dim]
 
     def simplices_of_dim(self, dim: int) -> tuple:
-        return tuple(map(tuple, self.faces(dim).tolist())) if dim >= 0 else ()
+        return tuple(map(tuple, self.faces(dim).tolist()))
 
     @cached_property
     def all_simplices(self) -> frozenset:
@@ -340,12 +347,11 @@ class _Triangulation:
         self._mark(p)
 
 
-def interior_facets(simplices) -> np.ndarray:
-    """(i, q) rows, one for every facet shared by two of the simplices: i
-    indexes the first of them and q is the second's vertex opposite the
-    facet. Each simplex's vertex order may be any."""
-    verts = np.sort(np.asarray(simplices, dtype=np.int64), axis=1)
-    _, facet_row, owner, opposite = facet_incidence(verts)
+def interior_facets(incidence) -> np.ndarray:
+    """(i, q) rows, one for every facet shared by two simplices, read from
+    their ``facet_incidence``: i is the row of the first of them and q the
+    second's vertex opposite the facet."""
+    _, facet_row, owner, opposite = incidence
     shared = np.flatnonzero(facet_row[1:] == facet_row[:-1])
     return np.stack([owner[shared], opposite[shared + 1]], axis=1)
 
@@ -375,20 +381,24 @@ def certificate(points, simplices, facets) -> tuple:
     return orient, inball
 
 
-def _certify(points, simplices) -> bool:
-    """Check a finished triangulation: every simplex positively oriented and
-    no interior facet strictly non-locally-Delaunay. Returns whether some
-    interior facet is cospherical (the tie-break decided it); raises
-    CertificateError otherwise."""
-    simplices = np.asarray(simplices, dtype=np.int64)
-    orient, inball = certificate(points, simplices, interior_facets(simplices))
+def _certify(points, simplices) -> tuple:
+    """Check a finished triangulation: every simplex positively oriented as
+    given and no interior facet strictly non-locally-Delaunay. Returns the
+    sorted top array, its ``facet_incidence`` and whether an interior facet
+    is cospherical (the tie-break decided it); else raises CertificateError."""
+    verts = np.asarray(simplices, dtype=np.int64)
+    tops = np.sort(verts, axis=1)
+    order = np.lexsort(tops.T[::-1])
+    tops = tops[order]
+    incidence = facet_incidence(tops)
+    orient, inball = certificate(points, verts[order], interior_facets(incidence))
     if (orient <= 0).any():
         raise CertificateError(
             f"{int((orient <= 0).sum())} simplices are not positively oriented")
     if (inball > 0).any():
         raise CertificateError(
             f"{int((inball > 0).sum())} interior facets are not locally Delaunay")
-    return bool((inball == 0).any())
+    return tops, incidence, bool((inball == 0).any())
 
 
 def scale_exponent(points) -> int:
@@ -469,7 +479,8 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
             tri.insert(p)
 
     real = [vs for vs in tri.verts if vs is not None and GHOST not in vs]
-    degenerate = _certify(pts, real)
-    tops = tuple(sorted(tuple(sorted(vs)) for vs in real))
-    return DelaunayComplex(cloud=cloud, top_simplices=tops,
-                           degenerate=degenerate)
+    del tri  # free the slots before the certificate builds its incidence
+    tops, incidence, degenerate = _certify(pts, real)
+    dc = DelaunayComplex(cloud, tuple(map(tuple, tops.tolist())), degenerate)
+    dc._cache.update({dim: (tops,), dim - 1: incidence})
+    return dc

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (Filtration, PointCloud, _sort_key, distances,
                    pairwise_distances)
-from .delaunay import delaunay, facet_incidence, scale_exponent
+from .delaunay import delaunay, scale_exponent
 from .errors import DuplicatePoints, ValidationError
 from .predicates import circumdiameters, diametral_signs
 
@@ -107,10 +107,9 @@ def build_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
 
 def _delaunay_filtration(cloud: PointCloud, spec: FiltrationSpec,
                          rule) -> Filtration:
-    """The Delaunay faces up to the cap at the scales of ``rule(dc, cap)``,
-    which returns a float array of values and an int array giving each face
-    (``dc.faces(0)``, ..., ``dc.faces(cap)`` in turn) its value's position.
-    The faces are listed by dimension, then vertices, so a stable sort by
+    """The Delaunay faces up to the cap at the scales ``rule(dc, cap)``
+    returns, one per face of ``dc.faces(0)``, ..., ``dc.faces(cap)`` in
+    turn. Those are listed by dimension, then vertices, so a stable sort by
     scale gives the canonical order. The result is in the array form of
     ``Filtration``: ``dc.faces(k)`` and each row's position in that order.
 
@@ -130,9 +129,8 @@ def _delaunay_filtration(cloud: PointCloud, spec: FiltrationSpec,
     if dc.degenerate:  # stacklevel 3 names the caller of build_*
         warnings.warn("cospherical points: the filtration may depend on the "
                       "Delaunay tie-break", stacklevel=3)
-    values, index = rule(dc, cap)
+    scales = rule(dc, cap)
     faces = [dc.faces(k) for k in range(cap + 1)]
-    scales = values[index]
     order = np.argsort(scales, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
@@ -142,26 +140,17 @@ def _delaunay_filtration(cloud: PointCloud, spec: FiltrationSpec,
 
 
 def _rips_scales(dc, cap):
-    """Delaunay-Rips rule: each simplex at its longest edge.
-
-    Lengths are computed for the Delaunay edges only, by the ``distances``
-    that fills the Rips matrix, so scales match Rips bit for bit without an
-    O(n^2) matrix. Each simplex finds its longest edge by binary search over
-    the sorted edge keys a*n + b; vertices point at a trailing 0.0.
-    """
-    n = len(dc.cloud)
-    edges = dc.faces(1)
-    a, b = dc.cloud.as_array()[edges].transpose(1, 0, 2)
-    lengths = np.append(distances(a, b), 0.0)
-    edge_keys = edges[:, 0] * n + edges[:, 1]
-    longest = [np.full(len(dc.faces(0)), len(edges))]
-    for k in range(1, cap + 1):
-        faces = dc.faces(k)
-        pos = np.column_stack([
-            np.searchsorted(edge_keys, faces[:, x] * n + faces[:, y])
-            for x, y in combinations(range(k + 1), 2)])
-        longest.append(pos[np.arange(len(faces)), lengths[pos].argmax(axis=1)])
-    return lengths, np.concatenate(longest)
+    """Delaunay-Rips rule, bottom-up: vertices at 0, edges at the
+    ``distances`` length that fills the Rips matrix (so scales match Rips
+    bit for bit without an O(n^2) matrix), and each higher simplex at the
+    maximum over its facets, the twin of Alpha's coface minimum."""
+    edges = dc.cloud.as_array()[dc.faces(1)]
+    value = [np.zeros(len(dc.faces(0))), distances(edges[:, 0], edges[:, 1])]
+    for k in range(2, cap + 1):
+        _, facet_row, owner, _ = dc._cofaces(k - 1)
+        value.append(np.zeros(len(dc.faces(k))))
+        np.maximum.at(value[k], owner, value[k - 1][facet_row])
+    return np.concatenate(value)
 
 
 def build_delaunay_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
@@ -174,8 +163,8 @@ def _alpha_scales(dc, cap):
     """Alpha rule: circumdiameters, clamped to the cofaces top-down.
 
     Top simplices take their circumdiameter. Below, a face's coface minimum
-    comes from ``facet_incidence`` of the dimension above. A face is
-    attached when the vertex opposite it in one of those cofaces lies
+    comes from the complex's facet incidence of the dimension above. A face
+    is attached when the vertex opposite it in one of those cofaces lies
     strictly inside its smallest circumball (Edelsbrunner and Muecke,
     "Three-dimensional alpha shapes", 1994), one exact ``diametral_signs``
     test per incidence. An attached face takes the coface minimum, any other
@@ -193,14 +182,13 @@ def _alpha_scales(dc, cap):
     value = [np.zeros(len(dc.faces(0))), distances(edges[:, 0], edges[:, 1])]
     value += [circumdiameters(pts[dc.faces(k)]) for k in range(2, d + 1)]
     for k in range(d - 1, 0, -1):
-        _, facet_row, owner, opposite = facet_incidence(dc.faces(k + 1))
+        _, facet_row, owner, opposite = dc._cofaces(k)
         low = np.full(len(value[k]), np.inf)
         np.minimum.at(low, facet_row, value[k + 1][owner])
         inside = diametral_signs(pts[dc.faces(k)[facet_row]], pts[opposite]) > 0
         attached = np.bincount(facet_row[inside], minlength=len(low)) > 0
         value[k] = np.where(attached, low, np.minimum(value[k], low))
-    values = np.ldexp(np.concatenate(value[:cap + 1]), e)
-    return values, np.arange(len(values))
+    return np.ldexp(np.concatenate(value[:cap + 1]), e)
 
 
 def build_alpha(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:

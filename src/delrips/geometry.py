@@ -174,11 +174,11 @@ def same_triangulation(pair: PerturbationPairing) -> bool:
     errors included, is exactly the two-triangulation comparison.
     """
     src = delaunay(pair.source)
-    tops = np.asarray(src.top_simplices, dtype=np.int64)
-    facets = interior_facets(tops)
+    tops = src.faces(pair.source.dim)
+    facets = interior_facets(src._cofaces(pair.source.dim - 1))
     before, _ = certificate(pair.source.points, tops, ())
     after, inball = certificate(pair.target.points, tops, facets)
     flips = before * after
     if ((flips > 0).any() and (flips < 0).any()) or (inball > 0).any():
         return False
-    return src.top_simplices == delaunay(pair.target).top_simplices
+    return np.array_equal(tops, delaunay(pair.target).faces(pair.source.dim))

@@ -217,7 +217,7 @@ def test_certificate_rejects_non_delaunay_diagonal():
     pts = near_cocircular_quad(0.1).points
     delaunay_tris = [_positive(pts, t) for t in ((0, 1, 3), (0, 2, 3))]
     other_tris = [_positive(pts, t) for t in ((0, 1, 2), (1, 2, 3))]
-    assert _certify(pts, delaunay_tris) is False
+    assert _certify(pts, delaunay_tris)[2] is False
     with pytest.raises(CertificateError, match="not locally Delaunay"):
         _certify(pts, other_tris)
     with pytest.raises(CertificateError, match="not positively oriented"):
@@ -226,7 +226,7 @@ def test_certificate_rejects_non_delaunay_diagonal():
 
 def test_certificate_flags_cospherical_facet():
     pts = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
-    assert _certify(pts, [_positive(pts, t) for t in ((0, 1, 2), (0, 2, 3))])
+    assert _certify(pts, [_positive(pts, t) for t in ((0, 1, 2), (0, 2, 3))])[2]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -284,6 +284,15 @@ def test_faces_per_dimension_match_the_closure(dim, rng):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_faces_outside_the_dimensions_are_empty(dim, rng):
+    dc = delaunay(random_cloud(rng, 12, dim=dim))
+    for k, width in ((-2, 0), (-1, 0), (dim + 1, dim + 2)):
+        assert dc.faces(k).shape == (0, width)
+        assert dc.faces(k).dtype == np.int64
+        assert dc.simplices_of_dim(k) == ()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_facet_incidence_lists_faces_and_opposite_vertices(dim, rng):
     for n in (dim + 1, 12, 40):
         dc = delaunay(random_cloud(rng, n, dim=dim))
@@ -308,7 +317,7 @@ def test_interior_facets_match_dict_reference(dim, rng):
     for n in (dim + 2, 15, 50):
         tops = np.array(delaunay(random_cloud(rng, n, dim=dim)).top_simplices)
         shuffled = rng.permuted(tops[rng.permutation(len(tops))], axis=1)
-        got = interior_facets(shuffled)
+        got = interior_facets(facet_incidence(np.sort(shuffled, axis=1)))
         assert got.tolist() == [list(f) for f in shared_facets(shuffled.tolist())]
         # every facet lies on one simplex (hull) or two (interior)
         assert len(got) == tops.size - len(facet_incidence(tops)[0])

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import count_facet_incidence, random_cloud
 from delrips import (FiltrationSpec, PointCloud, ShapeClass, add_noise,
                      build_alpha, build_delaunay_rips, build_rips,
                      compute_diagram, delaunay, near_cocircular_quad,
@@ -169,6 +169,7 @@ BIT_IDENTITY_CLOUDS = {
     "uniform-r3-1e150": lambda: _scaled_uniform(3, 8),
     "jittered-grid-r2": lambda: PointCloud.from_points(jittered_grid(2, 60, 33)),
     "jittered-grid-r3": lambda: PointCloud.from_points(jittered_grid(3, 50, 34)),
+    "near-planar-r3": lambda: PointCloud.from_points(near_planar_member(30)),
     "integer-grid-r2": lambda: PointCloud.from_points(
         [(i, j) for i in range(5) for j in range(4)]),
     "integer-grid-r3": lambda: PointCloud.from_points(
@@ -208,6 +209,16 @@ def test_dr_scales_bit_identical_to_dense_matrix(name):
         reference = sorted(((s, diameter(s)) for s in faces if len(s) <= cap + 1),
                            key=lambda e: (e[1], len(e[0]), e[0]))
         assert filt.entries == tuple(reference)
+
+
+@pytest.mark.parametrize("method,build", [("delaunay_rips", build_delaunay_rips),
+                                          ("alpha", build_alpha)])
+def test_one_facet_incidence_per_dimension(method, build, rng, monkeypatch):
+    # The certificate, the faces and the scale rule all read the complex's
+    # one facet incidence per dimension.
+    calls = count_facet_incidence(monkeypatch)
+    build(random_cloud(rng, 60, dim=3), spec(method, maxdim=2))
+    assert sorted(calls) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import count_facet_incidence, random_cloud
 import delrips.geometry
 from delrips import (PerturbationPairing, PointCloud, circumsphere,
                      delaunay, epsilon_perturb, hausdorff_distance,
@@ -202,6 +202,13 @@ class TestSameTriangulation:
         pair = epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud), seed=3)
         assert not same_triangulation(pair)
         assert calls == [pair.source]
+
+    def test_decided_pair_reuses_the_source_incidence(self, monkeypatch):
+        cloud = random_cloud(np.random.default_rng(5), 80, dim=3)
+        pair = epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud), seed=3)
+        calls = count_facet_incidence(monkeypatch)
+        assert not same_triangulation(pair)
+        assert calls == [3]
 
 
 def _scaled(cloud, scale):
