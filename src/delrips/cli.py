@@ -138,7 +138,7 @@ def cmd_pd(args) -> int:
     cloud = read_point_cloud(args.input)
     spec = _filtration_spec(args)
     filt = build(cloud, spec)
-    diag = compute_diagram(filt, reduction=args.reduction)
+    diag = compute_diagram(filt)
     outdir = Path(args.outdir) if args.outdir else Path(args.input).parent
     outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest homology dimension to compute")
     p.add_argument("--threshold", type=float, default=None,
                    help="scale cap, rips only; omit for no cap")
-    p.add_argument("--reduction", choices=("twist", "standard"),
-                   default="twist", help="reduction algorithm")
     p.add_argument("--keep-zero-pairs", action="store_true",
                    help="keep zero-persistence pairs in output files")
     p.add_argument("-o", "--outdir", default=None,

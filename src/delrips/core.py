@@ -10,6 +10,9 @@ duplicates, closure, face before coface), run in numpy on those arrays;
 the entries are built only when read. All types are immutable after
 construction.
 
+Every face lookup gathers facets by ``_facet_rows`` and sorts rows by
+``_row_order``, the one row order: a stable lexsort of packed uint64 keys.
+
 ``distances`` is the one point-distance formula, with a ``math.hypot``
 guard for sums that underflow or overflow; ``distance_blocks`` runs it over
 an n x m array in row blocks, so no input size holds the whole array.
@@ -290,8 +293,30 @@ def _packed_keys(rows: np.ndarray) -> list:
     return keys
 
 
+def _facet_rows(rows: np.ndarray) -> np.ndarray:
+    """The facets of an (m, k+1) array's rows as an (m(k+1), k) array, row
+    by row: row r(k+1) + i is row r without its column i."""
+    m, width = rows.shape
+    keep = [[j for j in range(width) if j != i] for i in range(width)]
+    return rows[:, keep].reshape(m * width, width - 1)
+
+
+def _row_order(rows: np.ndarray) -> tuple:
+    """The one row order: the stable lexicographic order of an int64 array's
+    rows, by one lexsort of their ``_packed_keys``, and a mask, in that
+    order, of the rows that start a run of equal rows."""
+    keys = _packed_keys(rows)
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    return order, new
+
+
 def _match_facets(rows, pos, cofaces, n) -> tuple:
-    """One lexsort of the k-simplices ``rows`` (at positions ``pos``)
+    """One ``_row_order`` of the k-simplices ``rows`` (at positions ``pos``)
     together with every facet of the (k+1)-simplices ``cofaces``.
 
     Returns the first position at which a row repeats an earlier one (n if
@@ -301,22 +326,13 @@ def _match_facets(rows, pos, cofaces, n) -> tuple:
     from entries (a builder's rows are distinct).
     """
     m = len(rows)
-    facets = [np.delete(cofaces, c, axis=1) for c in range(cofaces.shape[1])]
-    stacked = np.concatenate([rows] + facets)
-    del facets
+    stacked = np.concatenate([rows, _facet_rows(cofaces)])
     # Position of each stacked row, -1 for a facet. The sort is stable, so
     # a run of equal rows starts with its simplices, in order, and a facet
     # whose run starts with a facet has no face row.
     where = np.concatenate([pos, np.full(len(stacked) - m, -1)])
-    keys = _packed_keys(stacked)
+    perm, head = _row_order(stacked)
     del stacked
-    perm = np.lexsort(keys[::-1])
-    head = np.zeros(len(perm), dtype=bool)
-    head[:1] = True
-    for key in keys:
-        ordered = key[perm]
-        head[1:] |= ordered[1:] != ordered[:-1]
-    del keys, ordered
     is_row = perm < m
     repeats = where[perm[is_row & ~head]]
     first = perm[np.maximum.accumulate(
@@ -324,7 +340,7 @@ def _match_facets(rows, pos, cofaces, n) -> tuple:
     facet_pos = np.empty(len(perm) - m, dtype=np.int64)
     facet_pos[perm[~is_row] - m] = where[first[~is_row]]
     return (int(repeats.min()) if len(repeats) else n,
-            facet_pos.reshape(cofaces.shape[1], len(cofaces)).T)
+            facet_pos.reshape(cofaces.shape))
 
 
 def boundary_columns(filt: Filtration) -> tuple:
@@ -335,8 +351,8 @@ def boundary_columns(filt: Filtration) -> tuple:
     ``_sort_key`` is below its predecessor's, or InvalidFiltration on a
     simplex listed twice (both checked before any face lookup), then
     InvalidFiltration on a missing face or a face after its coface. Order
-    compares adjacent keys; duplicates and faces come from one lexsort per
-    dimension that matches each facet row to its face row; face before
+    compares adjacent keys; duplicates and faces come from one ``_row_order``
+    per dimension that matches each facet row to its face row; face before
     coface compares positions. The columns share one int per position.
     """
     faces, positions, scales = filt._array_form()

@@ -39,6 +39,7 @@ a <= b (a == b in 2-D) as the one int a*n + b.
 one face routine, ``facet_incidence``, maps each dimension's simplices to
 their facets once, top-down on demand; ``DelaunayComplex`` keeps the map for
 the certificate, the faces, both scale rules and ``same_triangulation``.
+Both sort by ``core._row_order``, the package's one row order.
 
 The finished triangulation is certified once (Mehlhorn et al., "Checking
 geometric programs or verification of geometric structures", 1999): every
@@ -64,7 +65,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import PointCloud
+from .core import PointCloud, _facet_rows, _row_order
 from .errors import (AffinelyDegenerateInput, CertificateError,
                      DuplicatePoints, TooFewPoints)
 from .predicates import (collinear3d, incircle, inball_signs, insphere,
@@ -79,11 +80,11 @@ _BATCH = 1024
 class DelaunayComplex:
     """Delaunay triangulation: its top simplices and, on demand, its faces.
 
-    ``top_simplices`` holds the d-simplices as sorted vertex tuples in
-    sorted order. ``faces(k)`` gives the k-faces as a sorted int array, the
-    facets of the (k+1)-faces, derived on first use and kept;
-    ``simplices_of_dim`` serves them as tuples and ``all_simplices`` gathers
-    them all into a frozenset on first use.
+    ``faces(k)`` gives the k-faces as a sorted int array: the d-simplices
+    as the triangulation made them, lower faces as the facets of the
+    (k+1)-faces, derived on first use and kept. ``simplices_of_dim`` serves
+    them as tuples; ``top_simplices`` (the d-simplices) and
+    ``all_simplices`` (a frozenset of all faces) are built on first read.
 
     ``degenerate`` is set when some cospherical (d+2)-point configuration was
     resolved by the insertion-order tie-break, i.e. the triangulation is not
@@ -91,7 +92,6 @@ class DelaunayComplex:
     """
 
     cloud: PointCloud
-    top_simplices: tuple
     degenerate: bool
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -104,19 +104,23 @@ class DelaunayComplex:
     def _cofaces(self, dim: int) -> tuple:
         """``facet_incidence(self.faces(dim + 1))`` for 0 < dim < d, derived
         once and kept; at dim 0 (the edges' incidence has no other reader),
-        at d and outside, a 1-tuple of the faces."""
-        cache, d = self._cache, self.cloud.dim
+        at d (kept by ``delaunay``) and outside, a 1-tuple of the faces."""
+        cache = self._cache
         if dim not in cache:
-            if 0 <= dim < d:
+            if 0 <= dim < self.cloud.dim:
                 got = facet_incidence(self.faces(dim + 1))
                 cache[dim] = got if dim else got[:1]
             else:
-                rows = np.asarray(self.top_simplices if dim == d else (), np.int64)
-                cache[dim] = (rows.reshape(len(rows), max(dim + 1, 0)),)
+                cache[dim] = (np.empty((0, max(dim + 1, 0)), np.int64),)
         return cache[dim]
 
     def simplices_of_dim(self, dim: int) -> tuple:
         return tuple(map(tuple, self.faces(dim).tolist()))
+
+    @cached_property
+    def top_simplices(self) -> tuple:
+        """The d-simplices as sorted vertex tuples, in sorted order."""
+        return self.simplices_of_dim(self.cloud.dim)
 
     @cached_property
     def all_simplices(self) -> frozenset:
@@ -129,17 +133,12 @@ def facet_incidence(rows) -> tuple:
     rows, in any order, of an (m, k+1) int array with ascending vertices:
     the distinct facets as a sorted (f, k) array and, for each of the
     m(k+1) incidences in facet order (ties by owner), the facet's row, the
-    owning simplex's row and its vertex opposite the facet. One column
-    gather, one lexsort and an adjacent-row compare."""
+    owning simplex's row and its vertex opposite the facet. One
+    ``_facet_rows`` gather and one ``_row_order``."""
     rows = np.asarray(rows, dtype=np.int64)
-    m, k = rows.shape
-    keep = [[j for j in range(k) if j != i] for i in range(k)]
-    faces = rows[:, keep].reshape(m * k, k - 1)  # incidence r*k + i drops rows[r, i]
-    order = np.lexsort(faces.T[::-1])
-    faces = faces[order]
-    new = np.ones(len(faces), dtype=bool)
-    new[1:] = (faces[1:] != faces[:-1]).any(axis=1)
-    return (faces[new], np.cumsum(new) - 1, order // k,
+    faces = _facet_rows(rows)  # incidence r*(k+1) + i drops rows[r, i]
+    order, new = _row_order(faces)
+    return (faces[order[new]], np.cumsum(new) - 1, order // rows.shape[1],
             rows.reshape(-1)[order])
 
 
@@ -388,7 +387,7 @@ def _certify(points, simplices) -> tuple:
     is cospherical (the tie-break decided it); else raises CertificateError."""
     verts = np.asarray(simplices, dtype=np.int64)
     tops = np.sort(verts, axis=1)
-    order = np.lexsort(tops.T[::-1])
+    order = _row_order(tops)[0]
     tops = tops[order]
     incidence = facet_incidence(tops)
     orient, inball = certificate(points, verts[order], interior_facets(incidence))
@@ -481,6 +480,6 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
     real = [vs for vs in tri.verts if vs is not None and GHOST not in vs]
     del tri  # free the slots before the certificate builds its incidence
     tops, incidence, degenerate = _certify(pts, real)
-    dc = DelaunayComplex(cloud, tuple(map(tuple, tops.tolist())), degenerate)
+    dc = DelaunayComplex(cloud, degenerate)
     dc._cache.update({dim: (tops,), dim - 1: incidence})
     return dc

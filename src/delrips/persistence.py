@@ -7,10 +7,10 @@ builds per-simplex vertex tuples. Z2 column addition is a symmetric
 difference that keeps a column sorted, so the pivot (largest index) sits
 at its end; the reduction works on the boundary tuples as they are and
 allocates a list only for a column that an addition changes.
-``reduce_standard`` is the textbook left-to-right reduction;
-``reduce_twist`` processes dimensions from high to low and clears columns
-whose simplices are already known to be paired, which computes the same
-pairing faster on larger inputs.
+``reduce_standard`` is the textbook left-to-right reduction (the
+reference); ``reduce_twist``, which ``compute_diagram`` runs, goes from
+high dimensions to low and clears columns whose simplices are already
+known to be paired: the same pairing, faster on larger inputs.
 """
 
 from __future__ import annotations
@@ -23,19 +23,8 @@ from .core import (Filtration, PersistenceDiagram, _shared_floats,
                    boundary_columns)
 
 
-class _SparseColumns:
-    def dense(self):
-        """0/1 nested lists, for golden-matrix comparisons."""
-        n = len(self.columns)
-        out = [[0] * n for _ in range(n)]
-        for j, col in enumerate(self.columns):
-            for i in col:
-                out[i][j] = 1
-        return out
-
-
 @dataclass(frozen=True)
-class BoundaryMatrix(_SparseColumns):
+class BoundaryMatrix:
     """Per-column sparse boundary of each simplex, in filtration order."""
 
     columns: tuple  # tuple of tuples of row indices, strictly increasing
@@ -47,7 +36,7 @@ class BoundaryMatrix(_SparseColumns):
 
 
 @dataclass(frozen=True)
-class ReducedMatrix(_SparseColumns):
+class ReducedMatrix:
     columns: tuple
     low: tuple  # per column: pivot row index, or None for a zero column
     dims: tuple
@@ -155,16 +144,9 @@ def extract_pairs(reduced: ReducedMatrix, filt: Filtration) -> PersistenceDiagra
     return PersistenceDiagram.from_pairs(pairs)
 
 
-def compute_diagram(filt: Filtration, reduction: str = "twist") -> PersistenceDiagram:
-    """Pipeline helper: boundary matrix -> reduction -> pairs."""
-    mat = boundary_matrix(filt)
-    if reduction == "twist":
-        red = reduce_twist(mat)
-    elif reduction == "standard":
-        red = reduce_standard(mat)
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
-    return extract_pairs(red, filt)
+def compute_diagram(filt: Filtration) -> PersistenceDiagram:
+    """Pipeline helper: boundary matrix -> twist reduction -> pairs."""
+    return extract_pairs(reduce_twist(boundary_matrix(filt)), filt)
 
 
 def persistent_betti(diag: PersistenceDiagram, p: int, i: float, j: float) -> int:

@@ -12,7 +12,9 @@ triangulation and nothing else from it: circumdiameters in exact integer
 arithmetic, a Gabriel test against all points (a k-d tree picks the
 candidates, each decided exactly) and a dict of coface tuples. The
 filtration check is the dict of vertex tuples the package's array check
-replaced, and the persistence image is the per-pair ``math.erf`` loop.
+replaced, the facet incidence is a Python gather sorted by a column
+``np.lexsort`` over int64 ids, and the persistence image is the per-pair
+``math.erf`` loop.
 """
 
 import itertools
@@ -358,6 +360,24 @@ def closure_of(top_simplices):
     return out
 
 
+def lexsort_facet_incidence(rows):
+    """``facet_incidence`` by a column ``np.lexsort``: each row's facets
+    listed in column order (row r without its column i at r*(k+1) + i) by a
+    Python loop, stably sorted on the int64 columns, last column least
+    significant."""
+    rows = np.asarray(rows, dtype=np.int64)
+    width = rows.shape[1]
+    faces = np.array([row[:i] + row[i + 1:] for row in rows.tolist()
+                      for i in range(width)], dtype=np.int64)
+    faces = faces.reshape(len(rows) * width, width - 1)
+    order = np.lexsort(faces.T[::-1])
+    faces = faces[order]
+    new = np.ones(len(faces), dtype=bool)
+    new[1:] = (faces[1:] != faces[:-1]).any(axis=1)
+    return (faces[new], np.cumsum(new) - 1, order // width,
+            rows.reshape(-1)[order])
+
+
 def shared_facets(simplices):
     """(i, q) for every facet shared by two simplices, by a dict from each
     sorted facet to the simplices holding it: i is the first holder and q
@@ -555,3 +575,13 @@ def boundary_columns(entries):
         col.sort()
         columns.append(tuple(col))
     return columns
+
+
+def dense(columns):
+    """Sparse Z2 columns of row indices as a square 0/1 nested list, for
+    golden-matrix comparisons."""
+    out = [[0] * len(columns) for _ in columns]
+    for j, col in enumerate(columns):
+        for i in col:
+            out[i][j] = 1
+    return out

@@ -1,9 +1,12 @@
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import delrips
 from delrips import (Filtration, PersistenceDiagram, PointCloud, bottleneck,
                      make_simplex, sort_filtration)
 from delrips.core import pairwise_distances, simplex_faces
@@ -157,3 +160,19 @@ def test_pairwise_distances_equal_scalar_formula(dim, scale):
     want = [[_point_distance(p, q) for q in pc.points] for p in pc.points]
     assert mat == want
     assert mat[4][5] == 0.0 and all(math.isfinite(x) for row in mat for x in row)
+
+
+def test_np_lexsort_only_in_the_one_row_order():
+    # Every face lookup sorts its rows by core._row_order; a lexsort
+    # anywhere else in the package would be a second row order.
+    sites = []
+    for path in sorted(Path(delrips.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        sites += [(path.name, owner.get(node)) for node in ast.walk(tree)
+                  if getattr(node, "attr", getattr(node, "id", "")) == "lexsort"]
+    assert sites == [("core.py", "_row_order")]

@@ -10,12 +10,13 @@ import pytest
 import delrips
 from conftest import random_cloud
 from delrips import PointCloud, delaunay, near_cocircular_quad
+from delrips.core import _packed_keys
 from delrips.delaunay import (_certify, _prescaled, _Triangulation,
                               facet_incidence, interior_facets)
 from delrips.errors import (AffinelyDegenerateInput, CertificateError,
                             DuplicatePoints, TooFewPoints)
 from delrips.predicates import incircle, insphere, orient2d, orient3d
-from naive_oracle import closure_of, shared_facets
+from naive_oracle import closure_of, lexsort_facet_incidence, shared_facets
 
 
 def _inside_ball(top, pts, q):
@@ -310,6 +311,25 @@ def test_facet_incidence_lists_faces_and_opposite_vertices(dim, rng):
             # every (owner, opposite) incidence appears exactly once
             assert sorted(zip(owner.tolist(), opposite.tolist())) == sorted(
                 (r, q) for r, row in enumerate(rows.tolist()) for q in row)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lo,span", [(0, 2 ** 21), (2 ** 40, 2 ** 40),
+                                     (-2 ** 62, 2 ** 63)])
+def test_facet_incidence_matches_lexsort_on_wide_ids(dim, lo, span, rng):
+    # Ids spanning 2**21 or more pack at most two columns per uint64 sort
+    # key, so the rows of three or more columns compare several keys.
+    dc = delaunay(random_cloud(rng, 40, dim=dim))
+    ids = np.unique(np.concatenate([[lo, lo + span],
+                                    lo + rng.integers(1, span, 60)]))[:40]
+    ids[-1] = lo + span
+    for k in range(1, dim + 1):
+        rows = ids[dc.faces(k)][rng.permutation(len(dc.faces(k)))]
+        if k >= 2:
+            assert len(_packed_keys(rows)) > 1
+        got = facet_incidence(rows)
+        want = lexsort_facet_incidence(rows)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

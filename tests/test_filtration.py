@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import count_facet_incidence, random_cloud
-from delrips import (FiltrationSpec, PointCloud, ShapeClass, add_noise,
-                     build_alpha, build_delaunay_rips, build_rips,
+from delrips import (DelaunayComplex, FiltrationSpec, PointCloud, ShapeClass,
+                     add_noise, build_alpha, build_delaunay_rips, build_rips,
                      compute_diagram, delaunay, near_cocircular_quad,
                      sample_shape, sort_filtration)
 from delrips.core import pairwise_distances
@@ -219,6 +219,22 @@ def test_one_facet_incidence_per_dimension(method, build, rng, monkeypatch):
     calls = count_facet_incidence(monkeypatch)
     build(random_cloud(rng, 60, dim=3), spec(method, maxdim=2))
     assert sorted(calls) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("method,build", [("delaunay_rips", build_delaunay_rips),
+                                          ("alpha", build_alpha)])
+def test_build_never_reads_top_simplices(method, build, rng, monkeypatch):
+    def fail(self):
+        pytest.fail("top_simplices was read")
+
+    cloud = random_cloud(rng, 60, dim=3)
+    monkeypatch.setattr(DelaunayComplex, "top_simplices", property(fail))
+    filt = build(cloud, spec(method, maxdim=2))
+    diag = compute_diagram(filt)
+    monkeypatch.undo()
+    assert ({verts for verts, _ in filt.entries if len(verts) == 4}
+            == set(delaunay(cloud).top_simplices))
+    assert len(diag) > 60
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from conftest import random_cloud
@@ -12,7 +13,7 @@ from delrips.core import PersistenceDiagram
 from delrips.errors import (InvalidFiltration, UnsortedFiltration,
                             ValidationError)
 from naive_oracle import boundary_columns as naive_boundary_columns
-from naive_oracle import naive_vr_diagram
+from naive_oracle import dense, naive_vr_diagram
 
 SQ3 = math.sqrt(3.0)
 
@@ -37,7 +38,7 @@ QUAD_R_COLUMNS = ((), (), (), (),
 def test_boundary_matrix_single_vertex():
     filt = Filtration(entries=(((0,), 0.0),), max_dim=1)
     mat = boundary_matrix(filt)
-    assert mat.dense() == [[0]]
+    assert dense(mat.columns) == [[0]]
 
 
 def test_boundary_matrix_single_edge():
@@ -258,6 +259,31 @@ def test_extreme_int64_vertex_ids_match_reference():
     assert mat.columns == tuple(naive_boundary_columns(entries))
     with pytest.raises(InvalidFiltration, match=f"face \\({lo},\\) of"):
         boundary_matrix(Filtration(entries=entries[1:], max_dim=2))
+
+
+@pytest.mark.parametrize("lo,span", [(0, 2 ** 21), (2 ** 40, 2 ** 40),
+                                     (-2 ** 62, 2 ** 63)])
+def test_wide_vertex_ids_on_shuffled_rows_match_reference(lo, span, rng):
+    # Ids spanning 2**21 or more pack at most two columns per uint64 sort
+    # key, so matching triangles to edges and tetrahedra to triangles
+    # compares several keys; filtration order shuffles each dimension's
+    # rows against their lexicographic order.
+    filt = build_delaunay_rips(random_cloud(rng, 30, dim=3),
+                               FiltrationSpec(max_hom_dim=2))
+    ids = np.unique(np.concatenate([[lo, lo + span],
+                                    lo + rng.integers(1, span, 40)]))[:30]
+    ids[-1] = lo + span
+    entries = tuple((tuple(ids[list(verts)].tolist()), scale)
+                    for verts, scale in filt.entries)
+    mat = boundary_matrix(Filtration(entries=entries, max_dim=3))
+    assert mat.columns == tuple(naive_boundary_columns(entries))
+    last = max(j for j, (verts, _) in enumerate(entries) if len(verts) == 3)
+    for broken in (entries[:last] + entries[last + 1:],  # a face missing
+                   entries[:last + 1] + entries[last:]):  # a face twice
+        with pytest.raises(ValidationError) as want:
+            naive_boundary_columns(broken)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            boundary_matrix(Filtration(entries=broken, max_dim=3))
 
 
 @pytest.mark.parametrize("entries", [
