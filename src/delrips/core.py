@@ -5,7 +5,7 @@ indices; its dimension is ``len(verts) - 1``. A filtration is a sequence of
 ``(simplex, scale)`` entries together with the dimension cap that was used to
 build it, held internally as integer arrays: per dimension the simplices as
 an int64 array and each one's position in filtration order, plus the
-float64 scales. ``boundary_columns`` is the one filtration check (order,
+float64 scales. ``boundary_csr`` is the one filtration check (order,
 duplicates, closure, face before coface), run in numpy on those arrays;
 the entries are built only when read. All types are immutable after
 construction.
@@ -315,6 +315,13 @@ def _row_order(rows: np.ndarray) -> tuple:
     return order, new
 
 
+def _float_keys(values: np.ndarray) -> np.ndarray:
+    """int64 keys in the order of float64 ``values`` (none NaN), equal
+    exactly where the values compare equal: -0.0 gets the key of 0.0."""
+    bits = (values + 0.0).view(np.int64)
+    return np.where(bits < 0, bits ^ _INT64_MAX, bits)
+
+
 def _match_facets(rows, pos, cofaces, n) -> tuple:
     """One ``_row_order`` of the k-simplices ``rows`` (at positions ``pos``)
     together with every facet of the (k+1)-simplices ``cofaces``.
@@ -343,9 +350,11 @@ def _match_facets(rows, pos, cofaces, n) -> tuple:
             facet_pos.reshape(cofaces.shape))
 
 
-def boundary_columns(filt: Filtration) -> tuple:
+def boundary_csr(filt: Filtration) -> tuple:
     """The one filtration check, on the array form: each entry's sorted face
-    positions as a tuple, in filtration order.
+    positions in compressed sparse form, ``(indptr, indices)``, in
+    filtration order, so that entry j's faces are
+    ``indices[indptr[j]:indptr[j + 1]]``.
 
     Raises, for the first offending entry, UnsortedFiltration when its
     ``_sort_key`` is below its predecessor's, or InvalidFiltration on a
@@ -353,7 +362,7 @@ def boundary_columns(filt: Filtration) -> tuple:
     InvalidFiltration on a missing face or a face after its coface. Order
     compares adjacent keys; duplicates and faces come from one ``_row_order``
     per dimension that matches each facet row to its face row; face before
-    coface compares positions. The columns share one int per position.
+    coface compares positions.
     """
     faces, positions, scales = filt._array_form()
     n = len(scales)
@@ -388,23 +397,25 @@ def boundary_columns(filt: Filtration) -> tuple:
         raise InvalidFiltration(
             f"face {face} (scale {filt.entries[found[drop]][1]}) appears after "
             f"coface {verts} (scale {scale})")
-    ids = np.arange(n).astype(object)
-    columns = np.empty(n, dtype=object)
-    columns.fill(())
+    dims = filt._dims()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.where(dims > 0, dims + 1, 0), out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
     for k in range(1, len(faces)):
-        columns[positions[k]] = _row_tuples(ids[np.sort(facet_pos[k], axis=1)])
+        slots = indptr[positions[k]][:, None] + np.arange(k + 1)
+        indices[slots] = np.sort(facet_pos[k], axis=1)
         facet_pos[k] = None
-    return tuple(columns.tolist())
+    return indptr, indices
 
 
 def sort_filtration(filt: Filtration) -> Filtration:
     """Canonically order a filtration by (scale, dimension, vertex tuple),
-    then run the one filtration check, ``boundary_columns``, on the result
+    then run the one filtration check, ``boundary_csr``, on the result
     (InvalidFiltration on a duplicate, a missing face or a face with a larger
     scale than its coface). Idempotent and deterministic."""
     ordered = Filtration(entries=sorted(filt.entries, key=_sort_key),
                          max_dim=filt.max_dim)
-    boundary_columns(ordered)
+    boundary_csr(ordered)
     return ordered
 
 
@@ -430,11 +441,31 @@ class PersistenceDiagram:
 
     @classmethod
     def from_pairs(cls, pairs_by_dim: Mapping[int, Iterable]) -> "PersistenceDiagram":
-        rows = []
-        for dim, pairs in pairs_by_dim.items():
-            for birth, death in pairs:
-                rows.append((int(dim), *diagram_pair(birth, death)))
-        return cls(entries=tuple(sorted(rows)))
+        rows = np.array([(int(dim), float(birth), float(death))
+                         for dim, pairs in pairs_by_dim.items()
+                         for birth, death in pairs]).reshape(-1, 3)
+        return cls._from_arrays(rows[:, 0].astype(np.int64), rows[:, 1],
+                                rows[:, 2])
+
+    @classmethod
+    def _from_arrays(cls, dims: np.ndarray, births: np.ndarray,
+                     deaths: np.ndarray) -> "PersistenceDiagram":
+        """The diagram of the rows ``(dims[r], births[r], deaths[r])``: the
+        ``diagram_pair`` check on every row, whose first failing row raises,
+        then the rows in ``_row_order``, which is stable, so rows that
+        compare equal (0.0 and -0.0 births, say) keep their given order. A
+        death with its birth's bits shares its birth's float object."""
+        bad = np.flatnonzero(~(np.isfinite(births) & (births <= deaths)))
+        if len(bad):
+            diagram_pair(births[bad[0]], deaths[bad[0]])
+        order, _ = _row_order(np.column_stack(
+            [dims, _float_keys(births), _float_keys(deaths)]))
+        births, deaths = births[order], deaths[order]
+        tied = births.view(np.int64) == deaths.view(np.int64)
+        births, deaths = births.astype(object), deaths.astype(object)
+        deaths[tied] = births[tied]
+        return cls(entries=tuple(zip(dims[order].tolist(), births.tolist(),
+                                     deaths.tolist())))
 
     @property
     def pairs_by_dim(self) -> dict:

@@ -1,60 +1,120 @@
 """Z2 boundary matrices, column reduction, and persistence pairs.
 
-Columns are sparse sorted row-index tuples. ``boundary_matrix`` takes them
-from ``core.boundary_columns``, the one filtration check, which runs on the
-filtration's integer arrays, so a Delaunay-Rips or Alpha diagram never
-builds per-simplex vertex tuples. Z2 column addition is a symmetric
-difference that keeps a column sorted, so the pivot (largest index) sits
-at its end; the reduction works on the boundary tuples as they are and
-allocates a list only for a column that an addition changes.
-``reduce_standard`` is the textbook left-to-right reduction (the
-reference); ``reduce_twist``, which ``compute_diagram`` runs, goes from
-high dimensions to low and clears columns whose simplices are already
-known to be paired: the same pairing, faster on larger inputs.
+A boundary matrix is held in compressed sparse column form in filtration
+order: column j is ``indices[indptr[j]:indptr[j + 1]]``, the sorted
+positions of simplex j's facets, so its pivot (the youngest facet) is its
+last entry. ``boundary_matrix`` takes these arrays from
+``core.boundary_csr``, the one filtration check; tuple views are built only
+when read.
+
+``reduce_standard`` is the textbook left-to-right reduction, the reference.
+``reduce_twist``, which ``compute_diagram`` runs, gives the same pivots and
+columns. It first finds the apparent pairs in numpy (Bauer 2021): column j
+and its youngest facet i when j is the oldest cofacet of i, a persistence
+pair whose column is already reduced. They seed the pivots; the other
+columns are reduced from high dimensions to low, each pivot clearing a
+column of the next dimension (Chen-Kerber 2011). Z2 column addition is a
+symmetric difference that keeps a column sorted; only the columns that an
+addition changes are stored. ``extract_pairs`` reads the diagram off the
+pivots in numpy.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import (Filtration, PersistenceDiagram, _shared_floats,
-                   boundary_columns)
+import numpy as np
+
+from .core import (Filtration, PersistenceDiagram, _row_tuples,
+                   _shared_floats, boundary_csr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Per-column sparse boundary of each simplex, in filtration order."""
+    """Sparse boundary of each simplex, in filtration order: column j is
+    ``indices[indptr[j]:indptr[j + 1]]``, strictly increasing row indices;
+    ``scale_array`` holds each simplex's scale and ``dim_array`` its
+    dimension (one less than its number of facets, 0 for a vertex).
+    ``columns`` (a tuple of row-index tuples), ``dims`` and ``scales`` are
+    tuple views built on first read; they share one int object per index
+    and one float object per value."""
 
-    columns: tuple  # tuple of tuples of row indices, strictly increasing
-    dims: tuple
-    scales: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    scale_array: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.scale_array)
+
+    @property
+    def dim_array(self) -> np.ndarray:
+        return np.maximum(np.diff(self.indptr) - 1, 0)
+
+    @cached_property
+    def _ids(self) -> np.ndarray:
+        """The column indices as one int object each, shared by the views."""
+        return np.arange(len(self)).astype(object)
+
+    @cached_property
+    def columns(self) -> tuple:
+        cols = np.empty(len(self), dtype=object)
+        cols.fill(())
+        dims = self.dim_array
+        for k in range(1, int(dims.max(initial=0)) + 1):
+            pos = np.flatnonzero(dims == k)
+            rows = self.indices[self.indptr[pos][:, None] + np.arange(k + 1)]
+            cols[pos] = _row_tuples(self._ids[rows])
+        return tuple(cols.tolist())
+
+    @cached_property
+    def dims(self) -> tuple:
+        return tuple(self.dim_array.tolist())
+
+    @cached_property
+    def scales(self) -> tuple:
+        return tuple(_shared_floats(self.scale_array))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedMatrix:
-    columns: tuple
-    low: tuple  # per column: pivot row index, or None for a zero column
-    dims: tuple
-    scales: tuple
+    """A reduced boundary matrix: ``low_array`` holds each column's pivot
+    row (-1 for a zero column) and ``changed`` the columns that an addition
+    changed, as sorted row lists; every other column is the boundary's, or
+    zero when its simplex is a pivot row (cleared). ``columns`` and ``low``
+    (None for a zero column) are tuple views."""
+
+    boundary: BoundaryMatrix
+    low_array: np.ndarray
+    changed: dict
+
+    @cached_property
+    def columns(self) -> tuple:
+        cols = list(self.boundary.columns)
+        ids = self.boundary._ids
+        for j, col in self.changed.items():
+            cols[j] = tuple(ids[col].tolist()) if col else ()
+        for i in self.low_array[self.low_array >= 0].tolist():
+            cols[i] = ()
+        return tuple(cols)
+
+    @cached_property
+    def low(self) -> tuple:
+        return tuple(None if i < 0 else i for i in self.low_array.tolist())
 
 
 def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
     """Exact Z2 boundary matrix of a canonically sorted filtration.
 
-    The columns come from ``core.boundary_columns``, the one filtration
-    check: UnsortedFiltration when the entries are out of canonical order
-    (use ``sort_filtration``), InvalidFiltration on a duplicated simplex, a
-    missing face or a face that comes after its coface. The scales share one
-    float object per value.
+    The arrays come from ``core.boundary_csr``, the one filtration check:
+    UnsortedFiltration when the entries are out of canonical order (use
+    ``sort_filtration``), InvalidFiltration on a duplicated simplex, a
+    missing face or a face that comes after its coface.
     """
-    columns = boundary_columns(filt)
-    return BoundaryMatrix(columns=columns, dims=tuple(filt._dims().tolist()),
-                          scales=tuple(_shared_floats(filt._array_form()[2])))
+    indptr, indices = boundary_csr(filt)
+    return BoundaryMatrix(indptr=indptr, indices=indices,
+                          scale_array=filt._array_form()[2])
 
 
 def _sym_diff(a, b) -> list:
@@ -75,47 +135,72 @@ def _sym_diff(a, b) -> list:
     return out
 
 
-def _reduce(mat: BoundaryMatrix, order) -> ReducedMatrix:
+def _reduce(mat: BoundaryMatrix, order, owner: dict) -> ReducedMatrix:
     """Reduce the columns in the given order until all pivots are distinct.
 
-    Whenever column j takes pivot i, simplex i is a cycle creator, whose
-    column reduces to zero in any reduction, so column i is zeroed at once.
-    Left to right, column i was already reduced to zero and this changes
-    nothing; in an order that reaches column i later, it is the clearing.
+    ``owner`` maps each pivot row already known to the column that owns it
+    (reduced, and left as the boundary's). Whenever column j takes pivot i,
+    simplex i is a cycle creator, whose column reduces to zero in any
+    reduction, so column i is cleared: the loop skips a column that is
+    already a pivot row. Left to right, column i was already reduced to zero
+    and this changes nothing; in an order that reaches column i later, it is
+    the clearing.
     """
-    cols = list(mat.columns)
-    pivot_owner = {}
-    lows = [None] * len(cols)
+    ptr = mat.indptr
+    ind = mat.indices
+    changed = {}
     for j in order:
-        col = cols[j]
-        while col:
-            k = pivot_owner.get(col[-1])
-            if k is None:
-                break
-            col = _sym_diff(col, cols[k])
-        cols[j] = col
+        if j in owner:
+            continue
+        col = ind[ptr[j]:ptr[j + 1]].tolist()
+        while col and col[-1] in owner:
+            k = owner[col[-1]]
+            col = _sym_diff(col, changed.get(k)
+                            or ind[ptr[k]:ptr[k + 1]].tolist())
+            changed[j] = col
         if col:
-            i = col[-1]
-            pivot_owner[i] = j
-            lows[j] = i
-            cols[i] = ()
-    return ReducedMatrix(columns=tuple(map(tuple, cols)), low=tuple(lows),
-                         dims=mat.dims, scales=mat.scales)
+            owner[col[-1]] = j
+    low = np.full(len(mat), -1, dtype=np.int64)
+    low[np.fromiter(owner.values(), np.int64, len(owner))] = np.fromiter(
+        owner, np.int64, len(owner))
+    return ReducedMatrix(boundary=mat, low_array=low, changed=changed)
 
 
 def reduce_standard(mat: BoundaryMatrix) -> ReducedMatrix:
     """Left-to-right column reduction until all pivots are distinct."""
-    return _reduce(mat, range(len(mat.columns)))
+    return _reduce(mat, range(len(mat)), {})
+
+
+def _apparent_pairs(mat: BoundaryMatrix) -> tuple:
+    """The apparent pairs as two arrays ``(faces, cofaces)``: column j with
+    its youngest facet i (its last row) when j is the oldest cofacet of i
+    (the first column with row i)."""
+    starts, ends = mat.indptr[:-1], mat.indptr[1:]
+    cofaces = np.flatnonzero(ends > starts)
+    faces = mat.indices[ends[cofaces] - 1]
+    oldest = np.full(len(mat), len(mat), dtype=np.int64)
+    np.minimum.at(oldest, mat.indices,
+                  np.repeat(np.arange(len(mat)), ends - starts))
+    apparent = oldest[faces] == cofaces
+    return faces[apparent], cofaces[apparent]
 
 
 def reduce_twist(mat: BoundaryMatrix) -> ReducedMatrix:
-    """Clearing variant: same pairing as reduce_standard.
+    """Apparent pairs, then the clearing reduction: same result as
+    reduce_standard.
 
-    Dimensions are processed from high to low (left to right within one),
-    so the pivots found in dimension p clear columns of dimension p-1.
+    The apparent pairs seed the pivots. The other nonzero columns are
+    reduced from high dimensions to low (left to right within one), so the
+    pivots found in dimension p clear columns of dimension p-1.
     """
-    return _reduce(mat, sorted(range(len(mat.columns)),
-                               key=mat.dims.__getitem__, reverse=True))
+    faces, cofaces = _apparent_pairs(mat)
+    dims = mat.dim_array
+    rest = dims > 0
+    rest[faces] = rest[cofaces] = False
+    cols = np.flatnonzero(rest)
+    order = cols[np.argsort(-dims[cols], kind="stable")]
+    return _reduce(mat, order.tolist(),
+                   dict(zip(faces.tolist(), cofaces.tolist())))
 
 
 def extract_pairs(reduced: ReducedMatrix, filt: Filtration) -> PersistenceDiagram:
@@ -125,23 +210,21 @@ def extract_pairs(reduced: ReducedMatrix, filt: Filtration) -> PersistenceDiagra
     (scale_i, scale_j) in dimension dim(i). Zero columns that never become a
     pivot are essential classes with infinite death. Classes of dimension
     above ``filt.max_dim - 1`` are suppressed (their deaths would need
-    simplices beyond the cap).
+    simplices beyond the cap). The rows are taken in column order.
     """
-    dims = reduced.dims
-    scales = reduced.scales
-    max_hom = filt.max_dim - 1
-    pivots = set(reduced.low)
-    pairs: dict = {}
-    for j, piv in enumerate(reduced.low):
-        if piv is not None:
-            p, pair = dims[piv], (scales[piv], scales[j])
-        elif j not in pivots:
-            p, pair = dims[j], (scales[j], math.inf)
-        else:
-            continue
-        if p <= max_hom:
-            pairs.setdefault(p, []).append(pair)
-    return PersistenceDiagram.from_pairs(pairs)
+    low = reduced.low_array
+    dims = reduced.boundary.dim_array
+    scales = reduced.boundary.scale_array
+    paired = low >= 0
+    pivot = np.zeros(len(low), dtype=bool)
+    pivot[low[paired]] = True
+    cols = np.flatnonzero(paired | ~pivot)
+    creators = np.where(paired[cols], low[cols], cols)
+    deaths = np.where(paired[cols], scales[cols], np.inf)
+    keep = dims[creators] <= filt.max_dim - 1
+    creators = creators[keep]
+    return PersistenceDiagram._from_arrays(dims[creators], scales[creators],
+                                           deaths[keep])
 
 
 def compute_diagram(filt: Filtration) -> PersistenceDiagram:

@@ -585,3 +585,15 @@ def dense(columns):
         for i in col:
             out[i][j] = 1
     return out
+
+
+def apparent_pairs(columns):
+    """The apparent pairs ``(i, j)`` of sparse boundary columns: i is the
+    youngest facet of column j (its largest row) and j is the oldest
+    cofacet of i (the first column that has row i)."""
+    oldest = {}
+    for j, col in enumerate(columns):
+        for i in col:
+            oldest.setdefault(i, j)
+    return [(col[-1], j) for j, col in enumerate(columns)
+            if col and oldest[col[-1]] == j]

@@ -12,6 +12,9 @@ from delrips import (Filtration, FiltrationSpec, PointCloud, boundary_matrix,
 from delrips.core import PersistenceDiagram
 from delrips.errors import (InvalidFiltration, UnsortedFiltration,
                             ValidationError)
+from delrips.persistence import BoundaryMatrix, ReducedMatrix, _apparent_pairs
+from families import jittered_grid_member, near_planar_member
+from naive_oracle import apparent_pairs as naive_apparent_pairs
 from naive_oracle import boundary_columns as naive_boundary_columns
 from naive_oracle import dense, naive_vr_diagram
 
@@ -129,16 +132,57 @@ def test_twist_equals_standard_on_quad():
             == extract_pairs(reduce_standard(mat), filt))
 
 
+def _shortcut_clouds(rng):
+    """(method, cloud) pairs for comparing reduce_twist with the reference:
+    random clouds in R^2 and R^3 (Rips small, the Delaunay builders up to
+    150 points), and fixed jittered-grid and near-planar family members."""
+    for dim in (2, 3):
+        for n in (int(rng.integers(4, 12)), 13):
+            yield "rips", random_cloud(rng, n, dim=dim)
+        for n in (int(rng.integers(4, 25)), 60, 150):
+            cloud = random_cloud(rng, n, dim=dim)
+            yield "delaunay_rips", cloud
+            yield "alpha", cloud
+        for seed in (3, 41):
+            cloud = PointCloud.from_points(jittered_grid_member(dim, seed))
+            yield "delaunay_rips", cloud
+            yield "alpha", cloud
+    for seed in (5, 30):
+        cloud = PointCloud.from_points(near_planar_member(seed))
+        yield "delaunay_rips", cloud
+        yield "alpha", cloud
+
+
 def test_twist_equals_standard_on_random_clouds(rng):
-    for _ in range(10):
-        n = int(rng.integers(3, 25))
-        pc = random_cloud(rng, n)
-        for filt in (build_delaunay_rips(pc, FiltrationSpec(max_hom_dim=1)),
-                     build_rips(pc, FiltrationSpec(method="rips",
-                                                   max_hom_dim=1))):
-            mat = boundary_matrix(filt)
-            assert (extract_pairs(reduce_twist(mat), filt)
-                    == extract_pairs(reduce_standard(mat), filt))
+    # The apparent pairs and the clearing are shortcuts: every pivot and
+    # every reduced column must equal the plain left-to-right reduction's.
+    apparent = residual = 0
+    for method, cloud in _shortcut_clouds(rng):
+        maxdim = 2 if method == "rips" else cloud.dim - 1
+        filt = build(cloud, FiltrationSpec(method=method, max_hom_dim=maxdim))
+        mat = boundary_matrix(filt)
+        twist, std = reduce_twist(mat), reduce_standard(mat)
+        assert twist.low == std.low
+        assert twist.columns == std.columns
+        assert extract_pairs(twist, filt) == extract_pairs(std, filt)
+        apparent += len(_apparent_pairs(mat)[0])
+        residual += len(twist.changed)
+    assert apparent > 0 and residual > 0
+
+
+def test_apparent_pairs_match_oracle_and_are_persistence_pairs(rng):
+    seen = 0
+    for method, cloud in _shortcut_clouds(rng):
+        maxdim = 2 if method == "rips" else cloud.dim - 1
+        mat = boundary_matrix(build(cloud, FiltrationSpec(method=method,
+                                                          max_hom_dim=maxdim)))
+        faces, cofaces = _apparent_pairs(mat)
+        pairs = list(zip(faces.tolist(), cofaces.tolist()))
+        assert pairs == naive_apparent_pairs(mat.columns)
+        low = reduce_standard(mat).low
+        assert all(low[j] == i for i, j in pairs)
+        seen += len(pairs)
+    assert seen > 0
 
 
 def test_vr_matches_naive_powerset_oracle(rng):
@@ -220,9 +264,27 @@ def test_dimension_cap_suppresses_top_births(rng):
 def test_boundary_matrix_shares_int_and_float_objects(rng):
     cloud = random_cloud(rng, 300, dim=3)
     mat = boundary_matrix(build_delaunay_rips(cloud, FiltrationSpec(max_hom_dim=2)))
-    rows = [i for col in mat.columns for i in col]
-    assert len({id(i) for i in rows}) == len(set(rows))
+    red = reduce_twist(mat)
+    assert red.changed
+    for columns in (mat.columns, red.columns):
+        rows = [i for col in columns for i in col]
+        assert len({id(i) for i in rows}) == len(set(rows))
     assert len({id(s) for s in mat.scales}) == len(set(mat.scales))
+
+
+@pytest.mark.parametrize("method", ["delaunay_rips", "alpha"])
+def test_diagram_builds_no_column_tuples(method, rng, monkeypatch):
+    def fail(self):
+        pytest.fail("column tuples were built")
+
+    cloud = random_cloud(rng, 60, dim=3)
+    filt = build(cloud, FiltrationSpec(method=method, max_hom_dim=2))
+    for cls in (BoundaryMatrix, ReducedMatrix):
+        monkeypatch.setattr(cls, "columns", property(fail))
+    diag = compute_diagram(filt)
+    monkeypatch.undo()
+    mat = boundary_matrix(filt)
+    assert diag == extract_pairs(reduce_standard(mat), filt)
 
 
 @pytest.mark.parametrize("method", ["delaunay_rips", "alpha"])
@@ -303,3 +365,36 @@ def test_empty_simplex_is_rejected():
     filt = Filtration(entries=(((0,), 0.0), ((), 0.0)), max_dim=0)
     with pytest.raises(ValidationError, match="at least one vertex"):
         boundary_matrix(filt)
+
+
+def test_infinite_birth_is_rejected_as_an_invalid_pair():
+    filt = Filtration(entries=(((0,), math.inf),), max_dim=1)
+    with pytest.raises(ValidationError,
+                       match=re.escape("invalid pair: birth inf, death inf")):
+        compute_diagram(filt)
+
+
+def test_signed_zero_births_keep_column_order():
+    diag = compute_diagram(Filtration(entries=(((0,), -0.0), ((1,), 0.0)),
+                                      max_dim=1))
+    assert diag.entries == ((0, -0.0, math.inf), (0, 0.0, math.inf))
+    assert [math.copysign(1.0, b) for _, b, _ in diag.entries] == [-1.0, 1.0]
+
+
+def test_edge_at_infinite_scale_kills_with_infinite_death():
+    filt = Filtration(entries=(((0,), 0.0), ((1,), 1.0), ((0, 1), math.inf)),
+                      max_dim=1)
+    assert compute_diagram(filt).entries == ((0, 0.0, math.inf),
+                                             (0, 1.0, math.inf))
+
+
+def test_dimension_cap_drops_births_at_the_top_dimension():
+    # A hollow triangle capped at dimension 1: its cycle would be an H1
+    # class born by the last edge, which the cap suppresses.
+    entries = (((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0),
+               ((0, 2), 1.0), ((1, 2), 2.0))
+    for max_dim, want in (
+            (1, ((0, 0.0, 1.0), (0, 0.0, 1.0), (0, 0.0, math.inf))),
+            (2, ((0, 0.0, 1.0), (0, 0.0, 1.0), (0, 0.0, math.inf),
+                 (1, 2.0, math.inf)))):
+        assert compute_diagram(Filtration(entries, max_dim)).entries == want

@@ -6,10 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delrips import (Filtration, FiltrationSpec, PointCloud, bottleneck, build,
-                     build_rips, delay_embed, persistent_entropy,
-                     sort_filtration)
-from delrips.core import boundary_columns
+from delrips import (Filtration, FiltrationSpec, PointCloud, bottleneck,
+                     boundary_matrix, build, build_rips, delay_embed,
+                     persistent_entropy, sort_filtration)
 from delrips.errors import ValidationError
 from delrips.fileio import fmt_float
 from delrips.persistence import _sym_diff
@@ -142,11 +141,12 @@ def test_array_check_equals_dict_reference(seed, dim, method, data):
     cloud = PointCloud.from_points(rng.uniform(-1.0, 1.0, (n, dim)))
     maxdim = data.draw(st.integers(0, dim - 1), label="max_hom_dim")
     filt = build(cloud, FiltrationSpec(method=method, max_hom_dim=maxdim))
-    assert boundary_columns(filt) == tuple(naive_boundary_columns(filt.entries))
+    assert (boundary_matrix(filt).columns
+            == tuple(naive_boundary_columns(filt.entries)))
     how = data.draw(st.sampled_from(["swap", "duplicate", "drop", "raise"]),
                     label="corruption")
     broken = _corrupt(filt.entries, how, rng)
-    got = _outcome(boundary_columns, Filtration(entries=broken,
-                                                max_dim=filt.max_dim))
+    got = _outcome(lambda f: boundary_matrix(f).columns,
+                   Filtration(entries=broken, max_dim=filt.max_dim))
     want = _outcome(lambda e: tuple(naive_boundary_columns(e)), broken)
     assert got == want
