@@ -2,24 +2,35 @@
 
 The optimal value is one of finitely many candidates: the pairwise sup-norm
 distances between points of the two diagrams, the per-point diagonal costs,
-and the essential-class matching cost. We binary-search that candidate set,
-testing feasibility of each threshold with bipartite matchings; by the
+and the essential-class matching cost. We search that candidate set, testing
+feasibility of each threshold with bipartite matchings; by the
 Mendelsohn-Dulmage theorem it suffices to check that the points whose
 diagonal cost exceeds the threshold can be covered on each side separately,
 and the two covers can then be merged into a single witness matching.
 
-With k finite points per diagram, the k x k sup-norm distance matrix is
-built once with numpy (O(k^2) memory: 8 MB at k = 1000) and its distinct
-entries are the candidates. Each threshold tested builds adjacency lists
-from that matrix and covers the hard points with iterative Hopcroft-Karp,
-which recurses nowhere, so no augmenting-path length can hit Python's
-recursion limit. The witness reuses the covers of the final threshold.
+No k x k array is built (Efrat-Itai-Katz 2001; Kerber-Morozov-Nigmetov
+2017). Each side's points are sorted by death once, so at a threshold c a
+point's neighbours lie in its death band [d - c, d + c], which
+``searchsorted`` finds for all hard points at once. When every birth gap is
+within c (always so for H0) the bands are the adjacency, and as both ends of
+a band ascend with the death, one greedy pass in death order is a maximum
+matching. Otherwise the bands are filtered by birth gap in row blocks of
+bounded size and covered with iterative Hopcroft-Karp, which recurses
+nowhere, so no augmenting-path length can hit Python's recursion limit.
+
+The search brackets the value first: no threshold below the largest, over
+all points, of the least cost of sending a point to the diagonal or to its
+nearest death is feasible, and the death-sorted matching's cost is. It then
+bisects the bracket until it holds O(k) pair distances, and binary-searches
+those and the diagonal costs inside it. Memory is O(k) plus the adjacency of
+one threshold. The witness reuses the covers of the final threshold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,53 +142,293 @@ def bottleneck(x_pairs, y_pairs, diagonal: str = "half"):
 
     x_fin = [i for i, p in enumerate(xs) if not math.isinf(p[1])]
     y_fin = [i for i, p in enumerate(ys) if not math.isinf(p[1])]
-    fx = np.array([xs[i] for i in x_fin], dtype=float).reshape(-1, 2)
-    fy = np.array([ys[j] for j in y_fin], dtype=float).reshape(-1, 2)
-    # Sup-norm distances; abs and max are exact, so these are the scalar
-    # values bit for bit.
-    dist = np.maximum(np.abs(fx[:, None, 0] - fy[None, :, 0]),
-                      np.abs(fx[:, None, 1] - fy[None, :, 1]))
-    dist_t = np.ascontiguousarray(dist.T)
-    diag_x = fx[:, 1] - fx[:, 0]
-    diag_y = fy[:, 1] - fy[:, 0]
-    if diagonal == "half":
-        diag_x, diag_y = diag_x / 2.0, diag_y / 2.0
+    x = _Side([xs[i] for i in x_fin], diagonal)
+    y = _Side([ys[j] for j in y_fin], diagonal)
+    value, (cover_x, cover_y) = _search(x, y, ess_cost)
+    matching = _build_matching(len(xs), len(ys),
+                               [x_fin[i] for i in x.order.tolist()],
+                               [y_fin[j] for j in y.order.tolist()],
+                               ess_matched, cover_x, cover_y, value)
+    return value, matching
 
-    # "+ 0.0" turns the -0.0 diagonal cost of a pair (0.0, -0.0) into 0.0.
-    cand = (np.unique(np.concatenate((dist.ravel(), diag_x, diag_y,
-                                      (0.0, ess_cost)))) + 0.0).tolist()
 
-    def covers(c):
-        """X-side and Y-side covers of the points whose diagonal cost
-        exceeds ``c``, by pairs at distance <= c, or None if either fails."""
-        out = []
-        for diag, rows, n_right in ((diag_x, dist, len(y_fin)),
-                                    (diag_y, dist_t, len(x_fin))):
-            hard = np.flatnonzero(diag > c).tolist()
-            cover = _cover([np.flatnonzero(rows[h] <= c).tolist()
-                            for h in hard], n_right)
-            if cover is None:
-                return None
-            out.append(dict(zip(hard, cover)))
-        return out
+# Pair distances per finite point that the final binary search may collect;
+# until the bracket holds no more, it is bisected.
+CANDIDATES_PER_POINT = 8
+# Entries per row block: bounds the temporaries of the birth filter and of
+# the candidate collection.
+BLOCK = 1 << 16
 
-    lo, hi = 0, len(cand) - 1
-    while cand[lo] < ess_cost:
-        lo += 1
-    best, witness = hi, None
-    a, b = lo, hi
+
+class _Side:
+    """One diagram's finite points sorted by death, with their diagonal
+    costs.
+
+    ``death_pad`` holds the sorted deaths between -inf and +inf (as
+    ``by_birth`` does the sorted births), so a band search never indexes
+    past either end.
+    """
+
+    def __init__(self, points, diagonal):
+        pts = np.array(points, dtype=float).reshape(-1, 2)
+        self.order = np.argsort(pts[:, 1], kind="stable")
+        self.birth, self.death = pts[self.order].T
+        diag = self.death - self.birth
+        # "+ 0.0" turns the -0.0 diagonal cost of a pair (0.0, -0.0) into 0.0.
+        self.diag = (diag / 2.0 if diagonal == "half" else diag) + 0.0
+        self.death_pad = np.concatenate(([-np.inf], self.death, [np.inf]))
+
+    def __len__(self):
+        return len(self.death)
+
+    @cached_property
+    def birth_range(self):
+        """``(least birth, greatest birth)``; (inf, -inf) when empty."""
+        return (float(self.birth.min(initial=np.inf)),
+                float(self.birth.max(initial=-np.inf)))
+
+    @cached_property
+    def ids(self):
+        """The positions 0..k-1 as one object array of Python ints."""
+        return np.arange(len(self)).astype(object)
+
+    @cached_property
+    def by_birth(self):
+        """``(birth_pad, deaths in birth order)``, for the birth rings."""
+        order = np.argsort(self.birth, kind="stable")
+        return (np.concatenate(([-np.inf], self.birth[order], [np.inf])),
+                self.death[order])
+
+
+def _search(x, y, ess_cost):
+    """The least feasible candidate that is at least ``ess_cost``, and the
+    covers at it."""
+    lo = max(ess_cost, _lower_bound(x, y), _lower_bound(y, x)) + 0.0
+    hi, hi_found = _sorted_matching(x, y)
+    hi = max(ess_cost, hi) + 0.0
+    if hi <= lo:
+        return hi, hi_found
+    found = _covers(x, y, lo)
+    if found is not None:
+        return lo, found
+    # From here on the value lies in (lo, hi] and hi is feasible.
+    budget = CANDIDATES_PER_POINT * (len(x) + len(y))
+    while True:
+        mid = _between(lo, hi)
+        if mid is None:
+            cand = [hi]
+            break
+        rings = _rings(x, y, lo, hi)
+        if sum(int((stop - start).sum()) for *_, start, stop in rings) \
+                <= budget:
+            cand = _candidates(x, y, rings, lo, hi)
+            break
+        found = _covers(x, y, mid)
+        if found is None:
+            lo = mid
+        else:
+            hi, hi_found = mid, found
+    # No candidate lies between the largest one and hi, so hi's covers serve
+    # it. It is often the value (the death-sorted matching is optimal on most
+    # H0 pairs), so the search probes the candidate below it first.
+    best, witness = len(cand) - 1, hi_found
+    a, b = 0, len(cand) - 2
+    mid = b
     while a <= b:
-        mid = (a + b) // 2
-        found = covers(cand[mid])
+        found = _covers(x, y, cand[mid])
         if found is not None:
-            best, witness = mid, found
-            b = mid - 1
+            best, witness, b = mid, found, mid - 1
         else:
             a = mid + 1
-    value = cand[best]
-    matching = _build_matching(len(xs), len(ys), x_fin, y_fin, ess_matched,
-                               *witness, value)
-    return value, matching
+        mid = (a + b) // 2
+    return cand[best], witness
+
+
+def _lower_bound(x, y):
+    """The largest, over X's points, of the least cost at which the point can
+    be sent to the diagonal or matched (a match costs at least its death
+    gap): no threshold below it is feasible."""
+    at = np.searchsorted(y.death_pad, x.death)
+    gap = np.minimum(np.abs(x.death - y.death_pad[at - 1]),
+                     np.abs(x.death - y.death_pad[at]))
+    return float(np.minimum(x.diag, gap).max(initial=0.0))
+
+
+def _sorted_matching(x, y):
+    """Pair the two sides' points in death order from the top; a pair whose
+    points cost less on the diagonal goes there, and so do unpaired points.
+
+    Returns the matching's cost, which is a candidate and so a feasible
+    threshold, and the matching as X-side and Y-side covers.
+    """
+    m = min(len(x), len(y))
+    xa, ya = slice(len(x) - m, None), slice(len(y) - m, None)
+    dist = np.maximum(np.abs(x.birth[xa] - y.birth[ya]),
+                      np.abs(x.death[xa] - y.death[ya]))
+    diag = np.maximum(x.diag[xa], y.diag[ya])
+    cost = np.concatenate((np.minimum(dist, diag), x.diag[:len(x) - m],
+                           y.diag[:len(y) - m])).max(initial=0.0)
+    paired = np.flatnonzero(dist <= diag)
+    cover_x = dict(zip((paired + (len(x) - m)).tolist(),
+                       (paired + (len(y) - m)).tolist()))
+    return float(cost), [cover_x, {b: a for a, b in cover_x.items()}]
+
+
+def _between(lo, hi):
+    """The float halfway between 0 <= lo < hi in bit order, or None when no
+    float lies strictly between them.
+
+    Non-negative floats order as their bit patterns, so bisecting on this
+    point ends within 64 steps at any scale; across binades it follows the
+    geometric mean, and it never underflows to 0.
+    """
+    a, b = np.array([lo, hi]).view(np.int64).tolist()
+    m = (a + b) // 2
+    return None if m == a else float(np.array([m]).view(np.float64)[0])
+
+
+def _band(q, pad, c):
+    """Per value of ``q``, the index range ``[start, stop)`` of the sorted
+    keys (held in ``pad`` between -inf and +inf) whose difference from it,
+    rounded as the distances round it, is at most ``c`` in absolute value."""
+    start = np.searchsorted(pad, q - c)
+    stop = np.searchsorted(pad, q + c, "right")
+    # Rounding q - c or q + c can move a bound across a key. Check each
+    # bound against the rounded differences of its two keys, and bisect on
+    # those differences where it moved.
+    gap = q - pad[np.concatenate((start - 1, start, stop - 1, stop))
+                  ].reshape(4, -1)
+    moved = (gap[0] <= c) | (gap[1] > c) | (gap[2] < -c) | (gap[3] >= -c)
+    if np.count_nonzero(moved):
+        q = q[moved]
+        start[moved] = _bisect(lambda j: q - pad[j] <= c, len(pad))
+        stop[moved] = _bisect(lambda j: q - pad[j] < -c, len(pad))
+    return start - 1, stop - 1
+
+
+def _bisect(pred, n):
+    """Per row, the least index in ``[1, n)`` at which ``pred`` holds, for a
+    ``pred`` that is false and then true along the index and true at
+    ``n - 1``."""
+    a, b = 1, n - 1
+    while np.any(a < b):
+        mid = (a + b) // 2
+        ok = pred(mid)
+        a, b = np.where(ok, a, mid + 1), np.where(ok, mid, b)
+    return b
+
+
+def _covers(x, y, c):
+    """X-side and Y-side covers, at threshold ``c``, of the points whose
+    diagonal cost exceeds ``c``, by pairs at distance <= c; None if either
+    fails. Keys are positions in death order."""
+    hard_x = np.flatnonzero(x.diag > c)
+    hard_y = np.flatnonzero(y.diag > c)
+    if len(hard_x) > len(y) or len(hard_y) > len(x):
+        return None
+    sides = []
+    for side, (hard, a, b) in enumerate(((hard_x, x, y), (hard_y, y, x))):
+        if len(hard):
+            start, stop = _band(a.death[hard], b.death_pad, c)
+            if np.count_nonzero(start == stop):  # no neighbour for one
+                return None
+            sides.append((side, hard, a, b, start, stop))
+    (x_min, x_max), (y_min, y_max) = x.birth_range, y.birth_range
+    births_near = x_max - y_min <= c and y_max - x_min <= c
+    out = [{}, {}]
+    for side, hard, a, b, start, stop in sides:
+        if births_near:
+            cover = _interval_cover(start, stop)
+        else:
+            adj = _near_births(a.birth[hard], b, start, stop, c)
+            cover = None if adj is None else _cover(adj, len(b))
+        if cover is None:
+            return None
+        out[side] = dict(zip(hard.tolist(), cover))
+    return out
+
+
+def _interval_cover(start, stop):
+    """Cover of rows whose neighbours are the ranges ``[start, stop)``, both
+    ends ascending with the row, or None if there is none.
+
+    Each row in turn takes its first column not taken before, which is the
+    column after the previous row's or its own start: for intervals in
+    order of their right ends this greedy matching is maximum, so a row left
+    without a column means no cover exists.
+    """
+    rows = np.arange(len(start))
+    col = np.maximum.accumulate(start - rows) + rows
+    return None if np.count_nonzero(col >= stop) else col.tolist()
+
+
+def _near_births(births, other, start, stop, c):
+    """Per row, the list of indices j in ``[start, stop)`` with
+    ``|births[row] - other.birth[j]| <= c``; None if some row has none."""
+    adj = []
+    for rows in _blocks(stop - start):
+        j, size = _expand(start[rows], stop[rows])
+        keep = np.abs(np.repeat(births[rows], size) - other.birth[j]) <= c
+        counts = np.add.reduceat(keep, np.cumsum(size) - size, dtype=np.intp)
+        if np.count_nonzero(counts) < len(counts):
+            return None
+        # Entries are shared int objects, not one new int per entry.
+        flat = other.ids[j[keep]].tolist()
+        ends = np.cumsum(counts).tolist()
+        adj.extend(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
+    return adj
+
+
+def _rings(x, y, lo, hi):
+    """The pairs whose distance may lie in ``(lo, hi]``: per X point, the
+    index ranges of the Y points whose death gap (Y in death order) or birth
+    gap (Y in birth order) lies in ``(lo, hi]``. Each ring is
+    ``(Y births, Y deaths, start, stop)`` in that order of Y."""
+    out = []
+    birth_pad, death_by_birth = y.by_birth
+    for q, pad, births, deaths in (
+            (x.death, y.death_pad, y.birth, y.death),
+            (x.birth, birth_pad, birth_pad[1:-1], death_by_birth)):
+        start_hi, stop_hi = _band(q, pad, hi)
+        start_lo, stop_lo = _band(q, pad, lo)
+        out.append((births, deaths, start_hi, start_lo))
+        out.append((births, deaths, stop_lo, stop_hi))
+    return out
+
+
+def _candidates(x, y, rings, lo, hi):
+    """Sorted distinct candidates in ``(lo, hi]``: diagonal costs and the
+    distances of the pairs in ``rings``."""
+    parts = [d[(d > lo) & (d <= hi)] for d in (x.diag, y.diag)]
+    for births, deaths, start, stop in rings:
+        for rows in _blocks(stop - start):
+            j, size = _expand(start[rows], stop[rows])
+            # abs and max are exact, so these are the scalar distances.
+            dist = np.maximum(
+                np.abs(np.repeat(x.birth[rows], size) - births[j]),
+                np.abs(np.repeat(x.death[rows], size) - deaths[j]))
+            parts.append(np.unique(dist[(dist > lo) & (dist <= hi)]))
+    # "+ 0.0" as for the diagonal costs.
+    return (np.unique(np.concatenate(parts)) + 0.0).tolist()
+
+
+def _expand(start, stop):
+    """Every index of the ranges ``[start, stop)`` in turn, and the ranges'
+    sizes."""
+    size = stop - start
+    offset = np.cumsum(size) - size
+    return np.arange(int(size.sum())) + np.repeat(start - offset, size), size
+
+
+def _blocks(size):
+    """Slices of consecutive rows holding about BLOCK entries each (a longer
+    row is a block of its own)."""
+    ends = np.cumsum(size)
+    if not len(ends) or ends[-1] <= BLOCK:
+        return [slice(None)]
+    cuts = np.searchsorted(ends, np.arange(BLOCK, ends[-1], BLOCK), "right")
+    edges = np.unique(np.concatenate(([0], cuts, [len(size)]))).tolist()
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _build_matching(nx, ny, x_fin, y_fin, ess_matched, cover_x, cover_y,

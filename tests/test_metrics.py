@@ -1,4 +1,8 @@
+import functools
 import math
+import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from delrips import (FiltrationSpec, ShapeClass, add_noise, bottleneck,
                      build_delaunay_rips, compute_diagram, epsilon_perturb,
                      near_cocircular_quad, sample_shape)
+from delrips import metrics
 from delrips.errors import InfiniteDistance, ValidationError
 from delrips.geometry import min_pairwise_distance
 from naive_oracle import brute_bottleneck, matching_bottleneck
@@ -157,6 +162,12 @@ def test_long_augmenting_chain():
     value, m = bottleneck(x, y)
     assert value == 0.5
     assert_valid_matching(x, y, value, m)
+    # Equal births take the interval cover, so give Hopcroft-Karp the same
+    # graph directly: row i reaches columns i and i + 1, the last row only 0.
+    adj = [[i, i + 1] for i in range(1500)] + [[0]]
+    cover = metrics._cover(adj, 1501)
+    assert sorted(cover) == list(range(1501))
+    assert all(r in nbrs for r, nbrs in zip(cover, adj))
 
 
 def h0_like_diagram(rng, k):
@@ -204,16 +215,219 @@ GOLDEN_STABILITY = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_STABILITY))
-def test_stability_pair_golden_values(seed):
+@functools.lru_cache(maxsize=None)
+def stability_diagrams(seed):
+    """Delaunay-Rips diagrams (zero pairs dropped) of an n = 300 noisy sphere
+    and its epsilon-perturbed copy, as the golden values were taken."""
     cloud = add_noise(sample_shape(ShapeClass(kind="sphere"), 300, seed),
                       0.1, seed + 1)
     pair = epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud),
                            seed + 2)
     spec = FiltrationSpec(method="delaunay_rips", max_hom_dim=2)
-    source, target = (compute_diagram(build_delaunay_rips(c, spec)).drop_zero()
-                      for c in (pair.source, pair.target))
+    return tuple(compute_diagram(build_delaunay_rips(c, spec)).drop_zero()
+                 for c in (pair.source, pair.target))
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_STABILITY))
+def test_stability_pair_golden_values(seed):
+    source, target = stability_diagrams(seed)
     for diagonal, want in GOLDEN_STABILITY[seed].items():
-        got = tuple(bottleneck(source.pairs(p), target.pairs(p),
-                               diagonal=diagonal)[0].hex() for p in range(3))
-        assert got == want
+        got = []
+        for p in range(3):
+            x, y = source.pairs(p), target.pairs(p)
+            value, m = bottleneck(x, y, diagonal=diagonal)
+            assert m.cost == value
+            assert_valid_matching(x, y, value, m, diagonal)
+            assert matching_cost(x, y, m, diagonal) == value
+            got.append(value.hex())
+        assert tuple(got) == want
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -664, 2.0 ** 532],
+                         ids=["2^-664", "2^532"])
+def test_extreme_scale_values_scale_exactly(scale):
+    # A power of two scales every difference, half and maximum exactly, so
+    # each value must be the unscaled one times the scale, bit for bit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in sorted(GOLDEN_STABILITY):
+            source, target = stability_diagrams(seed)
+            for p in range(3):
+                x, y = source.pairs(p), target.pairs(p)
+                sx = [(b * scale, d * scale) for b, d in x]
+                sy = [(b * scale, d * scale) for b, d in y]
+                for diagonal in ("half", "full"):
+                    want = bottleneck(x, y, diagonal)[0] * scale
+                    value, m = bottleneck(sx, sy, diagonal)
+                    assert value.hex() == want.hex()
+                    assert m.cost == value
+
+
+def equal_births(rng, k):
+    # One birth for every point, as in H0: each band is the adjacency.
+    return [(0.5, 0.5 + float(d)) for d in np.round(rng.gamma(2.0, 0.5, k), 1)]
+
+
+def spread_births(rng, k):
+    births = np.round(rng.uniform(0.0, 2.0, k), 1)
+    return [(float(b), float(b + p))
+            for b, p in zip(births, np.round(rng.exponential(0.5, k), 1))]
+
+
+def diagonal_and_duplicates(rng, k):
+    pts = spread_births(rng, (k + 1) // 2)
+    pts += [(b, b) for b, _ in pts[:k // 4]]  # on the diagonal
+    pts += pts[:k - len(pts)]  # repeated points
+    return pts[:k]
+
+
+def nearby(rng, pairs):
+    """A copy of ``pairs`` with each death, and each birth unless all births
+    are equal, moved by 0 or +-0.1."""
+    same = len({b for b, _ in pairs}) <= 1
+    out = []
+    for (b, d), (u, v) in zip(pairs, rng.integers(-1, 2, (len(pairs), 2))):
+        b2 = b if same else round(b + 0.1 * u, 1)
+        out.append((b2, max(b2, round(d + 0.1 * v, 1))))
+    return out
+
+
+FAMILIES = [equal_births, spread_births, diagonal_and_duplicates]
+
+
+class SearchSpy:
+    """Counts the search's calls into its steps."""
+
+    def __init__(self, monkeypatch):
+        self.calls = Counter()
+        for name in ("_covers", "_interval_cover", "_near_births", "_rings"):
+            monkeypatch.setattr(metrics, name,
+                                self._counted(name, getattr(metrics, name)))
+
+    def _counted(self, name, real):
+        def counted(*args):
+            self.calls[name] += 1
+            return real(*args)
+        return counted
+
+
+def bracket(x, y, diagonal):
+    """The search's first bracket: (lower bound, death-sorted matching
+    cost), for diagrams without essential classes."""
+    sx, sy = (metrics._Side(d, diagonal) for d in (x, y))
+    return (max(metrics._lower_bound(sx, sy), metrics._lower_bound(sy, sx)),
+            metrics._sorted_matching(sx, sy)[0])
+
+
+@pytest.mark.parametrize("budget, block", [(None, None), (0, 5)],
+                         ids=["default", "bisect-to-the-end"])
+def test_search_matches_oracles(budget, block, monkeypatch):
+    # Budget 0 bisects the bracket until no float lies inside it; tiny
+    # blocks split the birth filter and the candidate collection.
+    if budget is not None:
+        monkeypatch.setattr(metrics, "CANDIDATES_PER_POINT", budget)
+        monkeypatch.setattr(metrics, "BLOCK", block)
+    spy = SearchSpy(monkeypatch)
+    rng = np.random.default_rng(11)
+    edges = Counter()
+    for make in FAMILIES:
+        for diagonal in ("half", "full"):
+            for trial in range(40):
+                small = trial % 2 == 0
+                k = int(rng.integers(0, 7 if small else 90))
+                x = make(rng, k)
+                y = nearby(rng, x) if trial % 4 < 2 else make(
+                    rng, max(0, k + int(rng.integers(-3, 4))))
+                lo, hi = bracket(x, y, diagonal)
+                spy.calls.clear()
+                value, m = bottleneck(x, y, diagonal)
+                want = (brute_bottleneck(x, y, diagonal) if small
+                        else matching_bottleneck(x, y, diagonal))
+                assert value == want
+                assert m.cost == value
+                assert_valid_matching(x, y, value, m, diagonal)
+                assert matching_cost(x, y, m, diagonal) == value
+                edges["sorted matching meets the lower bound" if hi <= lo
+                      else "lower bound feasible" if value == lo
+                      else "sorted matching optimal" if value == hi
+                      else "inside the bracket"] += 1
+                edges["bisected"] += spy.calls["_rings"] > 1
+                for path in ("_interval_cover", "_near_births"):
+                    edges[path] += spy.calls[path] > 0
+    assert all(edges[e] for e in (
+        "sorted matching meets the lower bound", "lower bound feasible",
+        "sorted matching optimal", "inside the bracket", "bisected",
+        "_interval_cover", "_near_births")), edges
+
+
+@pytest.mark.parametrize("x, y", [
+    ([], []),
+    ([], [(0.0, 2.0), (1.0, 1.0)]),
+    ([(0.0, math.inf), (2.0, math.inf)], [(0.5, math.inf), (1.0, math.inf)]),
+    ([(0.0, math.inf), (1.0, 1.5)], [(3.0, math.inf)]),
+    ([(1.0, 1.0), (2.0, 2.0)], [(0.5, 0.5)]),
+    ([(0.0, 1.0)] * 3, [(0.0, 1.0)] * 2),
+    ([(0.0, 1.0), (0.0, 1.0)], [(0.25, 1.0), (0.0, 1.5)]),
+])
+def test_edge_diagrams_match_brute_force(x, y):
+    for diagonal in ("half", "full"):
+        value, m = bottleneck(x, y, diagonal)
+        assert value == brute_bottleneck(x, y, diagonal)
+        assert m.cost == value
+        assert_valid_matching(x, y, value, m, diagonal)
+
+
+def test_band_is_exact_where_rounding_moves_the_bound():
+    # Below 1 the differences 1 - key round to multiples of 2**-53, far
+    # coarser than these keys' spacing, so searchsorted on the rounded
+    # 1 - c lands many keys away from the band's edge; above 1, 1 + c rounds
+    # half an ulp up and takes one key too many.
+    keys = np.sort(np.concatenate((np.arange(200) * 2.0 ** -60,
+                                   1.0 + np.arange(6) * 2.0 ** -52)))
+    pad = np.concatenate(([-np.inf], keys, [np.inf]))
+    q = np.array([1.0, 1.0 + 2.0 ** -52, 0.5])
+    guessed_wrong = 0
+    for c in (1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 1.5 * 2.0 ** -52, 0.5):
+        start, stop = metrics._band(q, pad, c)
+        for i in range(len(q)):
+            want = np.flatnonzero(np.abs(q[i] - keys) <= c)
+            assert list(range(start[i], stop[i])) == want.tolist()
+        guessed_wrong += np.count_nonzero(
+            (np.searchsorted(pad, q - c) - 1 != start)
+            | (np.searchsorted(pad, q + c, "right") - 1 != stop))
+    assert guessed_wrong
+
+
+def test_interval_cover_agrees_with_hopcroft_karp(rng):
+    for _ in range(300):
+        n_rows, n_cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        start = np.sort(rng.integers(0, n_cols, n_rows))
+        stop = np.minimum(np.maximum.accumulate(
+            start + rng.integers(0, 4, n_rows)), n_cols)
+        got = metrics._interval_cover(start, stop)
+        want = metrics._cover([range(s, e) for s, e in zip(start, stop)],
+                              n_cols)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(set(got)) == n_rows
+            assert all(s <= col < e for s, col, e in zip(start, got, stop))
+
+
+def test_bottleneck_peak_memory_below_dense_matrix():
+    # The old search held the k x k distance matrix and its k*k candidates;
+    # an eighth of the matrix's bare float payload (k*k*8/8 bytes) bounds
+    # what the banded search allocates.
+    k = 4000
+    rng = np.random.default_rng(2024)
+    deaths = rng.gamma(2.0, 0.05, k)
+    moved = np.maximum(deaths + rng.uniform(-1e-4, 1e-4, k), 0.0)
+    x = [(0.0, float(d)) for d in deaths]
+    y = [(0.0, float(d)) for d in moved]
+    tracemalloc.start()
+    try:
+        value, m = bottleneck(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.cost == value <= 1e-4
+    assert peak < k * k * 8 // 8
