@@ -53,6 +53,17 @@ The predicates run on the coordinates scaled by a power of two that brings
 the largest one near 1. The scaling is exact, so every sign is unchanged,
 and it keeps the float filter away from underflow and overflow at extreme
 scales, where it would fall back to exact arithmetic on every call.
+
+The insertion loop's orientation and in-ball tests come from
+``predicates._cloud_predicates``, which gives each test three tiers. The
+first compares the float determinant with one error bound computed from the
+scaled cloud's per-axis extents, which dominates the filter's bound for
+every tuple of the cloud. The second is the filter on the tuple's own
+permanent, and the third the exact integer evaluation. The first tier
+decides all of the 2000-point noisy sphere's tests. It is off for a cloud
+whose bound underflows or overflows, or whose extents exceed 2, and every
+sign is the exact one either way (see the ``predicates`` module doc). The
+certificate keeps the two-tier numpy batches.
 """
 
 from __future__ import annotations
@@ -68,8 +79,8 @@ import numpy as np
 from .core import PointCloud, _facet_rows, _row_order
 from .errors import (AffinelyDegenerateInput, CertificateError,
                      DuplicatePoints, TooFewPoints)
-from .predicates import (collinear3d, incircle, inball_signs, insphere,
-                         orient2d, orient3d, orient_signs)
+from .predicates import (_cloud_predicates, collinear3d, inball_signs,
+                         orient_signs)
 
 GHOST = -1
 # Tests per numpy filter pass: bounds the filter's temporaries.
@@ -181,10 +192,9 @@ def _ridge_positions(dim):
 class _Triangulation:
     """Mutable Bowyer-Watson state over simplex slots (see module doc)."""
 
-    def __init__(self, pts, dim, init):
+    def __init__(self, pts, dim, init, predicates):
         self.pts = pts
-        self.orient = orient2d if dim == 2 else orient3d
-        self.inball = incircle if dim == 2 else insphere
+        self.orient, self.inball = predicates
         self.ridges = _ridge_positions(dim)
         self.verts = []
         self.nbrs = []
@@ -419,8 +429,9 @@ def _prescaled(points):
     return tuple(map(tuple, np.ldexp(np.asarray(points, float), -e).tolist()))
 
 
-def _initial_vertices(pts, dim):
-    """First dim+1 affinely independent points in index order."""
+def _initial_vertices(pts, dim, orient):
+    """First dim+1 affinely independent points in index order; ``orient`` is
+    the cloud's orient2d or orient3d."""
     chosen = [0]
     for i in range(1, len(pts)):
         if pts[i] != pts[0]:
@@ -430,7 +441,7 @@ def _initial_vertices(pts, dim):
         raise AffinelyDegenerateInput("all points coincide")
     for i in range(chosen[1] + 1, len(pts)):
         a, b, c = pts[chosen[0]], pts[chosen[1]], pts[i]
-        flat = orient2d(a, b, c) == 0 if dim == 2 else collinear3d(a, b, c)
+        flat = orient(a, b, c) == 0 if dim == 2 else collinear3d(a, b, c)
         if not flat:
             chosen.append(i)
             break
@@ -439,7 +450,7 @@ def _initial_vertices(pts, dim):
     if dim == 3:
         for i in range(chosen[2] + 1, len(pts)):
             coords = [pts[v] for v in chosen] + [pts[i]]
-            if orient3d(*coords) != 0:
+            if orient(*coords) != 0:
                 chosen.append(i)
                 break
         if len(chosen) < 4:
@@ -470,8 +481,9 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
         seen[p] = i
 
     pts = _prescaled(pts)
-    init = _initial_vertices(pts, dim)
-    tri = _Triangulation(pts, dim, init)
+    predicates = _cloud_predicates(pts)
+    init = _initial_vertices(pts, dim, predicates[0])
+    tri = _Triangulation(pts, dim, init, predicates)
     used = set(init)
     for p in range(n):
         if p not in used:

@@ -7,7 +7,43 @@ evaluates the same expression in Python integers (as Fortune and Van Wyk
 do): every float is an integer times a power of two, so one common left
 shift makes all coordinates integers, and each determinant is homogeneous,
 so that common scaling keeps its sign. The fallback only fires near
-degeneracy, so the exact path costs nothing on generic input.
+degeneracy, so the exact path costs nothing on generic input. The exact
+stage evaluates the determinant alone, not the permanent.
+
+``_cloud_predicates`` puts a third tier in front of the filter for the
+tests of one cloud, the semi-static filter of Devillers and Pion
+("Efficient exact geometric predicates for Delaunay triangulations", 2003)
+and of CGAL's static filters (Meyer and Pion, "FPG", 2008). A test first
+evaluates its determinant. If the magnitude exceeds a bound computed once
+per cloud, the float sign is returned at once. Otherwise the same call goes
+on to the tuple's own permanent and its filter, then to the exact stage.
+The determinant is evaluated once. The tier returns a sign only where the
+float sign is provably the exact one, so every sign, and every output built
+from them, is unchanged.
+
+- **The bound.** Every coordinate difference of two of the cloud's points
+  is at most the cloud's extent on that axis, X, Y or Z. That holds in
+  floats too, since rounding is monotone. So the permanent of any tuple is
+  at most 2XY for orient2d, 6XYZ for orient3d, 6XY(X^2+Y^2) for incircle
+  and 24XYZ(X^2+Y^2+Z^2) for insphere. The cloud's bound is the A-bound
+  times that permanent bound times 1 + 2^-40. The slack covers the at most
+  20 roundings, each within 2^-53, by which a tuple's float permanent can
+  exceed the exact one, and those of the bound itself. So the bound
+  dominates the A-bound times the float permanent of every tuple.
+- **Underflow.** The A-bounds assume that no intermediate underflows. An
+  underflowing product adds an absolute error of at most 2^-1075. When
+  every extent is at most 2, the later factors (each an extent, at most 2,
+  or a lift, at most 12) and the number of products keep the sum of these
+  errors below 2^12 times that. The tier is on only for such clouds, and
+  only when the bound is at least
+  ``_UNDERFLOW_GUARD``. Then the slack, about 2^-40 times the guard,
+  exceeds any such error by over a hundred binary orders of magnitude.
+  ``delaunay`` scales each cloud by a power of two that brings its largest
+  coordinate near 1, so every extent is below 2 for every cloud whose
+  nonzero coordinates span less than about 2^1022.
+- **Overflow.** With every extent at most 2 no determinant can overflow:
+  the largest permanent bound is 24 * 2^3 * 12. A cloud whose bound
+  overflows to inf, or whose extents exceed 2, keeps the two-tier path.
 
 All predicates return -1, 0, or +1. ``orient_signs``, ``inball_signs`` and
 ``diametral_signs`` (is a point strictly inside the smallest circumball of
@@ -50,6 +86,10 @@ _DIAM_COND = 2.0 ** 14
 # sum is this small (or overflows to inf/nan, which fails every comparison),
 # skip the filter and evaluate exactly.
 _UNDERFLOW_GUARD = 1e-250
+# A cloud's static bound is its A-bound times its permanent bound times this
+# slack, which covers the at most 20 roundings (each within _EPS) of a tuple's
+# float permanent and of the bound itself, and any underflow (module doc).
+_STATIC_SLACK = 1.0 + 2.0 ** -40
 
 
 def _certified(det, permanent, bound):
@@ -79,9 +119,61 @@ def _integer_coords(points) -> tuple:
 
 def _exact_sign(terms, *points) -> int:
     """Exact sign of the determinant that ``terms`` computes, evaluated on
-    the points' coordinates scaled to integers by ``_integer_coords``."""
-    det, _ = terms(*_integer_coords(points)[0])
+    the points' coordinates scaled to integers by ``_integer_coords``; a
+    ``static`` of -1 stops ``terms`` before the permanent."""
+    det, _ = terms(*_integer_coords(points)[0], -1)
     return _sign(det)
+
+
+def _static_bounds(points) -> tuple:
+    """The static bounds of the cloud's orient and inball tests, each None
+    where its tier is off: the A-bound times the permanent bound from the
+    per-axis extents X, Y (, Z) of the points, 2XY and 6XY(X^2+Y^2) in R^2,
+    6XYZ and 24XYZ(X^2+Y^2+Z^2) in R^3, times ``_STATIC_SLACK``. The tier
+    is off when that bound is not finite or is below ``_UNDERFLOW_GUARD``,
+    or when an extent exceeds 2 (see the module doc)."""
+    ext = [max(axis) - min(axis) for axis in zip(*points)]
+    x, y = ext[0], ext[1]
+    if len(ext) == 2:
+        bounds = (_O2D_BOUND * (2.0 * x * y),
+                  _ICC_BOUND * (6.0 * x * y * (x * x + y * y)))
+    else:
+        z = ext[2]
+        bounds = (_O3D_BOUND * (6.0 * x * y * z),
+                  _ISP_BOUND * (24.0 * x * y * z * (x * x + y * y + z * z)))
+    bounds = [_STATIC_SLACK * b for b in bounds]
+    return tuple(b if max(ext) <= 2.0 and _UNDERFLOW_GUARD <= b < math.inf
+                 else None for b in bounds)
+
+
+def _cloud_predicates(points) -> tuple:
+    """``(orient, inball)`` for tuples of the given points, all in R^2 or
+    all in R^3: orient2d and incircle, or orient3d and insphere, each with
+    the cloud's static tier in front where ``_static_bounds`` allows it."""
+    if len(points[0]) == 2:
+        plain = ((orient2d, _orient2d_terms, _O2D_BOUND),
+                 (incircle, _incircle_terms, _ICC_BOUND))
+    else:
+        plain = ((orient3d, _orient3d_terms, _O3D_BOUND),
+                 (insphere, _insphere_terms, _ISP_BOUND))
+    return tuple(public if static is None else _tiered(terms, bound, static)
+                 for (public, terms, bound), static
+                 in zip(plain, _static_bounds(points)))
+
+
+def _tiered(terms, bound, static):
+    """The predicate of ``terms`` with three tiers: the sign of the float
+    determinant when its magnitude exceeds the cloud's ``static`` bound,
+    else the filter on the tuple's own permanent, else ``_exact_sign``. The
+    determinant is evaluated once."""
+    def predicate(*points):
+        det, permanent = terms(*points, static)
+        if permanent is None:
+            return 1 if det > 0 else -1
+        if _certified(det, permanent, bound):
+            return _sign(det)
+        return _exact_sign(terms, *points)
+    return predicate
 
 
 def orient2d(a, b, c) -> int:
@@ -92,16 +184,20 @@ def orient2d(a, b, c) -> int:
     return _exact_sign(_orient2d_terms, a, b, c)
 
 
-def _orient2d_terms(a, b, c):
+def _orient2d_terms(a, b, c, static=None):
     """Float determinant and permanent of orient2d; the coordinates may be
-    floats, ints (the exact stage) or numpy arrays (one entry per test)."""
+    floats, ints (the exact stage) or numpy arrays (one entry per test).
+    The permanent is None when |det| exceeds ``static`` (see ``_tiered``)."""
     acx = a[0] - c[0]
     acy = a[1] - c[1]
     bcx = b[0] - c[0]
     bcy = b[1] - c[1]
     detleft = acx * bcy
     detright = acy * bcx
-    return detleft - detright, abs(detleft) + abs(detright)
+    det = detleft - detright
+    if static is not None and (det > static or -det > static):
+        return det, None
+    return det, abs(detleft) + abs(detright)
 
 
 def orient3d(a, b, c, d) -> int:
@@ -112,9 +208,10 @@ def orient3d(a, b, c, d) -> int:
     return _exact_sign(_orient3d_terms, a, b, c, d)
 
 
-def _orient3d_terms(a, b, c, d):
+def _orient3d_terms(a, b, c, d, static=None):
     """Float determinant and permanent of orient3d; the coordinates may be
-    floats, ints (the exact stage) or numpy arrays (one entry per test)."""
+    floats, ints (the exact stage) or numpy arrays (one entry per test).
+    The permanent is None when |det| exceeds ``static`` (see ``_tiered``)."""
     adx = a[0] - d[0]
     bdx = b[0] - d[0]
     cdx = c[0] - d[0]
@@ -135,6 +232,8 @@ def _orient3d_terms(a, b, c, d):
     det = (adz * (bdxcdy - cdxbdy)
            + bdz * (cdxady - adxcdy)
            + cdz * (adxbdy - bdxady))
+    if static is not None and (det > static or -det > static):
+        return det, None
     permanent = ((abs(bdxcdy) + abs(cdxbdy)) * abs(adz)
                  + (abs(cdxady) + abs(adxcdy)) * abs(bdz)
                  + (abs(adxbdy) + abs(bdxady)) * abs(cdz))
@@ -153,10 +252,11 @@ def incircle(a, b, c, p) -> int:
     return _exact_sign(_incircle_terms, a, b, c, p)
 
 
-def _incircle_terms(a, b, c, p):
+def _incircle_terms(a, b, c, p, static=None):
     """Float determinant and permanent of the in-circle test; the
     coordinates may be floats, ints (the exact stage) or numpy arrays (one
-    entry per test)."""
+    entry per test). The permanent is None when |det| exceeds ``static``
+    (see ``_tiered``)."""
     adx = a[0] - p[0]
     bdx = b[0] - p[0]
     cdx = c[0] - p[0]
@@ -177,6 +277,8 @@ def _incircle_terms(a, b, c, p):
     det = (alift * (bdxcdy - cdxbdy)
            + blift * (cdxady - adxcdy)
            + clift * (adxbdy - bdxady))
+    if static is not None and (det > static or -det > static):
+        return det, None
     permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
                  + (abs(cdxady) + abs(adxcdy)) * blift
                  + (abs(adxbdy) + abs(bdxady)) * clift)
@@ -196,10 +298,11 @@ def insphere(a, b, c, d, e) -> int:
     return _exact_sign(_insphere_terms, a, b, c, d, e)
 
 
-def _insphere_terms(a, b, c, d, e):
+def _insphere_terms(a, b, c, d, e, static=None):
     """Float determinant and permanent of the in-sphere test; the
     coordinates may be floats, ints (the exact stage) or numpy arrays (one
-    entry per test)."""
+    entry per test). The permanent is None when |det| exceeds ``static``
+    (see ``_tiered``)."""
     aex = a[0] - e[0]
     bex = b[0] - e[0]
     cex = c[0] - e[0]
@@ -243,6 +346,8 @@ def _insphere_terms(a, b, c, d, e):
     dlift = dex * dex + dey * dey + dez * dez
 
     det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
+    if static is not None and (det > static or -det > static):
+        return det, None
 
     aezplus = abs(aez)
     bezplus = abs(bez)
@@ -275,20 +380,24 @@ def _insphere_terms(a, b, c, d, e):
     return det, permanent
 
 
-def _diametral_edge_terms(a, b, q):
+def _diametral_edge_terms(a, b, q, static=None):
     """Float value and permanent of (a - q).(q - b), positive iff q lies
     strictly inside the ball with diameter ab; the coordinates may be
     floats, ints (the exact stage) or numpy arrays (one entry per test), in
-    R^2 or R^3."""
+    R^2 or R^3. The permanent is None when |det| exceeds ``static``."""
     products = [(x - z) * (z - y) for x, y, z in zip(a, b, q)]
-    return sum(products), sum(abs(t) for t in products)
+    det = sum(products)
+    if static is not None and (det > static or -det > static):
+        return det, None
+    return det, sum(abs(t) for t in products)
 
 
-def _diametral_triangle_terms(a, b, c, q):
+def _diametral_triangle_terms(a, b, c, q, static=None):
     """Float value and permanent of a polynomial positive iff q lies
     strictly inside the smallest circumball of triangle abc (its diametral
     sphere in R^3); the coordinates may be floats, ints (the exact stage) or
-    numpy arrays (one entry per test).
+    numpy arrays (one entry per test). The permanent is None when |det|
+    exceeds ``static``.
 
     With u = b - a, v = c - a and w = q - a, the center is a + s u + t v,
     where 2 G s = |v|^2 (|u|^2 - u.v) and 2 G t = |u|^2 (|v|^2 - u.v) for
@@ -309,6 +418,8 @@ def _diametral_triangle_terms(a, b, c, q):
     wv, wvplus = dot(w, v)
     det = ((vv * (uu - uv) * wu + uu * (vv - uv) * wv)
            - ww * (uu * vv - uv * uv))
+    if static is not None and (det > static or -det > static):
+        return det, None
     permanent = (vv * (uu + uvplus) * wuplus + uu * (vv + uvplus) * wvplus
                  + ww * (uu * vv + uvplus * uvplus))
     return det, permanent

@@ -15,7 +15,8 @@ from delrips.delaunay import (_certify, _prescaled, _Triangulation,
                               facet_incidence, interior_facets)
 from delrips.errors import (AffinelyDegenerateInput, CertificateError,
                             DuplicatePoints, TooFewPoints)
-from delrips.predicates import incircle, insphere, orient2d, orient3d
+from delrips.predicates import (_cloud_predicates, incircle, insphere,
+                                orient2d, orient3d)
 from naive_oracle import closure_of, lexsort_facet_incidence, shared_facets
 
 
@@ -195,8 +196,9 @@ def test_scan_locate_matches_walk(rng):
     cloud = random_cloud(rng, 20)
     pts = cloud.points
     from delrips.delaunay import _initial_vertices
-    init = _initial_vertices(pts, 2)
-    tri = _Triangulation(pts, 2, init)
+    predicates = _cloud_predicates(pts)
+    init = _initial_vertices(pts, 2, predicates[0])
+    tri = _Triangulation(pts, 2, init, predicates)
     for p in range(len(pts)):
         if p in init:
             continue

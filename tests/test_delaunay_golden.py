@@ -18,8 +18,9 @@ import scipy.spatial
 
 from delrips import PointCloud, ShapeClass, add_noise, delaunay, sample_shape
 from delrips import predicates
-from delrips.delaunay import _Triangulation
-from families import jittered_grid, near_planar, uniform
+from delrips.delaunay import _prescaled, _Triangulation
+from families import (jittered_grid, jittered_grid_member, near_planar,
+                      near_planar_member, uniform)
 
 DELAUNAY_MODULE = importlib.import_module("delrips.delaunay")
 
@@ -151,8 +152,40 @@ def test_nested_grid_start_bounds_the_walk(monkeypatch):
     # started in the point's own cell of a single grid, else at the last
     # simplex created.
     calls = []
-    real = DELAUNAY_MODULE.orient3d
-    monkeypatch.setattr(DELAUNAY_MODULE, "orient3d",
-                        lambda *a: calls.append(1) or real(*a))
+    real = DELAUNAY_MODULE._cloud_predicates
+
+    def counted(pts):
+        orient, inball = real(pts)
+        return (lambda *a: calls.append(1) or orient(*a)), inball
+
+    monkeypatch.setattr(DELAUNAY_MODULE, "_cloud_predicates", counted)
     delaunay(PointCloud.from_points(CORPUS["dr-sphere3d-seed1"]()))
     assert len(calls) <= 35_000
+
+
+def _plain_predicates(pts):
+    """The cloud predicates without the static tier: the public ones."""
+    if len(pts[0]) == 2:
+        return predicates.orient2d, predicates.incircle
+    return predicates.orient3d, predicates.insphere
+
+
+def _tops_and_flag(cloud):
+    dc = delaunay(cloud)
+    return dc.faces(cloud.dim).tolist(), dc.degenerate
+
+
+def test_static_tier_changes_no_triangulation(monkeypatch):
+    # Every family member and the 2000-point noisy sphere give the same
+    # sorted tops and tie-break flag with the static tier as without it.
+    clouds = ([jittered_grid_member(dim, seed)
+               for dim in (2, 3) for seed in range(150)]
+              + [near_planar_member(seed) for seed in range(50)])
+    clouds = [PointCloud.from_points(pts) for pts in clouds]
+    clouds.append(PointCloud.from_points(CORPUS["dr-sphere3d-seed1"]()))
+    tiered = [_tops_and_flag(cloud) for cloud in clouds]
+    monkeypatch.setattr(DELAUNAY_MODULE, "_cloud_predicates", _plain_predicates)
+    plain = [_tops_and_flag(cloud) for cloud in clouds]
+    assert tiered == plain
+    assert all(None not in predicates._static_bounds(_prescaled(c.points))
+               for c in clouds)  # the tier was on for every cloud

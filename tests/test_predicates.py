@@ -285,3 +285,135 @@ def test_circumdiameters_match_exact_values(k, dim):
         m, g = exact_circumball([tuple(p) for p in simplex])
         want = Fraction(_dot(m, m), g * g << 2 * shift)
         assert abs(float(Fraction(got[i]) ** 2 / want) - 1.0) <= 2e-12
+
+
+def _near_degenerate_tuples(base, rng, rounds):
+    """Orient and in-ball tuples of points in the bounding box of ``base``,
+    built from differences of its points, so that a 1e-9-spread cloud near
+    1 works too. Each round adds an orient tuple whose last point is one ulp
+    off the others' plane (line in R^2), one whose last point completes a
+    parallelogram (on the plane, up to the rounding of one sum), an in-ball
+    tuple whose last point is one ulp off the others' sphere, and two tuples
+    of corners of an axis-parallel box, exactly cospherical, with the last
+    corner as it is and one ulp off."""
+    dim = base.shape[1]
+    lo, hi = base.min(axis=0), base.max(axis=0)
+    corner_of = np.vstack([np.zeros(dim), np.eye(dim), np.ones(dim)]) > 0
+
+    def nudged(p):
+        p = p.copy()
+        j = rng.integers(dim)
+        p[j] = np.nextafter(p[j], rng.choice([-np.inf, np.inf]))
+        return p
+
+    orients, balls = [], []
+    while len(balls) < 3 * rounds:
+        pts = base[rng.choice(len(base), dim + 1, replace=False)]
+        a, rows = pts[0], pts[1:] - pts[0]
+        flat = a + rng.dirichlet(np.ones(dim))[1:] @ rows[:dim - 1]
+        parallelogram = pts[dim - 1] + rows[0]
+        offset = np.linalg.solve(2.0 * rows, (rows * rows).sum(axis=1))
+        direction = rng.normal(size=dim)
+        on_ball = (a + offset + np.linalg.norm(offset) * direction
+                   / np.linalg.norm(direction))
+        made = np.array([parallelogram, on_ball])
+        if not ((lo < made) & (made < hi)).all():
+            continue
+        box = np.where(corner_of, pts[1], pts[0])
+        orients += [np.vstack([pts[:dim], nudged(flat)]),
+                    np.vstack([pts[:dim], parallelogram])]
+        balls += [np.vstack([pts, nudged(on_ball)]), box,
+                  np.vstack([box[:-1], nudged(box[-1])])]
+    return np.array(orients), np.array(balls)
+
+
+def _tier_clouds(dim):
+    """(name, cloud, orient tuples, in-ball tuples): 200 uniform points of
+    [-1, 1]^dim with their near-degenerate tuples' points, at 2**-664, 1,
+    2**-200 (the orient tier on, the in-ball tier off), 4 (extents above 2:
+    both tiers off) and 2**532, and at 1 for a cloud of spread 1e-9 about
+    (1, ..., 1)."""
+    rng = np.random.default_rng(500 + dim)
+    out = []
+    for name, base in (("unit", rng.uniform(-1.0, 1.0, (200, dim))),
+                       ("near-1", 1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (200, dim)))):
+        orients, balls = _near_degenerate_tuples(base, rng, 60)
+        cloud = np.vstack([base, orients.reshape(-1, dim), balls.reshape(-1, dim)])
+        for p in ((0, -664, -200, 2, 532) if name == "unit" else (0,)):
+            out.append((f"{name}*2^{p}", np.ldexp(cloud, p),
+                        np.ldexp(orients, p), np.ldexp(balls, p)))
+    return out
+
+
+def _plain_tests(dim):
+    """(orient, inball) as (terms, A-bound) pairs."""
+    if dim == 2:
+        return ((predicates._orient2d_terms, predicates._O2D_BOUND),
+                (predicates._incircle_terms, predicates._ICC_BOUND))
+    return ((predicates._orient3d_terms, predicates._O3D_BOUND),
+            (predicates._insphere_terms, predicates._ISP_BOUND))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_static_bound_dominates_every_tuple(dim):
+    # Where the tier is on, the cloud's bound is at least the A-bound times
+    # the float permanent of every tuple of bounding-box corners and of 10^4
+    # random tuples of its points. At 2**-664 and 2**532 the bound underflows
+    # or overflows, and at 4 the extents exceed 2: the tier is off.
+    rng = np.random.default_rng(dim)
+    on = set()
+    for name, cloud, _, _ in _tier_clouds(dim):
+        statics = predicates._static_bounds(cloud.tolist())
+        if name.endswith(("2^-664", "2^2", "2^532")):
+            assert statics == (None, None), name
+        corners = np.array(list(itertools.product(*zip(cloud.min(axis=0),
+                                                        cloud.max(axis=0)))))
+        for k, ((terms, bound), static) in enumerate(zip(_plain_tests(dim),
+                                                         statics)):
+            if static is None:
+                continue
+            on.add((name, k))
+            size = dim + 1 + k
+            tuples = np.concatenate([
+                corners[np.array(list(itertools.product(range(len(corners)),
+                                                        repeat=size)))],
+                cloud[rng.integers(0, len(cloud), (10_000, size))]])
+            _, permanent = terms(*tuples.transpose(1, 2, 0))
+            assert (bound * permanent <= static).all(), (name, k)
+    assert {("unit*2^0", 1), ("near-1*2^0", 1), ("unit*2^-200", 0)} <= on
+    assert ("unit*2^-200", 1) not in on
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_static_tier_agrees_with_rational_oracle(dim, monkeypatch):
+    # The cloud predicates on random tuples and on tuples one ulp off a
+    # plane or sphere give the cofactor Fraction oracle's signs. Counting
+    # the calls that reach the permanent filter: where a tier is off (its
+    # bound not finite or below the underflow guard, or an extent above 2)
+    # every call does, and where it is on, the generic calls return from the
+    # static tier.
+    oracles = ((exact_orient2d, exact_incircle) if dim == 2
+               else (exact_orient3d, exact_insphere))
+    filtered = []
+    real = predicates._certified
+    monkeypatch.setattr(predicates, "_certified",
+                        lambda *a: filtered.append(1) or real(*a))
+    rng = np.random.default_rng(600 + dim)
+    for name, cloud, orients, balls in _tier_clouds(dim):
+        tests = predicates._cloud_predicates([tuple(p) for p in cloud.tolist()])
+        statics = predicates._static_bounds(cloud.tolist())
+        for k, (test, oracle, near) in enumerate(zip(tests, oracles,
+                                                     (orients, balls))):
+            size = dim + 1 + k
+            generic = cloud[rng.integers(0, len(cloud), (500, size))]
+            for tuples, is_generic in ((near, False), (generic, True)):
+                cases = [[tuple(p) for p in t] for t in tuples.tolist()]
+                filtered.clear()
+                want = [oracle(*c) for c in cases]
+                assert [test(*c) for c in cases] == want, (name, k)
+                if not is_generic:
+                    assert {-1, 0, 1} <= set(want), (name, k)
+                if statics[k] is None:
+                    assert len(filtered) == len(cases), (name, k)
+                elif is_generic:
+                    assert len(filtered) < len(cases) // 10, (name, k)
