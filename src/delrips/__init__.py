@@ -7,18 +7,17 @@ vectorizations (persistence images and statistics), and synthetic data
 generators, all behind one CLI.
 """
 
-from .core import (Filtration, PersistenceDiagram, PointCloud, make_simplex,
-                   sort_filtration)
+from .core import Filtration, PersistenceDiagram, PointCloud, sort_filtration
 from .datagen import ShapeClass, add_noise, near_cocircular_quad, sample_shape
 from .delaunay import DelaunayComplex, delaunay
 from .filtration import (FiltrationSpec, build, build_alpha,
                          build_delaunay_rips, build_rips)
-from .geometry import (PerturbationPairing, circumsphere, epsilon_perturb,
+from .geometry import (PerturbationPairing, epsilon_perturb,
                        hausdorff_distance, same_triangulation)
 from .metrics import Matching, bottleneck
 from .persistence import (BoundaryMatrix, ReducedMatrix, boundary_matrix,
-                          compute_diagram, extract_pairs, persistent_betti,
-                          reduce_standard, reduce_twist)
+                          compute_diagram, extract_pairs, reduce_standard,
+                          reduce_twist)
 from .vectorize import (PIGrid, delay_embed, fit_pi_grid, persistence_image,
                         persistence_stats, persistent_entropy,
                         stats_feature_vector)
@@ -26,14 +25,13 @@ from .vectorize import (PIGrid, delay_embed, fit_pi_grid, persistence_image,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Filtration", "PersistenceDiagram", "PointCloud", "make_simplex",
-    "sort_filtration", "ShapeClass", "add_noise", "near_cocircular_quad",
-    "sample_shape", "DelaunayComplex", "delaunay", "FiltrationSpec", "build",
-    "build_alpha", "build_delaunay_rips", "build_rips",
-    "PerturbationPairing", "circumsphere", "epsilon_perturb",
-    "hausdorff_distance", "same_triangulation", "Matching", "bottleneck",
-    "BoundaryMatrix", "ReducedMatrix", "boundary_matrix", "compute_diagram",
-    "extract_pairs", "persistent_betti", "reduce_standard", "reduce_twist",
+    "Filtration", "PersistenceDiagram", "PointCloud", "sort_filtration",
+    "ShapeClass", "add_noise", "near_cocircular_quad", "sample_shape",
+    "DelaunayComplex", "delaunay", "FiltrationSpec", "build", "build_alpha",
+    "build_delaunay_rips", "build_rips", "PerturbationPairing",
+    "epsilon_perturb", "hausdorff_distance", "same_triangulation", "Matching",
+    "bottleneck", "BoundaryMatrix", "ReducedMatrix", "boundary_matrix",
+    "compute_diagram", "extract_pairs", "reduce_standard", "reduce_twist",
     "PIGrid", "delay_embed", "fit_pi_grid", "persistence_image",
     "persistence_stats", "persistent_entropy", "stats_feature_vector",
     "__version__",

@@ -29,33 +29,11 @@ import numpy as np
 
 from .errors import InvalidFiltration, UnsortedFiltration, ValidationError
 
-Simplex = tuple  # strictly increasing tuple of vertex indices
-
 INF = math.inf
 _FLOAT_MIN = sys.float_info.min
 # Entries per block of an n x m distance array (see ``distance_blocks``).
 _BLOCK = 1 << 16
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-def make_simplex(vertices: Iterable[int]) -> Simplex:
-    """Validate and canonicalize a vertex set into a simplex tuple."""
-    verts = tuple(sorted(int(v) for v in vertices))
-    if not verts:
-        raise ValidationError("a simplex needs at least one vertex")
-    if any(verts[i] == verts[i + 1] for i in range(len(verts) - 1)):
-        raise ValidationError(f"repeated vertex in simplex {verts}")
-    if verts[0] < 0:
-        raise ValidationError(f"negative vertex index in simplex {verts}")
-    return verts
-
-
-def simplex_faces(verts: Simplex):
-    """Codimension-1 faces, in lexicographic order."""
-    if len(verts) == 1:
-        return
-    for drop in range(len(verts) - 1, -1, -1):
-        yield verts[:drop] + verts[drop + 1:]
 
 
 @dataclass(frozen=True)
@@ -240,15 +218,6 @@ class Filtration:
         if self._entries is None:
             return len(self._arrays[2])
         return len(self._entries)
-
-    def simplices(self):
-        return tuple(verts for verts, _ in self.entries)
-
-    def simplex_set(self) -> frozenset:
-        return frozenset(verts for verts, _ in self.entries)
-
-    def scale_of(self) -> dict:
-        return {verts: scale for verts, scale in self.entries}
 
 
 def _first_unsorted(filt: Filtration) -> int:
@@ -467,18 +436,8 @@ class PersistenceDiagram:
         return cls(entries=tuple(zip(dims[order].tolist(), births.tolist(),
                                      deaths.tolist())))
 
-    @property
-    def pairs_by_dim(self) -> dict:
-        out: dict = {}
-        for dim, birth, death in self.entries:
-            out.setdefault(dim, []).append((birth, death))
-        return {d: tuple(v) for d, v in out.items()}
-
     def pairs(self, dim: int) -> tuple:
         return tuple((b, d) for p, b, d in self.entries if p == dim)
-
-    def dims(self) -> tuple:
-        return tuple(sorted({p for p, _, _ in self.entries}))
 
     def drop_zero(self) -> "PersistenceDiagram":
         return PersistenceDiagram(

@@ -72,7 +72,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -93,9 +92,8 @@ class DelaunayComplex:
 
     ``faces(k)`` gives the k-faces as a sorted int array: the d-simplices
     as the triangulation made them, lower faces as the facets of the
-    (k+1)-faces, derived on first use and kept. ``simplices_of_dim`` serves
-    them as tuples; ``top_simplices`` (the d-simplices) and
-    ``all_simplices`` (a frozenset of all faces) are built on first read.
+    (k+1)-faces, derived on first use and kept. ``top_simplices``, the
+    d-simplices as a tuple of vertex tuples, is built on first read.
 
     ``degenerate`` is set when some cospherical (d+2)-point configuration was
     resolved by the insertion-order tie-break, i.e. the triangulation is not
@@ -125,18 +123,10 @@ class DelaunayComplex:
                 cache[dim] = (np.empty((0, max(dim + 1, 0)), np.int64),)
         return cache[dim]
 
-    def simplices_of_dim(self, dim: int) -> tuple:
-        return tuple(map(tuple, self.faces(dim).tolist()))
-
     @cached_property
     def top_simplices(self) -> tuple:
         """The d-simplices as sorted vertex tuples, in sorted order."""
-        return self.simplices_of_dim(self.cloud.dim)
-
-    @cached_property
-    def all_simplices(self) -> frozenset:
-        return frozenset(chain.from_iterable(
-            self.simplices_of_dim(k) for k in range(self.cloud.dim + 1)))
+        return tuple(map(tuple, self.faces(self.cloud.dim).tolist()))
 
 
 def facet_incidence(rows) -> tuple:

@@ -30,10 +30,6 @@ class DuplicatePoints(GeometryError):
     """Two input points coincide exactly."""
 
 
-class DegenerateSimplex(GeometryError):
-    """Affinely dependent vertices where independence is required."""
-
-
 class EmptyCloud(ValidationError):
     """Operation requires a non-empty point cloud."""
 

@@ -1,4 +1,4 @@
-"""Geometric operations on point clouds: circumspheres, Hausdorff distance,
+"""Geometric operations on point clouds: Hausdorff and minimum distances,
 random perturbations, and triangulation-equality checks.
 
 Distances come from ``core.distances`` (finite and nonzero near 1e-200 or
@@ -15,45 +15,8 @@ import numpy as np
 
 from .core import PointCloud, distance_blocks, distances
 from .delaunay import certificate, delaunay, interior_facets
-from .errors import (DegenerateSimplex, DimensionMismatch, EmptyCloud,
-                     EpsilonTooLarge, ValidationError)
-
-
-def circumsphere(points) -> tuple:
-    """Center and radius of the unique sphere through k+1 affinely
-    independent points, within their affine hull.
-
-    Solves the perpendicular-bisector system 2 V V^T y = (|v_i|^2) with
-    V the edge matrix from the first point; raises DegenerateSimplex when the
-    points are (numerically) affinely dependent.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValidationError("expected a sequence of points")
-    k = pts.shape[0] - 1
-    if k < 0:
-        raise ValidationError("need at least one point")
-    p0 = pts[0]
-    if k == 0:
-        return tuple(p0), 0.0
-    if k > pts.shape[1]:
-        raise DegenerateSimplex(
-            f"{k + 1} points cannot be affinely independent in R^{pts.shape[1]}")
-    v = pts[1:] - p0
-    gram = 2.0 * (v @ v.T)
-    rhs = np.einsum("ij,ij->i", v, v)
-    try:
-        y = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        raise DegenerateSimplex("affinely dependent points") from None
-    center = p0 + y @ v
-    radius = float(np.linalg.norm(center - p0))
-    # Solve quality check; catches near-singular systems that did not raise.
-    dists = np.linalg.norm(pts - center, axis=1)
-    scale = radius + float(np.max(np.linalg.norm(v, axis=1)))
-    if np.max(np.abs(dists - radius)) > 1e-7 * max(scale, 1e-30):
-        raise DegenerateSimplex("affinely dependent points (ill-conditioned)")
-    return tuple(float(x) for x in center), radius
+from .errors import (DimensionMismatch, EmptyCloud, EpsilonTooLarge,
+                     ValidationError)
 
 
 def hausdorff_distance(p: PointCloud, q: PointCloud) -> float:
@@ -109,10 +72,6 @@ class PerturbationPairing:
         within = sum(int((d < self.epsilon).sum()) for _, d in distance_blocks(a, b))
         if within > len(a):
             raise ValidationError("pairing is not mutually unique")
-
-    def max_displacement(self) -> float:
-        a, b = self.source.as_array(), self.target.as_array()
-        return float(distances(a, b).max())
 
 
 def _ball_offsets(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:

@@ -4,8 +4,8 @@ A boundary matrix is held in compressed sparse column form in filtration
 order: column j is ``indices[indptr[j]:indptr[j + 1]]``, the sorted
 positions of simplex j's facets, so its pivot (the youngest facet) is its
 last entry. ``boundary_matrix`` takes these arrays from
-``core.boundary_csr``, the one filtration check; tuple views are built only
-when read.
+``core.boundary_csr``, the one filtration check; the matrices' ``columns``
+tuple views are built only when read.
 
 ``reduce_standard`` is the textbook left-to-right reduction, the reference.
 ``reduce_twist``, which ``compute_diagram`` runs, gives the same pivots and
@@ -27,8 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (Filtration, PersistenceDiagram, _row_tuples,
-                   _shared_floats, boundary_csr)
+from .core import Filtration, PersistenceDiagram, _row_tuples, boundary_csr
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,9 +36,8 @@ class BoundaryMatrix:
     ``indices[indptr[j]:indptr[j + 1]]``, strictly increasing row indices;
     ``scale_array`` holds each simplex's scale and ``dim_array`` its
     dimension (one less than its number of facets, 0 for a vertex).
-    ``columns`` (a tuple of row-index tuples), ``dims`` and ``scales`` are
-    tuple views built on first read; they share one int object per index
-    and one float object per value."""
+    ``columns``, a tuple of row-index tuples, is built on first read; it
+    shares one int object per index."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -68,22 +66,14 @@ class BoundaryMatrix:
             cols[pos] = _row_tuples(self._ids[rows])
         return tuple(cols.tolist())
 
-    @cached_property
-    def dims(self) -> tuple:
-        return tuple(self.dim_array.tolist())
-
-    @cached_property
-    def scales(self) -> tuple:
-        return tuple(_shared_floats(self.scale_array))
-
 
 @dataclass(frozen=True, eq=False)
 class ReducedMatrix:
     """A reduced boundary matrix: ``low_array`` holds each column's pivot
     row (-1 for a zero column) and ``changed`` the columns that an addition
     changed, as sorted row lists; every other column is the boundary's, or
-    zero when its simplex is a pivot row (cleared). ``columns`` and ``low``
-    (None for a zero column) are tuple views."""
+    zero when its simplex is a pivot row (cleared). ``columns`` is a tuple
+    view."""
 
     boundary: BoundaryMatrix
     low_array: np.ndarray
@@ -98,10 +88,6 @@ class ReducedMatrix:
         for i in self.low_array[self.low_array >= 0].tolist():
             cols[i] = ()
         return tuple(cols)
-
-    @cached_property
-    def low(self) -> tuple:
-        return tuple(None if i < 0 else i for i in self.low_array.tolist())
 
 
 def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
@@ -230,12 +216,3 @@ def extract_pairs(reduced: ReducedMatrix, filt: Filtration) -> PersistenceDiagra
 def compute_diagram(filt: Filtration) -> PersistenceDiagram:
     """Pipeline helper: boundary matrix -> twist reduction -> pairs."""
     return extract_pairs(reduce_twist(boundary_matrix(filt)), filt)
-
-
-def persistent_betti(diag: PersistenceDiagram, p: int, i: float, j: float) -> int:
-    """Number of dimension-p classes born at or before i and still alive
-    strictly after j. Requires i <= j."""
-    if i > j:
-        raise ValueError("need i <= j")
-    return sum(1 for dim, birth, death in diag.entries
-               if dim == p and birth <= i and death > j)

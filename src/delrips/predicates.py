@@ -19,7 +19,8 @@ per cloud, the float sign is returned at once. Otherwise the same call goes
 on to the tuple's own permanent and its filter, then to the exact stage.
 The determinant is evaluated once. The tier returns a sign only where the
 float sign is provably the exact one, so every sign, and every output built
-from them, is unchanged.
+from them, is unchanged. One factory, ``_predicate``, writes the cascade;
+the four public predicates are its case without the cloud's tier.
 
 - **The bound.** Every coordinate difference of two of the cloud's points
   is at most the cloud's extent on that axis, X, Y or Z. That holds in
@@ -151,21 +152,19 @@ def _cloud_predicates(points) -> tuple:
     all in R^3: orient2d and incircle, or orient3d and insphere, each with
     the cloud's static tier in front where ``_static_bounds`` allows it."""
     if len(points[0]) == 2:
-        plain = ((orient2d, _orient2d_terms, _O2D_BOUND),
-                 (incircle, _incircle_terms, _ICC_BOUND))
+        plain = ((_orient2d_terms, _O2D_BOUND), (_incircle_terms, _ICC_BOUND))
     else:
-        plain = ((orient3d, _orient3d_terms, _O3D_BOUND),
-                 (insphere, _insphere_terms, _ISP_BOUND))
-    return tuple(public if static is None else _tiered(terms, bound, static)
-                 for (public, terms, bound), static
+        plain = ((_orient3d_terms, _O3D_BOUND), (_insphere_terms, _ISP_BOUND))
+    return tuple(_predicate(terms, bound, static) for (terms, bound), static
                  in zip(plain, _static_bounds(points)))
 
 
-def _tiered(terms, bound, static):
-    """The predicate of ``terms`` with three tiers: the sign of the float
-    determinant when its magnitude exceeds the cloud's ``static`` bound,
-    else the filter on the tuple's own permanent, else ``_exact_sign``. The
-    determinant is evaluated once."""
+def _predicate(terms, bound, static=None):
+    """The predicate of ``terms`` in up to three tiers: the sign of the
+    float determinant when its magnitude exceeds the cloud's ``static``
+    bound (a tier that is off when ``static`` is None), else the filter on
+    the tuple's own permanent, else ``_exact_sign``. The determinant is
+    evaluated once."""
     def predicate(*points):
         det, permanent = terms(*points, static)
         if permanent is None:
@@ -178,16 +177,14 @@ def _tiered(terms, bound, static):
 
 def orient2d(a, b, c) -> int:
     """Sign of the signed area of triangle abc (+1 = counterclockwise)."""
-    det, detsum = _orient2d_terms(a, b, c)
-    if _certified(det, detsum, _O2D_BOUND):
-        return _sign(det)
-    return _exact_sign(_orient2d_terms, a, b, c)
+    return _orient2d(a, b, c)
 
 
 def _orient2d_terms(a, b, c, static=None):
     """Float determinant and permanent of orient2d; the coordinates may be
     floats, ints (the exact stage) or numpy arrays (one entry per test).
-    The permanent is None when |det| exceeds ``static`` (see ``_tiered``)."""
+    The permanent is None when |det| exceeds ``static`` (see
+    ``_predicate``)."""
     acx = a[0] - c[0]
     acy = a[1] - c[1]
     bcx = b[0] - c[0]
@@ -202,16 +199,14 @@ def _orient2d_terms(a, b, c, static=None):
 
 def orient3d(a, b, c, d) -> int:
     """Sign of det[[a-d], [b-d], [c-d]] for points in R^3."""
-    det, permanent = _orient3d_terms(a, b, c, d)
-    if _certified(det, permanent, _O3D_BOUND):
-        return _sign(det)
-    return _exact_sign(_orient3d_terms, a, b, c, d)
+    return _orient3d(a, b, c, d)
 
 
 def _orient3d_terms(a, b, c, d, static=None):
     """Float determinant and permanent of orient3d; the coordinates may be
     floats, ints (the exact stage) or numpy arrays (one entry per test).
-    The permanent is None when |det| exceeds ``static`` (see ``_tiered``)."""
+    The permanent is None when |det| exceeds ``static`` (see
+    ``_predicate``)."""
     adx = a[0] - d[0]
     bdx = b[0] - d[0]
     cdx = c[0] - d[0]
@@ -246,17 +241,14 @@ def incircle(a, b, c, p) -> int:
     Positive when p lies strictly inside the circle through a, b, c,
     provided abc is counterclockwise; the sign flips with orientation.
     """
-    det, permanent = _incircle_terms(a, b, c, p)
-    if _certified(det, permanent, _ICC_BOUND):
-        return _sign(det)
-    return _exact_sign(_incircle_terms, a, b, c, p)
+    return _incircle(a, b, c, p)
 
 
 def _incircle_terms(a, b, c, p, static=None):
     """Float determinant and permanent of the in-circle test; the
     coordinates may be floats, ints (the exact stage) or numpy arrays (one
     entry per test). The permanent is None when |det| exceeds ``static``
-    (see ``_tiered``)."""
+    (see ``_predicate``)."""
     adx = a[0] - p[0]
     bdx = b[0] - p[0]
     cdx = c[0] - p[0]
@@ -292,17 +284,14 @@ def insphere(a, b, c, d, e) -> int:
     provided orient3d(a, b, c, d) is positive; the sign flips with
     orientation.
     """
-    det, permanent = _insphere_terms(a, b, c, d, e)
-    if _certified(det, permanent, _ISP_BOUND):
-        return _sign(det)
-    return _exact_sign(_insphere_terms, a, b, c, d, e)
+    return _insphere(a, b, c, d, e)
 
 
 def _insphere_terms(a, b, c, d, e, static=None):
     """Float determinant and permanent of the in-sphere test; the
     coordinates may be floats, ints (the exact stage) or numpy arrays (one
     entry per test). The permanent is None when |det| exceeds ``static``
-    (see ``_tiered``)."""
+    (see ``_predicate``)."""
     aex = a[0] - e[0]
     bex = b[0] - e[0]
     cex = c[0] - e[0]
@@ -378,6 +367,13 @@ def _insphere_terms(a, b, c, d, e, static=None):
                     + (cexaeyplus + aexceyplus) * bezplus
                     + (aexbeyplus + bexaeyplus) * cezplus) * dlift)
     return det, permanent
+
+
+# The cascade behind the public predicates, without a cloud's tier.
+_orient2d = _predicate(_orient2d_terms, _O2D_BOUND)
+_orient3d = _predicate(_orient3d_terms, _O3D_BOUND)
+_incircle = _predicate(_incircle_terms, _ICC_BOUND)
+_insphere = _predicate(_insphere_terms, _ISP_BOUND)
 
 
 def _diametral_edge_terms(a, b, q, static=None):

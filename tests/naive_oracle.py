@@ -27,7 +27,6 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 from delrips import delaunay
-from delrips.core import simplex_faces
 from delrips.errors import InvalidFiltration, UnsortedFiltration
 
 
@@ -456,7 +455,8 @@ def exact_alpha(cloud):
     raw = cloud.as_array()
     exponent = math.frexp(float(np.abs(raw).max()))[1]
     pts = np.ldexp(raw, -exponent)  # == ints / 2**(shift + exponent)
-    faces = [verts for k in range(1, d + 1) for verts in dc.simplices_of_dim(k)]
+    faces = [tuple(verts) for k in range(1, d + 1)
+             for verts in dc.faces(k).tolist()]
     balls = [exact_circumball([ints[v] for v in verts]) for verts in faces]
     offsets = np.array([[_ratio(x, 2 * g, shift + exponent) for x in m]
                         for m, g in balls])
@@ -542,6 +542,14 @@ def persistence_image_loop(pairs, grid):
         cy = 0.5 * (1.0 + np.array([math.erf((y - pers) / s) for y in ys]))
         img += w * np.outer(np.diff(cy), np.diff(cx))
     return img.reshape(-1)
+
+
+def simplex_faces(verts):
+    """The codimension-1 faces of a vertex tuple, in lexicographic order."""
+    if len(verts) == 1:
+        return
+    for drop in range(len(verts) - 1, -1, -1):
+        yield verts[:drop] + verts[drop + 1:]
 
 
 def boundary_columns(entries):

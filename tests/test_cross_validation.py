@@ -122,7 +122,7 @@ def test_diagram_invariant_under_point_permutation(rng):
 def test_alpha_edges_match_definition_oracle(rng):
     # Right triangle first: hypotenuse value sqrt(2), legs 1.
     pc = PointCloud.from_points([(0, 0), (1, 0), (0, 1)])
-    scales = build_alpha(pc, FiltrationSpec(method="alpha")).scale_of()
+    scales = dict(build_alpha(pc, FiltrationSpec(method="alpha")).entries)
     for (a, b), expect in (((1, 2), math.sqrt(2)), ((0, 1), 1.0)):
         oracle = naive_alpha_edge_value(pc.points, a, b)
         assert oracle == pytest.approx(expect, abs=1e-4)

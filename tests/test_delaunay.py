@@ -27,6 +27,10 @@ def _inside_ball(top, pts, q):
     return insphere(*coords, q) * orient3d(*coords)
 
 
+def _faces(dc, k):
+    return [tuple(face) for face in dc.faces(k).tolist()]
+
+
 def assert_empty_circumballs(dc):
     pts = dc.cloud.points
     for top in dc.top_simplices:
@@ -39,15 +43,15 @@ def assert_empty_circumballs(dc):
 def test_three_points_single_triangle():
     dc = delaunay(PointCloud.from_points([(0, 0), (2, 0), (1, 5)]))
     assert dc.top_simplices == ((0, 1, 2),)
-    assert dc.all_simplices == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2),
-                                (0, 1, 2)}
+    assert closure_of(dc.top_simplices) == {(0,), (1,), (2,), (0, 1), (0, 2),
+                                            (1, 2), (0, 1, 2)}
     assert not dc.degenerate
 
 
 def test_unit_square_degenerate_single_diagonal():
     dc = delaunay(PointCloud.from_points([(0, 0), (1, 0), (1, 1), (0, 1)]))
     assert dc.degenerate
-    edges = sorted(s for s in dc.all_simplices if len(s) == 2)
+    edges = _faces(dc, 1)
     diagonals = [e for e in edges if e in ((0, 2), (1, 3))]
     assert len(diagonals) == 1  # exactly one diagonal, picked by tie-break
     assert len(dc.top_simplices) == 2
@@ -58,7 +62,7 @@ def test_unit_square_degenerate_single_diagonal():
 
 def test_quad_inside_circle_edge_set():
     dc = delaunay(near_cocircular_quad(0.1))
-    edges = sorted(s for s in dc.all_simplices if len(s) == 2)
+    edges = _faces(dc, 1)
     assert edges == [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
     assert dc.top_simplices == ((0, 1, 3), (0, 2, 3))
     assert not dc.degenerate
@@ -66,7 +70,7 @@ def test_quad_inside_circle_edge_set():
 
 def test_quad_outside_circle_flips_edge():
     dc = delaunay(near_cocircular_quad(-0.1))
-    edges = sorted(s for s in dc.all_simplices if len(s) == 2)
+    edges = _faces(dc, 1)
     assert (1, 2) in edges and (0, 3) not in edges
     assert dc.top_simplices == ((0, 1, 2), (1, 2, 3))
 
@@ -132,7 +136,7 @@ def _hull_area(points):
 def _check_2d_structure(dc):
     pts = dc.cloud.points
     n = len(pts)
-    edges = {s for s in dc.all_simplices if len(s) == 2}
+    edges = set(_faces(dc, 1))
     tris = dc.top_simplices
     assert len(edges) <= 3 * n - 6
     assert len(tris) <= 2 * n - 5
@@ -151,8 +155,7 @@ def test_random_2d_clouds_are_delaunay(rng):
         dc = delaunay(random_cloud(rng, n))
         assert_empty_circumballs(dc)
         _check_2d_structure(dc)
-        assert {s for s in dc.all_simplices if len(s) == 1} == {
-            (i,) for i in range(n)}
+        assert _faces(dc, 0) == [(i,) for i in range(n)]
 
 
 def test_random_3d_clouds_are_delaunay(rng):
@@ -160,11 +163,11 @@ def test_random_3d_clouds_are_delaunay(rng):
         n = int(rng.integers(5, 31))
         dc = delaunay(random_cloud(rng, n, dim=3))
         assert_empty_circumballs(dc)
-        assert {s for s in dc.all_simplices if len(s) == 1} == {
-            (i,) for i in range(n)}
+        assert _faces(dc, 0) == [(i,) for i in range(n)]
+        triangles = set(_faces(dc, 2))
         for top in dc.top_simplices:
             for face in combinations(top, 3):
-                assert face in dc.all_simplices
+                assert face in triangles
 
 
 def test_3d_grid_degenerate_but_valid():
@@ -275,15 +278,11 @@ def test_prescale_is_exact_or_skipped():
 def test_faces_per_dimension_match_the_closure(dim, rng):
     dc = delaunay(random_cloud(rng, 40, dim=dim))
     closure = closure_of(dc.top_simplices)
-    assert dc.all_simplices == frozenset(closure)
     for k in range(dim + 2):
-        got = dc.simplices_of_dim(k)
-        assert list(got) == sorted(got)
-        assert set(got) == {s for s in closure if len(s) == k + 1}
-        assert len(got) == len(set(got))
+        got = _faces(dc, k)
+        assert got == sorted({s for s in closure if len(s) == k + 1})
         assert dc.faces(k).shape == (len(got), k + 1)
-        assert dc.faces(k).tolist() == [list(s) for s in got]
-    assert dc.simplices_of_dim(dim) == dc.top_simplices
+    assert tuple(_faces(dc, dim)) == dc.top_simplices
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -292,7 +291,6 @@ def test_faces_outside_the_dimensions_are_empty(dim, rng):
     for k, width in ((-2, 0), (-1, 0), (dim + 1, dim + 2)):
         assert dc.faces(k).shape == (0, width)
         assert dc.faces(k).dtype == np.int64
-        assert dc.simplices_of_dim(k) == ()
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -15,7 +15,7 @@ from delrips.core import pairwise_distances
 from delrips.errors import DuplicatePoints, ValidationError
 from families import (jittered_grid, jittered_grid_member,
                       near_planar_member, uniform)
-from naive_oracle import alpha_disagreements, exact_alpha
+from naive_oracle import alpha_disagreements, closure_of, exact_alpha
 from test_delaunay_golden import CORPUS
 
 SQ3 = math.sqrt(3.0)
@@ -58,7 +58,7 @@ class TestRips:
         pc = PointCloud.from_points(
             [(0, 0), (s, 0), (s / 2, s * SQ3 / 2)])
         filt = build_rips(pc, spec("rips", maxdim=1))
-        scales = filt.scale_of()
+        scales = dict(filt.entries)
         for e in combinations(range(3), 2):
             assert scales[e] == pytest.approx(s)
         assert scales[(0, 1, 2)] == pytest.approx(s)
@@ -76,7 +76,7 @@ class TestRips:
         pc = PointCloud.from_points([(0, 0), (1, 0), (10, 0), (0.5, 0.9)])
         filt = build_rips(pc, spec("rips", maxdim=1, threshold=2.0))
         assert all(s <= 2.0 for _, s in filt.entries)
-        assert (0, 2) not in filt.simplex_set()
+        assert (0, 2) not in {verts for verts, _ in filt.entries}
 
     def test_sorted_and_valid(self, rng):
         filt = build_rips(random_cloud(rng, 9), spec("rips", maxdim=2))
@@ -87,7 +87,7 @@ class TestDelaunayRips:
     def test_quad_scales_exact(self):
         x = 0.1
         filt = build_delaunay_rips(near_cocircular_quad(x), spec("delaunay_rips"))
-        scales = filt.scale_of()
+        scales = dict(filt.entries)
         near = math.sqrt(1 - x + x * x)
         assert scales[(1, 3)] == pytest.approx(near, abs=1e-15)
         assert scales[(2, 3)] == pytest.approx(near, abs=1e-15)
@@ -143,7 +143,7 @@ class TestDelaunayRips:
         for _ in range(5):
             filt = build_delaunay_rips(random_cloud(rng, 15),
                                        spec("delaunay_rips"))
-            scales = filt.scale_of()
+            scales = dict(filt.entries)
             for verts, s in filt.entries:
                 if len(verts) >= 3:
                     assert s == max(scales[e] for e in combinations(verts, 2))
@@ -201,7 +201,7 @@ def test_dr_scales_bit_identical_to_dense_matrix(name):
     def diameter(verts):
         return max((dist[a][b] for a, b in combinations(verts, 2)), default=0.0)
 
-    faces = delaunay(cloud).all_simplices
+    faces = closure_of(delaunay(cloud).top_simplices)
     for cap in range(1, cloud.dim + 1):
         filt = build_delaunay_rips(cloud, spec("delaunay_rips", maxdim=cap - 1))
         for verts, scale in filt.entries:
@@ -253,9 +253,9 @@ def test_dr_scales_survive_tiny_coordinates(dim):
     pts = np.random.default_rng(60 + dim).uniform(-1.0, 1.0, (60, dim))
     tiny = 2.0 ** -664
     cap = spec("delaunay_rips", maxdim=dim - 1)
-    want = build_delaunay_rips(PointCloud.from_points(pts), cap).scale_of()
-    got = build_delaunay_rips(PointCloud.from_points(pts * tiny),
-                              cap).scale_of()
+    want = dict(build_delaunay_rips(PointCloud.from_points(pts), cap).entries)
+    got = dict(build_delaunay_rips(PointCloud.from_points(pts * tiny),
+                                   cap).entries)
     assert got.keys() == want.keys()
     for verts, scale in got.items():
         if len(verts) > 1:
@@ -271,9 +271,9 @@ def test_dr_scales_survive_huge_coordinates(dim):
     pts = np.random.default_rng(160 + dim).uniform(-1.0, 1.0, (30, dim))
     huge = 2.0 ** 532
     cap = spec("delaunay_rips", maxdim=dim - 1)
-    want = build_delaunay_rips(PointCloud.from_points(pts), cap).scale_of()
-    got = build_delaunay_rips(PointCloud.from_points(pts * huge),
-                              cap).scale_of()
+    want = dict(build_delaunay_rips(PointCloud.from_points(pts), cap).entries)
+    got = dict(build_delaunay_rips(PointCloud.from_points(pts * huge),
+                                   cap).entries)
     assert got.keys() == want.keys()
     for verts, scale in got.items():
         assert math.isfinite(scale)
@@ -302,17 +302,17 @@ class TestAlpha:
     def test_two_points(self):
         filt = build_alpha(PointCloud.from_points([(0, 0), (0, 1.5)]),
                            spec("alpha"))
-        assert filt.scale_of()[(0, 1)] == pytest.approx(1.5)
+        assert dict(filt.entries)[(0, 1)] == pytest.approx(1.5)
 
     def test_gabriel_edge_scale_is_length(self):
         pc = PointCloud.from_points([(0, 0), (1, 0), (0.5, 5)])
-        scales = build_alpha(pc, spec("alpha")).scale_of()
+        scales = dict(build_alpha(pc, spec("alpha")).entries)
         assert scales[(0, 1)] == pytest.approx(1.0)  # diametral ball empty
 
     def test_right_triangle_values(self):
         pc = PointCloud.from_points([(0, 0), (1, 0), (0, 1)])
         filt = build_alpha(pc, spec("alpha"))
-        scales = filt.scale_of()
+        scales = dict(filt.entries)
         # Circumcenter sits on the hypotenuse midpoint: hypotenuse and
         # triangle both enter at sqrt 2 (the circumdiameter).
         assert scales[(1, 2)] == pytest.approx(math.sqrt(2))
@@ -326,10 +326,10 @@ class TestAlpha:
         # Very obtuse triangle: the long edge's diametral ball contains the
         # apex, so the edge enters with its triangle at the circumdiameter.
         pc = PointCloud.from_points([(0, 0), (4, 0), (2, 0.5)])
-        scales = build_alpha(pc, spec("alpha")).scale_of()
-        _, r = __import__("delrips").circumsphere(pc.points)
-        assert scales[(0, 1)] == pytest.approx(2 * r)
-        assert scales[(0, 1, 2)] == pytest.approx(2 * r)
+        scales = dict(build_alpha(pc, spec("alpha")).entries)
+        # Base 4 and height 0.5: R = abc / 4A = 4.25, so the diameter is 8.5.
+        assert scales[(0, 1)] == pytest.approx(8.5)
+        assert scales[(0, 1, 2)] == pytest.approx(8.5)
         assert scales[(0, 1)] > 4.0  # exceeds the edge length
 
     # Jittered grids on which a Gabriel face's rounded circumradius came out
@@ -407,13 +407,15 @@ class TestCrossFiltration:
                 dr = build_delaunay_rips(pc, sp)
                 al = build_alpha(pc, spec("alpha", maxdim=dim - 1))
                 dc = delaunay(pc)
-                assert dr.simplex_set() == al.simplex_set() == dc.all_simplices
+                assert ({v for v, _ in dr.entries}
+                        == {v for v, _ in al.entries}
+                        == closure_of(dc.top_simplices))
 
     def test_dr_subset_of_rips_with_equal_scales(self, rng):
         pc = random_cloud(rng, 14)
         dr = build_delaunay_rips(pc, spec("delaunay_rips"))
         vr = build_rips(pc, spec("rips"))
-        vr_scales = vr.scale_of()
+        vr_scales = dict(vr.entries)
         for verts, s in dr.entries:
             assert vr_scales[verts] == s
 
@@ -422,8 +424,8 @@ class TestCrossFiltration:
         # each shared simplex appears in Alpha no earlier.
         for _ in range(4):
             pc = random_cloud(rng, 12)
-            dr = build_delaunay_rips(pc, spec("delaunay_rips")).scale_of()
-            al = build_alpha(pc, spec("alpha")).scale_of()
+            dr = dict(build_delaunay_rips(pc, spec("delaunay_rips")).entries)
+            al = dict(build_alpha(pc, spec("alpha")).entries)
             for verts, s in dr.items():
                 assert al[verts] >= s - 1e-9
 
@@ -435,8 +437,9 @@ class TestCrossFiltration:
             for _ in range(3):
                 pc = random_cloud(rng, 30, dim=dim)
                 sp = spec("delaunay_rips", maxdim=dim - 1)
-                dr = build_delaunay_rips(pc, sp).scale_of()
-                al = build_alpha(pc, spec("alpha", maxdim=dim - 1)).scale_of()
+                dr = dict(build_delaunay_rips(pc, sp).entries)
+                al = dict(build_alpha(pc, spec("alpha",
+                                              maxdim=dim - 1)).entries)
                 gabriel = [verts for verts, (_, _, empty) in exact_alpha(pc).items()
                            if len(verts) == 2 and empty]
                 assert gabriel
@@ -479,4 +482,5 @@ def test_regression_families_on_all_builders(member, args):
         if cap <= 2:
             vr = build_rips(cloud, spec("rips", maxdim=cap - 1))
             assert sort_filtration(vr) == vr
-    assert al.simplex_set() == dr.simplex_set() == delaunay(cloud).all_simplices
+    assert ({v for v, _ in al.entries} == {v for v, _ in dr.entries}
+            == closure_of(delaunay(cloud).top_simplices))

@@ -7,9 +7,8 @@ import pytest
 from conftest import random_cloud
 from delrips import (Filtration, FiltrationSpec, PointCloud, boundary_matrix,
                      build, build_delaunay_rips, build_rips, compute_diagram,
-                     extract_pairs, near_cocircular_quad, persistent_betti,
-                     reduce_standard, reduce_twist, sort_filtration)
-from delrips.core import PersistenceDiagram
+                     extract_pairs, near_cocircular_quad, reduce_standard,
+                     reduce_twist, sort_filtration)
 from delrips.errors import (InvalidFiltration, UnsortedFiltration,
                             ValidationError)
 from delrips.persistence import BoundaryMatrix, ReducedMatrix, _apparent_pairs
@@ -49,7 +48,7 @@ def test_boundary_matrix_single_edge():
                       max_dim=1)
     mat = boundary_matrix(filt)
     assert mat.columns == ((), (), (0, 1))
-    assert mat.dims == (0, 0, 1)
+    assert mat.dim_array.tolist() == [0, 0, 1]
 
 
 def test_boundary_matrix_requires_sorted():
@@ -104,7 +103,7 @@ def test_reduce_standard_zero_matrix_unchanged():
     filt = Filtration(entries=(((0,), 0.0), ((1,), 0.0)), max_dim=0)
     red = reduce_standard(boundary_matrix(filt))
     assert red.columns == ((), ())
-    assert red.low == (None, None)
+    assert red.low_array.tolist() == [-1, -1]
 
 
 def test_quad_pairs():
@@ -162,7 +161,7 @@ def test_twist_equals_standard_on_random_clouds(rng):
         filt = build(cloud, FiltrationSpec(method=method, max_hom_dim=maxdim))
         mat = boundary_matrix(filt)
         twist, std = reduce_twist(mat), reduce_standard(mat)
-        assert twist.low == std.low
+        assert np.array_equal(twist.low_array, std.low_array)
         assert twist.columns == std.columns
         assert extract_pairs(twist, filt) == extract_pairs(std, filt)
         apparent += len(_apparent_pairs(mat)[0])
@@ -179,7 +178,7 @@ def test_apparent_pairs_match_oracle_and_are_persistence_pairs(rng):
         faces, cofaces = _apparent_pairs(mat)
         pairs = list(zip(faces.tolist(), cofaces.tolist()))
         assert pairs == naive_apparent_pairs(mat.columns)
-        low = reduce_standard(mat).low
+        low = reduce_standard(mat).low_array
         assert all(low[j] == i for i, j in pairs)
         seen += len(pairs)
     assert seen > 0
@@ -192,7 +191,7 @@ def test_vr_matches_naive_powerset_oracle(rng):
         filt = build_rips(pc, FiltrationSpec(method="rips", max_hom_dim=1))
         diag = compute_diagram(filt)
         oracle = naive_vr_diagram(pc.points, 1)
-        assert diag.pairs_by_dim == oracle
+        assert {p: diag.pairs(p) for p, _, _ in diag.entries} == oracle
 
 
 def test_boundary_of_boundary_is_zero(rng):
@@ -220,56 +219,26 @@ def test_h0_pair_count_equals_n(rng):
         assert sum(1 for _, d in h0 if math.isinf(d)) == 1
 
 
-def test_multiplicity_betti_identity(rng):
-    # mu_p(i,j) recovered from persistent Betti numbers by
-    # inclusion-exclusion over consecutive critical scales.
-    for _ in range(5):
-        pc = random_cloud(rng, int(rng.integers(4, 12)))
-        filt = build_delaunay_rips(pc, FiltrationSpec(max_hom_dim=1))
-        diag = compute_diagram(filt)
-        scales = sorted({s for _, s in filt.entries})
-        grid = [scales[0] - 1.0] + scales
-        for p in (0, 1):
-            finite = [(b, d) for b, d in diag.pairs(p) if math.isfinite(d)]
-            for ii in range(1, len(grid)):
-                for jj in range(ii + 1, len(grid)):
-                    si, sj = grid[ii], grid[jj]
-                    mu = ((persistent_betti(diag, p, si, grid[jj - 1])
-                           - persistent_betti(diag, p, si, sj))
-                          - (persistent_betti(diag, p, grid[ii - 1], grid[jj - 1])
-                             - persistent_betti(diag, p, grid[ii - 1], sj)))
-                    direct = sum(1 for b, d in finite if b == si and d == sj)
-                    assert mu == direct
-
-
-def test_persistent_betti_examples():
-    x = 0.1
-    diag = compute_diagram(quad_filtration(x))
-    assert persistent_betti(diag, 0, 0.0, 0.0) == 4
-    assert persistent_betti(diag, 0, 2.0, 2.0) == 1
-    assert persistent_betti(PersistenceDiagram(), 0, 0.0, 1.0) == 0
-    with pytest.raises(ValueError):
-        persistent_betti(diag, 0, 1.0, 0.0)
-
-
 def test_dimension_cap_suppresses_top_births(rng):
     # Simplices at the cap contribute kill columns but no classes of their
     # own dimension: an equilateral triangle at max_hom_dim=0 reports only H0.
     pc = PointCloud.from_points([(0, 0), (1, 0), (0.5, 1)])
     filt = build_rips(pc, FiltrationSpec(method="rips", max_hom_dim=0))
     diag = compute_diagram(filt)
-    assert diag.dims() == (0,)
+    assert {dim for dim, _, _ in diag.entries} == {0}
 
 
 def test_boundary_matrix_shares_int_and_float_objects(rng):
     cloud = random_cloud(rng, 300, dim=3)
-    mat = boundary_matrix(build_delaunay_rips(cloud, FiltrationSpec(max_hom_dim=2)))
+    filt = build_delaunay_rips(cloud, FiltrationSpec(max_hom_dim=2))
+    mat = boundary_matrix(filt)
     red = reduce_twist(mat)
     assert red.changed
     for columns in (mat.columns, red.columns):
         rows = [i for col in columns for i in col]
         assert len({id(i) for i in rows}) == len(set(rows))
-    assert len({id(s) for s in mat.scales}) == len(set(mat.scales))
+    scales = [scale for _, scale in filt.entries]
+    assert len({id(s) for s in scales}) == len(set(scales))
 
 
 @pytest.mark.parametrize("method", ["delaunay_rips", "alpha"])
