@@ -15,7 +15,9 @@ Every face lookup gathers facets by ``_facet_rows`` and sorts rows by
 
 ``distances`` is the one point-distance formula, with a ``math.hypot``
 guard for sums that underflow or overflow; ``distance_blocks`` runs it over
-an n x m array in row blocks, so no input size holds the whole array.
+an n x m array in row blocks, and ``_sweep_pairs`` yields, in chunks, only
+the pairs a sorted sweep cannot rule out at a given distance, so no input
+size holds the whole array.
 """
 
 from __future__ import annotations
@@ -31,14 +33,22 @@ from .errors import InvalidFiltration, UnsortedFiltration, ValidationError
 
 INF = math.inf
 _FLOAT_MIN = sys.float_info.min
-# Entries per block of an n x m distance array (see ``distance_blocks``).
+# Entries per block of an n x m distance array (see ``distance_blocks``),
+# and pairs per chunk of ``_sweep_pairs``.
 _BLOCK = 1 << 16
+# Relative widening of a sweep window (see ``_sweep_pairs``).
+_SWEEP_SLACK = 2.0 ** -20
 _INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite ordered list of points in R^2 or R^3 with stable indices."""
+    """Finite ordered list of points in R^2 or R^3 with stable indices.
+
+    ``points`` holds one tuple of Python floats per point. Construction
+    validates in numpy: every point must have ``dim`` coordinates, all
+    finite; the first offending point is named in the ValidationError.
+    """
 
     points: tuple
     dim: int
@@ -46,15 +56,37 @@ class PointCloud:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValidationError(f"ambient dimension must be 2 or 3, got {self.dim}")
-        for p in self.points:
-            if len(p) != self.dim:
-                raise ValidationError(f"point {p} does not have {self.dim} coordinates")
-            if not all(math.isfinite(x) for x in p):
-                raise ValidationError(f"non-finite coordinate in point {p}")
+        n = len(self.points)
+        sizes = np.fromiter(map(len, self.points), dtype=np.int64, count=n)
+        wrong = np.flatnonzero(sizes != self.dim)
+        first = int(wrong[0]) if len(wrong) else n
+        # Points before the first wrong length are checked for finiteness
+        # first, so the error names the earliest bad point either way.
+        rows = np.array(self.points[:first], dtype=float).reshape(first, self.dim)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if len(bad):
+            raise ValidationError(
+                f"non-finite coordinate in point {self.points[bad[0]]}")
+        if first < n:
+            raise ValidationError(
+                f"point {self.points[first]} does not have {self.dim} coordinates")
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[float]]) -> "PointCloud":
-        pts = tuple(tuple(float(x) for x in p) for p in points)
+        """A cloud of the given points, each coordinate made a Python float.
+
+        A rectangular array of numbers converts in one numpy pass; anything
+        else (ragged rows, None, strings) converts point by point, so it
+        raises as ``float()`` or ``__post_init__`` does.
+        """
+        try:
+            arr = np.asarray(points)
+        except ValueError:  # ragged rows
+            arr = None
+        if arr is not None and arr.ndim == 2 and arr.dtype.kind in "biuf":
+            pts = tuple(zip(*arr.astype(float).T.tolist()))
+        else:
+            pts = tuple(tuple(float(x) for x in p) for p in points)
         if not pts:
             raise ValidationError("point cloud is empty")
         return cls(points=pts, dim=len(pts[0]))
@@ -471,11 +503,55 @@ def distances(a, b) -> np.ndarray:
 def distance_blocks(a: np.ndarray, b: np.ndarray):
     """The (len(a), len(b)) array of ``distances`` between the rows of two
     (n, d) arrays, as ``(rows, block)`` pairs of about ``_BLOCK`` entries
-    each, so that no caller holds the whole array at once."""
+    each, so that no caller holds the whole array at once. Hausdorff needs
+    every entry; the minimum distance and the pairing check need only the
+    pairs ``_sweep_pairs`` yields."""
     step = max(1, _BLOCK // max(len(b), 1))
     for i in range(0, len(a), step):
         rows = slice(i, min(i + step, len(a)))
         yield rows, distances(a[rows, None, :], b)
+
+
+def _sweep_pairs(a: np.ndarray, b: np.ndarray, r: float):
+    """Index arrays ``(i, j)`` into the rows of two (n, d) arrays, in chunks
+    of about ``_BLOCK`` pairs, that cover every pair whose ``distances``
+    value is below r: every pair left out has a value of at least r.
+
+    The rows of b are sorted along one axis, and each row of a takes, by
+    ``searchsorted``, the rows of b whose coordinate there lies within its
+    window: r widened by ``_SWEEP_SLACK`` and by two ulps of the row's own
+    coordinate. A pair outside the window is at least r apart on that axis
+    alone, and ``distances`` never rounds a pair below its largest
+    coordinate difference (rounding is monotone, sqrt(fl(x * x)) = |x| and
+    ``math.hypot`` is at least each argument); the widening is a margin
+    over those roundings. The axis is the one whose windows hold the
+    fewest pairs, counted before any distance is computed.
+    """
+    best = None
+    for k in range(a.shape[1]):
+        order = np.argsort(b[:, k], kind="stable")
+        keys, x = b[order, k], a[:, k]
+        with np.errstate(over="ignore"):
+            pad = r * (1.0 + _SWEEP_SLACK) + 2.0 * np.spacing(np.abs(x))
+            lo = np.searchsorted(keys, x - pad, "left")
+            hi = np.searchsorted(keys, x + pad, "right")
+        count = hi - lo
+        total = int(count.sum())
+        if best is None or total < best[0]:
+            best = (total, order, lo, count)
+    _, order, lo, count = best
+    ends = np.cumsum(count)
+    start = 0
+    while start < len(a):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK, "right")))
+        c = count[start:stop]
+        # Row i's pairs take the sorted positions lo[i], lo[i] + 1, ...
+        # of b, one after another across the chunk.
+        first = np.repeat(lo[start:stop] - (np.cumsum(c) - c), c)
+        yield (np.repeat(np.arange(start, stop), c),
+               order[first + np.arange(int(ends[stop - 1]) - base)])
+        start = stop
 
 
 def pairwise_distances(cloud: PointCloud) -> list:

@@ -2,8 +2,10 @@
 random perturbations, and triangulation-equality checks.
 
 Distances come from ``core.distances`` (finite and nonzero near 1e-200 or
-1e160) in the row blocks of ``core.distance_blocks``; the minima, maxima
-and counts taken from the blocks combine exactly.
+1e160). Hausdorff takes them in the row blocks of ``core.distance_blocks``;
+the minimum distance and the pairing check take them only for the pairs of
+a ``core._sweep_pairs`` sweep, which leaves out no pair that could change
+the result. The minima, maxima and counts combine exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointCloud, distance_blocks, distances
+from .core import PointCloud, _sweep_pairs, distance_blocks, distances
 from .delaunay import certificate, delaunay, interior_facets
 from .errors import (DimensionMismatch, EmptyCloud, EpsilonTooLarge,
                      ValidationError)
@@ -35,11 +37,17 @@ def hausdorff_distance(p: PointCloud, q: PointCloud) -> float:
 
 def min_pairwise_distance(cloud: PointCloud) -> float:
     """Smallest distance between two distinct points; inf for n < 2."""
-    best = math.inf
     pts = cloud.as_array()
-    for rows, d in distance_blocks(pts, pts):
-        np.fill_diagonal(d[:, rows.start:], np.inf)  # the point itself
-        best = min(best, float(d.min()))
+    if len(pts) < 2:
+        return math.inf
+    # Points next to each other in the order along any axis give an upper
+    # bound; only pairs the sweep keeps at that bound can be closer.
+    best = min(float(distances(pts[o[:-1]], pts[o[1:]]).min())
+               for o in np.argsort(pts, axis=0, kind="stable").T)
+    for i, j in _sweep_pairs(pts, pts, best):
+        ahead = i < j  # each unordered pair once, never the point itself
+        if ahead.any():
+            best = min(best, float(distances(pts[i[ahead]], pts[j[ahead]]).min()))
     return best
 
 
@@ -63,13 +71,16 @@ class PerturbationPairing:
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
         a, b = self.source.as_array(), self.target.as_array()
-        for i, moved in enumerate(distances(a, b).tolist()):
-            if not moved < self.epsilon:
-                raise ValidationError(
-                    f"pair {i} displaced by {moved} >= epsilon {self.epsilon}")
+        moved = distances(a, b)
+        far = np.flatnonzero(~(moved < self.epsilon))
+        if len(far):
+            i = int(far[0])
+            raise ValidationError(
+                f"pair {i} displaced by {float(moved[i])} >= epsilon {self.epsilon}")
         # Every pair is within epsilon, so the pairing is mutually unique
         # iff no other source-target pair is.
-        within = sum(int((d < self.epsilon).sum()) for _, d in distance_blocks(a, b))
+        within = sum(int((distances(a[i], b[j]) < self.epsilon).sum())
+                     for i, j in _sweep_pairs(a, b, self.epsilon))
         if within > len(a):
             raise ValidationError("pairing is not mutually unique")
 

@@ -467,27 +467,32 @@ def _batch_signs(pts, terms, bound) -> np.ndarray:
     return signs
 
 
-def _triangle_diameter_terms(a, b, c):
+def _triangle_diameter_terms(a, b, c, static=None):
     """The squared circumdiameter of triangle abc in R^2 or R^3 as
     ``num / den`` and the squared permanents of num and den:
     |ab|^2 |bc|^2 |ca|^2 over the squared area term, the sum of the squared
-    ``_orient2d_terms`` determinants of the coordinate-plane projections."""
+    ``_orient2d_terms`` determinants of the coordinate-plane projections.
+    A ``static`` of -1 (the exact stage) skips the permanents: they are
+    None."""
     num = 1
     for p, q in ((a, b), (b, c), (c, a)):
         num = num * sum((x - y) * (x - y) for x, y in zip(p, q))
     planes = ((0, 1),) if len(a) == 2 else ((0, 1), (0, 2), (1, 2))
-    areas = [_orient2d_terms((a[i], a[j]), (b[i], b[j]), (c[i], c[j]))
+    areas = [_orient2d_terms((a[i], a[j]), (b[i], b[j]), (c[i], c[j]), static)
              for i, j in planes]
-    return (num, sum(det * det for det, _ in areas), num,
-            sum(plus * plus for _, plus in areas))
+    den = sum(det * det for det, _ in areas)
+    if static is not None:
+        return num, den, None, None
+    return num, den, num, sum(plus * plus for _, plus in areas)
 
 
-def _tetrahedron_diameter_terms(a, b, c, d):
+def _tetrahedron_diameter_terms(a, b, c, d, static=None):
     """The squared circumdiameter of tetrahedron abcd as ``num / den`` and
     the squared permanents of num and den: |n|^2 over the squared
     ``_orient3d_terms`` determinant, where with u = b - a, v = c - a and
     w = d - a, n = |u|^2 (v x w) + |v|^2 (w x u) + |w|^2 (u x v) is twice
-    the determinant times the circumcenter's offset from a."""
+    the determinant times the circumcenter's offset from a. A ``static`` of
+    -1 (the exact stage) skips the permanents: they are None."""
     u, v, w = ([y - x for x, y in zip(a, p)] for p in (b, c, d))
     lifts = [sum(x * x for x in p) for p in (u, v, w)]
     num = num_plus = 0
@@ -496,10 +501,13 @@ def _tetrahedron_diameter_terms(a, b, c, d):
         for lift, (x, y) in zip(lifts, ((v, w), (w, u), (u, v))):
             s, t = x[i] * y[j], x[j] * y[i]
             comp = comp + lift * (s - t)
-            comp_plus = comp_plus + lift * (abs(s) + abs(t))
+            if static is None:
+                comp_plus = comp_plus + lift * (abs(s) + abs(t))
         num = num + comp * comp
         num_plus = num_plus + comp_plus * comp_plus
-    det, det_plus = _orient3d_terms(b, c, d, a)
+    det, det_plus = _orient3d_terms(b, c, d, a, static)
+    if static is not None:
+        return num, det * det, None, None
     return num, det * det, num_plus, det_plus * det_plus
 
 
@@ -525,7 +533,7 @@ def circumdiameters(simplices) -> np.ndarray:
         out = np.sqrt(num / den)
     for k in np.flatnonzero(~sure).tolist():
         ints, shift = _integer_coords(pts[k].tolist())
-        num, den, _, _ = terms(*ints)
+        num, den, _, _ = terms(*ints, -1)
         out[k] = math.sqrt(num / (den << 2 * shift))
     return out
 

@@ -14,7 +14,10 @@ candidates, each decided exactly) and a dict of coface tuples. The
 filtration check is the dict of vertex tuples the package's array check
 replaced, the facet incidence is a Python gather sorted by a column
 ``np.lexsort`` over int64 ids, and the persistence image is the per-pair
-``math.erf`` loop.
+``math.erf`` loop. The minimum distance and the pairing count take every
+entry of the full distance array, in the row blocks of
+``core.distance_blocks``, so their values carry the bits of
+``core.distances`` that the package's sweep must reproduce.
 """
 
 import itertools
@@ -27,6 +30,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 from delrips import delaunay
+from delrips.core import distance_blocks
 from delrips.errors import InvalidFiltration, UnsortedFiltration
 
 
@@ -605,3 +609,19 @@ def apparent_pairs(columns):
             oldest.setdefault(i, j)
     return [(col[-1], j) for j, col in enumerate(columns)
             if col and oldest[col[-1]] == j]
+
+
+def blocked_min_distance(pts):
+    """The smallest ``core.distances`` value between two distinct rows of an
+    (n, d) array, over the whole array; inf for n < 2."""
+    best = math.inf
+    for rows, d in distance_blocks(pts, pts):
+        np.fill_diagonal(d[:, rows.start:], np.inf)  # the point itself
+        best = min(best, float(d.min()))
+    return best
+
+
+def blocked_within(a, b, eps):
+    """How many pairs (i, j) of rows of a and b are strictly closer than
+    eps, over the whole distance array."""
+    return sum(int((d < eps).sum()) for _, d in distance_blocks(a, b))

@@ -28,6 +28,56 @@ def test_point_cloud_validation():
     assert pc.dim == 3 and len(pc) == 2 and pc[1] == (1.0, 2.0, 3.0)
 
 
+@pytest.mark.parametrize("points, want", [
+    ([(0, 0, 0), (1, 2, 3)], ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))),
+    ([[0.5, -1.0], [2.0, 1e300]], ((0.5, -1.0), (2.0, 1e300))),
+    (np.array([[1, 2], [3, 4]]), ((1.0, 2.0), (3.0, 4.0))),
+    (np.array([[0.1, -0.0, 2.0 ** -1074]]), ((0.1, -0.0, 2.0 ** -1074),)),
+    (np.array([[0.1, 0.2]], dtype=np.float32),
+     ((float(np.float32(0.1)), float(np.float32(0.2))),)),
+    ([(2 ** 70 + 1, 3)], ((float(2 ** 70 + 1), 3.0),)),
+    ((p for p in [(1, 2), (3, 4)]), ((1.0, 2.0), (3.0, 4.0))),
+])
+def test_from_points_makes_python_floats(points, want):
+    pc = PointCloud.from_points(points)
+    assert pc.points == want and pc.dim == len(want[0])
+    assert all(type(x) is float for p in pc.points for x in p)
+    assert [[x.hex() for x in p] for p in pc.points] == [
+        [x.hex() for x in p] for p in want]
+
+
+@pytest.mark.parametrize("points, message", [
+    ([], "point cloud is empty"),
+    (np.empty((0, 3)), "point cloud is empty"),
+    ([(1.0,), (2.0,)], "ambient dimension must be 2 or 3, got 1"),
+    (np.zeros((3, 4)), "ambient dimension must be 2 or 3, got 4"),
+    ([(0.0, 0.0), (1.0, 2.0, 3.0)], "point (1.0, 2.0, 3.0) does not have 2 coordinates"),
+    ([(0, 0, 0), (1, 2)], "point (1.0, 2.0) does not have 3 coordinates"),
+    ([(0.0, 0.0), (0.0, math.nan)], "non-finite coordinate in point (0.0, nan)"),
+    (np.array([[1.0, 2.0, 3.0], [np.inf, 0, 0]]),
+     "non-finite coordinate in point (inf, 0.0, 0.0)"),
+    ([(1, 2), (3, -math.inf)], "non-finite coordinate in point (3.0, -inf)"),
+    # The earliest bad point is named, whichever check it fails.
+    ([(0.0, math.nan), (1.0,)], "non-finite coordinate in point (0.0, nan)"),
+    ([(0.0, 0.0), (1.0,), (math.nan, 0.0)], "point (1.0,) does not have 2 coordinates"),
+])
+def test_from_points_rejects_with_the_same_messages(points, message):
+    with pytest.raises(ValidationError) as exc:
+        PointCloud.from_points(points)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("points, error", [
+    ([(1.0, None)], TypeError), ([("a", "2")], ValueError),
+    ([1.0, 2.0], TypeError), (np.zeros((2, 2, 2)), TypeError),
+])
+def test_from_points_raises_as_float_does(points, error):
+    # What float() cannot convert raises as float() does (a point file
+    # reader maps these to its own error), never as a cloud of NaNs.
+    with pytest.raises(error):
+        PointCloud.from_points(points)
+
+
 def test_sort_vertices_before_edge_any_input_order():
     filt = Filtration(entries=(((0, 1), 1.0), ((1,), 0.0), ((0,), 0.0)),
                       max_dim=1)

@@ -1,10 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from delrips import ShapeClass, add_noise, hausdorff_distance, near_cocircular_quad, sample_shape
+from delrips import (ShapeClass, add_noise, epsilon_perturb, hausdorff_distance,
+                     near_cocircular_quad, sample_shape)
+from delrips.datagen import SHAPE_KINDS
 from delrips.errors import UnknownShape, ValidationError
+from delrips.geometry import min_pairwise_distance
 
 
 def residual(kind, pts):
@@ -82,3 +86,28 @@ def test_quad_construction_and_bounds():
     assert np.allclose(norms, 1.0)
     with pytest.raises(ValidationError):
         near_cocircular_quad(2.0 - math.sqrt(3.0))
+
+
+# SHA-256 of the exact coordinates (``float.hex``) of the clouds made from
+# each seed below, as the per-float conversion of earlier releases made them.
+GENERATED_DIGESTS = {
+    1: "fa37e9e0876c67a1dfc1c19ee8e6a4ba5ca2c89a625fd4e39d4b3ab7d1e7642b",
+    2: "2544fd936922dba042d89f4d109042401aa6ead341b4d63a8f6b77a056f85fa9",
+    3: "213aee2530d5312097077d67e4b06ea6f8144010e7e4ba51d062b0fdea601f3e",
+    4: "8049ed18e8ddb110e5b45a5e8fd1672b5fa625219d60261c377b166d28dbaaac",
+    5: "cd99991df12bca8491284b430a800eefb50d2726bd764bd4e9edf9310306769c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED_DIGESTS))
+def test_generated_clouds_keep_their_bits(seed):
+    h = hashlib.sha256()
+    for kind in SHAPE_KINDS:
+        shape = sample_shape(ShapeClass(kind=kind), 60, seed)
+        noisy = add_noise(shape, 0.1, seed + 1)
+        pair = epsilon_perturb(noisy, 0.25 * min_pairwise_distance(noisy), seed + 2)
+        for cloud in (shape, noisy, pair.target):
+            for p in cloud.points:
+                h.update((" ".join(x.hex() for x in p) + "\n").encode())
+            h.update(b"--\n")
+    assert h.hexdigest() == GENERATED_DIGESTS[seed]

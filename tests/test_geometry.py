@@ -3,16 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_facet_incidence, random_cloud
+from families import jittered_grid_member, near_planar_member, uniform
 import delrips.geometry
-from delrips import (PerturbationPairing, PointCloud, delaunay,
-                     epsilon_perturb, hausdorff_distance,
-                     near_cocircular_quad, same_triangulation)
-from delrips.core import distances
+from delrips import (PerturbationPairing, PointCloud, ShapeClass, add_noise,
+                     delaunay, epsilon_perturb, hausdorff_distance,
+                     near_cocircular_quad, same_triangulation, sample_shape)
+from delrips.core import _BLOCK, _sweep_pairs, distance_blocks, distances
 from delrips.errors import DimensionMismatch, EpsilonTooLarge, ValidationError
 from delrips.geometry import min_pairwise_distance
-from naive_oracle import closure_of
+from naive_oracle import blocked_min_distance, blocked_within, closure_of
 
 
 class TestHausdorff:
@@ -210,9 +213,16 @@ def test_distance_blocks_stay_below_the_full_array():
     rng = np.random.default_rng(2000)
     p = random_cloud(rng, 2000, dim=3)
     q = PointCloud.from_points(p.as_array() + rng.uniform(-1e-4, 1e-4, (2000, 3)))
+    # Along x every circle point is within any window of every other, so
+    # a sweep along x would yield all n^2 pairs.
+    circle = PointCloud.from_points(_circle_and_far_point(2000))
+    moved = PointCloud.from_points(circle.as_array()
+                                   + rng.uniform(-1e-4, 1e-4, (2001, 3)))
     calls = [lambda: hausdorff_distance(p, q),
              lambda: min_pairwise_distance(p),
-             lambda: PerturbationPairing(source=p, target=q, epsilon=2e-4)]
+             lambda: PerturbationPairing(source=p, target=q, epsilon=2e-4),
+             lambda: min_pairwise_distance(circle),
+             lambda: PerturbationPairing(source=circle, target=moved, epsilon=2e-4)]
     for call in calls:
         tracemalloc.start()
         try:
@@ -221,3 +231,152 @@ def test_distance_blocks_stay_below_the_full_array():
         finally:
             tracemalloc.stop()
         assert peak < 2000 * 2000 * 8
+
+
+def _circle_and_far_point(n):
+    """n points on the unit circle in the plane x = 0, and one at x = 100."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    pts = np.column_stack([np.zeros(n), np.cos(t), np.sin(t)])
+    return np.vstack([pts, [[100.0, 0.0, 0.0]]])
+
+
+def _sweep_families():
+    """Fixed clouds on which the sweep must match the full array: uniform
+    clouds, integer grids (with repeated points) and jittered grids, points
+    sharing a coordinate on one axis or two, the circle beside a far point,
+    one and two points, and clouds near 2**-664, 2**532 and 1e150."""
+    rng = np.random.default_rng(1808)
+    clouds = [_circle_and_far_point(2000), near_planar_member(30)]
+    for dim in (2, 3):
+        clouds += [uniform(dim, 300, dim), uniform(dim, 1, 5), uniform(dim, 2, 6),
+                   np.indices((7,) * dim).reshape(dim, -1).T.astype(float),
+                   rng.integers(0, 4, (120, dim)).astype(float)]
+        clouds += [jittered_grid_member(dim, seed) for seed in (0, 17, 49)]
+        for shared in range(1, dim):
+            flat = uniform(dim, 150, 10 + shared)
+            flat[:, :shared] = [0.25, -0.5][:shared]
+            clouds.append(flat)
+        clouds += [uniform(dim, 100, 20 + dim) * scale
+                   for scale in (2.0 ** -664, 2.0 ** 532, 1e150)]
+    return clouds
+
+
+def _pairs_below(a, b, r, pairs):
+    """The pairs (i, j), among ``pairs`` of index arrays, whose distance
+    is below r, as a set."""
+    out = set()
+    for i, j in pairs:
+        close = distances(a[i], b[j]) < r
+        out.update(zip(i[close].tolist(), j[close].tolist()))
+    return out
+
+
+def _check_sweep(a, b, r):
+    """The sweep keeps every pair of the full array below r, yields no pair
+    twice, and no chunk much larger than ``_BLOCK``."""
+    chunks = list(_sweep_pairs(a, b, r))
+    assert all(len(i) <= max(_BLOCK, len(b)) for i, _ in chunks)
+    if chunks:
+        keys = np.concatenate([i * len(b) + j for i, j in chunks])
+        assert len(np.unique(keys)) == len(keys)
+    full = [(np.repeat(np.arange(rows.start, rows.stop), len(b)),
+             np.tile(np.arange(len(b)), rows.stop - rows.start))
+            for rows, _ in distance_blocks(a, b)]
+    assert _pairs_below(a, b, r, chunks) == _pairs_below(a, b, r, full)
+
+
+def _check_min(pts):
+    got = min_pairwise_distance(PointCloud.from_points(pts))
+    assert got.hex() == blocked_min_distance(pts).hex()
+
+
+def _pairing_accepted(a, b, eps):
+    try:
+        PerturbationPairing(source=PointCloud.from_points(a),
+                            target=PointCloud.from_points(b), epsilon=eps)
+    except ValidationError as exc:
+        return str(exc)
+    return True
+
+
+def _check_pairing(a, b, eps):
+    """The pairing check decides as the full array does, and the sweep at
+    eps keeps every pair closer than eps."""
+    moved = distances(a, b).tolist()
+    far = [i for i, d in enumerate(moved) if not d < eps]
+    if far:
+        want = f"pair {far[0]} displaced by {moved[far[0]]} >= epsilon {eps}"
+    elif blocked_within(a, b, eps) > len(a):
+        want = "pairing is not mutually unique"
+    else:
+        want = True
+    assert _pairing_accepted(a, b, eps) == want
+    _check_sweep(a, b, eps)
+
+
+@pytest.mark.parametrize("index", range(len(_sweep_families())))
+def test_min_distance_and_pairing_match_the_full_array(index):
+    pts = _sweep_families()[index]
+    _check_min(pts)
+    if len(pts) < 2:
+        return
+    m = blocked_min_distance(pts)
+    rng = np.random.default_rng(index)
+    # A copy of the cloud: its own pairs at 0 and, at eps equal to the
+    # minimum distance, the closest pair just outside (the test is strict).
+    for eps in (m, np.nextafter(m, math.inf)):
+        if eps > 0:  # the integer grids repeat points
+            _check_pairing(pts, pts, eps)
+    for frac in (0.25, 0.49, 0.75, 2.0):
+        eps = frac * m if m > 0 else 1e-3
+        offsets = rng.uniform(-1.0, 1.0, pts.shape) * (eps / 2.0)
+        _check_pairing(pts, pts + offsets, eps)
+
+
+coordinates = st.one_of(st.integers(-3, 3).map(float),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3).flatmap(
+           lambda dim: st.lists(st.lists(coordinates, min_size=dim, max_size=dim),
+                                min_size=1, max_size=40)),
+       st.sampled_from([1.0, 2.0 ** -664, 2.0 ** 532, 1e150]),
+       st.floats(0.0, 3.0))
+def test_sweep_matches_the_full_array_on_random_clouds(rows, scale, frac):
+    pts = np.array(rows) * scale
+    _check_min(pts)
+    shifted = pts[::-1] + frac * scale
+    r = float(distances(pts[0], shifted[-1]))
+    for eps in (frac * scale, r, np.nextafter(r, math.inf)):
+        if eps > 0:
+            _check_pairing(pts, pts, eps)
+            _check_sweep(pts, shifted, eps)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: add_noise(sample_shape(ShapeClass(kind="sphere"), n, 1), 0.1, 2),
+    lambda n: PointCloud.from_points(_circle_and_far_point(n - 1)),
+], ids=["noisy-sphere", "circle-and-far-point"])
+def test_sweep_set_up_evaluates_few_distances(monkeypatch, make):
+    # At n = 2000 the full array has n^2 entries; the sweep keeps the work
+    # near linear. Along x the circle's points all share one window, so the
+    # sweep must choose another axis there.
+    n = 2000
+    cloud = make(n)
+    pair = epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud), seed=3)
+    evaluated = []
+    real = delrips.geometry.distances
+
+    def counted(a, b):
+        out = real(a, b)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(delrips.geometry, "distances", counted)
+    min_pairwise_distance(cloud)
+    assert 0 < sum(evaluated) <= 20 * n
+    evaluated.clear()
+    PerturbationPairing(source=pair.source, target=pair.target,
+                        epsilon=pair.epsilon)
+    assert 0 < sum(evaluated) <= 20 * n
