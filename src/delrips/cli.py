@@ -85,22 +85,23 @@ def _parse_methods(text: str):
         raise argparse.ArgumentTypeError(f"unknown method {exc}") from None
 
 
-def _int_from(low: int, what: str):
-    """Argparse type: an integer of at least ``low``."""
-    def parse(text: str) -> int:
+def _number(convert, ok, what: str):
+    """Argparse type: a number that ``convert`` reads and ``ok`` accepts."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected a {what} integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected a {what}, got {text!r}")
         return value
     return parse
 
 
-_positive_int = _int_from(1, "positive")
-_non_negative_int = _int_from(0, "non-negative")
+_positive_int = _number(int, lambda v: v >= 1, "positive integer")
+_non_negative_int = _number(int, lambda v: v >= 0, "non-negative integer")
+_positive_float = _number(float, lambda v: 0 < v < math.inf,
+                          "positive finite number")
 
 
 def _filtration_spec(args) -> FiltrationSpec:
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest homology dimension to compute")
     p.add_argument("--trials", type=_positive_int, default=10,
                    help="trials per cell")
-    p.add_argument("--timeout", type=float, default=7.0,
+    p.add_argument("--timeout", type=_positive_float, default=7.0,
                    help="per-cell wall-time cap in seconds")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("-o", "--output", required=True, help="CSV file to write")

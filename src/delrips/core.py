@@ -1,6 +1,7 @@
 """Shared domain types: point clouds, simplices, filtrations, diagrams.
 
-A simplex is represented throughout as a strictly increasing tuple of point
+A point cloud's one form is a read-only (n, dim) float64 array, converted
+and checked once when the cloud is made. A simplex is represented throughout as a strictly increasing tuple of point
 indices; its dimension is ``len(verts) - 1``. A filtration is a sequence of
 ``(simplex, scale)`` entries together with the dimension cap that was used to
 build it, held internally as integer arrays: per dimension the simplices as
@@ -17,7 +18,8 @@ Every face lookup gathers facets by ``_facet_rows`` and sorts rows by
 guard for sums that underflow or overflow; ``distance_blocks`` runs it over
 an n x m array in row blocks, and ``_sweep_pairs`` yields, in chunks, only
 the pairs a sorted sweep cannot rule out at a given distance, so no input
-size holds the whole array.
+size holds the whole array. ``_blocks`` cuts rows into those chunks of
+about ``_BLOCK`` entries, for them and for the bottleneck search.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import InvalidFiltration, UnsortedFiltration, ValidationError
 
 INF = math.inf
 _FLOAT_MIN = sys.float_info.min
-# Entries per block of an n x m distance array (see ``distance_blocks``),
-# and pairs per chunk of ``_sweep_pairs``.
+# Entries per chunk of ``_blocks``: bounds the temporaries of every blocked
+# computation (distance arrays, sweep pairs, bottleneck bands).
 _BLOCK = 1 << 16
 # Relative widening of a sweep window (see ``_sweep_pairs``).
 _SWEEP_SLACK = 2.0 ** -20
@@ -45,59 +47,69 @@ _INT64_MAX = np.iinfo(np.int64).max
 class PointCloud:
     """Finite ordered list of points in R^2 or R^3 with stable indices.
 
-    ``points`` holds one tuple of Python floats per point. Construction
-    validates in numpy: every point must have ``dim`` coordinates, all
-    finite; the first offending point is named in the ValidationError.
+    ``points`` is a read-only (n, dim) float64 array, converted and checked
+    once here: a rectangular array of numbers is copied in one numpy pass,
+    anything else (ragged rows, None, strings) converts point by point, so
+    it raises as ``float()`` does. Every point must have ``dim``
+    coordinates, all finite; the first offending point is named in the
+    ValidationError. Clouds compare by value (-0.0 equals 0.0).
     """
 
-    points: tuple
+    points: np.ndarray
     dim: int
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValidationError(f"ambient dimension must be 2 or 3, got {self.dim}")
-        n = len(self.points)
-        sizes = np.fromiter(map(len, self.points), dtype=np.int64, count=n)
-        wrong = np.flatnonzero(sizes != self.dim)
-        first = int(wrong[0]) if len(wrong) else n
-        # Points before the first wrong length are checked for finiteness
-        # first, so the error names the earliest bad point either way.
-        rows = np.array(self.points[:first], dtype=float).reshape(first, self.dim)
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        dim = self.dim
+        if dim not in (2, 3):
+            raise ValidationError(f"ambient dimension must be 2 or 3, got {dim}")
+        try:
+            arr = np.asarray(self.points)
+        except ValueError:  # ragged rows
+            arr = None
+        wrong = None
+        if arr is not None and arr.shape[1:] == (dim,) and arr.dtype.kind in "biuf":
+            pts = np.array(arr, dtype=float)
+        else:
+            rows = [tuple(map(float, p)) for p in self.points]
+            first = next((i for i, p in enumerate(rows) if len(p) != dim),
+                         len(rows))
+            # The points before the first wrong length are checked for
+            # finiteness first, so the error names the earliest bad point.
+            pts = np.array(rows[:first], dtype=float).reshape(first, dim)
+            wrong = rows[first] if first < len(rows) else None
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
         if len(bad):
             raise ValidationError(
-                f"non-finite coordinate in point {self.points[bad[0]]}")
-        if first < n:
-            raise ValidationError(
-                f"point {self.points[first]} does not have {self.dim} coordinates")
+                f"non-finite coordinate in point {tuple(pts[bad[0]].tolist())}")
+        if wrong is not None:
+            raise ValidationError(f"point {wrong} does not have {dim} coordinates")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[float]]) -> "PointCloud":
-        """A cloud of the given points, each coordinate made a Python float.
-
-        A rectangular array of numbers converts in one numpy pass; anything
-        else (ragged rows, None, strings) converts point by point, so it
-        raises as ``float()`` or ``__post_init__`` does.
-        """
-        try:
-            arr = np.asarray(points)
-        except ValueError:  # ragged rows
-            arr = None
-        if arr is not None and arr.ndim == 2 and arr.dtype.kind in "biuf":
-            pts = tuple(zip(*arr.astype(float).T.tolist()))
-        else:
-            pts = tuple(tuple(float(x) for x in p) for p in points)
-        if not pts:
+        """A cloud of the given points, its dimension that of the first;
+        ValidationError when there are none."""
+        points = points if isinstance(points, np.ndarray) else list(points)
+        if not len(points):
             raise ValidationError("point cloud is empty")
-        return cls(points=pts, dim=len(pts[0]))
+        return cls(points=points, dim=len(points[0]))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=float)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.points, other.points)
+
+    def __hash__(self):
+        return hash((self.dim, (self.points + 0.0).tobytes()))
+
+    def __reduce__(self):
+        return PointCloud, (self.points, self.dim)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getitem__(self, i: int):
+    def __getitem__(self, i: int) -> np.ndarray:
         return self.points[i]
 
 
@@ -506,10 +518,29 @@ def distance_blocks(a: np.ndarray, b: np.ndarray):
     each, so that no caller holds the whole array at once. Hausdorff needs
     every entry; the minimum distance and the pairing check need only the
     pairs ``_sweep_pairs`` yields."""
-    step = max(1, _BLOCK // max(len(b), 1))
-    for i in range(0, len(a), step):
-        rows = slice(i, min(i + step, len(a)))
+    for rows in _blocks(np.full(len(a), len(b))):
         yield rows, distances(a[rows, None, :], b)
+
+
+def _blocks(size):
+    """Slices of consecutive rows, given each row's number of entries: each
+    takes one row, then further rows while its entries stay within
+    ``_BLOCK`` (so a longer row is a chunk of its own)."""
+    ends = np.cumsum(size)
+    start = 0
+    while start < len(ends):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK, "right")))
+        yield slice(start, stop)
+        start = stop
+
+
+def _expand(start, stop):
+    """Every index of the ranges ``[start, stop)`` in turn, and the ranges'
+    sizes."""
+    size = stop - start
+    offset = np.cumsum(size) - size
+    return np.arange(int(size.sum())) + np.repeat(start - offset, size), size
 
 
 def _sweep_pairs(a: np.ndarray, b: np.ndarray, r: float):
@@ -540,18 +571,10 @@ def _sweep_pairs(a: np.ndarray, b: np.ndarray, r: float):
         if best is None or total < best[0]:
             best = (total, order, lo, count)
     _, order, lo, count = best
-    ends = np.cumsum(count)
-    start = 0
-    while start < len(a):
-        base = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK, "right")))
-        c = count[start:stop]
-        # Row i's pairs take the sorted positions lo[i], lo[i] + 1, ...
-        # of b, one after another across the chunk.
-        first = np.repeat(lo[start:stop] - (np.cumsum(c) - c), c)
-        yield (np.repeat(np.arange(start, stop), c),
-               order[first + np.arange(int(ends[stop - 1]) - base)])
-        start = stop
+    for rows in _blocks(count):
+        # Row i's pairs take the sorted positions lo[i], lo[i] + 1, ... of b.
+        j, size = _expand(lo[rows], lo[rows] + count[rows])
+        yield np.repeat(np.arange(rows.start, rows.stop), size), order[j]
 
 
 def pairwise_distances(cloud: PointCloud) -> list:
@@ -560,6 +583,6 @@ def pairwise_distances(cloud: PointCloud) -> list:
     Only the Rips builder needs every pair; Delaunay-Rips computes lengths
     for the Delaunay edges alone.
     """
-    pts = cloud.as_array()
-    return [row for _, block in distance_blocks(pts, pts) for row in block.tolist()]
+    return [row for _, block in distance_blocks(cloud.points, cloud.points)
+            for row in block.tolist()]
 

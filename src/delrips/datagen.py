@@ -112,7 +112,7 @@ def add_noise(cloud: PointCloud, nu: float, seed: int) -> PointCloud:
     if nu == 0:
         return cloud
     offsets = _ball_offsets(np.random.default_rng(seed), len(cloud), cloud.dim, nu)
-    return PointCloud.from_points(cloud.as_array() + offsets)
+    return PointCloud.from_points(cloud.points + offsets)
 
 
 def near_cocircular_quad(x: float) -> PointCloud:

@@ -406,17 +406,16 @@ def scale_exponent(points) -> int:
     scaling keeps every sign (and every ratio)."""
     a = np.asarray(points, dtype=float)
     mags = np.abs(a[a != 0.0])
+    if not len(mags):
+        return 0
     e = math.frexp(float(mags.max()))[1]
     return 0 if math.ldexp(float(mags.min()), -e) < sys.float_info.min else e
 
 
 def _prescaled(points):
-    """The points times 2**-scale_exponent(points), or the points as given
-    when that exponent is 0."""
-    e = scale_exponent(points)
-    if e == 0:
-        return points
-    return tuple(map(tuple, np.ldexp(np.asarray(points, float), -e).tolist()))
+    """The insertion loop's points: the rows of an (n, d) float array times
+    2**-scale_exponent(points), exact and one-to-one, as tuples of floats."""
+    return tuple(map(tuple, np.ldexp(points, -scale_exponent(points)).tolist()))
 
 
 def _initial_vertices(pts, dim, orient):
@@ -460,17 +459,16 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
     that fails its certificate raises CertificateError, which would be a bug.
     """
     dim = cloud.dim
-    pts = cloud.points
-    n = len(pts)
+    n = len(cloud)
     if n < dim + 1:
         raise TooFewPoints(f"need at least {dim + 1} points in R^{dim}, got {n}")
+    pts = _prescaled(cloud.points)
     seen = {}
     for i, p in enumerate(pts):
         if p in seen:
             raise DuplicatePoints(f"points {seen[p]} and {i} coincide")
         seen[p] = i
 
-    pts = _prescaled(pts)
     predicates = _cloud_predicates(pts)
     init = _initial_vertices(pts, dim, predicates[0])
     tri = _Triangulation(pts, dim, init, predicates)

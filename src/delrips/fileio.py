@@ -55,10 +55,11 @@ def read_point_cloud(path) -> PointCloud:
 
 def write_point_cloud(path, cloud: PointCloud, precision: int = DEFAULT_PRECISION):
     path = Path(path)
+    rows = cloud.points.tolist()
     if path.suffix.lower() == ".json":
-        path.write_text(json.dumps([list(p) for p in cloud.points]) + "\n")
+        path.write_text(json.dumps(rows) + "\n")
         return
-    lines = [",".join(fmt_float(x, precision) for x in p) for p in cloud.points]
+    lines = [",".join(fmt_float(x, precision) for x in p) for p in rows]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 

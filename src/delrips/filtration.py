@@ -120,7 +120,7 @@ def _delaunay_filtration(cloud: PointCloud, spec: FiltrationSpec,
     cap = spec.max_hom_dim + 1
     n = len(cloud)
     if n <= 2:  # no triangulation: the vertices, and an edge at its length
-        if n == 2 and cloud[0] == cloud[1]:
+        if n == 2 and np.array_equal(cloud[0], cloud[1]):
             raise DuplicatePoints("points 0 and 1 coincide")
         edge = [((0, 1), float(distances(*cloud.points)))] if n == 2 else []
         return Filtration(entries=tuple([((i,), 0.0) for i in range(n)] + edge),
@@ -144,7 +144,7 @@ def _rips_scales(dc, cap):
     ``distances`` length that fills the Rips matrix (so scales match Rips
     bit for bit without an O(n^2) matrix), and each higher simplex at the
     maximum over its facets, the twin of Alpha's coface minimum."""
-    edges = dc.cloud.as_array()[dc.faces(1)]
+    edges = dc.cloud.points[dc.faces(1)]
     value = [np.zeros(len(dc.faces(0))), distances(edges[:, 0], edges[:, 1])]
     for k in range(2, cap + 1):
         _, facet_row, owner, _ = dc._cofaces(k - 1)
@@ -177,7 +177,7 @@ def _alpha_scales(dc, cap):
     """
     d = dc.cloud.dim
     e = scale_exponent(dc.cloud.points)
-    pts = np.ldexp(dc.cloud.as_array(), -e)
+    pts = np.ldexp(dc.cloud.points, -e)
     edges = pts[dc.faces(1)]
     value = [np.zeros(len(dc.faces(0))), distances(edges[:, 0], edges[:, 1])]
     value += [circumdiameters(pts[dc.faces(k)]) for k in range(2, d + 1)]

@@ -29,7 +29,7 @@ def hausdorff_distance(p: PointCloud, q: PointCloud) -> float:
         raise DimensionMismatch(f"dimensions differ: {p.dim} vs {q.dim}")
     p_to_q = 0.0
     q_to_p = np.full(len(q), np.inf)
-    for _, d in distance_blocks(p.as_array(), q.as_array()):
+    for _, d in distance_blocks(p.points, q.points):
         p_to_q = max(p_to_q, float(d.min(axis=1).max()))
         np.minimum(q_to_p, d.min(axis=0), out=q_to_p)
     return max(p_to_q, float(q_to_p.max()))
@@ -37,7 +37,7 @@ def hausdorff_distance(p: PointCloud, q: PointCloud) -> float:
 
 def min_pairwise_distance(cloud: PointCloud) -> float:
     """Smallest distance between two distinct points; inf for n < 2."""
-    pts = cloud.as_array()
+    pts = cloud.points
     if len(pts) < 2:
         return math.inf
     # Points next to each other in the order along any axis give an upper
@@ -70,7 +70,7 @@ class PerturbationPairing:
             raise DimensionMismatch("source and target dimensions differ")
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
-        a, b = self.source.as_array(), self.target.as_array()
+        a, b = self.source.points, self.target.points
         moved = distances(a, b)
         far = np.flatnonzero(~(moved < self.epsilon))
         if len(far):
@@ -111,7 +111,7 @@ def epsilon_perturb(cloud: PointCloud, eps: float, seed: int) -> PerturbationPai
             f"eps {eps} >= half the minimum pairwise distance {half_min}")
     rng = np.random.default_rng(seed)
     offsets = _ball_offsets(rng, len(cloud), cloud.dim, eps)
-    target = PointCloud.from_points(cloud.as_array() + offsets)
+    target = PointCloud.from_points(cloud.points + offsets)
     return PerturbationPairing(source=cloud, target=target, epsilon=eps)
 
 

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import diagram_pair
+from .core import _blocks, _expand, diagram_pair
 from .errors import InfiniteDistance, ValidationError
 
 DIAGONAL_CONVENTIONS = ("half", "full")
@@ -155,9 +155,6 @@ def bottleneck(x_pairs, y_pairs, diagonal: str = "half"):
 # Pair distances per finite point that the final binary search may collect;
 # until the bracket holds no more, it is bisected.
 CANDIDATES_PER_POINT = 8
-# Entries per row block: bounds the temporaries of the birth filter and of
-# the candidate collection.
-BLOCK = 1 << 16
 
 
 class _Side:
@@ -410,25 +407,6 @@ def _candidates(x, y, rings, lo, hi):
             parts.append(np.unique(dist[(dist > lo) & (dist <= hi)]))
     # "+ 0.0" as for the diagonal costs.
     return (np.unique(np.concatenate(parts)) + 0.0).tolist()
-
-
-def _expand(start, stop):
-    """Every index of the ranges ``[start, stop)`` in turn, and the ranges'
-    sizes."""
-    size = stop - start
-    offset = np.cumsum(size) - size
-    return np.arange(int(size.sum())) + np.repeat(start - offset, size), size
-
-
-def _blocks(size):
-    """Slices of consecutive rows holding about BLOCK entries each (a longer
-    row is a block of its own)."""
-    ends = np.cumsum(size)
-    if not len(ends) or ends[-1] <= BLOCK:
-        return [slice(None)]
-    cuts = np.searchsorted(ends, np.arange(BLOCK, ends[-1], BLOCK), "right")
-    edges = np.unique(np.concatenate(([0], cuts, [len(size)]))).tolist()
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _build_matching(nx, ny, x_fin, y_fin, ess_matched, cover_x, cover_y,

@@ -42,8 +42,8 @@ class PIGrid:
         rows, cols = self.resolution
         if rows < 1 or cols < 1:
             raise ValidationError("resolution must be at least 1x1")
-        if not self.sigma > 0:
-            raise ValidationError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValidationError("sigma must be positive and finite")
 
     @property
     def size(self) -> int:
@@ -80,7 +80,7 @@ def fit_pi_grid(diagrams, resolution=(2, 2), sigma: float | None = None) -> PIGr
     birth_range = _widen(min(births), max(births))
     pers_range = _widen(min(pers), max(pers))
     rows, cols = resolution
-    if sigma is None:
+    if sigma is None and rows >= 1:  # else PIGrid rejects the resolution
         sigma = 0.5 * (pers_range[1] - pers_range[0]) / rows
     return PIGrid(birth_range=birth_range, persistence_range=pers_range,
                   resolution=(rows, cols), sigma=sigma)
@@ -191,7 +191,7 @@ def delay_embed(series, embed_dim: int, tau: int, stride: int = 1) -> PointCloud
     Produces points (x_i, x_{i+tau}, ..., x_{i+(m-1)tau}) for i = 0, stride,
     2*stride, ...
     """
-    vals = [float(v) for v in series]
+    vals = np.array([float(v) for v in series])
     if embed_dim not in (2, 3):
         raise ValidationError("embed_dim must be 2 or 3")
     if tau < 1 or stride < 1:
@@ -201,7 +201,5 @@ def delay_embed(series, embed_dim: int, tau: int, stride: int = 1) -> PointCloud
         raise SeriesTooShort(
             f"series of length {len(vals)} cannot host an embedding with "
             f"window {span + 1}")
-    pts = []
-    for start in range(0, len(vals) - span, stride):
-        pts.append(tuple(vals[start + k * tau] for k in range(embed_dim)))
-    return PointCloud.from_points(pts)
+    return PointCloud.from_points(np.column_stack(
+        [vals[k * tau:][:len(vals) - span:stride] for k in range(embed_dim)]))

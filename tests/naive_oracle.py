@@ -456,7 +456,7 @@ def exact_alpha(cloud):
     dc = delaunay(cloud)
     d = cloud.dim
     ints, shift = _integer_points(cloud.points)
-    raw = cloud.as_array()
+    raw = cloud.points
     exponent = math.frexp(float(np.abs(raw).max()))[1]
     pts = np.ldexp(raw, -exponent)  # == ints / 2**(shift + exponent)
     faces = [tuple(verts) for k in range(1, d + 1)

@@ -82,6 +82,30 @@ def test_point_cloud_json_round_trip(tmp_path):
     assert (tmp_path / "quad_h1.csv").read_text() == "1,1.7320508076,1.9\n"
 
 
+def test_point_cloud_files_keep_their_bytes(tmp_path):
+    # Bytes written for this cloud before clouds were held as arrays.
+    cloud = PointCloud.from_points([(0.1, -0.0, 2.0 ** -1074),
+                                    (1e300, -2.5, 1 / 3),
+                                    (12345.678901234, 1e-12, -7.0)])
+    big = ("1000000000000000052504760255204420248704468581108159154915854115"
+           "5118024579889081957863713750804478640437044438328838781769425232"
+           "3536043057564479218478670698284838720092657580373783023379478809"
+           "0059368953234970799945081119038967640880074652742780142494579258"
+           "788820056842838115669472196386865459400540160")
+    want = {
+        ("c.csv", 10): f"0.1,0,4.940656458e-324\n{big},-2.5,0.3333333333\n"
+                       "12345.678901234,1e-12,-7\n",
+        ("c.csv", 3): f"0.1,0,4.94e-324\n{big},-2.5,0.333\n"
+                      "12345.679,1e-12,-7\n",
+        ("c.json", 10): "[[0.1, -0.0, 5e-324], [1e+300, -2.5, "
+                        "0.3333333333333333], [12345.678901234, 1e-12, "
+                        "-7.0]]\n",
+    }
+    for (name, precision), text in want.items():
+        write_point_cloud(tmp_path / name, cloud, precision)
+        assert (tmp_path / name).read_bytes() == text.encode()
+
+
 def test_generate_and_hausdorff(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -105,7 +129,7 @@ def test_embed_command(tmp_path):
                  "--stride", "1", "-o", str(out)]) == 0
     cloud = read_point_cloud(out)
     assert len(cloud) == 5
-    assert cloud[0] == (0.0, 5.0, 10.0)
+    assert cloud[0].tolist() == [0.0, 5.0, 10.0]
 
 
 def test_bottleneck_command(tmp_path, capsys):
@@ -136,6 +160,17 @@ def test_vectorize_stats_command(tmp_path):
     assert len(lines[0].split(",")) == 48
     assert len(lines[1].split(",")) == 48
     assert "nan" in lines[1]  # empty H2 block
+
+
+@pytest.mark.parametrize("option", [["--resolution", "0x5"],
+                                    ["--resolution", "5x1", "--sigma", "inf"]])
+def test_vectorize_pi_bad_grid_is_validation_error(tmp_path, capsys, option):
+    diag = tmp_path / "d.csv"
+    diag.write_text("0,0,1\n0,0.5,2\n")
+    out = tmp_path / "pi.csv"
+    assert main(["vectorize", "pi", str(diag), "--maxdim", "0", *option,
+                 "-o", str(out)]) == 2
+    assert "error: " in capsys.readouterr().err and not out.exists()
 
 
 def test_vectorize_pi_command_55_features(tmp_path):
@@ -265,6 +300,11 @@ def test_pd_dr_tie_break_warns_and_writes_files(tmp_path):
     ["vectorize", "pi", "d.csv", "--resolution", "5xa", "-o", "f.csv"],
     ["bench", "--trials", "x", "-o", "b.csv"],
     ["hausdorff", "--precision", "-1", "a.csv", "b.csv"],
+    ["bench", "--timeout", "-1", "-o", "b.csv"],
+    ["bench", "--timeout", "0", "-o", "b.csv"],
+    ["bench", "--timeout", "nan", "-o", "b.csv"],
+    ["bench", "--timeout", "inf", "-o", "b.csv"],
+    ["bench", "--timeout", "x", "-o", "b.csv"],
 ])
 def test_malformed_option_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -284,7 +324,7 @@ def test_hausdorff_at_extreme_scales(tmp_path, capsys, scale):
               PointCloud.from_points(pts + rng.uniform(-0.1, 0.1, pts.shape))]
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, cloud in zip(paths, clouds):
-        write_point_cloud(path, PointCloud.from_points(cloud.as_array() * scale))
+        write_point_cloud(path, PointCloud.from_points(cloud.points * scale))
     capsys.readouterr()
     assert main(["hausdorff", *map(str, paths)]) == 0
     got = float(capsys.readouterr().out.strip())

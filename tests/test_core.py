@@ -1,5 +1,6 @@
 import ast
 import math
+import pickle
 import sys
 from pathlib import Path
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import delrips
-from delrips import (Filtration, PersistenceDiagram, PointCloud, bottleneck,
-                     sort_filtration)
+from delrips import (Filtration, PersistenceDiagram, PerturbationPairing,
+                     PointCloud, bottleneck, delaunay, sort_filtration)
 from delrips.core import pairwise_distances
 from delrips.errors import InvalidFiltration, ValidationError
 
@@ -25,7 +26,7 @@ def test_point_cloud_validation():
     with pytest.raises(ValidationError):
         PointCloud(points=((0.0, 0.0), (1.0,)), dim=2)
     pc = PointCloud.from_points([(0, 0, 0), (1, 2, 3)])
-    assert pc.dim == 3 and len(pc) == 2 and pc[1] == (1.0, 2.0, 3.0)
+    assert pc.dim == 3 and len(pc) == 2 and pc[1].tolist() == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("points, want", [
@@ -40,10 +41,42 @@ def test_point_cloud_validation():
 ])
 def test_from_points_makes_python_floats(points, want):
     pc = PointCloud.from_points(points)
-    assert pc.points == want and pc.dim == len(want[0])
-    assert all(type(x) is float for p in pc.points for x in p)
-    assert [[x.hex() for x in p] for p in pc.points] == [
+    assert pc.points.dtype == np.float64 and pc.dim == len(want[0])
+    assert pc.points.shape == (len(want), len(want[0]))
+    assert [[x.hex() for x in p] for p in pc.points.tolist()] == [
         [x.hex() for x in p] for p in want]
+
+
+def test_points_are_a_read_only_copy():
+    given = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    pc = PointCloud.from_points(given)
+    with pytest.raises(ValueError):
+        pc.points[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        pc[1][1] = 9.0
+    given[0, 0] = 9.0
+    assert pc.points.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert pc[2].tolist() == [5.0, 6.0]
+
+
+def test_equal_clouds_hash_equally_and_survive_pickle():
+    a = PointCloud.from_points([(0.0, 1.0), (2.0, -0.0)])
+    b = PointCloud.from_points([(-0.0, 1.0), (2.0, 0.0)])
+    assert a == b and hash(a) == hash(b)
+    assert a != PointCloud.from_points([(0.0, 1.0), (2.0, 2.0 ** -1074)])
+    assert a != PointCloud.from_points([(0.0, 1.0, 0.0), (2.0, 0.0, 0.0)])
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)
+    assert not back.points.flags.writeable
+    assert [x.hex() for x in back.points.ravel().tolist()] == [
+        x.hex() for x in a.points.ravel().tolist()]
+    # Types holding clouds stay comparable and hashable.
+    pairs = [PerturbationPairing(source=p, target=q, epsilon=0.5)
+             for p, q in ((a, b), (b, a))]
+    assert pairs[0] == pairs[1] and hash(pairs[0]) == hash(pairs[1])
+    tri = [delaunay(PointCloud.from_points([(0, 0), (1, 0), (0, z)]))
+           for z in (1, 1.0)]
+    assert tri[0] == tri[1] and hash(tri[0]) == hash(tri[1])
 
 
 @pytest.mark.parametrize("points, message", [
@@ -192,7 +225,8 @@ def test_pairwise_distances_equal_scalar_formula(dim, scale):
     pts[5] = pts[4]  # a repeated point: distance exactly 0.0
     pc = PointCloud.from_points(pts)
     mat = pairwise_distances(pc)
-    want = [[_point_distance(p, q) for q in pc.points] for p in pc.points]
+    rows = pc.points.tolist()
+    want = [[_point_distance(p, q) for q in rows] for p in rows]
     assert mat == want
     assert mat[4][5] == 0.0 and all(math.isfinite(x) for row in mat for x in row)
 
@@ -230,3 +264,52 @@ def test_every_module_level_import_is_used():
                            if (alias.asname or alias.name.split(".")[0])
                            not in used]
     assert unused == []
+
+
+def _defined(stmt) -> list:
+    """The module-level functions, classes and constants a statement
+    defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name)]
+
+
+def _loads(stmt) -> set:
+    """The names a statement reads as plain names."""
+    return {node.id for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_module_level_name_is_read():
+    # A helper, class or constant whose last reader was deleted (say a
+    # second copy of a helper once its callers moved to the first) would
+    # go unnoticed by the import check above. A name defined in module m is
+    # read when m reads it outside its definition, some file imports it
+    # from m, or some attribute has its name.
+    package = Path(delrips.__file__).parent
+    here = Path(__file__).parent
+    paths = [*package.glob("*.py"), *here.glob("*.py"),
+             *(here.parent / "perfbench").glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    imported, attributes = set(), set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[-1]
+            imported.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        body = trees[path].body
+        loads = [_loads(stmt) for stmt in body]
+        for i, stmt in enumerate(body):
+            unread += [
+                (path.name, name) for name in _defined(stmt)
+                if not name.startswith("__")
+                and (path.stem, name) not in imported
+                and name not in attributes
+                and not any(name in names for names in loads[:i] + loads[i + 1:])]
+    assert unread == []

@@ -26,23 +26,23 @@ def residual(kind, pts):
 def test_samples_lie_on_manifold(kind):
     cloud = sample_shape(ShapeClass(kind=kind), 300, seed=4)
     assert cloud.dim == 3 and len(cloud) == 300
-    assert residual(kind, cloud.as_array()).max() < 1e-12
+    assert residual(kind, cloud.points).max() < 1e-12
 
 
 def test_random_inside_cube():
     cloud = sample_shape(ShapeClass(kind="random"), 200, seed=1)
-    assert np.abs(cloud.as_array()).max() <= 1.0
+    assert np.abs(cloud.points).max() <= 1.0
 
 
 def test_cluster_shapes_have_expected_structure():
     three = sample_shape(ShapeClass(kind="three_clusters"), 90, seed=2)
-    pts = three.as_array()
+    pts = three.points
     # Points assigned round-robin to three centers two units apart.
     centers = np.array([pts[i::3].mean(axis=0) for i in range(3)])
     d01 = np.linalg.norm(centers[0] - centers[1])
     assert d01 == pytest.approx(2.0, abs=0.15)
     nested = sample_shape(ShapeClass(kind="nested_clusters"), 180, seed=3)
-    sub_centers = np.array([nested.as_array()[i::9].mean(axis=0)
+    sub_centers = np.array([nested.points[i::9].mean(axis=0)
                             for i in range(9)])
     d_sub = np.linalg.norm(sub_centers[0] - sub_centers[1])
     assert d_sub == pytest.approx(0.4, abs=0.05)
@@ -52,8 +52,8 @@ def test_determinism_and_seed_sensitivity():
     a = sample_shape(ShapeClass(kind="sphere"), 50, seed=7)
     b = sample_shape(ShapeClass(kind="sphere"), 50, seed=7)
     c = sample_shape(ShapeClass(kind="sphere"), 50, seed=8)
-    assert a.points == b.points
-    assert a.points != c.points
+    assert np.array_equal(a.points, b.points)
+    assert not np.array_equal(a.points, c.points)
 
 
 def test_shape_validation():
@@ -74,7 +74,7 @@ def test_add_noise_bounded_by_nu():
     cloud = sample_shape(ShapeClass(kind="sphere"), 100, seed=0)
     for nu in (0.01, 0.1, 0.5):
         noisy = add_noise(cloud, nu, seed=5)
-        moved = np.linalg.norm(noisy.as_array() - cloud.as_array(), axis=1)
+        moved = np.linalg.norm(noisy.points - cloud.points, axis=1)
         assert moved.max() <= nu
         assert hausdorff_distance(cloud, noisy) <= nu
 
@@ -82,7 +82,7 @@ def test_add_noise_bounded_by_nu():
 def test_quad_construction_and_bounds():
     pc = near_cocircular_quad(0.0)
     assert len(pc) == 4
-    norms = np.linalg.norm(pc.as_array(), axis=1)
+    norms = np.linalg.norm(pc.points, axis=1)
     assert np.allclose(norms, 1.0)
     with pytest.raises(ValidationError):
         near_cocircular_quad(2.0 - math.sqrt(3.0))

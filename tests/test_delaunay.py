@@ -87,6 +87,23 @@ def test_error_duplicates():
         delaunay(PointCloud.from_points([(0, 0), (1, 1), (0, 0)]))
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -664, 2.0 ** 532])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_duplicates_named_at_every_scale(scale, dim):
+    # The check runs on the prescaled points; the scaling is exact and
+    # one-to-one, so the same points coincide at every scale.
+    pts = np.random.default_rng(dim).uniform(-1.0, 1.0, (12, dim))
+    pts[9] = pts[4]
+    pts[11] = pts[2]
+    with pytest.raises(DuplicatePoints, match=r"^points 4 and 9 coincide$"):
+        delaunay(PointCloud.from_points(pts * scale))
+    pts[9, 0], pts[4, 0] = 0.0, -0.0  # signed zeros coincide too
+    with pytest.raises(DuplicatePoints, match=r"^points 4 and 9 coincide$"):
+        delaunay(PointCloud.from_points(pts * scale))
+    with pytest.raises(DuplicatePoints, match=r"^points 0 and 1 coincide$"):
+        delaunay(PointCloud.from_points(np.zeros((dim + 1, dim))))
+
+
 def test_error_affinely_degenerate():
     with pytest.raises(AffinelyDegenerateInput):
         delaunay(PointCloud.from_points([(0, 0), (1, 1), (2, 2), (3, 3)]))
@@ -134,7 +151,7 @@ def _hull_area(points):
 
 
 def _check_2d_structure(dc):
-    pts = dc.cloud.points
+    pts = list(map(tuple, dc.cloud.points.tolist()))
     n = len(pts)
     edges = set(_faces(dc, 1))
     tris = dc.top_simplices
@@ -197,7 +214,7 @@ def test_scan_locate_matches_walk(rng):
     # The global-scan fallback must find a conflicting simplex for a point
     # that is not yet inserted, like the walk does.
     cloud = random_cloud(rng, 20)
-    pts = cloud.points
+    pts = tuple(map(tuple, cloud.points.tolist()))
     from delrips.delaunay import _initial_vertices
     predicates = _cloud_predicates(pts)
     init = _initial_vertices(pts, 2, predicates[0])
@@ -267,11 +284,14 @@ def test_certificate_runs_under_optimize():
 def test_prescale_is_exact_or_skipped():
     assert _prescaled(((3.0, -0.25), (1e-3, 0.0))) == (
         (0.75, -0.0625), (0.25e-3, 0.0))
+    def bits(points):
+        return [[x.hex() for x in p] for p in points]
+
     unit = ((0.5, -0.75), (0.0, 0.25))
-    assert _prescaled(unit) is unit
+    assert bits(_prescaled(unit)) == bits(unit)
     # 1e-20 * 2**-997 would be subnormal, so the scaling would round it.
     wide = ((1e300, 0.0), (0.0, 1e-20))
-    assert _prescaled(wide) is wide
+    assert bits(_prescaled(wide)) == bits(wide)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -10,7 +10,7 @@ import pytest
 from delrips import (FiltrationSpec, ShapeClass, add_noise, bottleneck,
                      build_delaunay_rips, compute_diagram, epsilon_perturb,
                      near_cocircular_quad, sample_shape)
-from delrips import metrics
+from delrips import core, metrics
 from delrips.errors import InfiniteDistance, ValidationError
 from delrips.geometry import min_pairwise_distance
 from naive_oracle import brute_bottleneck, matching_bottleneck
@@ -326,7 +326,7 @@ def test_search_matches_oracles(budget, block, monkeypatch):
     # blocks split the birth filter and the candidate collection.
     if budget is not None:
         monkeypatch.setattr(metrics, "CANDIDATES_PER_POINT", budget)
-        monkeypatch.setattr(metrics, "BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK", block)
     spy = SearchSpy(monkeypatch)
     rng = np.random.default_rng(11)
     edges = Counter()

@@ -45,6 +45,12 @@ class TestGrid:
             PIGrid((0, 1), (0, 1), (0, 2), 0.1)
         with pytest.raises(ValidationError):
             PIGrid((0, 0), (0, 1), (2, 2), 0.1)
+        for sigma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="sigma"):
+                PIGrid((0, 1), (0, 1), (2, 2), sigma)
+        # The resolution is checked before the default sigma divides by it.
+        with pytest.raises(ValidationError, match="resolution"):
+            fit_pi_grid([[(0.0, 1.0)]], resolution=(0, 2))
 
 
 class TestImage:
@@ -171,16 +177,16 @@ class TestDelayEmbed:
     def test_documented_example(self):
         cloud = delay_embed(list(range(15)), embed_dim=3, tau=5, stride=1)
         assert len(cloud) == 5
-        assert cloud[0] == (0.0, 5.0, 10.0)
-        assert cloud[4] == (4.0, 9.0, 14.0)
+        assert cloud[0].tolist() == [0.0, 5.0, 10.0]
+        assert cloud[4].tolist() == [4.0, 9.0, 14.0]
 
     def test_constant_series(self):
         cloud = delay_embed([2.0] * 9, embed_dim=2, tau=3)
-        assert all(p == (2.0, 2.0) for p in cloud.points)
+        assert all(p == [2.0, 2.0] for p in cloud.points.tolist())
 
     def test_small_example(self):
         cloud = delay_embed([1, 2, 3], embed_dim=2, tau=1)
-        assert cloud.points == ((1.0, 2.0), (2.0, 3.0))
+        assert cloud.points.tolist() == [[1.0, 2.0], [2.0, 3.0]]
 
     def test_count_formula(self, rng):
         for _ in range(20):
