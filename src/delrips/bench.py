@@ -10,11 +10,14 @@ enumeration dies in the child rather than the parent.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
+import numbers
 import statistics
 from dataclasses import dataclass
 
 from .datagen import ShapeClass, add_noise, sample_shape
+from .errors import ValidationError
 from .filtration import FiltrationSpec, build
 from .persistence import compute_diagram
 
@@ -57,8 +60,17 @@ def _worker(conn, method, points, max_hom_dim):
         conn.close()
 
 
+def _check_timeout(timeout) -> None:
+    if not (isinstance(timeout, numbers.Real) and 0 < timeout < math.inf):
+        raise ValidationError(
+            f"timeout must be a positive finite number, got {timeout!r}")
+
+
 def run_cell(method: str, points, max_hom_dim: int, trial: int,
              timeout: float) -> BenchCell:
+    """One cell in a child process, capped at ``timeout`` seconds; raises
+    ValidationError unless the timeout is a positive finite number."""
+    _check_timeout(timeout)
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() \
         else mp.get_context("spawn")
     parent, child = ctx.Pipe(duplex=False)
@@ -89,8 +101,10 @@ def run_grid(shape: ShapeClass, nu: float, sizes, methods, max_hom_dim: int,
     """All cells plus per-(method, n) medians.
 
     The same cloud is used for every method within a (n, trial) pair.
-    Timeouts and failures enter the median at the cap value.
+    Timeouts and failures enter the median at the cap value. Raises
+    ValidationError unless the timeout is a positive finite number.
     """
+    _check_timeout(timeout)
     cells = []
     medians = []
     for n in sizes:

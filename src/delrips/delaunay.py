@@ -64,6 +64,15 @@ decides all of the 2000-point noisy sphere's tests. It is off for a cloud
 whose bound underflows or overflows, or whose extents exceed 2, and every
 sign is the exact one either way (see the ``predicates`` module doc). The
 certificate keeps the two-tier numpy batches.
+
+Every in-ball test of an insertion is against its new point p: the cavity
+search, the check that the located simplex conflicts, and a ghost's real
+neighbor when p lies on the ghost's hull facet. So each insertion takes one
+test, ``inball_from(p)``, which translates each vertex by p and lifts it
+once, on its first test, and drops those rows when the insertion ends. An
+insertion makes about 35 tests on the noisy spheres, on about 23 distinct
+vertices. The walk's orientation tests and the ghosts' hull-facet tests
+take the points themselves.
 """
 
 from __future__ import annotations
@@ -143,15 +152,16 @@ def facet_incidence(rows) -> tuple:
             rows.reshape(-1)[order])
 
 
-def _grid_cells(pts, dim):
-    """Each point's cells in nested uniform grids over the cloud's bounding
-    box, finest first: about n cells, then half as many per axis at each
-    coarser level, down to one cell. Returns the per-point lists of cell ids,
-    distinct across levels, and the number of cells. Halved coordinates keep
-    the differences finite."""
-    a = np.asarray(pts, dtype=float) / 2.0
+def _grid_cells(points):
+    """Each point's cells in nested uniform grids over the bounding box of
+    an (n, d) float array, finest first: about n cells, then half as many
+    per axis at each coarser level, down to one cell. Returns the per-point
+    lists of cell ids, distinct across levels, and the number of cells.
+    Halved coordinates keep the differences finite."""
+    n, dim = points.shape
+    a = points / 2.0
     lo, hi = a.min(axis=0), a.max(axis=0)
-    k = max(1, round(len(pts) ** (1.0 / dim)))
+    k = max(1, round(n ** (1.0 / dim)))
     with np.errstate(all="ignore"):
         t = np.nan_to_num((a - lo) / (hi - lo))
     idx = np.clip((t * k).astype(np.int64), 0, k - 1)
@@ -182,16 +192,17 @@ def _ridge_positions(dim):
 class _Triangulation:
     """Mutable Bowyer-Watson state over simplex slots (see module doc)."""
 
-    def __init__(self, pts, dim, init, predicates):
+    def __init__(self, scaled, pts, init, predicates):
+        dim = scaled.shape[1]
         self.pts = pts
-        self.orient, self.inball = predicates
+        self.orient, self.inball_from = predicates
         self.ridges = _ridge_positions(dim)
         self.verts = []
         self.nbrs = []
         self.free = []
         self.last = None  # last real simplex created
         self.incident = [None] * len(pts)  # vertex -> a real simplex with it
-        self.cells, ncells = _grid_cells(pts, dim)
+        self.cells, ncells = _grid_cells(scaled)
         self.cell_vertex = [None] * ncells  # cell -> last vertex inserted there
         first = list(init)
         if self.orient(*[pts[v] for v in first]) < 0:
@@ -251,15 +262,16 @@ class _Triangulation:
                     nbrs[t][k] = u
                     nbrs[u][j] = t
 
-    def _conflicts(self, s, p) -> bool:
+    def _conflicts(self, s, p, inball) -> bool:
+        """Whether p conflicts with simplex s; ``inball`` is
+        ``inball_from(p)``."""
         pts, vs = self.pts, self.verts[s]
-        pp = pts[p]
         if GHOST in vs:
-            side = self.orient(*[pp if v == GHOST else pts[v] for v in vs])
+            side = self.orient(*[pts[p] if v == GHOST else pts[v] for v in vs])
             if side != 0:
                 return side > 0
             vs = self.verts[self.nbrs[s][vs.index(GHOST)]]
-        return self.inball(*[pts[v] for v in vs], pp) > 0
+        return inball(vs) > 0
 
     def _start(self, p):
         """A real simplex incident to the vertex last inserted in p's finest
@@ -298,16 +310,17 @@ class _Triangulation:
         return self._locate_scan(p)  # walk cycled on a degenerate input
 
     def _locate_scan(self, p):
+        inball = self.inball_from(p)
         for s, vs in enumerate(self.verts):
-            if vs is not None and self._conflicts(s, p):
+            if vs is not None and self._conflicts(s, p, inball):
                 return s
         raise AssertionError("no conflicting simplex found")  # unreachable
 
     def insert(self, p):
-        verts, nbrs, pts, inball = self.verts, self.nbrs, self.pts, self.inball
-        pp = pts[p]
+        verts, nbrs = self.verts, self.nbrs
+        inball = self.inball_from(p)
         seed = self._locate(p)
-        if not self._conflicts(seed, p):
+        if not self._conflicts(seed, p, inball):
             seed = self._locate_scan(p)
         conflict = {seed: True}
         queue = [seed]
@@ -319,9 +332,9 @@ class _Triangulation:
                 if hit is None:
                     vs = verts[nb]
                     if GHOST in vs:
-                        hit = self._conflicts(nb, p)
+                        hit = self._conflicts(nb, p, inball)
                     else:
-                        hit = inball(*[pts[v] for v in vs], pp) > 0
+                        hit = inball(vs) > 0
                     conflict[nb] = hit
                     if hit:
                         queue.append(nb)
@@ -412,10 +425,12 @@ def scale_exponent(points) -> int:
     return 0 if math.ldexp(float(mags.min()), -e) < sys.float_info.min else e
 
 
-def _prescaled(points):
+def _prescaled(points) -> tuple:
     """The insertion loop's points: the rows of an (n, d) float array times
-    2**-scale_exponent(points), exact and one-to-one, as tuples of floats."""
-    return tuple(map(tuple, np.ldexp(points, -scale_exponent(points)).tolist()))
+    2**-scale_exponent(points), exact and one-to-one, as an array and as
+    tuples of floats."""
+    scaled = np.ldexp(points, -scale_exponent(points))
+    return scaled, tuple(map(tuple, scaled.tolist()))
 
 
 def _initial_vertices(pts, dim, orient):
@@ -462,7 +477,7 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
     n = len(cloud)
     if n < dim + 1:
         raise TooFewPoints(f"need at least {dim + 1} points in R^{dim}, got {n}")
-    pts = _prescaled(cloud.points)
+    scaled, pts = _prescaled(cloud.points)
     seen = {}
     for i, p in enumerate(pts):
         if p in seen:
@@ -471,7 +486,7 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
 
     predicates = _cloud_predicates(pts)
     init = _initial_vertices(pts, dim, predicates[0])
-    tri = _Triangulation(pts, dim, init, predicates)
+    tri = _Triangulation(scaled, pts, init, predicates)
     used = set(init)
     for p in range(n):
         if p not in used:
@@ -479,7 +494,7 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
 
     real = [vs for vs in tri.verts if vs is not None and GHOST not in vs]
     del tri  # free the slots before the certificate builds its incidence
-    tops, incidence, degenerate = _certify(pts, real)
+    tops, incidence, degenerate = _certify(scaled, real)
     dc = DelaunayComplex(cloud, degenerate)
     dc._cache.update({dim: (tops,), dim - 1: incidence})
     return dc

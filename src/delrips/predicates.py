@@ -22,6 +22,21 @@ float sign is provably the exact one, so every sign, and every output built
 from them, is unchanged. One factory, ``_predicate``, writes the cascade;
 the four public predicates are its case without the cloud's tier.
 
+The in-ball expressions come in two steps, as Shewchuk's in-sphere and
+Devillers and Pion's write them. ``_insphere_lift`` translates a point by
+the query point e and lifts it, (x, y, z, x^2 + y^2 + z^2);
+``_insphere_rows`` evaluates the determinant of four such rows and its
+permanent. ``_insphere_terms`` is the one calling the other, and so are the
+``_incircle_`` functions, so the numpy batches, the exact stage and the
+public predicates run one formula. All the in-ball tests of one insertion
+share its new point as e, so ``_cloud_predicates`` gives the insertion loop
+``inball_from(p)``, the in-ball test against ``points[p]`` as a function of
+vertex ids. It lifts each vertex once, on the first test that holds it, and
+keeps the rows for as long as the test is held: one insertion. Each test
+then performs the float operations of ``_insphere_terms`` in the same
+order, and after the determinant runs the same cascade: the cloud's tier,
+the permanent filter, and the exact stage on the original points.
+
 - **The bound.** Every coordinate difference of two of the cloud's points
   is at most the cloud's extent on that axis, X, Y or Z. That holds in
   floats too, since rounding is monotone. So the permanent of any tuple is
@@ -148,31 +163,85 @@ def _static_bounds(points) -> tuple:
 
 
 def _cloud_predicates(points) -> tuple:
-    """``(orient, inball)`` for tuples of the given points, all in R^2 or
-    all in R^3: orient2d and incircle, or orient3d and insphere, each with
-    the cloud's static tier in front where ``_static_bounds`` allows it."""
+    """``(orient, inball_from)`` for the given points, all in R^2 or all in
+    R^3, each test with the cloud's static tier in front where
+    ``_static_bounds`` allows it. ``orient`` is orient2d or orient3d on
+    points. ``inball_from(p)`` is incircle or insphere against the query
+    point ``points[p]``, as a function of the list of the simplex's vertex
+    ids: it translates and lifts each vertex by the query point once, on
+    its first test, and evaluates every test on those rows, then goes on as
+    ``_predicate`` does."""
+    # One closure per dimension: unpacking the ids and looking up each row
+    # by name is faster than a generic gather, and a test is the loop's
+    # most frequent call.
+    orient_static, static = _static_bounds(points)
     if len(points[0]) == 2:
-        plain = ((_orient2d_terms, _O2D_BOUND), (_incircle_terms, _ICC_BOUND))
-    else:
-        plain = ((_orient3d_terms, _O3D_BOUND), (_insphere_terms, _ISP_BOUND))
-    return tuple(_predicate(terms, bound, static) for (terms, bound), static
-                 in zip(plain, _static_bounds(points)))
+        orient = _predicate(_orient2d_terms, _O2D_BOUND, orient_static)
+
+        def inball_from(p):
+            e = points[p]
+            row = _LiftedRows(_incircle_lift, points, e).__getitem__
+
+            def inball(vs):
+                a, b, c = vs
+                det, permanent = _incircle_rows(row(a), row(b), row(c), static)
+                if permanent is None:
+                    return 1 if det > 0 else -1
+                return _filtered(det, permanent, _ICC_BOUND, _incircle_terms,
+                                 *[points[v] for v in vs], e)
+            return inball
+        return orient, inball_from
+
+    orient = _predicate(_orient3d_terms, _O3D_BOUND, orient_static)
+
+    def inball_from(p):
+        e = points[p]
+        row = _LiftedRows(_insphere_lift, points, e).__getitem__
+
+        def inball(vs):
+            a, b, c, d = vs
+            det, permanent = _insphere_rows(row(a), row(b), row(c), row(d),
+                                            static)
+            if permanent is None:
+                return 1 if det > 0 else -1
+            return _filtered(det, permanent, _ISP_BOUND, _insphere_terms,
+                             *[points[v] for v in vs], e)
+        return inball
+    return orient, inball_from
+
+
+class _LiftedRows(dict):
+    """Vertex id -> ``lift(points[v], e)``, made on first use."""
+
+    __slots__ = ("lift", "points", "e")
+
+    def __init__(self, lift, points, e):
+        self.lift, self.points, self.e = lift, points, e
+
+    def __missing__(self, v):
+        row = self[v] = self.lift(self.points[v], self.e)
+        return row
 
 
 def _predicate(terms, bound, static=None):
     """The predicate of ``terms`` in up to three tiers: the sign of the
     float determinant when its magnitude exceeds the cloud's ``static``
-    bound (a tier that is off when ``static`` is None), else the filter on
-    the tuple's own permanent, else ``_exact_sign``. The determinant is
-    evaluated once."""
+    bound (a tier that is off when ``static`` is None), else ``_filtered``.
+    The determinant is evaluated once."""
     def predicate(*points):
         det, permanent = terms(*points, static)
         if permanent is None:
             return 1 if det > 0 else -1
-        if _certified(det, permanent, bound):
-            return _sign(det)
-        return _exact_sign(terms, *points)
+        return _filtered(det, permanent, bound, terms, *points)
     return predicate
+
+
+def _filtered(det, permanent, bound, terms, *points) -> int:
+    """The tiers after the static one: the sign of det where the filter on
+    the tuple's own permanent certifies it, else ``_exact_sign``."""
+    if _certified(det, permanent, bound):
+        return _sign(det)
+    return _exact_sign(terms, *points)
 
 
 def orient2d(a, b, c) -> int:
@@ -249,22 +318,29 @@ def _incircle_terms(a, b, c, p, static=None):
     coordinates may be floats, ints (the exact stage) or numpy arrays (one
     entry per test). The permanent is None when |det| exceeds ``static``
     (see ``_predicate``)."""
+    return _incircle_rows(_incircle_lift(a, p), _incircle_lift(b, p),
+                          _incircle_lift(c, p), static)
+
+
+def _incircle_lift(a, p):
+    """Point a translated by the query point p, and its lift."""
     adx = a[0] - p[0]
-    bdx = b[0] - p[0]
-    cdx = c[0] - p[0]
     ady = a[1] - p[1]
-    bdy = b[1] - p[1]
-    cdy = c[1] - p[1]
+    return adx, ady, adx * adx + ady * ady
+
+
+def _incircle_rows(a, b, c, static=None):
+    """``_incircle_terms`` on the points' ``_incircle_lift`` rows."""
+    adx, ady, alift = a
+    bdx, bdy, blift = b
+    cdx, cdy, clift = c
 
     bdxcdy = bdx * cdy
     cdxbdy = cdx * bdy
-    alift = adx * adx + ady * ady
     cdxady = cdx * ady
     adxcdy = adx * cdy
-    blift = bdx * bdx + bdy * bdy
     adxbdy = adx * bdy
     bdxady = bdx * ady
-    clift = cdx * cdx + cdy * cdy
 
     det = (alift * (bdxcdy - cdxbdy)
            + blift * (cdxady - adxcdy)
@@ -292,18 +368,24 @@ def _insphere_terms(a, b, c, d, e, static=None):
     coordinates may be floats, ints (the exact stage) or numpy arrays (one
     entry per test). The permanent is None when |det| exceeds ``static``
     (see ``_predicate``)."""
+    return _insphere_rows(_insphere_lift(a, e), _insphere_lift(b, e),
+                          _insphere_lift(c, e), _insphere_lift(d, e), static)
+
+
+def _insphere_lift(a, e):
+    """Point a translated by the query point e, and its lift."""
     aex = a[0] - e[0]
-    bex = b[0] - e[0]
-    cex = c[0] - e[0]
-    dex = d[0] - e[0]
     aey = a[1] - e[1]
-    bey = b[1] - e[1]
-    cey = c[1] - e[1]
-    dey = d[1] - e[1]
     aez = a[2] - e[2]
-    bez = b[2] - e[2]
-    cez = c[2] - e[2]
-    dez = d[2] - e[2]
+    return aex, aey, aez, aex * aex + aey * aey + aez * aez
+
+
+def _insphere_rows(a, b, c, d, static=None):
+    """``_insphere_terms`` on the points' ``_insphere_lift`` rows."""
+    aex, aey, aez, alift = a
+    bex, bey, bez, blift = b
+    cex, cey, cez, clift = c
+    dex, dey, dez, dlift = d
 
     aexbey = aex * bey
     bexaey = bex * aey
@@ -328,11 +410,6 @@ def _insphere_terms(a, b, c, d, e, static=None):
     bcd = bez * cd - cez * bd + dez * bc
     cda = cez * da + dez * ac + aez * cd
     dab = dez * ab + aez * bd + bez * da
-
-    alift = aex * aex + aey * aey + aez * aez
-    blift = bex * bex + bey * bey + bez * bez
-    clift = cex * cex + cey * cey + cez * cez
-    dlift = dex * dex + dey * dey + dez * dez
 
     det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
     if static is not None and (det > static or -det > static):

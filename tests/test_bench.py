@@ -1,5 +1,10 @@
+import math
+
+import pytest
+
 from delrips import ShapeClass, add_noise, sample_shape
 from delrips.bench import run_cell, run_grid
+from delrips.errors import ValidationError
 
 
 def sphere_points(n, seed=0):
@@ -46,3 +51,15 @@ def test_grid_medians_and_cloud_sharing():
     # Same clouds per trial: identical complexes for the two Delaunay-backed
     # methods.
     assert by_method["delaunay_rips"] == by_method["alpha"]
+
+
+@pytest.mark.parametrize("timeout", [-1.0, 0, 0.0, math.inf, math.nan, "7"])
+def test_timeout_must_be_positive_finite(timeout):
+    # A cloud that builds in milliseconds was reported as a timeout at a
+    # negative cap; now neither entry point starts a cell.
+    with pytest.raises(ValidationError, match="positive finite"):
+        run_cell("delaunay_rips", sphere_points(20), 1, 0, timeout)
+    with pytest.raises(ValidationError, match="positive finite"):
+        run_grid(ShapeClass(kind="sphere"), nu=0.1, sizes=[20],
+                 methods=["delaunay_rips"], max_hom_dim=1, trials=1,
+                 timeout=timeout, seed=5)

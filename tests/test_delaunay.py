@@ -218,14 +218,15 @@ def test_scan_locate_matches_walk(rng):
     from delrips.delaunay import _initial_vertices
     predicates = _cloud_predicates(pts)
     init = _initial_vertices(pts, 2, predicates[0])
-    tri = _Triangulation(pts, 2, init, predicates)
+    tri = _Triangulation(cloud.points, pts, init, predicates)
     for p in range(len(pts)):
         if p in init:
             continue
         walked = tri._locate(p)
         scanned = tri._locate_scan(p)
-        assert tri._conflicts(walked, p)
-        assert tri._conflicts(scanned, p)
+        inball = tri.inball_from(p)
+        assert tri._conflicts(walked, p, inball)
+        assert tri._conflicts(scanned, p, inball)
         tri.insert(p)
 
 
@@ -282,16 +283,22 @@ def test_certificate_runs_under_optimize():
 
 
 def test_prescale_is_exact_or_skipped():
-    assert _prescaled(((3.0, -0.25), (1e-3, 0.0))) == (
-        (0.75, -0.0625), (0.25e-3, 0.0))
+    def scaled(points):
+        # The array and the tuples hold the same floats.
+        array, tuples = _prescaled(points)
+        assert bits(array.tolist()) == bits(tuples)
+        return tuples
+
     def bits(points):
         return [[x.hex() for x in p] for p in points]
 
+    assert scaled(((3.0, -0.25), (1e-3, 0.0))) == (
+        (0.75, -0.0625), (0.25e-3, 0.0))
     unit = ((0.5, -0.75), (0.0, 0.25))
-    assert bits(_prescaled(unit)) == bits(unit)
+    assert bits(scaled(unit)) == bits(unit)
     # 1e-20 * 2**-997 would be subnormal, so the scaling would round it.
     wide = ((1e300, 0.0), (0.0, 1e-20))
-    assert bits(_prescaled(wide)) == bits(wide)
+    assert bits(scaled(wide)) == bits(wide)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -155,8 +155,8 @@ def test_nested_grid_start_bounds_the_walk(monkeypatch):
     real = DELAUNAY_MODULE._cloud_predicates
 
     def counted(pts):
-        orient, inball = real(pts)
-        return (lambda *a: calls.append(1) or orient(*a)), inball
+        orient, inball_from = real(pts)
+        return (lambda *a: calls.append(1) or orient(*a)), inball_from
 
     monkeypatch.setattr(DELAUNAY_MODULE, "_cloud_predicates", counted)
     delaunay(PointCloud.from_points(CORPUS["dr-sphere3d-seed1"]()))
@@ -164,10 +164,24 @@ def test_nested_grid_start_bounds_the_walk(monkeypatch):
 
 
 def _plain_predicates(pts):
-    """The cloud predicates without the static tier: the public ones."""
-    if len(pts[0]) == 2:
-        return predicates.orient2d, predicates.incircle
-    return predicates.orient3d, predicates.insphere
+    """The cloud predicates with every static tier off, the in-ball test
+    from a fixed query point included."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(predicates, "_static_bounds", lambda pts: (None, None))
+        return predicates._cloud_predicates(pts)
+
+
+def _counting(make, tests):
+    """``make``'s cloud predicates, each orient and in-ball test appending
+    to ``tests``."""
+    def counted(pts):
+        orient, inball_from = make(pts)
+
+        def counted_from(p):
+            inball = inball_from(p)
+            return lambda vs: tests.append("inball") or inball(vs)
+        return (lambda *a: tests.append("orient") or orient(*a)), counted_from
+    return counted
 
 
 def _tops_and_flag(cloud):
@@ -178,14 +192,30 @@ def _tops_and_flag(cloud):
 def test_static_tier_changes_no_triangulation(monkeypatch):
     # Every family member and the 2000-point noisy sphere give the same
     # sorted tops and tie-break flag with the static tier as without it.
+    # Both runs test in-balls from a fixed query point; without the tier
+    # every test reaches the permanent filter.
     clouds = ([jittered_grid_member(dim, seed)
                for dim in (2, 3) for seed in range(150)]
               + [near_planar_member(seed) for seed in range(50)])
     clouds = [PointCloud.from_points(pts) for pts in clouds]
     clouds.append(PointCloud.from_points(CORPUS["dr-sphere3d-seed1"]()))
+    filtered = []
+    real = predicates._certified
+    monkeypatch.setattr(predicates, "_certified",
+                        lambda *a: filtered.append(1) or real(*a))
+    tests = []
+    monkeypatch.setattr(DELAUNAY_MODULE, "_cloud_predicates",
+                        _counting(predicates._cloud_predicates, tests))
     tiered = [_tops_and_flag(cloud) for cloud in clouds]
-    monkeypatch.setattr(DELAUNAY_MODULE, "_cloud_predicates", _plain_predicates)
+    assert "inball" in tests  # the tiered run used the new path
+    assert len(filtered) < len(tests) // 10
+    tests.clear()
+    filtered.clear()
+    monkeypatch.setattr(DELAUNAY_MODULE, "_cloud_predicates",
+                        _counting(_plain_predicates, tests))
     plain = [_tops_and_flag(cloud) for cloud in clouds]
+    assert "inball" in tests
+    assert len(filtered) >= len(tests)
     assert tiered == plain
-    assert all(None not in predicates._static_bounds(_prescaled(c.points))
+    assert all(None not in predicates._static_bounds(_prescaled(c.points)[1])
                for c in clouds)  # the tier was on for every cloud

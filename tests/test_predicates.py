@@ -384,6 +384,27 @@ def test_static_bound_dominates_every_tuple(dim):
     assert ("unit*2^-200", 1) not in on
 
 
+def _cloud_tests(points):
+    """The cloud predicates of ``points`` as tests on tuples of its points:
+    orient, and the in-ball test from the tuple's last point as the query."""
+    orient, inball_from = predicates._cloud_predicates(points)
+    index = {p: i for i, p in enumerate(points)}
+
+    def inball(*tuple_):
+        *vs, q = [index[p] for p in tuple_]
+        return inball_from(q)(vs)
+    return orient, inball
+
+
+def _counting_filter(monkeypatch):
+    """A list that grows by one on every call of the permanent filter."""
+    filtered = []
+    real = predicates._certified
+    monkeypatch.setattr(predicates, "_certified",
+                        lambda *a: filtered.append(1) or real(*a))
+    return filtered
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_static_tier_agrees_with_rational_oracle(dim, monkeypatch):
     # The cloud predicates on random tuples and on tuples one ulp off a
@@ -394,13 +415,10 @@ def test_static_tier_agrees_with_rational_oracle(dim, monkeypatch):
     # static tier.
     oracles = ((exact_orient2d, exact_incircle) if dim == 2
                else (exact_orient3d, exact_insphere))
-    filtered = []
-    real = predicates._certified
-    monkeypatch.setattr(predicates, "_certified",
-                        lambda *a: filtered.append(1) or real(*a))
+    filtered = _counting_filter(monkeypatch)
     rng = np.random.default_rng(600 + dim)
     for name, cloud, orients, balls in _tier_clouds(dim):
-        tests = predicates._cloud_predicates([tuple(p) for p in cloud.tolist()])
+        tests = _cloud_tests([tuple(p) for p in cloud.tolist()])
         statics = predicates._static_bounds(cloud.tolist())
         for k, (test, oracle, near) in enumerate(zip(tests, oracles,
                                                      (orients, balls))):
@@ -417,3 +435,48 @@ def test_static_tier_agrees_with_rational_oracle(dim, monkeypatch):
                     assert len(filtered) == len(cases), (name, k)
                 elif is_generic:
                     assert len(filtered) < len(cases) // 10, (name, k)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_inball_from_agrees_with_rational_oracle(dim, monkeypatch):
+    # One in-ball test per query point serves many simplices, reusing each
+    # vertex's translated, lifted row: 25 queries against 20 simplices each
+    # drawn from 8 other points, and the tuples one ulp off a sphere, each
+    # tested in its vertex order and with two vertices swapped (the sign
+    # flips). All give the Fraction oracle's signs; where the in-ball tier
+    # is off every test reaches the permanent filter, and where it is on
+    # fewer than 10% of the generic ones do.
+    oracle = exact_incircle if dim == 2 else exact_insphere
+    filtered = _counting_filter(monkeypatch)
+    rng = np.random.default_rng(700 + dim)
+    for name, cloud, _, balls in _tier_clouds(dim):
+        points = [tuple(p) for p in cloud.tolist()]
+        _, inball_from = predicates._cloud_predicates(points)
+        static = predicates._static_bounds(points)[1]
+        if name.endswith(("2^-664", "2^-200", "2^2", "2^532")):
+            assert static is None, name
+        index = {p: i for i, p in enumerate(points)}
+        near = [[index[p] for p in map(tuple, t)] for t in balls.tolist()]
+        generic = []
+        for _ in range(25):
+            q, *pool = rng.choice(len(points), 9, replace=False).tolist()
+            generic.append((q, [rng.choice(pool, dim + 1,
+                                           replace=False).tolist()
+                                for _ in range(20)]))
+        for groups, is_generic in (
+                ([(t[-1], [t[:-1], t[1::-1] + t[2:-1]]) for t in near], False),
+                (generic, True)):
+            filtered.clear()
+            got, want = [], []
+            for q, simplices in groups:
+                inball = inball_from(q)
+                for vs in simplices:
+                    got.append(inball(vs))
+                    want.append(oracle(*[points[v] for v in vs], points[q]))
+            assert got == want, name
+            if not is_generic:
+                assert {-1, 0, 1} <= set(want), name
+            if static is None:
+                assert len(filtered) == len(got), name
+            elif is_generic:
+                assert len(filtered) < len(got) // 10, name
