@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .datagen import ShapeClass, add_noise, sample_shape
 from .errors import ValidationError
-from .filtration import FiltrationSpec, build
+from .filtration import FiltrationSpec, _check_delaunay_cap, build
 from .persistence import compute_diagram
 
 _MEM_LIMIT_BYTES = 3 << 30
@@ -101,22 +101,27 @@ def run_grid(shape: ShapeClass, nu: float, sizes, methods, max_hom_dim: int,
     """All cells plus per-(method, n) medians.
 
     The same cloud is used for every method within a (n, trial) pair.
-    Timeouts and failures enter the median at the cap value. Raises
-    ValidationError unless the timeout is a positive finite number.
+    Timeouts and failures enter the median at the cap value. Before any
+    cell starts, raises ValidationError unless the timeout is a positive
+    finite number and each method's ``FiltrationSpec`` fits every cloud.
     """
     _check_timeout(timeout)
+    clouds = {n: [add_noise(sample_shape(shape, n, seed + 1000 * trial + n),
+                            nu, seed + 1000 * trial + n + 1)
+                  for trial in range(trials)] for n in sizes}
+    for method in methods:
+        spec = FiltrationSpec(method=method, max_hom_dim=max_hom_dim)
+        if method != "rips":
+            for cloud in sum(clouds.values(), []):
+                _check_delaunay_cap(spec, cloud.dim)
     cells = []
     medians = []
     for n in sizes:
-        clouds = {}
-        for trial in range(trials):
-            base = sample_shape(shape, n, seed + 1000 * trial + n)
-            clouds[trial] = add_noise(base, nu, seed + 1000 * trial + n + 1)
         for method in methods:
             times = []
-            for trial in range(trials):
-                cell = run_cell(method, clouds[trial].points, max_hom_dim,
-                                trial, timeout)
+            for trial, cloud in enumerate(clouds[n]):
+                cell = run_cell(method, cloud.points, max_hom_dim, trial,
+                                timeout)
                 cells.append(cell)
                 times.append(cell.seconds)
             medians.append((method, n, statistics.median(times)))

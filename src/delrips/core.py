@@ -113,11 +113,6 @@ class PointCloud:
         return self.points[i]
 
 
-def _sort_key(entry):
-    verts, scale = entry
-    return (scale, len(verts), verts)
-
-
 def _vertex_rows(rows: list, width: int) -> np.ndarray:
     """Vertex tuples of one length as an (m, width) int64 array; raises
     ValidationError on an id that is not an integer or does not fit in
@@ -157,7 +152,7 @@ class Filtration:
     Internally a filtration is held as integer arrays: for each dimension k
     the k-simplices as an (m_k, k+1) int64 array and each row's position in
     filtration order, plus the float64 scales in filtration order. The
-    Delaunay builders make this form directly; a filtration made from
+    builders make this form directly; a filtration made from
     ``entries`` derives it on first use, so its vertex ids must be integers
     that fit in int64 (ValidationError otherwise). ``entries``, the
     ``((verts, scale), ...)`` view, is built on first access and cached; it
@@ -180,12 +175,18 @@ class Filtration:
         object.__setattr__(self, "_arrays", None)
 
     @classmethod
-    def _from_arrays(cls, faces: list, positions: list, scales: np.ndarray,
+    def _from_arrays(cls, faces: list, scales: np.ndarray,
                      max_dim: int) -> "Filtration":
-        """A filtration in the array form: ``faces[k]`` the k-simplices as
-        rows of point indices (non-negative, as a builder makes them),
-        ``positions[k]`` their positions in filtration order, ``scales``
-        the values in filtration order."""
+        """The one ordering step of all three builders: ``faces[k]`` lists
+        the k-simplices lexicographically as rows of non-negative point
+        indices, and ``scales`` has one value per row of ``faces[0]``,
+        ``faces[1]``, ... in turn, so a stable sort by scale gives the
+        filtration order and each row's position in it."""
+        order = np.argsort(scales, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        positions = np.split(position, np.cumsum([len(f) for f in faces[:-1]]))
+        scales = scales[order]
         filt = cls.__new__(cls)
         object.__setattr__(filt, "max_dim", max_dim)
         object.__setattr__(filt, "_entries", None)
@@ -370,12 +371,12 @@ def boundary_csr(filt: Filtration) -> tuple:
     ``indices[indptr[j]:indptr[j + 1]]``.
 
     Raises, for the first offending entry, UnsortedFiltration when its
-    ``_sort_key`` is below its predecessor's, or InvalidFiltration on a
-    simplex listed twice (both checked before any face lookup), then
-    InvalidFiltration on a missing face or a face after its coface. Order
-    compares adjacent keys; duplicates and faces come from one ``_row_order``
-    per dimension that matches each facet row to its face row; face before
-    coface compares positions.
+    (scale, dimension, vertices) key is below its predecessor's, or
+    InvalidFiltration on a simplex listed twice (both checked before any
+    face lookup), then InvalidFiltration on a missing face or a face after
+    its coface. Order compares adjacent keys; duplicates and faces come from
+    one ``_row_order`` per dimension that matches each facet row to its face
+    row; face before coface compares positions.
     """
     faces, positions, scales = filt._array_form()
     n = len(scales)
@@ -426,8 +427,8 @@ def sort_filtration(filt: Filtration) -> Filtration:
     then run the one filtration check, ``boundary_csr``, on the result
     (InvalidFiltration on a duplicate, a missing face or a face with a larger
     scale than its coface). Idempotent and deterministic."""
-    ordered = Filtration(entries=sorted(filt.entries, key=_sort_key),
-                         max_dim=filt.max_dim)
+    entries = sorted(filt.entries, key=lambda e: (e[1], len(e[0]), e[0]))
+    ordered = Filtration(entries=entries, max_dim=filt.max_dim)
     boundary_csr(ordered)
     return ordered
 
@@ -580,8 +581,8 @@ def _sweep_pairs(a: np.ndarray, b: np.ndarray, r: float):
 def pairwise_distances(cloud: PointCloud) -> list:
     """Dense symmetric distance matrix as nested lists, by ``distances``.
 
-    Only the Rips builder needs every pair; Delaunay-Rips computes lengths
-    for the Delaunay edges alone.
+    Only the benchmark's probe and the tests read it (no builder does); it
+    goes with that probe (ROADMAP item 1).
     """
     return [row for _, block in distance_blocks(cloud.points, cloud.points)
             for row in block.tolist()]

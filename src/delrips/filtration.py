@@ -2,21 +2,22 @@
 
 All three builders share the distance (diameter) scale convention: a
 simplex's scale is the diameter of the smallest witnessing configuration, so
-the Rips/Delaunay-Rips scale of a simplex is its largest pairwise vertex
-distance, and Alpha scales are twice the usual radius values. Outputs are
-canonically sorted and satisfy the filtration closure and monotonicity
-invariants by construction.
+the Rips and Delaunay-Rips scale of a simplex is its largest pairwise vertex
+distance (the rule at ``_rips_scales``), and Alpha scales are twice the
+usual radius values. Each builder lists its faces by dimension, then
+vertices, and returns through one ordering step, ``Filtration._from_arrays``,
+which makes the integer-array form without per-simplex tuples; outputs
+satisfy the closure and monotonicity invariants by construction.
 
-Delaunay-Rips and Alpha are the faces of ``delaunay(cloud)`` with two scale
-rules, built and ordered by one function, ``_delaunay_filtration``, which
-returns the filtration in its integer-array form (the ``dc.faces(k)`` arrays
-and each row's position in filtration order) without building per-simplex
-tuples, and warns when the triangulation's cospherical tie-break decided
-the complex. Alpha makes its geometric decisions on the same exact
-predicates as the triangulation: whether a face is attached is one exact
-sign per coface, and each circumdiameter is a closed form certified
-against its rounding error or else evaluated exactly, so Alpha accepts
-every cloud that ``delaunay`` accepts.
+Rips grows each dimension from the one below in numpy, on the n x n array of
+``distance_blocks``. Delaunay-Rips and Alpha are the faces of
+``delaunay(cloud)`` with two scale rules, built by ``_delaunay_filtration``,
+which warns when the triangulation's cospherical tie-break decided the
+complex. Alpha makes its geometric decisions on the same exact predicates as
+the triangulation: whether a face is attached is one exact sign per coface,
+and each circumdiameter is a closed form certified against its rounding
+error or else evaluated exactly, so Alpha accepts every cloud that
+``delaunay`` accepts.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from numbers import Integral, Real
 
 import numpy as np
 
-from .core import (Filtration, PointCloud, _sort_key, distances,
-                   pairwise_distances)
+from .core import Filtration, PointCloud, _blocks, distance_blocks, distances
 from .delaunay import delaunay, scale_exponent
 from .errors import DuplicatePoints, ValidationError
 from .predicates import circumdiameters, diametral_signs
@@ -41,9 +41,9 @@ _METHODS = ("rips", "delaunay_rips", "alpha")
 class FiltrationSpec:
     """Which filtration to build and how far.
 
-    ``max_hom_dim`` is the largest homology dimension the output should
-    support; simplices up to dimension ``max_hom_dim + 1`` are built.
-    ``threshold`` caps the scale (Rips only); None means no cap.
+    ``max_hom_dim``, an int >= 0, is the largest homology dimension the output
+    should support; simplices up to dimension ``max_hom_dim + 1`` are built.
+    ``threshold``, a real >= 0, caps the scale (Rips only); None means no cap.
     """
 
     method: str = "delaunay_rips"
@@ -51,15 +51,16 @@ class FiltrationSpec:
     threshold: float | None = None
 
     def __post_init__(self):
+        dim, thr = self.max_hom_dim, self.threshold
         if self.method not in _METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.max_hom_dim < 0:
-            raise ValidationError("max_hom_dim must be >= 0")
-        if self.threshold is not None:
+        if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 0:
+            raise ValidationError(f"max_hom_dim {dim!r} is not an integer >= 0")
+        if thr is not None:
             if self.method != "rips":
                 raise ValidationError("threshold applies to the rips method only")
-            if not self.threshold >= 0:
-                raise ValidationError("threshold must be >= 0")
+            if not (isinstance(thr, Real) and thr >= 0):
+                raise ValidationError(f"threshold {thr!r} is not a number >= 0")
 
 
 def _check_delaunay_cap(spec: FiltrationSpec, ambient_dim: int):
@@ -72,46 +73,46 @@ def _check_delaunay_cap(spec: FiltrationSpec, ambient_dim: int):
 
 def build_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     """Vietoris-Rips filtration: every vertex subset of size up to
-    max_hom_dim + 2 whose diameter is within the threshold, at scale equal to
-    its largest pairwise distance."""
-    if len(cloud) == 0:
-        raise ValidationError("point cloud is empty")
+    max_hom_dim + 2 whose edges are all within the threshold, at the Rips
+    scale of ``_rips_scales``."""
     n = len(cloud)
-    cap = spec.max_hom_dim + 1
+    if n == 0:
+        raise ValidationError("point cloud is empty")
+    dist = np.empty((n, n))
+    for rows, block in distance_blocks(cloud.points, cloud.points):
+        dist[rows] = block
     thr = math.inf if spec.threshold is None else spec.threshold
-    dist = pairwise_distances(cloud)
-    entries = [((i,), 0.0) for i in range(n)]
-    edges = []
-    for i in range(n):
-        row = dist[i]
-        for j in range(i + 1, n):
-            if row[j] <= thr:
-                edges.append(((i, j), row[j]))
-    entries.extend(edges)
-    for k in range(3, cap + 2):
-        for verts in combinations(range(n), k):
-            scale = 0.0
-            ok = True
-            for a, b in combinations(verts, 2):
-                d = dist[a][b]
-                if d > thr:
-                    ok = False
-                    break
-                if d > scale:
-                    scale = d
-            if ok:
-                entries.append((verts, scale))
-    entries.sort(key=_sort_key)
-    return Filtration(entries=tuple(entries), max_dim=cap)
+    faces, scales = _rips_faces(dist, dist <= thr, spec.max_hom_dim + 1)
+    return Filtration._from_arrays(faces, scales, spec.max_hom_dim + 1)
+
+
+def _rips_faces(dist: np.ndarray, kept: np.ndarray, cap: int) -> tuple:
+    """The Rips faces up to dimension ``cap``, each dimension's rows in
+    lexicographic order, and their scales: vertices at 0.0, and each
+    k-simplex a (k-1)-simplex followed by a vertex v above its last one with
+    ``kept[u, v]`` for each of its vertices u, at the maximum of the
+    (k-1)-simplex's scale and the lengths ``dist[u, v]``, found in
+    ``_blocks`` chunks of rows by one (rows, n) mask each."""
+    n = len(dist)
+    faces, scales = [np.arange(n)[:, None]], [np.zeros(n)]
+    for k in range(1, cap + 1):
+        rows, grown = faces[-1], [(np.empty((0, k + 1), np.int64), np.empty(0))]
+        for chunk in _blocks(np.full(len(rows), n)):
+            part = rows[chunk]
+            above = part[:, -1:] < np.arange(n)
+            r, v = np.nonzero(np.logical_and.reduce(kept[part.T]) & above)
+            grown.append((np.column_stack([part[r], v]), np.maximum(
+                scales[-1][chunk][r], dist[part[r].T, v].max(axis=0))))
+        faces.append(np.concatenate([f for f, _ in grown]))
+        scales.append(np.concatenate([s for _, s in grown]))
+    return faces, np.concatenate(scales)
 
 
 def _delaunay_filtration(cloud: PointCloud, spec: FiltrationSpec,
                          rule) -> Filtration:
     """The Delaunay faces up to the cap at the scales ``rule(dc, cap)``
     returns, one per face of ``dc.faces(0)``, ..., ``dc.faces(cap)`` in
-    turn. Those are listed by dimension, then vertices, so a stable sort by
-    scale gives the canonical order. The result is in the array form of
-    ``Filtration``: ``dc.faces(k)`` and each row's position in that order.
+    turn, through ``Filtration._from_arrays``.
 
     Warns when the triangulation's tie-break decided a cospherical case, and
     raises DuplicatePoints on coincident points, also for n = 2.
@@ -119,33 +120,25 @@ def _delaunay_filtration(cloud: PointCloud, spec: FiltrationSpec,
     _check_delaunay_cap(spec, cloud.dim)
     cap = spec.max_hom_dim + 1
     n = len(cloud)
-    if n <= 2:  # no triangulation: the vertices, and an edge at its length
+    if n <= 2:  # no triangulation: the Rips vertices and edge
         if n == 2 and np.array_equal(cloud[0], cloud[1]):
             raise DuplicatePoints("points 0 and 1 coincide")
-        edge = [((0, 1), float(distances(*cloud.points)))] if n == 2 else []
-        return Filtration(entries=tuple([((i,), 0.0) for i in range(n)] + edge),
-                          max_dim=cap)
+        return build_rips(cloud, FiltrationSpec("rips", spec.max_hom_dim))
     dc = delaunay(cloud)
     if dc.degenerate:  # stacklevel 3 names the caller of build_*
         warnings.warn("cospherical points: the filtration may depend on the "
                       "Delaunay tie-break", stacklevel=3)
-    scales = rule(dc, cap)
-    faces = [dc.faces(k) for k in range(cap + 1)]
-    order = np.argsort(scales, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    split = np.cumsum([len(f) for f in faces[:-1]])
-    return Filtration._from_arrays(faces, np.split(position, split),
-                                   scales[order], cap)
+    return Filtration._from_arrays([dc.faces(k) for k in range(cap + 1)],
+                                   rule(dc, cap), cap)
 
 
 def _rips_scales(dc, cap):
-    """Delaunay-Rips rule, bottom-up: vertices at 0, edges at the
-    ``distances`` length that fills the Rips matrix (so scales match Rips
-    bit for bit without an O(n^2) matrix), and each higher simplex at the
-    maximum over its facets, the twin of Alpha's coface minimum."""
-    edges = dc.cloud.points[dc.faces(1)]
-    value = [np.zeros(len(dc.faces(0))), distances(edges[:, 0], edges[:, 1])]
+    """The Rips rule of both Rips builders: vertices at 0, edges at their
+    ``distances`` length, and each higher simplex at the maximum over its
+    facets, its largest edge length. Here it runs bottom-up over the
+    Delaunay faces, the twin of Alpha's coface minimum, with lengths for the
+    Delaunay edges only, so no O(n^2) array is made."""
+    value = [np.zeros(len(dc.faces(0))), distances(*dc.cloud.points[dc.faces(1).T])]
     for k in range(2, cap + 1):
         _, facet_row, owner, _ = dc._cofaces(k - 1)
         value.append(np.zeros(len(dc.faces(k))))
@@ -154,8 +147,8 @@ def _rips_scales(dc, cap):
 
 
 def build_delaunay_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
-    """Delaunay-Rips filtration: the faces of the Delaunay triangulation with
-    Rips scales (largest pairwise vertex distance)."""
+    """Delaunay-Rips filtration: the faces of the Delaunay triangulation at
+    the Rips scale of ``_rips_scales``."""
     return _delaunay_filtration(cloud, spec, _rips_scales)
 
 
@@ -178,8 +171,7 @@ def _alpha_scales(dc, cap):
     d = dc.cloud.dim
     e = scale_exponent(dc.cloud.points)
     pts = np.ldexp(dc.cloud.points, -e)
-    edges = pts[dc.faces(1)]
-    value = [np.zeros(len(dc.faces(0))), distances(edges[:, 0], edges[:, 1])]
+    value = [np.zeros(len(dc.faces(0))), distances(*pts[dc.faces(1).T])]
     value += [circumdiameters(pts[dc.faces(k)]) for k in range(2, d + 1)]
     for k in range(d - 1, 0, -1):
         _, facet_row, owner, opposite = dc._cofaces(k)

@@ -2,20 +2,21 @@
 
 Nothing here imports the package's builders or reduction: the Rips oracle
 enumerates the full powerset and reduces a dense GF(2) matrix with numpy,
-the bottleneck oracles enumerate every partial bijection or run scipy's
-bipartite matching on the standard diagonal-copy reduction, the image
-oracle integrates by midpoint quadrature, the predicate oracles expand
-each determinant by cofactors in exact rational arithmetic, and the column
-addition oracle is a two-pointer merge. The face oracles enumerate vertex
-combinations into sets and dicts; the Alpha oracle takes the package's
-triangulation and nothing else from it: circumdiameters in exact integer
-arithmetic, a Gabriel test against all points (a k-d tree picks the
-candidates, each decided exactly) and a dict of coface tuples. The
-filtration check is the dict of vertex tuples the package's array check
-replaced, the facet incidence is a Python gather sorted by a column
-``np.lexsort`` over int64 ids, and the persistence image is the per-pair
-``math.erf`` loop. The minimum distance and the pairing count take every
-entry of the full distance array, in the row blocks of
+the Rips entries oracle loops over the vertex combinations of each size on
+the nested-list distance matrix, the bottleneck oracles enumerate every
+partial bijection or run scipy's bipartite matching on the standard
+diagonal-copy reduction, the image oracle integrates by midpoint
+quadrature, the predicate oracles expand each determinant by cofactors in
+exact rational arithmetic, and the column addition oracle is a two-pointer
+merge. The face oracles enumerate vertex combinations into sets and dicts;
+the Alpha oracle takes the package's triangulation and nothing else from
+it: circumdiameters in exact integer arithmetic, a Gabriel test against all
+points (a k-d tree picks the candidates, each decided exactly) and a dict
+of coface tuples. The filtration check is the dict of vertex tuples the
+package's array check replaced, the facet incidence is a Python gather
+sorted by a column ``np.lexsort`` over int64 ids, and the persistence image
+is the per-pair ``math.erf`` loop. The minimum distance and the pairing
+count take every entry of the full distance array, in the row blocks of
 ``core.distance_blocks``, so their values carry the bits of
 ``core.distances`` that the package's sweep must reproduce.
 """
@@ -30,7 +31,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 from delrips import delaunay
-from delrips.core import distance_blocks
+from delrips.core import distance_blocks, pairwise_distances
 from delrips.errors import InvalidFiltration, UnsortedFiltration
 
 
@@ -96,6 +97,38 @@ def naive_vr_diagram(points, max_hom_dim):
             if p <= max_hom_dim:
                 pairs.setdefault(p, []).append((simplices[j][0], math.inf))
     return {p: tuple(sorted(v)) for p, v in pairs.items()}
+
+
+def rips_entries(cloud, max_hom_dim, threshold):
+    """Vietoris-Rips entries by one loop over every vertex combination of
+    each size, sorted by (scale, dimension, vertices): the pairs within the
+    threshold (None for none) of the nested-list ``pairwise_distances``
+    matrix, and each larger combination whose pairs all are, at its largest
+    pairwise distance."""
+    n = len(cloud)
+    thr = math.inf if threshold is None else threshold
+    dist = pairwise_distances(cloud)
+    entries = [((i,), 0.0) for i in range(n)]
+    for i in range(n):
+        row = dist[i]
+        for j in range(i + 1, n):
+            if row[j] <= thr:
+                entries.append(((i, j), row[j]))
+    for k in range(3, max_hom_dim + 3):
+        for verts in itertools.combinations(range(n), k):
+            scale = 0.0
+            ok = True
+            for a, b in itertools.combinations(verts, 2):
+                d = dist[a][b]
+                if d > thr:
+                    ok = False
+                    break
+                if d > scale:
+                    scale = d
+            if ok:
+                entries.append((verts, scale))
+    entries.sort(key=lambda e: (e[1], len(e[0]), e[0]))
+    return entries
 
 
 def brute_bottleneck(x_pairs, y_pairs, diagonal="half"):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from delrips import ShapeClass, add_noise, sample_shape
+from delrips import bench
 from delrips.bench import run_cell, run_grid
 from delrips.errors import ValidationError
 
@@ -63,3 +64,19 @@ def test_timeout_must_be_positive_finite(timeout):
         run_grid(ShapeClass(kind="sphere"), nu=0.1, sizes=[20],
                  methods=["delaunay_rips"], max_hom_dim=1, trials=1,
                  timeout=timeout, seed=5)
+
+
+@pytest.mark.parametrize("methods,max_hom_dim", [
+    (["rips"], -1), (["delaunay_rips"], 3), (["rips", "alpha"], 3),
+    (["delaunay_rips"], 1.5)])
+def test_invalid_spec_starts_no_cell(methods, max_hom_dim, monkeypatch):
+    # Such a spec fails every cell in its child, and each would enter the
+    # medians at the cap: the grid raises before the first cell.
+    def fail(*args):
+        pytest.fail("a cell was started")
+
+    monkeypatch.setattr(bench, "run_cell", fail)
+    with pytest.raises(ValidationError, match="max_hom_dim"):
+        run_grid(ShapeClass(kind="sphere"), nu=0.1, sizes=[20],
+                 methods=methods, max_hom_dim=max_hom_dim, trials=1,
+                 timeout=7.0, seed=5)

@@ -251,6 +251,16 @@ def test_bench_command_reports_failed_cells(tmp_path, capsys):
     assert "delaunay_rips n=12 trial 0: AffinelyDegenerateInput: " in err
 
 
+@pytest.mark.parametrize("methods,maxdim", [("dr,rips", "-1"), ("dr", "3"),
+                                            ("alpha", "3")])
+def test_bench_command_rejects_invalid_spec(tmp_path, capsys, methods, maxdim):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", "12", "--methods", methods, "--maxdim",
+                 maxdim, "--trials", "1", "-o", str(out)]) == 2
+    assert "max_hom_dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["pd", str(tmp_path / "missing.csv")]) == 4
     collinear = tmp_path / "line.csv"

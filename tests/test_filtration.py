@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -15,7 +15,8 @@ from delrips.core import pairwise_distances
 from delrips.errors import DuplicatePoints, ValidationError
 from families import (jittered_grid, jittered_grid_member,
                       near_planar_member, uniform)
-from naive_oracle import alpha_disagreements, closure_of, exact_alpha
+from naive_oracle import (alpha_disagreements, closure_of, exact_alpha,
+                          rips_entries)
 from test_delaunay_golden import CORPUS
 
 SQ3 = math.sqrt(3.0)
@@ -42,9 +43,80 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             FiltrationSpec(method="cech")
 
+    @pytest.mark.parametrize("method", ["rips", "delaunay_rips", "alpha"])
+    @pytest.mark.parametrize("bad", [1.5, "1", 1.0, True, -1, None])
+    def test_max_hom_dim_must_be_an_integer(self, method, bad):
+        # 1.5 and "1" raised TypeError inside the builders, Alpha failed
+        # at a slice with 1.0, and True built with cap 2.
+        with pytest.raises(ValidationError, match="max_hom_dim"):
+            FiltrationSpec(method=method, max_hom_dim=bad)
+        FiltrationSpec(method=method, max_hom_dim=np.int64(1))
+
+    @pytest.mark.parametrize("bad", ["1", -1.0, math.nan, 1j])
+    def test_threshold_must_be_a_real_number(self, bad):
+        with pytest.raises(ValidationError, match="threshold"):
+            FiltrationSpec(method="rips", threshold=bad)
+
 
 def random_cloud_2d():
     return PointCloud.from_points([(0, 0), (1, 0), (0, 1), (0.4, 0.7)])
+
+
+def _rips_corpus():
+    """Point arrays for ``test_rips_matches_reference_loop``: uniform clouds
+    in R^2 and R^3 with n = 0-3 and larger, integer grids (many tied
+    lengths), clouds scaled near 1e150 and 2**-664, and a duplicate point."""
+    clouds = {f"uniform-r{dim}-{n}": uniform(dim, n, 10 * n + dim)
+              for dim in (2, 3) for n in (0, 1, 2, 3, 9, 17, 30)}
+    clouds["grid-5x5"] = np.array(list(product(range(5), repeat=2)), float)
+    clouds["grid-3x3x3"] = np.array(list(product(range(3), repeat=3)), float)
+    clouds["huge-r3"] = uniform(3, 12, 150) * 1e150
+    clouds["tiny-r2"] = uniform(2, 12, 664) * 2.0 ** -664
+    clouds["duplicate-r2"] = uniform(2, 9, 4)
+    clouds["duplicate-r2"][6] = clouds["duplicate-r2"][2]
+    return clouds
+
+
+RIPS_CORPUS = _rips_corpus()
+
+
+@pytest.mark.parametrize("max_hom_dim", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(RIPS_CORPUS))
+def test_rips_matches_reference_loop(name, max_hom_dim):
+    # Small clouds at cap 3 have no simplex of the top dimension. Thresholds:
+    # none, 0 (only duplicates joined), an exact edge length (ties at the
+    # threshold are kept), half the longest edge, and inf.
+    points = RIPS_CORPUS[name]
+    cloud = PointCloud(points=points, dim=points.shape[1])
+    if len(cloud) == 0:
+        with pytest.raises(ValidationError, match="empty"):
+            build_rips(cloud, spec("rips", maxdim=max_hom_dim))
+        return
+    lengths = sorted(s for verts, s in rips_entries(cloud, 0, None)
+                     if len(verts) == 2) or [0.0]
+    for threshold in (None, 0.0, lengths[len(lengths) // 2],
+                      lengths[-1] / 2, math.inf):
+        filt = build_rips(cloud, spec("rips", max_hom_dim, threshold))
+        want = rips_entries(cloud, max_hom_dim, threshold)
+        assert filt.max_dim == max_hom_dim + 1
+        assert filt.entries == tuple(want)
+        assert ([s.hex() for _, s in filt.entries]
+                == [s.hex() for _, s in want])
+
+
+def test_rips_build_peak_memory_near_its_arrays():
+    # Entry tuples take over 6 times the bytes of the face and scale
+    # arrays; the build makes no tuples and stays within 3 times.
+    cloud = PointCloud.from_points(uniform(3, 150, 2021))
+    tracemalloc.start()
+    try:
+        filt = build_rips(cloud, spec("rips", maxdim=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    faces, _, scales = filt._array_form()
+    assert len(scales) == 150 + 11175 + 551300
+    assert peak < 3 * (sum(f.nbytes for f in faces) + scales.nbytes)
 
 
 class TestRips:
