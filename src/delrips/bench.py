@@ -35,7 +35,7 @@ class BenchCell:
     error: str | None = None  # "ExceptionType: message" of a failed cell
 
 
-def _worker(conn, method, points, max_hom_dim):
+def _worker(conn, spec, points):
     import time
 
     try:
@@ -48,7 +48,6 @@ def _worker(conn, method, points, max_hom_dim):
         from .core import PointCloud
 
         cloud = PointCloud.from_points(points)
-        spec = FiltrationSpec(method=method, max_hom_dim=max_hom_dim)
         t0 = time.perf_counter()
         filt = build(cloud, spec)
         compute_diagram(filt)
@@ -68,14 +67,19 @@ def _check_timeout(timeout) -> None:
 
 def run_cell(method: str, points, max_hom_dim: int, trial: int,
              timeout: float) -> BenchCell:
-    """One cell in a child process, capped at ``timeout`` seconds; raises
-    ValidationError unless the timeout is a positive finite number."""
+    """One cell in a child process, capped at ``timeout`` seconds. Before
+    the child starts, raises ValidationError unless the timeout is a
+    positive finite number and the method's ``FiltrationSpec`` fits the
+    points."""
     _check_timeout(timeout)
+    spec = FiltrationSpec(method=method, max_hom_dim=max_hom_dim)
+    if method != "rips" and len(points):
+        _check_delaunay_cap(spec, len(points[0]))
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() \
         else mp.get_context("spawn")
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_worker,
-                       args=(child, method, points, max_hom_dim))
+                       args=(child, spec, points))
     proc.start()
     child.close()
     proc.join(timeout)

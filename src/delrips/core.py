@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -145,9 +146,10 @@ def _row_tuples(rows: np.ndarray) -> np.ndarray:
 class Filtration:
     """Simplices with monotone scales, capped at dimension ``max_dim``.
 
-    ``max_dim`` records the cap the builder used (simplices above it were
-    discarded), which also bounds the homology dimensions that persistence
-    can report; it may exceed the largest dimension actually present.
+    ``max_dim``, an int >= 0 (ValidationError otherwise), records the cap
+    the builder used (simplices above it were discarded), which also bounds
+    the homology dimensions that persistence can report; it may exceed the
+    largest dimension actually present.
 
     Internally a filtration is held as integer arrays: for each dimension k
     the k-simplices as an (m_k, k+1) int64 array and each row's position in
@@ -163,6 +165,9 @@ class Filtration:
     __slots__ = ("max_dim", "_entries", "_arrays")
 
     def __init__(self, entries, max_dim: int):
+        if (isinstance(max_dim, bool) or not isinstance(max_dim, Integral)
+                or max_dim < 0):
+            raise ValidationError(f"max_dim {max_dim!r} is not an integer >= 0")
         entries = tuple(entries)
         for verts, scale in entries:
             if len(verts) - 1 > max_dim:

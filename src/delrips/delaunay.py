@@ -425,11 +425,16 @@ def scale_exponent(points) -> int:
     return 0 if math.ldexp(float(mags.min()), -e) < sys.float_info.min else e
 
 
+def _scaled(points) -> np.ndarray:
+    """The rows of an (n, d) float array times 2**-scale_exponent(points):
+    exact and one-to-one, so every predicate sign is unchanged."""
+    return np.ldexp(points, -scale_exponent(points))
+
+
 def _prescaled(points) -> tuple:
-    """The insertion loop's points: the rows of an (n, d) float array times
-    2**-scale_exponent(points), exact and one-to-one, as an array and as
+    """The insertion loop's points: ``_scaled(points)`` as an array and as
     tuples of floats."""
-    scaled = np.ldexp(points, -scale_exponent(points))
+    scaled = _scaled(points)
     return scaled, tuple(map(tuple, scaled.tolist()))
 
 

@@ -80,3 +80,19 @@ def test_invalid_spec_starts_no_cell(methods, max_hom_dim, monkeypatch):
         run_grid(ShapeClass(kind="sphere"), nu=0.1, sizes=[20],
                  methods=methods, max_hom_dim=max_hom_dim, trials=1,
                  timeout=7.0, seed=5)
+
+
+@pytest.mark.parametrize("method,max_hom_dim,dim,match", [
+    ("delaunay_rips", -1, 3, "max_hom_dim"), ("rips", 1.5, 3, "max_hom_dim"),
+    ("delaunay_rips", 3, 3, "max_hom_dim"), ("alpha", 2, 2, "max_hom_dim"),
+    ("voronoi", 1, 3, "unknown method")])
+def test_invalid_cell_starts_no_child(method, max_hom_dim, dim, match,
+                                      monkeypatch):
+    # Such a cell failed in its child only after waiting out the cap.
+    def fail(*args):
+        pytest.fail("a child was started")
+
+    monkeypatch.setattr(bench.mp, "get_context", fail)
+    points = sphere_points(20)[:, :dim]
+    with pytest.raises(ValidationError, match=match):
+        run_cell(method, points, max_hom_dim, 0, 10.0)

@@ -175,6 +175,15 @@ def test_filtration_rejects_overcap_and_bad_scale():
         Filtration(entries=(((0,), -1.0),), max_dim=0)
 
 
+@pytest.mark.parametrize("max_dim", [1.5, True, False, "2", None, -1, 2.0])
+def test_filtration_max_dim_must_be_an_integer(max_dim):
+    # 1.5 and True were accepted and "2" raised TypeError from the entry
+    # loop; the message is FiltrationSpec's.
+    with pytest.raises(ValidationError, match="max_dim .* is not an integer >= 0"):
+        Filtration(entries=(((0,), 0.0),), max_dim=max_dim)
+    assert Filtration(entries=(((0,), 0.0),), max_dim=np.int64(0)).max_dim == 0
+
+
 def test_diagram_pairs_and_views():
     diag = PersistenceDiagram.from_pairs({0: [(0.0, 1.0), (0.0, math.inf)],
                                           1: [(2.0, 2.0)]})

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_facet_incidence, random_cloud
-from families import jittered_grid_member, near_planar_member, uniform
+from families import (jittered_grid, jittered_grid_member, near_planar_member,
+                      uniform)
 import delrips.geometry
+import delrips.predicates
 from delrips import (PerturbationPairing, PointCloud, ShapeClass, add_noise,
                      delaunay, epsilon_perturb, hausdorff_distance,
                      near_cocircular_quad, same_triangulation, sample_shape)
@@ -16,6 +18,9 @@ from delrips.core import _BLOCK, _sweep_pairs, distance_blocks, distances
 from delrips.errors import DimensionMismatch, EpsilonTooLarge, ValidationError
 from delrips.geometry import min_pairwise_distance
 from naive_oracle import blocked_min_distance, blocked_within, closure_of
+
+_NEIGHBOURS = delrips.geometry._NEIGHBOURS
+_WITNESS_CUT = 2 * _NEIGHBOURS  # the witness runs on larger clouds only
 
 
 class TestHausdorff:
@@ -80,6 +85,23 @@ class TestEpsilonPerturb:
             epsilon_perturb(pc, 0.5, seed=1)
         with pytest.raises(ValidationError):
             epsilon_perturb(pc, 0.0, seed=1)
+
+    def test_rounded_displacement_stays_below_eps(self):
+        # At eps = 1e-9 of the minimum distance the rounded target of pair
+        # 20 moved 4.238373041485927e-12 >= eps = 4.238341044702158e-12, so
+        # a valid eps raised ValidationError. Only that offset shrinks.
+        cloud = add_noise(sample_shape(ShapeClass(kind="sphere"), 2000, 100),
+                          0.1, 101)
+        eps = 1e-9 * min_pairwise_distance(cloud)
+        pair = epsilon_perturb(cloud, eps, seed=0)
+        a, b = cloud.points, pair.target.points
+        assert (distances(a, b) < eps).all()
+        raw = a + delrips.geometry._ball_offsets(
+            np.random.default_rng(0), len(a), 3, eps)
+        changed = np.flatnonzero((b != raw).any(axis=1))
+        assert changed.tolist() == np.flatnonzero(
+            ~(distances(a, raw) < eps)).tolist()
+        assert 20 in changed
 
     def test_pairing_validation(self):
         src = PointCloud.from_points([(0, 0), (1, 0)])
@@ -152,21 +174,146 @@ class TestSameTriangulation:
         assert all(got[360:390])
 
     def test_changed_pair_triangulates_source_only(self, monkeypatch):
-        calls = []
-        real = delrips.geometry.delaunay
-        monkeypatch.setattr(delrips.geometry, "delaunay",
-                            lambda cloud: calls.append(cloud) or real(cloud))
-        cloud = random_cloud(np.random.default_rng(5), 80, dim=3)
-        pair = epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud), seed=3)
+        # Below the witness's size cut: the source's certificate decides.
+        calls = _count_delaunay(monkeypatch)
+        pair = _changed_pair(_WITNESS_CUT)
         assert not same_triangulation(pair)
         assert calls == [pair.source]
 
     def test_decided_pair_reuses_the_source_incidence(self, monkeypatch):
-        cloud = random_cloud(np.random.default_rng(5), 80, dim=3)
-        pair = epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud), seed=3)
+        pair = _changed_pair(_WITNESS_CUT)
         calls = count_facet_incidence(monkeypatch)
         assert not same_triangulation(pair)
         assert calls == [3]
+
+    @pytest.mark.parametrize("n", [_WITNESS_CUT + 1, 80, 300])
+    def test_witness_decided_pair_triangulates_neither_cloud(self, monkeypatch, n):
+        # Above the cut a local witness decides: only neighbourhoods of
+        # _NEIGHBOURS + 1 points are triangulated, each certified once.
+        calls = _count_delaunay(monkeypatch)
+        incidences = count_facet_incidence(monkeypatch)
+        pair = _changed_pair(n)
+        assert not same_triangulation(pair)
+        assert calls and all(len(c) == _NEIGHBOURS + 1 for c in calls)
+        assert incidences == [3] * len(calls)
+        # The first neighbourhood is that of the most displaced point.
+        v = np.argmax(distances(pair.source.points, pair.target.points))
+        assert (calls[0].points == pair.source.points[v]).all(axis=1).any()
+
+    @pytest.mark.parametrize("source_p2,target_p2,witness", [
+        ((-1e-3, 1.001), (1e-3, 0.999), True),
+        ((0.0, 1.0), (1e-3, 0.999), False),  # on the source circle
+        ((-1e-3, 1.001), (0.0, 1.0), False),  # on the target circle
+        ((-1e-3, 1.001), (-2e-3, 1.002), False)])  # outside in the target
+    def test_witness_needs_both_balls_strict(self, monkeypatch, source_p2,
+                                             target_p2, witness):
+        # The only candidate is the triangle of points 0, 1 and 3 of the
+        # square (0, 0), (1, 0), (0, 1), (1, 1); point 2 alone moves.
+        # Triangle 013 is a witness only if point 2 is strictly outside its
+        # source circle and strictly inside its target circle.
+        far = np.indices((8, _WITNESS_CUT // 8)).reshape(2, -1).T + 10.0
+        square = np.array([[0.0, 0.0], [1.0, 0.0], source_p2, [1.0, 1.0]])
+        src = np.vstack([square, far])
+        tgt = src.copy()
+        tgt[2] = target_p2
+        pair = PerturbationPairing(source=PointCloud.from_points(src),
+                                   target=PointCloud.from_points(tgt),
+                                   epsilon=0.01)
+
+        class OneTriangle:
+            def __init__(self, cloud):
+                self.rows = [[np.flatnonzero((cloud.points == src[i]).all(axis=1))[0]
+                              for i in (0, 1, 3)]]
+
+            def faces(self, dim):
+                return np.array(self.rows)
+
+        monkeypatch.setattr(delrips.geometry, "delaunay", OneTriangle)
+        assert _witness(pair) == witness
+
+    def test_unchanged_pair_falls_back_to_both_clouds(self, monkeypatch):
+        calls = _count_delaunay(monkeypatch)
+        cloud = add_noise(sample_shape(ShapeClass(kind="sphere"), 200, 7), 0.1, 8)
+        pair = epsilon_perturb(cloud, 1e-6 * min_pairwise_distance(cloud), seed=9)
+        assert same_triangulation(pair)
+        assert calls[-2:] == [pair.source, pair.target]
+        assert all(len(c) == _NEIGHBOURS + 1 for c in calls[:-2])
+
+    def test_matches_two_triangulations_above_the_witness_cut(self):
+        pairs = _witness_corpus()
+        got = [same_triangulation(pair) for pair in pairs]
+        want = [_two_triangulations_agree(pair) for pair in pairs]
+        assert got == want
+        fired = [_witness(pair) for pair in pairs]
+        assert not any(f and w for f, w in zip(fired, want))
+        changed = want.count(False)
+        assert 20 <= changed <= len(pairs) - 20
+        assert sum(fired) >= changed // 2
+
+
+def _count_delaunay(monkeypatch):
+    """Patch ``geometry.delaunay`` and return the list of clouds it is
+    called on."""
+    calls = []
+    real = delrips.geometry.delaunay
+    monkeypatch.setattr(delrips.geometry, "delaunay",
+                        lambda cloud: calls.append(cloud) or real(cloud))
+    return calls
+
+
+def _changed_pair(n):
+    cloud = random_cloud(np.random.default_rng(5), n, dim=3)
+    return epsilon_perturb(cloud, 0.25 * min_pairwise_distance(cloud), seed=3)
+
+
+def _two_triangulations_agree(pair):
+    dim = pair.source.dim
+    return np.array_equal(delaunay(pair.source).faces(dim),
+                          delaunay(pair.target).faces(dim))
+
+
+def _witness(pair):
+    scaled = delrips.geometry._scaled
+    return delrips.geometry._local_witness(pair, scaled(pair.source.points),
+                                           scaled(pair.target.points))
+
+
+def _witness_corpus():
+    """Pairs above the witness's size cut: uniform clouds and noisy spheres
+    at eps from 1e-9 to 0.45 of the minimum distance, jittered grids (points
+    on the 1/8 grid moved by up to 1e-13, so nearly cospherical everywhere),
+    mirror images, and integer grids paired with themselves."""
+    rng = np.random.default_rng(2323)
+    lo = _WITNESS_CUT + 1
+    pairs = []
+    for k in range(72):
+        dim = 2 + k % 2
+        n = int(rng.integers(lo, lo + 80))
+        if k % 3 == 0:
+            pts = jittered_grid(dim, n, k)
+        elif dim == 3 and k % 3 == 1:
+            pts = add_noise(sample_shape(ShapeClass(kind="sphere"), n, k),
+                            0.1, k + 1).points
+        else:
+            pts = uniform(dim, n, 400 + k)
+        cloud = PointCloud.from_points(pts)
+        frac = (10.0 ** rng.uniform(-9.0, -2.0) if k % 4 < 2
+                else rng.uniform(0.05, 0.45))
+        pairs.append(epsilon_perturb(cloud, frac * min_pairwise_distance(cloud),
+                                     seed=k))
+    for k in range(6):  # mirror images: every orientation reverses
+        dim = 2 + k % 2
+        n = lo + 5 * k
+        pts = np.column_stack([np.arange(n) + rng.uniform(0.0, 0.2, n),
+                               rng.uniform(-0.1, 0.1, (n, dim - 1))])
+        mirror = pts * np.array([1.0] * (dim - 1) + [-1.0])
+        pairs.append(PerturbationPairing(source=PointCloud.from_points(pts),
+                                         target=PointCloud.from_points(mirror),
+                                         epsilon=0.25))
+    for shape in [(9, 9), (12, 7), (5, 5, 5), (4, 4, 5)]:  # zero signs
+        grid = PointCloud.from_points(np.indices(shape).reshape(len(shape), -1).T)
+        pairs.append(PerturbationPairing(source=grid, target=grid, epsilon=0.5))
+    return pairs
 
 
 def _max_displacement(pair):
@@ -205,6 +352,42 @@ def test_extreme_scales_scale_the_geometry(dim, scale):
     big_perturbed = epsilon_perturb(big, 0.25 * min_pairwise_distance(big), seed=5)
     perturbed = epsilon_perturb(p, eps, seed=5)
     assert same_triangulation(big_perturbed) == same_triangulation(perturbed)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [2.0 ** -664, 2.0 ** 532])
+def test_same_triangulation_at_extreme_scales_above_the_witness_cut(
+        monkeypatch, dim, scale):
+    # The witness and the fallback certificates run on each cloud scaled by
+    # its exact power of two, so every sign is the unscaled one.
+    cloud = random_cloud(np.random.default_rng(70 + dim), 100, dim)
+    m = min_pairwise_distance(cloud)
+    exact = _count_exact(monkeypatch)
+    got = []
+    for frac in (1e-9, 0.25):
+        pair = epsilon_perturb(cloud, frac * m, seed=dim)
+        big = PerturbationPairing(source=_scaled(pair.source, scale),
+                                  target=_scaled(pair.target, scale),
+                                  epsilon=pair.epsilon * scale)
+        same = same_triangulation(big)
+        assert _witness(big) == (not same)
+        # No test reaches the exact stage: the clouds are scaled, and no
+        # simplex is tested against its own vertex.
+        assert exact == []
+        assert same == same_triangulation(pair) == _two_triangulations_agree(pair)
+        assert _witness(pair) == (not same)
+        got.append(same)
+    assert got == [True, False]
+
+
+def _count_exact(monkeypatch):
+    """Patch ``predicates._exact_sign`` and return the list that records
+    each call."""
+    calls = []
+    real = delrips.predicates._exact_sign
+    monkeypatch.setattr(delrips.predicates, "_exact_sign",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def test_distance_blocks_stay_below_the_full_array():
