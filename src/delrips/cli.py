@@ -102,6 +102,8 @@ _positive_int = _number(int, lambda v: v >= 1, "positive integer")
 _non_negative_int = _number(int, lambda v: v >= 0, "non-negative integer")
 _positive_float = _number(float, lambda v: 0 < v < math.inf,
                           "positive finite number")
+_non_negative_float = _number(float, lambda v: 0 <= v < math.inf,
+                              "non-negative finite number")
 
 
 def _filtration_spec(args) -> FiltrationSpec:
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=SHAPE_KINDS, required=True,
                    help="shape class to sample")
     p.add_argument("--n", type=int, default=500, help="number of points")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=_non_negative_float, default=0.0,
                    help="max magnitude of uniform-in-ball noise")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("-o", "--output", required=True, help="point file to write")
@@ -354,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-time benchmark over a size grid", **fmt)
     p.add_argument("--shape", choices=SHAPE_KINDS, default="sphere",
                    help="sampled shape class")
-    p.add_argument("--nu", type=float, default=0.1, help="noise magnitude")
+    p.add_argument("--nu", type=_non_negative_float, default=0.1,
+                   help="noise magnitude")
     p.add_argument("--sizes", type=_parse_sizes, default="100:500:100",
                    help="start:stop[:step] or comma list")
     p.add_argument("--methods", type=_parse_methods, default="dr,rips,alpha",

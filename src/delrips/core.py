@@ -1,15 +1,12 @@
 """Shared domain types: point clouds, simplices, filtrations, diagrams.
 
-A point cloud's one form is a read-only (n, dim) float64 array, converted
-and checked once when the cloud is made. A simplex is represented throughout as a strictly increasing tuple of point
-indices; its dimension is ``len(verts) - 1``. A filtration is a sequence of
-``(simplex, scale)`` entries together with the dimension cap that was used to
-build it, held internally as integer arrays: per dimension the simplices as
-an int64 array and each one's position in filtration order, plus the
-float64 scales. ``boundary_csr`` is the one filtration check (order,
-duplicates, closure, face before coface), run in numpy on those arrays;
-the entries are built only when read. All types are immutable after
-construction.
+A point cloud's one form is a read-only (n, dim) float64 array, and a
+filtration's is integer arrays (see ``Filtration``); each is converted and
+checked once when it is made. A simplex is a strictly increasing tuple of
+point indices; its dimension is ``len(verts) - 1``. ``Filtration._from_arrays``
+is the one step that makes the canonical filtration order and
+``boundary_csr`` the one check of it (order, duplicates, closure, face
+before coface). All types are immutable after construction.
 
 Every face lookup gathers facets by ``_facet_rows`` and sorts rows by
 ``_row_order``, the one row order: a stable lexsort of packed uint64 keys.
@@ -27,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -122,9 +119,21 @@ def _vertex_rows(rows: list, width: int) -> np.ndarray:
         return np.empty((0, width), dtype=np.int64)
     arr = np.array(rows)
     kind = arr.dtype.kind
-    if kind not in "biu" or (kind == "u" and arr.max() > _INT64_MAX):
+    if (kind not in "biu" or arr.shape != (len(rows), width)
+            or (kind == "u" and arr.max() > _INT64_MAX)):
         raise ValidationError("vertex ids must be integers that fit in int64")
     return arr.astype(np.int64)
+
+
+def _vertex_objects(faces: list) -> list:
+    """Each int64 array of ``faces`` as Python ints, one object per id when
+    the ids span fewer values than the arrays hold (a builder's run 0..n-1)."""
+    lo = min((int(f.min()) for f in faces if f.size), default=0)
+    top = max((int(f.max()) for f in faces if f.size), default=-1)
+    if top - lo >= sum(f.size for f in faces):
+        return [f.astype(object) for f in faces]
+    ids = (lo + np.arange(top - lo + 1)).astype(object)
+    return [ids[f - lo] for f in faces]
 
 
 def _shared_floats(values: np.ndarray) -> list:
@@ -146,100 +155,89 @@ def _row_tuples(rows: np.ndarray) -> np.ndarray:
 class Filtration:
     """Simplices with monotone scales, capped at dimension ``max_dim``.
 
-    ``max_dim``, an int >= 0 (ValidationError otherwise), records the cap
-    the builder used (simplices above it were discarded), which also bounds
-    the homology dimensions that persistence can report; it may exceed the
-    largest dimension actually present.
+    ``max_dim``, an int >= 0, records the cap the builder used (simplices
+    above it were discarded), which also bounds the homology dimensions
+    that persistence can report; it may exceed the largest dimension present.
 
-    Internally a filtration is held as integer arrays: for each dimension k
-    the k-simplices as an (m_k, k+1) int64 array and each row's position in
-    filtration order, plus the float64 scales in filtration order. The
-    builders make this form directly; a filtration made from
-    ``entries`` derives it on first use, so its vertex ids must be integers
-    that fit in int64 (ValidationError otherwise). ``entries``, the
-    ``((verts, scale), ...)`` view, is built on first access and cached; it
-    shares one int object per vertex id and one float object per value.
-    Instances are immutable.
+    Its one form is integer arrays: for each dimension k the k-simplices as
+    an (m_k, k+1) int64 array and each row's position in filtration order,
+    plus the float64 scales in filtration order. The builders make it with
+    ``_from_arrays``; ``Filtration(entries, max_dim)`` converts at once, so
+    vertex ids must be integers that fit in int64, simplices non-empty and
+    scales real numbers (ValidationError otherwise). Both end in ``_check``.
+    ``entries``, the ``((verts, scale), ...)`` view, is the tuple given, or
+    is built on first access and cached, sharing one float object per value.
     """
 
     __slots__ = ("max_dim", "_entries", "_arrays")
 
     def __init__(self, entries, max_dim: int):
-        if (isinstance(max_dim, bool) or not isinstance(max_dim, Integral)
-                or max_dim < 0):
-            raise ValidationError(f"max_dim {max_dim!r} is not an integer >= 0")
         entries = tuple(entries)
-        for verts, scale in entries:
-            if len(verts) - 1 > max_dim:
-                raise ValidationError(
-                    f"simplex {verts} exceeds dimension cap {max_dim}")
-            if not (scale >= 0.0):
-                raise ValidationError(f"negative or NaN scale for {verts}")
-        object.__setattr__(self, "max_dim", max_dim)
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_arrays", None)
+        sizes = np.array([len(verts) for verts, _ in entries], dtype=np.int64)
+        if (sizes == 0).any():
+            raise ValidationError("a simplex needs at least one vertex")
+        positions = [np.flatnonzero(sizes == k)
+                     for k in range(1, sizes.max(initial=0) + 1)]
+        faces = [_vertex_rows([entries[p][0] for p in pos.tolist()], k + 1)
+                 for k, pos in enumerate(positions)]
+        scales = [s for _, s in entries]
+        try:
+            arr = np.array(scales)
+        except ValueError:  # sequences of different lengths
+            arr = np.array(())
+        if arr.shape != (len(scales),) or arr.dtype.kind not in "biuf":
+            # Big ints and fractions convert one by one; a string never does.
+            for verts, s in entries:
+                if not isinstance(s, Real):
+                    raise ValidationError(f"non-real scale {s!r} for {verts}")
+            arr = np.array(scales, dtype=float)
+        self._check(max_dim, entries, (faces, positions, arr.astype(float)))
 
     @classmethod
     def _from_arrays(cls, faces: list, scales: np.ndarray,
                      max_dim: int) -> "Filtration":
-        """The one ordering step of all three builders: ``faces[k]`` lists
-        the k-simplices lexicographically as rows of non-negative point
-        indices, and ``scales`` has one value per row of ``faces[0]``,
-        ``faces[1]``, ... in turn, so a stable sort by scale gives the
-        filtration order and each row's position in it."""
+        """The one ordering step of all three builders and of
+        ``sort_filtration``: ``faces[k]`` lists the k-simplices
+        lexicographically as int64 rows, and ``scales`` has one value per
+        row of ``faces[0]``, ``faces[1]``, ... in turn, so a stable sort by
+        scale gives the filtration order and each row's position in it."""
         order = np.argsort(scales, kind="stable")
         position = np.empty_like(order)
         position[order] = np.arange(len(order))
         positions = np.split(position, np.cumsum([len(f) for f in faces[:-1]]))
-        scales = scales[order]
         filt = cls.__new__(cls)
-        object.__setattr__(filt, "max_dim", max_dim)
-        object.__setattr__(filt, "_entries", None)
-        object.__setattr__(filt, "_arrays", (faces, positions, scales))
-        if len(faces) - 1 > max_dim:
-            raise ValidationError(
-                f"{len(faces) - 1}-simplices exceed dimension cap {max_dim}")
-        bad = np.flatnonzero(~(scales >= 0.0))
-        if len(bad):
-            raise ValidationError(
-                f"negative or NaN scale for {filt.entries[bad[0]][0]}")
+        filt._check(max_dim, None, (faces, positions, scales[order]))
         return filt
 
-    def _array_form(self) -> tuple:
-        """``(faces, positions, scales)``, derived from the entries once."""
-        if self._arrays is None:
-            top = max((len(verts) for verts, _ in self._entries), default=0)
-            rows = [[] for _ in range(top)]
-            positions = [[] for _ in range(top)]
-            for p, (verts, _) in enumerate(self._entries):
-                if not verts:
-                    raise ValidationError("a simplex needs at least one vertex")
-                rows[len(verts) - 1].append(verts)
-                positions[len(verts) - 1].append(p)
-            arrays = ([_vertex_rows(r, k + 1) for k, r in enumerate(rows)],
-                      [np.array(p, dtype=np.int64) for p in positions],
-                      np.array([s for _, s in self._entries], dtype=float))
-            object.__setattr__(self, "_arrays", arrays)
-        return self._arrays
-
-    def _dims(self) -> np.ndarray:
-        """Each simplex's dimension, in filtration order."""
-        _, positions, scales = self._array_form()
-        dims = np.empty(len(scales), dtype=np.int64)
-        for k, pos in enumerate(positions):
-            dims[pos] = k
-        return dims
+    def _check(self, max_dim, entries, arrays) -> None:
+        """Store the form, then the one constructor check: ``max_dim`` an int
+        >= 0, then a ValidationError naming the first entry in filtration
+        order above the cap or with a negative or NaN scale."""
+        if (isinstance(max_dim, bool) or not isinstance(max_dim, Integral)
+                or max_dim < 0):
+            raise ValidationError(f"max_dim {max_dim!r} is not an integer >= 0")
+        object.__setattr__(self, "max_dim", max_dim)
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_arrays", arrays)
+        _, positions, scales = arrays
+        over = [int(pos.min()) for pos in positions[max_dim + 1:] if len(pos)]
+        bad = np.flatnonzero(~(scales >= 0.0))[:1].tolist()
+        if over or bad:
+            first = min(over + bad)
+            verts = self.entries[first][0]
+            if first in over:
+                raise ValidationError(
+                    f"simplex {verts} exceeds dimension cap {max_dim}")
+            raise ValidationError(f"negative or NaN scale for {verts}")
 
     @property
     def entries(self) -> tuple:
         """``((verts, scale), ...)`` in filtration order."""
         if self._entries is None:
             faces, positions, scales = self._arrays
-            top = max((int(f.max()) for f in faces if f.size), default=-1)
-            ids = np.arange(top + 1).astype(object)
             verts = np.empty(len(scales), dtype=object)
-            for f, pos in zip(faces, positions):
-                verts[pos] = _row_tuples(ids[f])
+            for ids, pos in zip(_vertex_objects(faces), positions):
+                verts[pos] = _row_tuples(ids)
             entries = tuple(zip(verts.tolist(), _shared_floats(scales)))
             object.__setattr__(self, "_entries", entries)
         return self._entries
@@ -265,33 +263,23 @@ class Filtration:
         return f"Filtration(entries={self.entries!r}, max_dim={self.max_dim!r})"
 
     def __len__(self) -> int:
-        if self._entries is None:
-            return len(self._arrays[2])
-        return len(self._entries)
+        return len(self._arrays[2])
 
 
 def _first_unsorted(filt: Filtration) -> int:
     """Position of the first entry whose (scale, dimension, vertices) key is
     below its predecessor's, or len(filt) when there is none."""
-    faces, positions, scales = filt._array_form()
-    n = len(scales)
-    if n < 2:
-        return n
-    dims = filt._dims()
-    verts = np.zeros((n, len(faces)), dtype=np.int64)
-    for rows, pos in zip(faces, positions):
-        verts[pos, :rows.shape[1]] = rows
-    lower = scales[1:] < scales[:-1]
-    tied = scales[1:] == scales[:-1]
-    lower |= tied & (dims[1:] < dims[:-1])
-    tied &= dims[1:] == dims[:-1]
-    differ = verts[1:] != verts[:-1]
-    col = differ.argmax(axis=1)
-    row = np.arange(n - 1)
-    lower |= (tied & differ[row, col]
-              & (verts[1:][row, col] < verts[:-1][row, col]))
-    bad = np.flatnonzero(lower)
-    return int(bad[0]) + 1 if len(bad) else n
+    faces, positions, scales = filt._arrays
+    keys = np.zeros((len(scales), len(faces) + 2), dtype=np.int64)
+    keys[:, 0] = _float_keys(scales)
+    for k, (rows, pos) in enumerate(zip(faces, positions)):
+        keys[pos, 1] = k
+        keys[pos, 2:k + 3] = rows
+    # Each adjacent pair compares at its first differing column.
+    col = (keys[1:] != keys[:-1]).argmax(axis=1)
+    row = np.arange(len(col))
+    bad = np.flatnonzero(keys[1:][row, col] < keys[:-1][row, col])
+    return int(bad[0]) + 1 if len(bad) else len(scales)
 
 
 def _packed_keys(rows: np.ndarray) -> list:
@@ -348,8 +336,8 @@ def _match_facets(rows, pos, cofaces, n) -> tuple:
     Returns the first position at which a row repeats an earlier one (n if
     none) and an (m, k+2) array giving, for each coface and each dropped
     column, the position of that facet among ``rows`` (-1 when missing).
-    Equal rows must come in position order, as they do in the form derived
-    from entries (a builder's rows are distinct).
+    Equal rows must come in position order, as they do in the form converted
+    from entries and in ``sort_filtration``'s (a builder's rows are distinct).
     """
     m = len(rows)
     stacked = np.concatenate([rows, _facet_rows(cofaces)])
@@ -383,7 +371,7 @@ def boundary_csr(filt: Filtration) -> tuple:
     one ``_row_order`` per dimension that matches each facet row to its face
     row; face before coface compares positions.
     """
-    faces, positions, scales = filt._array_form()
+    faces, positions, scales = filt._arrays
     n = len(scales)
     repeat, facet_pos = n, [None]
     for k in range(len(faces)):
@@ -416,9 +404,10 @@ def boundary_csr(filt: Filtration) -> tuple:
         raise InvalidFiltration(
             f"face {face} (scale {filt.entries[found[drop]][1]}) appears after "
             f"coface {verts} (scale {scale})")
-    dims = filt._dims()
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.where(dims > 0, dims + 1, 0), out=indptr[1:])
+    for k in range(1, len(faces)):
+        indptr[positions[k] + 1] = k + 1
+    np.cumsum(indptr, out=indptr)
     indices = np.empty(int(indptr[-1]), dtype=np.int64)
     for k in range(1, len(faces)):
         slots = indptr[positions[k]][:, None] + np.arange(k + 1)
@@ -431,9 +420,18 @@ def sort_filtration(filt: Filtration) -> Filtration:
     """Canonically order a filtration by (scale, dimension, vertex tuple),
     then run the one filtration check, ``boundary_csr``, on the result
     (InvalidFiltration on a duplicate, a missing face or a face with a larger
-    scale than its coface). Idempotent and deterministic."""
-    entries = sorted(filt.entries, key=lambda e: (e[1], len(e[0]), e[0]))
-    ordered = Filtration(entries=entries, max_dim=filt.max_dim)
+    scale than its coface). Idempotent and deterministic. Each dimension's
+    rows go in scale order, then in the stable ``_row_order``, to
+    ``Filtration._from_arrays``, so repeated rows stay in scale order."""
+    faces, positions, scales = filt._arrays
+    rows, row_scales = [], [np.empty(0)]  # one array even with no rows
+    for f, pos in zip(faces, positions):
+        by_scale = np.argsort(scales[pos], kind="stable")
+        take = by_scale[_row_order(f[by_scale])[0]]
+        rows.append(f[take])
+        row_scales.append(scales[pos[take]])
+    ordered = Filtration._from_arrays(rows, np.concatenate(row_scales),
+                                      filt.max_dim)
     boundary_csr(ordered)
     return ordered
 

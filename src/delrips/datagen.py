@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Mapping
 
 import numpy as np
@@ -32,6 +33,10 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class ShapeClass:
+    """A shape kind and its parameters, the defaults updated by ``params``:
+    finite reals, not bools, a ``spread`` >= 0 and the others > 0, a torus's
+    ``minor_radius`` at most its ``major_radius`` (ValidationError else)."""
+
     kind: str
     params: Mapping = field(default_factory=dict)
 
@@ -43,6 +48,13 @@ class ShapeClass:
         if unknown:
             raise ValidationError(f"unknown parameters for {self.kind}: {unknown}")
         merged.update(self.params)
+        for name, value in merged.items():
+            bound = ">= 0" if name == "spread" else "> 0"
+            if (isinstance(value, bool) or not isinstance(value, Real) or not
+                    (0 <= value < math.inf and (value > 0 or name == "spread"))):
+                raise ValidationError(f"{name} {value!r} is not a finite number {bound}")
+        if self.kind == "torus" and merged["minor_radius"] > merged["major_radius"]:
+            raise ValidationError("torus minor_radius must be <= major_radius")
         object.__setattr__(self, "params", merged)
 
 
@@ -55,9 +67,9 @@ def _triangle_centers(side: float) -> np.ndarray:
 
 
 def sample_shape(shape: ShapeClass, n: int, seed: int) -> PointCloud:
-    """n points in R^3, uniform on the ideal shape."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    """n points in R^3, uniform on the ideal shape; n is an int >= 1."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     p = shape.params
     if shape.kind == "circle":
@@ -107,8 +119,8 @@ def _sample_torus(rng, n, big_r, small_r):
 def add_noise(cloud: PointCloud, nu: float, seed: int) -> PointCloud:
     """Displace each point by an independent uniform-in-ball vector of
     magnitude at most nu."""
-    if nu < 0:
-        raise ValidationError("nu must be >= 0")
+    if not 0 <= nu < math.inf:
+        raise ValidationError("nu must be a finite number >= 0")
     if nu == 0:
         return cloud
     offsets = _ball_offsets(np.random.default_rng(seed), len(cloud), cloud.dim, nu)

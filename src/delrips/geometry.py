@@ -13,7 +13,7 @@ empty circumball proves it is in the source's triangulation and whose
 target circumball holds a target point strictly inside (Mehlhorn et al.,
 "Checking geometric programs or verification of geometric structures",
 1999). Only when there is none does it triangulate the source, and then
-the target if the source's certificate cannot decide.
+the target if no in-ball test proves the change.
 """
 
 from __future__ import annotations
@@ -211,32 +211,16 @@ def same_triangulation(pair: PerturbationPairing) -> bool:
     triangulation that is not one of the target's. It triangulates only a
     few neighbourhoods, and finding one answers False.
 
-    Otherwise only the source is triangulated up front. Its top simplices
-    are then checked against the target coordinates with
-    ``delaunay.certificate``, and the answer is False without triangulating
-    the target when either check gives strict evidence:
-
-    - The orientation signs flip: some tops keep their source orientation
-      sign in the target and others reverse it. Adjacent simplices of any
-      triangulation lie on opposite sides of their shared facet, which fixes
-      the ratio of their orientation signs by the combinatorics alone, and
-      the tops' dual graph is connected; so if the source triangulation
-      triangulated the target too, every top would keep its sign or every
-      top would reverse it.
-    - An interior facet is strictly non-locally-Delaunay in the target: a
-      point lies strictly inside the circumball of a top, so that top is not
-      a simplex of the target's Delaunay triangulation, whose circumballs
-      are all empty.
-
-    A zero sign proves nothing here (a target flat everywhere must still
-    raise AffinelyDegenerateInput from ``delaunay``), so it and every other
-    case fall back to comparing the top simplices with ``delaunay(target)``'s;
-    a full-dimensional triangulation's d-simplices fix all its faces. The
-    witness and both shortcuts only return False where that comparison
-    does, so the answer, errors included, is exactly the two-triangulation
-    comparison. Every certificate runs on each cloud scaled by its
-    ``delaunay.scale_exponent``, which changes no sign, so clouds near
-    2**-664 or 2**532 do not take the exact stage on every test.
+    Otherwise it triangulates the source. A target point strictly inside
+    the target circumball of a source top, across an interior facet
+    (``delaunay.certificate``), proves that top is in no Delaunay
+    triangulation of the target: the answer is False. Else the top
+    simplices are compared with ``delaunay(target)``'s; a full-dimensional
+    triangulation's d-simplices fix all its faces. So the answer, errors
+    included, is exactly the two-triangulation comparison. Each certificate
+    runs on each cloud scaled by its ``delaunay.scale_exponent``, which
+    changes no sign, so clouds near 2**-664 or 2**532 do not take the
+    exact stage on every test.
     """
     a, b = _scaled(pair.source.points), _scaled(pair.target.points)
     if _local_witness(pair, a, b):
@@ -244,9 +228,7 @@ def same_triangulation(pair: PerturbationPairing) -> bool:
     src = delaunay(pair.source)
     tops = src.faces(pair.source.dim)
     facets = interior_facets(src._cofaces(pair.source.dim - 1))
-    before, _ = certificate(a, tops, ())
-    after, inball = certificate(b, tops, facets)
-    flips = before * after
-    if ((flips > 0).any() and (flips < 0).any()) or (inball > 0).any():
+    _, inball = certificate(b, tops, facets)
+    if (inball > 0).any():
         return False
     return np.array_equal(tops, delaunay(pair.target).faces(pair.source.dim))

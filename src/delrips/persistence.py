@@ -100,7 +100,7 @@ def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
     """
     indptr, indices = boundary_csr(filt)
     return BoundaryMatrix(indptr=indptr, indices=indices,
-                          scale_array=filt._array_form()[2])
+                          scale_array=filt._arrays[2])
 
 
 def _sym_diff(a, b) -> list:

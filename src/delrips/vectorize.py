@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,8 +26,9 @@ STAT_NAMES = ("mean", "std", "skew", "kurtosis", "q25", "q50", "q75", "entropy")
 class PIGrid:
     """Persistence-image grid: value ranges, resolution, and bandwidth.
 
-    ``resolution`` is (rows, cols) = (persistence bins, birth bins); the
-    flattened image is row-major with row 0 the lowest persistence band.
+    ``resolution`` is (rows, cols) = (persistence bins, birth bins), ints
+    >= 1; the flattened image is row-major with row 0 the lowest persistence
+    band. Pair weights divide by the persistence range's end, above 0.
     """
 
     birth_range: tuple
@@ -37,11 +39,12 @@ class PIGrid:
     def __post_init__(self):
         b0, b1 = self.birth_range
         p0, p1 = self.persistence_range
-        if not (b1 > b0 and p1 > p0):
-            raise ValidationError("degenerate grid ranges")
+        if not (b1 > b0 and p1 > max(p0, 0)):
+            raise ValidationError("degenerate grid ranges (or persistence <= 0)")
         rows, cols = self.resolution
-        if rows < 1 or cols < 1:
-            raise ValidationError("resolution must be at least 1x1")
+        if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
+                   for v in (rows, cols)):
+            raise ValidationError(f"resolution {self.resolution} is not two ints >= 1")
         if not 0 < self.sigma < math.inf:
             raise ValidationError("sigma must be positive and finite")
 

@@ -315,6 +315,12 @@ def test_pd_dr_tie_break_warns_and_writes_files(tmp_path):
     ["bench", "--timeout", "nan", "-o", "b.csv"],
     ["bench", "--timeout", "inf", "-o", "b.csv"],
     ["bench", "--timeout", "x", "-o", "b.csv"],
+    # A negative or NaN noise was ignored and a noiseless cloud written.
+    ["generate", "--shape", "sphere", "--n", "5", "--noise", "-1", "-o", "c.csv"],
+    ["generate", "--shape", "sphere", "--n", "5", "--noise", "nan", "-o", "c.csv"],
+    ["generate", "--shape", "sphere", "--n", "5", "--noise", "inf", "-o", "c.csv"],
+    ["bench", "--nu", "-0.1", "-o", "b.csv"],
+    ["bench", "--nu", "nan", "-o", "b.csv"],
 ])
 def test_malformed_option_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

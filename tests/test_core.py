@@ -2,16 +2,21 @@ import ast
 import math
 import pickle
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import delrips
-from delrips import (Filtration, PersistenceDiagram, PerturbationPairing,
-                     PointCloud, bottleneck, delaunay, sort_filtration)
+from delrips import (Filtration, FiltrationSpec, PersistenceDiagram,
+                     PerturbationPairing, PointCloud, ShapeClass, add_noise,
+                     bottleneck, boundary_matrix, build, delaunay, sample_shape,
+                     sort_filtration)
 from delrips.core import pairwise_distances
 from delrips.errors import InvalidFiltration, ValidationError
+from families import uniform
 
 SQ3 = math.sqrt(3.0)
 
@@ -166,6 +171,132 @@ def test_sort_rejects_duplicates():
     filt = Filtration(entries=(((0,), 0.0), ((0,), 0.0)), max_dim=0)
     with pytest.raises(InvalidFiltration, match="twice"):
         sort_filtration(filt)
+
+
+def _python_key_sort(filt):
+    # The reference: the entries sorted by a Python key, then the one check.
+    entries = sorted(filt.entries, key=lambda e: (e[1], len(e[0]), e[0]))
+    ordered = Filtration(entries=entries, max_dim=filt.max_dim)
+    boundary_matrix(ordered)
+    return ordered
+
+
+def _outcome(sort, filt):
+    try:
+        out = sort(filt)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return out.max_dim, [(v, s.hex()) for v, s in out.entries]
+
+
+def _sort_corpus():
+    grid3 = [(x, y, z) for x in range(6) for y in range(6) for z in range(6)]
+    clouds = {
+        "sphere": (add_noise(sample_shape(ShapeClass(kind="sphere"), 300, 1),
+                             0.1, 2), 0.3),
+        "grid-6^3": (PointCloud.from_points(grid3), 1.5),
+        "grid-9^2": (PointCloud.from_points(
+            [(x, y) for x in range(9) for y in range(9)]), 1.5),
+        "uniform-40": (PointCloud.from_points(uniform(3, 40, 5)), None),
+    }
+    for c, (name, (cloud, threshold)) in enumerate(clouds.items()):
+        for m, method in enumerate(("delaunay_rips", "alpha", "rips")):
+            spec = FiltrationSpec(method=method, max_hom_dim=1,
+                                  threshold=threshold if method == "rips" else None)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # cospherical grids
+                entries = list(build(cloud, spec).entries)
+            rng = np.random.default_rng(10 * c + m)
+            for variant in ("shuffled", "repeat", "repeat-halved", "dropped",
+                            "all"):
+                mixed = [entries[i] for i in rng.permutation(len(entries))]
+                j = int(rng.integers(len(mixed)))
+                if variant in ("repeat", "all"):
+                    mixed.insert(int(rng.integers(len(mixed))), mixed[j])
+                if variant in ("repeat-halved", "all"):
+                    verts, scale = mixed[j]
+                    mixed.append((verts, scale / 2))
+                if variant in ("dropped", "all"):
+                    del mixed[int(rng.integers(len(mixed)))]
+                yield (f"{name}-{method}-{variant}",
+                       Filtration(entries=mixed, max_dim=spec.max_hom_dim + 1))
+
+
+def test_sort_equals_the_python_key_sort_on_the_corpus():
+    # Shuffled Delaunay-Rips, Alpha and Rips filtrations, some with a
+    # simplex repeated at its own or half its scale or one simplex dropped:
+    # the same result, or the same error and message.
+    outcomes = {}
+    for name, filt in _sort_corpus():
+        want = _outcome(_python_key_sort, filt)
+        assert _outcome(sort_filtration, filt) == want, name
+        outcomes[name] = want[0]
+    assert len(outcomes) == 60
+    assert sum(kind is InvalidFiltration for kind in outcomes.values()) >= 30
+    assert sum(kind == 2 for kind in outcomes.values()) >= 15
+
+
+def test_sort_keeps_repeats_in_scale_order():
+    # Each dimension's rows are taken in scale order before the row sort;
+    # otherwise the repeat of (0,) would be reported before that of (1,).
+    filt = Filtration(entries=[((0,), 0.5), ((1,), 0.2), ((0,), 0.1),
+                               ((1,), 0.3), ((2,), 0.0)], max_dim=0)
+    for sort in (sort_filtration, _python_key_sort):
+        with pytest.raises(InvalidFiltration,
+                           match=r"^simplex \(1,\) listed twice$"):
+            sort(filt)
+
+
+def test_sort_returns_the_array_view():
+    filt = Filtration(entries=(((1,), 0), ((0,), 0), ((0, 1), 2)), max_dim=1)
+    out = sort_filtration(filt)
+    assert out.entries == (((0,), 0.0), ((1,), 0.0), ((0, 1), 2.0))
+    assert all(type(s) is float for _, s in out.entries)
+    assert out == _python_key_sort(filt)
+    assert hash(out) == hash(_python_key_sort(filt))
+
+
+@pytest.mark.parametrize("a, b, c", [(-2 ** 63, -5, 2 ** 63 - 1), (-1, 0, 1),
+                                     (2 ** 63 - 3, 2 ** 63 - 2, 2 ** 63 - 1)])
+def test_sort_keeps_negative_and_extreme_vertex_ids(a, b, c):
+    entries = [((c,), 0.0), ((a, c), 1.0), ((b,), 0.0), ((a,), 0.0),
+               ((a, b), 1.0), ((b, c), 1.0), ((a, b, c), 2.0)]
+    filt = Filtration(entries=entries, max_dim=2)
+    out = sort_filtration(filt)
+    assert out == _python_key_sort(filt)
+    assert [verts for verts, _ in out.entries[:3]] == [(a,), (b,), (c,)]
+
+
+def test_filtration_keeps_the_given_entries():
+    verts, scale = (0,), Fraction(1, 2)
+    given = ((verts, scale), ((1,), 1))
+    filt = Filtration(entries=list(given), max_dim=0)
+    assert filt.entries == given
+    assert filt.entries[0][0] is verts and filt.entries[0][1] is scale
+    assert filt._arrays[2].tolist() == [0.5, 1.0]
+    back = pickle.loads(pickle.dumps(filt))
+    assert back == filt and hash(back) == hash(filt)
+    assert repr(filt) == f"Filtration(entries={given!r}, max_dim=0)"
+
+
+@pytest.mark.parametrize("scale", ["1.5", None, b"1", 1j, [1.0], (1.0, 2.0)])
+def test_filtration_rejects_a_scale_that_is_not_real(scale):
+    # "1.5" and None raised TypeError from the entry loop; a string is
+    # never parsed as a number.
+    with pytest.raises(ValidationError, match="non-real scale .* for \\(1,\\)"):
+        Filtration(entries=(((0,), 0.0), ((1,), scale)), max_dim=0)
+
+
+@pytest.mark.parametrize("entries, message", [
+    # The first offending entry in filtration order is named.
+    ((((0,), -1.0), ((0, 1), 1.0)), "negative or NaN scale for (0,)"),
+    ((((0, 1), 1.0), ((0,), -1.0)), "simplex (0, 1) exceeds dimension cap 0"),
+    ((((0,), 0.0), ((1,), math.nan)), "negative or NaN scale for (1,)"),
+])
+def test_filtration_names_the_first_offending_entry(entries, message):
+    with pytest.raises(ValidationError) as exc:
+        Filtration(entries=entries, max_dim=0)
+    assert str(exc.value) == message
 
 
 def test_filtration_rejects_overcap_and_bad_scale():

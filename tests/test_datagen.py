@@ -65,6 +65,55 @@ def test_shape_validation():
         sample_shape(ShapeClass(kind="circle"), 0, seed=0)
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    # A 0/0 acceptance ratio: the torus sampler never returned.
+    ("torus", {"major_radius": 0.0, "minor_radius": 0.0},
+     "^major_radius 0.0 is not a finite number > 0$"),
+    # A negative radius: a RuntimeWarning from the sampler.
+    ("torus", {"major_radius": 1.0, "minor_radius": -1.0}, "^minor_radius -1.0 is not"),
+    ("torus", {"major_radius": 1.0, "minor_radius": 1.5}, "<= major_radius"),
+    ("circle", {"radius": 0.0}, "^radius 0.0 is not a finite number > 0$"),
+    ("sphere", {"radius": math.inf}, "^radius inf is not"),
+    ("sphere", {"radius": math.nan}, "^radius nan is not"),
+    ("sphere", {"radius": True}, "^radius True is not"),
+    ("sphere", {"radius": "1.0"}, "^radius '1.0' is not"),
+    ("sphere", {"radius": None}, "^radius None is not"),
+    ("random", {"half_width": -1.0}, "^half_width -1.0 is not"),
+    ("three_clusters", {"side": 0}, "^side 0 is not"),
+    ("three_clusters", {"spread": -0.1}, "^spread -0.1 is not a finite number >= 0$"),
+    ("nested_clusters", {"sub_side": 0.0}, "^sub_side 0.0 is not"),
+    ("nested_clusters", {"spread": math.inf}, "^spread inf is not"),
+])
+def test_shape_parameters_are_checked(kind, params, message):
+    with pytest.raises(ValidationError, match=message):
+        ShapeClass(kind=kind, params=params)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("torus", {"major_radius": 1.0, "minor_radius": 1.0}),
+    ("three_clusters", {"spread": 0.0}), ("sphere", {"radius": np.float64(2)}),
+    ("circle", {"radius": 3}),
+])
+def test_shape_parameters_at_their_bounds_sample(kind, params):
+    cloud = sample_shape(ShapeClass(kind=kind, params=params), 20, seed=1)
+    assert len(cloud) == 20
+
+
+@pytest.mark.parametrize("n", [2.5, 0, -3, True, "5", None])
+def test_sample_size_must_be_a_positive_integer(n):
+    with pytest.raises(ValidationError, match="n must be an integer >= 1"):
+        sample_shape(ShapeClass(kind="sphere"), n, seed=0)
+    assert len(sample_shape(ShapeClass(kind="sphere"), np.int64(3), seed=0)) == 3
+
+
+@pytest.mark.parametrize("nu", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_add_noise_rejects_nu_not_finite_and_non_negative(nu):
+    # NaN used to reach the points and be reported as a non-finite point.
+    cloud = sample_shape(ShapeClass(kind="sphere"), 5, seed=0)
+    with pytest.raises(ValidationError, match=r"^nu must be a finite number >= 0$"):
+        add_noise(cloud, nu, seed=1)
+
+
 def test_add_noise_zero_is_identity():
     cloud = sample_shape(ShapeClass(kind="circle"), 40, seed=0)
     assert add_noise(cloud, 0.0, seed=1) is cloud

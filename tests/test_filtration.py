@@ -114,7 +114,7 @@ def test_rips_build_peak_memory_near_its_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    faces, _, scales = filt._array_form()
+    faces, _, scales = filt._arrays
     assert len(scales) == 150 + 11175 + 551300
     assert peak < 3 * (sum(f.nbytes for f in faces) + scales.nbytes)
 

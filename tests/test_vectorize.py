@@ -48,6 +48,15 @@ class TestGrid:
         for sigma in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValidationError, match="sigma"):
                 PIGrid((0, 1), (0, 1), (2, 2), sigma)
+        # The pair weights divide by the persistence range's upper end.
+        with pytest.raises(ValidationError, match="persistence <= 0"):
+            PIGrid((0, 1), (-1.0, 0.0), (2, 2), 0.1)
+        for resolution in ((1.5, 2), (2, 2.0), (True, 2), (2, "2")):
+            with pytest.raises(ValidationError, match="is not two ints >= 1"):
+                PIGrid((0, 1), (0, 1), resolution, 0.1)
+            with pytest.raises(ValidationError, match="is not two ints >= 1"):
+                fit_pi_grid([[(0.0, 1.0)]], resolution=resolution)
+        assert PIGrid((0, 1), (-1.0, 1e-300), (np.int64(2), 1), 0.1).size == 2
         # The resolution is checked before the default sigma divides by it.
         with pytest.raises(ValidationError, match="resolution"):
             fit_pi_grid([[(0.0, 1.0)]], resolution=(0, 2))
