@@ -117,11 +117,15 @@ def _vertex_rows(rows: list, width: int) -> np.ndarray:
     int64."""
     if not rows:
         return np.empty((0, width), dtype=np.int64)
-    arr = np.array(rows)
+    message = "vertex ids must be integers that fit in int64"
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ids that are sequences of different lengths
+        raise ValidationError(message) from None
     kind = arr.dtype.kind
     if (kind not in "biu" or arr.shape != (len(rows), width)
             or (kind == "u" and arr.max() > _INT64_MAX)):
-        raise ValidationError("vertex ids must be integers that fit in int64")
+        raise ValidationError(message)
     return arr.astype(np.int64)
 
 
@@ -180,18 +184,14 @@ class Filtration:
                      for k in range(1, sizes.max(initial=0) + 1)]
         faces = [_vertex_rows([entries[p][0] for p in pos.tolist()], k + 1)
                  for k, pos in enumerate(positions)]
-        scales = [s for _, s in entries]
+        for verts, s in entries:
+            if not isinstance(s, Real):
+                raise ValidationError(f"non-real scale {s!r} for {verts}")
         try:
-            arr = np.array(scales)
-        except ValueError:  # sequences of different lengths
-            arr = np.array(())
-        if arr.shape != (len(scales),) or arr.dtype.kind not in "biuf":
-            # Big ints and fractions convert one by one; a string never does.
-            for verts, s in entries:
-                if not isinstance(s, Real):
-                    raise ValidationError(f"non-real scale {s!r} for {verts}")
-            arr = np.array(scales, dtype=float)
-        self._check(max_dim, entries, (faces, positions, arr.astype(float)))
+            scales = np.array([s for _, s in entries], dtype=float)
+        except OverflowError:  # an int or fraction beyond the float range
+            raise ValidationError("a scale does not fit in a float") from None
+        self._check(max_dim, entries, (faces, positions, scales))
 
     @classmethod
     def _from_arrays(cls, faces: list, scales: np.ndarray,

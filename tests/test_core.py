@@ -287,6 +287,13 @@ def test_filtration_rejects_a_scale_that_is_not_real(scale):
         Filtration(entries=(((0,), 0.0), ((1,), scale)), max_dim=0)
 
 
+@pytest.mark.parametrize("scale", [10 ** 400, Fraction(10 ** 400, 3)])
+def test_filtration_rejects_a_scale_beyond_the_float_range(scale):
+    # These raised OverflowError from the conversion to float64.
+    with pytest.raises(ValidationError, match="does not fit in a float"):
+        Filtration(entries=(((0,), 0.0), ((1,), scale)), max_dim=0)
+
+
 @pytest.mark.parametrize("entries, message", [
     # The first offending entry in filtration order is named.
     ((((0,), -1.0), ((0, 1), 1.0)), "negative or NaN scale for (0,)"),

@@ -281,6 +281,9 @@ def test_vertex_ids_must_fit_int64(entry, vertex):
     # meets it; the extreme ids that fit pass through both.
     with pytest.raises(ValidationError, match="fit in int64"):
         Filtration(entries=(((vertex,), 0.0),), max_dim=0)
+    # Ids that are sequences of different lengths raised numpy's ValueError.
+    with pytest.raises(ValidationError, match="fit in int64"):
+        Filtration(entries=(((0,), 0.0), (((0, 1),), 0.0)), max_dim=0)
     entry(Filtration(entries=(((-2 ** 63,), 0.0), ((2 ** 63 - 1,), 0.0)),
                      max_dim=0))
 
