@@ -229,28 +229,22 @@ def cmd_bench(args) -> int:
 
 def cmd_demo_instability(args) -> int:
     xs = args.x_values
-    cap = 2.0 - math.sqrt(3.0)
-    for x in xs:
-        if x >= cap:
-            raise ValidationError(f"x={x} is not below 2-sqrt(3) ~ {cap:.4f}")
+    quads = [near_cocircular_quad(x) for x in xs]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     spec = FiltrationSpec(method="delaunay_rips", max_hom_dim=1)
-    diags = {}
     print("x-grid:", ", ".join(f"{x:+g}" for x in xs))
-    for x in xs:
-        cloud = near_cocircular_quad(x)
+    runs = [(x, q, compute_diagram(build(q, spec))) for x, q in zip(xs, quads)]
+    for x, cloud, diag in runs:
         print(f"x={x:+g}: delaunay degenerate={delaunay(cloud).degenerate}")
-        diags[x] = compute_diagram(build(cloud, spec))
         for p in (0, 1):
-            _write_dimension(outdir / f"x{x:+.4f}_h{p}.csv", diags[x], p, args)
+            _write_dimension(outdir / f"x{x:+.4f}_h{p}.csv", diag, p, args)
     report = ["pair,same_triangulation,h1_bottleneck"]
-    for a, b in zip(xs, xs[1:]):
-        ca, cb = near_cocircular_quad(a), near_cocircular_quad(b)
+    for (a, ca, da), (b, cb, db) in zip(runs, runs[1:]):
         eps = 1.01 * max(hausdorff_distance(ca, cb), 1e-12)
         same = same_triangulation(
             PerturbationPairing(source=ca, target=cb, epsilon=eps))
-        w, _ = bottleneck(diags[a].pairs(1), diags[b].pairs(1),
+        w, _ = bottleneck(da.pairs(1), db.pairs(1),
                           diagonal=args.diagonal_cost)
         report.append(f"{a:+g} vs {b:+g},{same},{fmt_float(w, args.precision)}")
         print(f"x={a:+g} -> x={b:+g}: same_triangulation={same}, "

@@ -7,6 +7,8 @@ point indices; its dimension is ``len(verts) - 1``. ``Filtration._from_arrays``
 is the one step that makes the canonical filtration order and
 ``boundary_csr`` the one check of it (order, duplicates, closure, face
 before coface). All types are immutable after construction.
+Every raw (birth, death) pair is read by ``_pair_array``; the one pair rule,
+``_check_pairs``, runs there and in ``PersistenceDiagram._from_arrays``.
 
 Every face lookup gathers facets by ``_facet_rows`` and sorts rows by
 ``_row_order``, the one row order: a stable lexsort of packed uint64 keys.
@@ -436,14 +438,28 @@ def sort_filtration(filt: Filtration) -> Filtration:
     return ordered
 
 
-def diagram_pair(birth, death) -> tuple:
-    """``(birth, death)`` as floats; raises ValidationError when the birth
-    is not finite, the death is NaN, or birth > death (deaths may be inf).
-    Diagrams and the bottleneck distance both check their pairs here."""
-    birth, death = float(birth), float(death)
-    if not (math.isfinite(birth) and birth <= death):
-        raise ValidationError(f"invalid pair: birth {birth}, death {death}")
-    return birth, death
+def _check_pairs(births: np.ndarray, deaths: np.ndarray) -> None:
+    """The pair rule: ValidationError naming the first pair with a birth not
+    finite, a NaN death or birth > death (deaths may be inf)."""
+    bad = np.flatnonzero(~(np.isfinite(births) & (births <= deaths)))
+    if len(bad):
+        raise ValidationError(f"invalid pair: birth {float(births[bad[0]])}, "
+                              f"death {float(deaths[bad[0]])}")
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """(birth, death) pairs as a (k, 2) float64 array, in one numpy pass (a
+    None reads as NaN), checked by ``_check_pairs``; else ValidationError."""
+    pairs = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    try:
+        arr = np.array(pairs, dtype=float)  # ValueError on ragged pairs
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"a pair is not two numbers: {exc}") from None
+    if arr.shape != (0,) and arr.shape[1:] != (2,):
+        raise ValidationError(f"a pair is not two numbers: shape {arr.shape}")
+    arr = arr.reshape(-1, 2)
+    _check_pairs(arr[:, 0], arr[:, 1])
+    return arr
 
 
 @dataclass(frozen=True)
@@ -458,23 +474,21 @@ class PersistenceDiagram:
 
     @classmethod
     def from_pairs(cls, pairs_by_dim: Mapping[int, Iterable]) -> "PersistenceDiagram":
-        rows = np.array([(int(dim), float(birth), float(death))
-                         for dim, pairs in pairs_by_dim.items()
-                         for birth, death in pairs]).reshape(-1, 3)
-        return cls._from_arrays(rows[:, 0].astype(np.int64), rows[:, 1],
-                                rows[:, 2])
+        arrays = [_pair_array(pairs) for pairs in pairs_by_dim.values()]
+        dims = np.repeat([int(dim) for dim in pairs_by_dim],
+                         [len(a) for a in arrays]).astype(np.int64)
+        rows = np.concatenate(arrays + [np.empty((0, 2))])
+        return cls._from_arrays(dims, rows[:, 0], rows[:, 1])
 
     @classmethod
     def _from_arrays(cls, dims: np.ndarray, births: np.ndarray,
                      deaths: np.ndarray) -> "PersistenceDiagram":
-        """The diagram of the rows ``(dims[r], births[r], deaths[r])``: the
-        ``diagram_pair`` check on every row, whose first failing row raises,
-        then the rows in ``_row_order``, which is stable, so rows that
+        """The diagram of the rows ``(dims[r], births[r], deaths[r])``:
+        ``_check_pairs`` on every row, whose first failing row raises, then
+        the rows in ``_row_order``, which is stable, so rows that
         compare equal (0.0 and -0.0 births, say) keep their given order. A
         death with its birth's bits shares its birth's float object."""
-        bad = np.flatnonzero(~(np.isfinite(births) & (births <= deaths)))
-        if len(bad):
-            diagram_pair(births[bad[0]], deaths[bad[0]])
+        _check_pairs(births, deaths)
         order, _ = _row_order(np.column_stack(
             [dims, _float_keys(births), _float_keys(deaths)]))
         births, deaths = births[order], deaths[order]

@@ -24,17 +24,17 @@ nearest death is feasible, and the death-sorted matching's cost is. It then
 bisects the bracket until it holds O(k) pair distances, and binary-searches
 those and the diagonal costs inside it. Memory is O(k) plus the adjacency of
 one threshold. The witness reuses the covers of the final threshold.
+Both diagrams are read by ``core._pair_array``, which rejects invalid pairs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import _blocks, _expand, diagram_pair
+from .core import _blocks, _expand, _pair_array
 from .errors import InfiniteDistance, ValidationError
 
 DIAGONAL_CONVENTIONS = ("half", "full")
@@ -125,31 +125,16 @@ def bottleneck(x_pairs, y_pairs, diagonal: str = "half"):
     """
     if diagonal not in DIAGONAL_CONVENTIONS:
         raise ValidationError(f"unknown diagonal convention {diagonal!r}")
-    xs = [diagram_pair(b, d) for b, d in x_pairs]
-    ys = [diagram_pair(b, d) for b, d in y_pairs]
-
-    x_ess = sorted((i for i, p in enumerate(xs) if math.isinf(p[1])),
-                   key=lambda i: xs[i][0])
-    y_ess = sorted((i for i, p in enumerate(ys) if math.isinf(p[1])),
-                   key=lambda i: ys[i][0])
-    if len(x_ess) != len(y_ess):
+    xs, ys = _pair_array(x_pairs), _pair_array(y_pairs)
+    x, y = _Side(xs, diagonal), _Side(ys, diagonal)
+    if len(x.ess) != len(y.ess):
         raise InfiniteDistance(
-            f"essential-class counts differ: {len(x_ess)} vs {len(y_ess)}")
+            f"essential-class counts differ: {len(x.ess)} vs {len(y.ess)}")
     # Sorted birth-to-birth matching minimizes the max gap on the line.
-    ess_matched = tuple(zip(x_ess, y_ess))
-    ess_cost = max((abs(xs[i][0] - ys[j][0]) for i, j in ess_matched),
-                   default=0.0)
-
-    x_fin = [i for i, p in enumerate(xs) if not math.isinf(p[1])]
-    y_fin = [i for i, p in enumerate(ys) if not math.isinf(p[1])]
-    x = _Side([xs[i] for i in x_fin], diagonal)
-    y = _Side([ys[j] for j in y_fin], diagonal)
+    with np.errstate(over="ignore"):  # far-apart births: an inf cost
+        ess_cost = float(np.abs(xs[x.ess, 0] - ys[y.ess, 0]).max(initial=0.0))
     value, (cover_x, cover_y) = _search(x, y, ess_cost)
-    matching = _build_matching(len(xs), len(ys),
-                               [x_fin[i] for i in x.order.tolist()],
-                               [y_fin[j] for j in y.order.tolist()],
-                               ess_matched, cover_x, cover_y, value)
-    return value, matching
+    return value, _build_matching(x, y, cover_x, cover_y, value)
 
 
 # Pair distances per finite point that the final binary search may collect;
@@ -158,18 +143,20 @@ CANDIDATES_PER_POINT = 8
 
 
 class _Side:
-    """One diagram's finite points sorted by death, with their diagonal
-    costs.
+    """A diagram's ``_pair_array``: essential classes' positions by birth
+    (``ess``), finite points by death, at ``index``, with diagonal costs.
 
     ``death_pad`` holds the sorted deaths between -inf and +inf (as
     ``by_birth`` does the sorted births), so a band search never indexes
     past either end.
     """
 
-    def __init__(self, points, diagonal):
-        pts = np.array(points, dtype=float).reshape(-1, 2)
-        self.order = np.argsort(pts[:, 1], kind="stable")
-        self.birth, self.death = pts[self.order].T
+    def __init__(self, pts, diagonal):
+        inf = np.isinf(pts[:, 1])
+        self.ess = np.flatnonzero(inf)[np.argsort(pts[inf, 0], kind="stable")]
+        fin = np.flatnonzero(~inf)
+        self.index = fin[np.argsort(pts[fin, 1], kind="stable")]
+        self.birth, self.death = pts[self.index].T
         diag = self.death - self.birth
         # "+ 0.0" turns the -0.0 diagonal cost of a pair (0.0, -0.0) into 0.0.
         self.diag = (diag / 2.0 if diagonal == "half" else diag) + 0.0
@@ -409,8 +396,7 @@ def _candidates(x, y, rings, lo, hi):
     return (np.unique(np.concatenate(parts)) + 0.0).tolist()
 
 
-def _build_matching(nx, ny, x_fin, y_fin, ess_matched, cover_x, cover_y,
-                    c) -> Matching:
+def _build_matching(x, y, cover_x, cover_y, c) -> Matching:
     # Merge the two covers (Mendelsohn-Dulmage): start from the X-side cover
     # and walk alternating chains to pull in each uncovered hard Y vertex
     # without ever exposing a hard X vertex.
@@ -432,13 +418,12 @@ def _build_matching(nx, ny, x_fin, y_fin, ess_matched, cover_x, cover_y,
                 break
             y_cur = prev
 
-    matched = [(x_fin[a], y_fin[b]) for a, b in sorted(match_xy.items())]
-    matched.extend(ess_matched)
-    used_x = {i for i, _ in matched}
-    used_y = {j for _, j in matched}
-    to_diag_x = tuple(i for i in range(nx) if i not in used_x)
-    to_diag_y = tuple(j for j in range(ny) if j not in used_y)
-    return Matching(matched=tuple(sorted(matched)),
-                    to_diagonal_x=to_diag_x,
-                    to_diagonal_y=to_diag_y,
-                    cost=c)
+    # Input positions: finite points by ``index``, essential ones by birth.
+    x_pos, y_pos = x.index.tolist(), y.index.tolist()
+    matched = sorted([(x_pos[a], y_pos[b]) for a, b in match_xy.items()]
+                     + list(zip(x.ess.tolist(), y.ess.tolist())))
+    used_x, used_y = {i for i, _ in matched}, {j for _, j in matched}
+    return Matching(
+        matched=tuple(matched), cost=c,
+        to_diagonal_x=tuple(sorted(set(range(len(x) + len(x.ess))) - used_x)),
+        to_diagonal_y=tuple(sorted(set(range(len(y) + len(y.ess))) - used_y)))

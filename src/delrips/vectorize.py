@@ -5,7 +5,7 @@ pair contributes an isotropic Gaussian scaled by a linear persistence weight
 that vanishes at zero persistence, and each pixel stores the exact integral
 of that sum over its rectangle (separable erf form). Persistence statistics
 summarize the multisets of pair means and pair persistences with eight
-descriptive statistics each.
+descriptive statistics each. ``core._pair_array`` reads every pair.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import PointCloud
+from .core import PointCloud, _pair_array
 from .errors import AllEmpty, SeriesTooShort, ValidationError
 
 STAT_NAMES = ("mean", "std", "skew", "kurtosis", "q25", "q50", "q75", "entropy")
@@ -41,10 +41,7 @@ class PIGrid:
         p0, p1 = self.persistence_range
         if not (b1 > b0 and p1 > max(p0, 0)):
             raise ValidationError("degenerate grid ranges (or persistence <= 0)")
-        rows, cols = self.resolution
-        if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
-                   for v in (rows, cols)):
-            raise ValidationError(f"resolution {self.resolution} is not two ints >= 1")
+        _resolution(self.resolution)
         if not 0 < self.sigma < math.inf:
             raise ValidationError("sigma must be positive and finite")
 
@@ -53,11 +50,27 @@ class PIGrid:
         return self.resolution[0] * self.resolution[1]
 
 
-def _finite(pairs):
-    return [(b, d) for b, d in pairs if math.isfinite(d)]
+def _resolution(resolution) -> tuple:
+    """``(rows, cols)``: two ints >= 1, not bools, else ValidationError."""
+    try:
+        rows, cols = resolution
+    except (TypeError, ValueError):
+        rows = cols = None
+    if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
+               for v in (rows, cols)):
+        raise ValidationError(f"resolution {resolution} is not two ints >= 1")
+    return rows, cols
 
 
-def _widen(lo: float, hi: float) -> tuple:
+def _finite(pairs) -> np.ndarray:
+    """The pairs with a finite death, as rows of ``_pair_array``."""
+    arr = _pair_array(pairs)
+    return arr[np.isfinite(arr[:, 1])]
+
+
+def _widen(values: np.ndarray) -> tuple:
+    """The least and greatest of ``values``, widened slightly when equal."""
+    lo, hi = float(values.min()), float(values.max())
     if hi > lo:
         return lo, hi
     pad = max(1e-9, 0.01 * abs(lo))
@@ -72,20 +85,16 @@ def fit_pi_grid(diagrams, resolution=(2, 2), sigma: float | None = None) -> PIGr
     the collection. Degenerate ranges are widened slightly; the default
     bandwidth is half the pixel height.
     """
-    births = []
-    pers = []
-    for pairs in diagrams:
-        for b, d in _finite(pairs):
-            births.append(b)
-            pers.append(d - b)
-    if not births:
+    rows, cols = _resolution(resolution)
+    births, deaths = np.concatenate([_finite(pairs) for pairs in diagrams]
+                                    + [np.empty((0, 2))]).T
+    if not len(births):
         raise AllEmpty("no finite persistence pairs in the collection")
-    birth_range = _widen(min(births), max(births))
-    pers_range = _widen(min(pers), max(pers))
-    rows, cols = resolution
-    if sigma is None and rows >= 1:  # else PIGrid rejects the resolution
+    with np.errstate(over="ignore"):  # an inf persistence, as in floats
+        pers_range = _widen(deaths - births)
+    if sigma is None:
         sigma = 0.5 * (pers_range[1] - pers_range[0]) / rows
-    return PIGrid(birth_range=birth_range, persistence_range=pers_range,
+    return PIGrid(birth_range=_widen(births), persistence_range=pers_range,
                   resolution=(rows, cols), sigma=sigma)
 
 
@@ -97,15 +106,13 @@ def persistence_image(pairs, grid: PIGrid) -> np.ndarray:
     images.
     """
     rows, cols = grid.resolution
-    b0, b1 = grid.birth_range
-    p0, p1 = grid.persistence_range
-    xs = np.linspace(b0, b1, cols + 1)
-    ys = np.linspace(p0, p1, rows + 1)
+    p1 = grid.persistence_range[1]
+    xs = np.linspace(*grid.birth_range, cols + 1)
+    ys = np.linspace(*grid.persistence_range, rows + 1)
     s = grid.sigma * math.sqrt(2.0)
     img = np.zeros((rows, cols))
-    finite = np.array(_finite(pairs), dtype=float).reshape(-1, 2)
-    births = finite[:, 0]
-    pers = finite[:, 1] - births
+    births, deaths = _finite(pairs).T
+    pers = deaths - births
     weights = pers / p1
     kept = weights != 0.0
     births, pers, weights = births[kept], pers[kept], weights[kept]
@@ -143,23 +150,23 @@ def persistent_entropy(values, log_base: float = math.e) -> float:
     return h / math.log(log_base)
 
 
-def _eight_stats(values, log_base: float) -> list:
-    arr = np.asarray(values, dtype=float)
+def _eight_stats(arr: np.ndarray, log_base: float) -> list:
     if arr.size == 0:
         return [math.nan] * 8
     mean = float(arr.mean())
+    # Scaled into [0.5, 1) by 2**-e, the moments neither overflow nor underflow.
     centered = arr - mean
+    _, e = math.frexp(float(np.abs(centered).max()))
+    centered = np.ldexp(centered, -e)
     m2 = float(np.mean(centered ** 2))
-    std = math.sqrt(m2)
+    std = math.ldexp(math.sqrt(m2), e)
     if m2 > 0:
         skew = float(np.mean(centered ** 3)) / m2 ** 1.5
         kurt = float(np.mean(centered ** 4)) / (m2 * m2) - 3.0
     else:  # constant sample: pinned conventions
-        skew = 0.0
-        kurt = -3.0
-    q25, q50, q75 = (float(q) for q in np.percentile(arr, [25, 50, 75]))
-    entropy = persistent_entropy(values, log_base)
-    return [mean, std, skew, kurt, q25, q50, q75, entropy]
+        skew, kurt = 0.0, -3.0
+    return [mean, std, skew, kurt, *np.percentile(arr, [25, 50, 75]).tolist(),
+            persistent_entropy(arr.tolist(), log_base)]
 
 
 def persistence_stats(pairs, log_base: float = math.e) -> np.ndarray:
@@ -170,10 +177,9 @@ def persistence_stats(pairs, log_base: float = math.e) -> np.ndarray:
     are population moments, kurtosis is excess kurtosis, and percentiles use
     linear interpolation.
     """
-    finite = _finite(pairs)
-    means = [(b + d) / 2.0 for b, d in finite]
-    lengths = [d - b for b, d in finite]
-    return np.array(_eight_stats(means, log_base) + _eight_stats(lengths, log_base))
+    births, deaths = _finite(pairs).T
+    return np.array(_eight_stats((births + deaths) / 2.0, log_base)
+                    + _eight_stats(deaths - births, log_base))
 
 
 def stats_feature_vector(h0_pairs, h1_pairs, h2_pairs,
@@ -197,8 +203,9 @@ def delay_embed(series, embed_dim: int, tau: int, stride: int = 1) -> PointCloud
     vals = np.array([float(v) for v in series])
     if embed_dim not in (2, 3):
         raise ValidationError("embed_dim must be 2 or 3")
-    if tau < 1 or stride < 1:
-        raise ValidationError("tau and stride must be >= 1")
+    for name, v in (("tau", tau), ("stride", stride)):
+        if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+            raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
     span = (embed_dim - 1) * tau
     if len(vals) < span + 1:
         raise SeriesTooShort(

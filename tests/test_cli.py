@@ -220,8 +220,12 @@ def test_demo_instability_prints_the_tie_break_flag(tmp_path, capsys):
     assert not delaunay(near_cocircular_quad(0.0)).degenerate
 
 
-def test_demo_instability_rejects_large_x(capsys):
-    assert main(["demo-instability", "--x-values", "0.3"]) == 2
+def test_demo_instability_rejects_large_x(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["demo-instability", "--x-values=0.01,0.3", "-o",
+                 str(out)]) == 2
+    assert "x must be below 2 - sqrt(3)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_command_small(tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import math
 import pickle
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import delrips
+from delrips import core
 from delrips import (Filtration, FiltrationSpec, PersistenceDiagram,
                      PerturbationPairing, PointCloud, ShapeClass, add_noise,
                      bottleneck, boundary_matrix, build, delaunay, sample_shape,
@@ -345,6 +347,60 @@ def test_rejects_infinite_birth(birth):
         bottleneck([(birth, 1.0)], [(birth, 2.0)])
     with pytest.raises(ValidationError):
         bottleneck([(0.0, 1.0)], [(birth, math.inf)])
+
+
+GRID = delrips.PIGrid((0.0, 1.0), (0.0, 2.0), (2, 2), 0.5)
+PAIR_CONSUMERS = {
+    "bottleneck_x": lambda pairs: bottleneck(pairs, [(0.0, 1.0)]),
+    "bottleneck_y": lambda pairs: bottleneck([(0.0, 1.0)], pairs),
+    "from_pairs": lambda pairs: PersistenceDiagram.from_pairs({0: pairs}),
+    "fit_pi_grid": lambda pairs: delrips.fit_pi_grid([[(0.0, 1.0)], pairs]),
+    "persistence_image": lambda pairs: delrips.persistence_image(pairs, GRID),
+    "persistence_stats": delrips.persistence_stats,
+    "stats_feature_vector": lambda pairs: delrips.stats_feature_vector(
+        [(0.0, 1.0)], pairs, []),
+}
+INVALID_PAIRS = {
+    "birth_above_death": ([(0.5, 0.2)], "invalid pair: birth 0.5, death 0.2"),
+    "nan_birth": ([(math.nan, 1.0)], "invalid pair: birth nan, death 1.0"),
+    "nan_death": ([(0.0, math.nan)], "invalid pair: birth 0.0, death nan"),
+    "inf_birth": ([(math.inf, math.inf)], "invalid pair: birth inf, death inf"),
+    "minus_inf_death": ([(0.0, -math.inf)],
+                        "invalid pair: birth 0.0, death -inf"),
+    "none": ([(0.0, 1.0), (None, 1.0)], "invalid pair: birth nan, death 1.0"),
+    "three_numbers": ([(0.0, 1.0, 2.0)],
+                      "a pair is not two numbers: shape (1, 3)"),
+    "two_triples": ([(0.0, 1.0, 2.0), (3.0, 4.0, 5.0)],
+                    "a pair is not two numbers: shape (2, 3)"),
+}
+
+
+@pytest.mark.parametrize("pairs, message", INVALID_PAIRS.values(),
+                         ids=INVALID_PAIRS.keys())
+@pytest.mark.parametrize("consume", PAIR_CONSUMERS.values(),
+                         ids=PAIR_CONSUMERS.keys())
+def test_every_pair_consumer_rejects_invalid_pairs(consume, pairs, message):
+    # One check, in core._pair_array, for every function that takes raw
+    # pairs; the vectorizers used to return NaN or negative features.
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        consume(pairs)
+
+
+def test_pair_array_reads_numbers_in_one_numpy_pass():
+    assert core._pair_array([]).shape == (0, 2)
+    assert core._pair_array([(1, 2), (Fraction(1, 2), "3.5")]).tolist() == [
+        [1.0, 2.0], [0.5, 3.5]]
+    arr = core._pair_array(((-0.0, 0.0), (2 ** 60 + 1, math.inf)))
+    assert arr.dtype == np.float64 and arr.shape == (2, 2)
+    assert math.copysign(1.0, arr[0, 0]) == -1.0
+    assert arr[1].tolist() == [float(2 ** 60 + 1), math.inf]
+    assert core._pair_array(np.array([[1, 2]])).tolist() == [[1.0, 2.0]]
+    # A string is not unpacked as a pair of digits.
+    for bad in ([()], [1.0, 2.0], np.zeros(2), [(0, 10 ** 400)],
+                [(0.0, 1.0), (0.0, 1.0, 2.0)], [(0.0, 1.0), "ab"], ["12"],
+                ["12", "34"], [[(0.0, 1.0)]]):
+        with pytest.raises(ValidationError, match="a pair is not two numbers"):
+            core._pair_array(bad)
 
 
 def test_pairwise_distances_matches_math_dist():

@@ -110,6 +110,14 @@ def test_essential_classes_matched_by_birth():
     assert_valid_matching(x, y, value, m)
 
 
+def test_far_apart_essential_births_cost_inf_without_a_warning():
+    # The births' difference overflows; under the warnings-as-errors filter a
+    # numpy overflow warning would fail here.
+    value, m = bottleneck([(-1e308, math.inf)], [(1e308, math.inf)])
+    assert value == math.inf
+    assert m.matched == ((0, 0),)
+
+
 def test_unknown_convention():
     with pytest.raises(ValidationError):
         bottleneck([], [], diagonal="both")
@@ -314,7 +322,7 @@ class SearchSpy:
 def bracket(x, y, diagonal):
     """The search's first bracket: (lower bound, death-sorted matching
     cost), for diagrams without essential classes."""
-    sx, sy = (metrics._Side(d, diagonal) for d in (x, y))
+    sx, sy = (metrics._Side(core._pair_array(d), diagonal) for d in (x, y))
     return (max(metrics._lower_bound(sx, sy), metrics._lower_bound(sy, sx)),
             metrics._sorted_matching(sx, sy)[0])
 

@@ -21,6 +21,12 @@ class TestGrid:
         assert p0 < 2.0 < p1
         assert b1 - b0 > 0 and p1 - p0 > 0
 
+    def test_overflowing_persistence_is_a_degenerate_range(self):
+        # 1e308 - (-1e308) is inf, as in Python floats, with no numpy
+        # overflow warning (an error under the suite's warning filter).
+        with pytest.raises(ValidationError, match="degenerate grid ranges"):
+            fit_pi_grid([[(-1e308, 1e308)]])
+
     def test_min_max_ranges(self):
         grid = fit_pi_grid([[(0.0, 1.0)], [(1.0, 3.0)]])
         assert grid.birth_range == (0.0, 1.0)
@@ -51,7 +57,10 @@ class TestGrid:
         # The pair weights divide by the persistence range's upper end.
         with pytest.raises(ValidationError, match="persistence <= 0"):
             PIGrid((0, 1), (-1.0, 0.0), (2, 2), 0.1)
-        for resolution in ((1.5, 2), (2, 2.0), (True, 2), (2, "2")):
+        # ("a", 2) raised TypeError from fit_pi_grid's sigma guard, (2,) and
+        # None unpacking errors.
+        for resolution in ((1.5, 2), (2, 2.0), (True, 2), (2, "2"), ("a", 2),
+                           (2,), (2, 2, 2), None, (0, 2)):
             with pytest.raises(ValidationError, match="is not two ints >= 1"):
                 PIGrid((0, 1), (0, 1), resolution, 0.1)
             with pytest.raises(ValidationError, match="is not two ints >= 1"):
@@ -162,6 +171,31 @@ class TestStats:
         assert tuple(pers_block[4:7]) == (1.5, 2.0, 2.5)  # linear percentiles
 
 
+    @pytest.mark.parametrize("exponent", [-664, 532])
+    def test_extreme_scales_scale_the_unit_statistics(self, exponent):
+        # The moments used to overflow (RuntimeWarning at 1e150) or underflow
+        # to the constant-sample values (1e-200) here.
+        pairs = [(0.0, 1.0), (0.5, 3.0), (1.0, 1.5), (2.0, 4.0), (0.25, 0.5)]
+        unit = persistence_stats(pairs)
+        vec = persistence_stats([(math.ldexp(b, exponent),
+                                  math.ldexp(d, exponent)) for b, d in pairs])
+        for block in (0, 8):
+            scaled = [block + i for i in (0, 1, 4, 5, 6)]  # mean, std, q's
+            assert vec[scaled].tolist() == [math.ldexp(v, exponent)
+                                            for v in unit[scaled].tolist()]
+            # Skew and kurtosis are scale-free; entropy differs in rounding.
+            assert vec[block + 2:block + 4].tolist() == unit[
+                block + 2:block + 4].tolist()
+            assert vec[block + 7] == pytest.approx(unit[block + 7], rel=1e-12)
+        assert unit[3] != -3.0 and unit[1] > 0  # not a constant sample
+
+    def test_moments_at_1e150_and_1e_200(self):
+        for scale in (1e150, 1e-200):
+            vec = persistence_stats([(0.0, scale), (0.0, 3 * scale)])
+            assert vec[8:12].tolist() == pytest.approx(
+                [2 * scale, scale, 0.0, -2.0], rel=1e-15)
+
+
 class TestFeatureVector:
     def test_all_empty_48_nans(self):
         vec = stats_feature_vector([], [], [])
@@ -206,6 +240,14 @@ class TestDelayEmbed:
             cloud = delay_embed(list(range(length)), m, tau, stride)
             expected = (length - (m - 1) * tau - 1) // stride + 1
             assert len(cloud) == expected
+
+    @pytest.mark.parametrize("tau, stride", [
+        (1.5, 1), (1, 1.5), (True, 1), (1, False), (0, 1), (1, 0), ("2", 1)])
+    def test_tau_and_stride_are_integers_at_least_1(self, tau, stride):
+        # 1.5 raised TypeError from slicing.
+        with pytest.raises(ValidationError, match="must be an integer >= 1"):
+            delay_embed(range(20), 3, tau, stride)
+        assert len(delay_embed(range(20), 3, np.int64(2), np.int64(3))) == 6
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
