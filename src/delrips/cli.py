@@ -115,8 +115,9 @@ def _filtration_spec(args) -> FiltrationSpec:
 def _write_dimension(path, diag: PersistenceDiagram, p: int, args):
     """Write the dimension-p pairs of diag to one diagram file, with the
     command's ``--keep-zero-pairs`` and ``--precision``."""
-    write_diagram(path, PersistenceDiagram.from_pairs({p: diag.pairs(p)}),
-                  keep_zero=args.keep_zero_pairs, precision=args.precision)
+    one = PersistenceDiagram.from_pairs({p: diag._pair_rows(p)})
+    write_diagram(path, one, keep_zero=args.keep_zero_pairs,
+                  precision=args.precision)
 
 
 def cmd_generate(args) -> int:
@@ -153,8 +154,8 @@ def cmd_pd(args) -> int:
 
 
 def cmd_bottleneck(args) -> int:
-    x = read_diagram(args.diagram_a).pairs(args.dim)
-    y = read_diagram(args.diagram_b).pairs(args.dim)
+    x = read_diagram(args.diagram_a)._pair_rows(args.dim)
+    y = read_diagram(args.diagram_b)._pair_rows(args.dim)
     try:
         value, _ = bottleneck(x, y, diagonal=args.diagonal_cost)
     except InfiniteDistance:
@@ -183,9 +184,9 @@ def cmd_vectorize_pi(args) -> int:
     header = []
     columns = []
     for p, (rows, cols) in zip(dims, blocks):
-        grid = fit_pi_grid([d.pairs(p) for d in diagrams],
+        grid = fit_pi_grid([d._pair_rows(p) for d in diagrams],
                            resolution=(rows, cols), sigma=args.sigma)
-        vecs = [persistence_image(d.pairs(p), grid) for d in diagrams]
+        vecs = [persistence_image(d._pair_rows(p), grid) for d in diagrams]
         header.extend(f"pi_h{p}_r{r}_c{c}"
                       for r in range(rows) for c in range(cols))
         columns.append(vecs)
@@ -199,7 +200,7 @@ def cmd_vectorize_pi(args) -> int:
 def cmd_vectorize_stats(args) -> int:
     log_base = 2.0 if args.entropy_log == "base2" else math.e
     diagrams = [read_diagram(path) for path in args.diagrams]
-    rows = [stats_feature_vector(d.pairs(0), d.pairs(1), d.pairs(2),
+    rows = [stats_feature_vector(*(d._pair_rows(p) for p in range(3)),
                                  log_base=log_base) for d in diagrams]
     write_features_csv(args.output, stats_header(), rows, args.precision)
     print(f"wrote {len(rows)} x 48 feature matrix to {args.output}")
@@ -244,7 +245,7 @@ def cmd_demo_instability(args) -> int:
         eps = 1.01 * max(hausdorff_distance(ca, cb), 1e-12)
         same = same_triangulation(
             PerturbationPairing(source=ca, target=cb, epsilon=eps))
-        w, _ = bottleneck(da.pairs(1), db.pairs(1),
+        w, _ = bottleneck(da._pair_rows(1), db._pair_rows(1),
                           diagonal=args.diagonal_cost)
         report.append(f"{a:+g} vs {b:+g},{same},{fmt_float(w, args.precision)}")
         print(f"x={a:+g} -> x={b:+g}: same_triangulation={same}, "

@@ -8,7 +8,9 @@ is the one step that makes the canonical filtration order and
 ``boundary_csr`` the one check of it (order, duplicates, closure, face
 before coface). All types are immutable after construction.
 Every raw (birth, death) pair is read by ``_pair_array``; the one pair rule,
-``_check_pairs``, runs there and in ``PersistenceDiagram._from_arrays``.
+``_check_pairs``, runs there and in ``PersistenceDiagram._store``. A diagram's
+one form is three arrays in the canonical pair order, and its tuple views
+(``entries``, ``pairs``) are built from them when read.
 
 Every face lookup gathers facets by ``_facet_rows`` and sorts rows by
 ``_row_order``, the one row order: a stable lexsort of packed uint64 keys.
@@ -18,14 +20,15 @@ guard for sums that underflow or overflow; ``distance_blocks`` runs it over
 an n x m array in row blocks, and ``_sweep_pairs`` yields, in chunks, only
 the pairs a sorted sweep cannot rule out at a given distance, so no input
 size holds the whole array. ``_blocks`` cuts rows into those chunks of
-about ``_BLOCK`` entries, for them and for the bottleneck search.
+about ``_BLOCK`` entries, for them, for the bottleneck search and for the
+persistence-image sums.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
@@ -36,7 +39,7 @@ from .errors import InvalidFiltration, UnsortedFiltration, ValidationError
 INF = math.inf
 _FLOAT_MIN = sys.float_info.min
 # Entries per chunk of ``_blocks``: bounds the temporaries of every blocked
-# computation (distance arrays, sweep pairs, bottleneck bands).
+# computation (distance arrays, sweep pairs, bottleneck bands, image terms).
 _BLOCK = 1 << 16
 # Relative widening of a sweep window (see ``_sweep_pairs``).
 _SWEEP_SLACK = 2.0 ** -20
@@ -158,7 +161,20 @@ def _row_tuples(rows: np.ndarray) -> np.ndarray:
     return np.fromiter(zip(*columns), dtype=object, count=len(rows))
 
 
-class Filtration:
+class _Frozen:
+    """Refuses attribute assignment and deletion, as a frozen dataclass
+    does; the constructors set their slots with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Filtration(_Frozen):
     """Simplices with monotone scales, capped at dimension ``max_dim``.
 
     ``max_dim``, an int >= 0, records the cap the builder used (simplices
@@ -243,12 +259,6 @@ class Filtration:
             entries = tuple(zip(verts.tolist(), _shared_floats(scales)))
             object.__setattr__(self, "_entries", entries)
         return self._entries
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Filtration, (self.entries, self.max_dim)
@@ -462,15 +472,28 @@ def _pair_array(pairs) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class PersistenceDiagram:
+class PersistenceDiagram(_Frozen):
     """Multiset of (birth, death) pairs per homology dimension.
 
     Deaths may be ``math.inf`` for essential classes. Zero-persistence pairs
     (birth == death) are retained; use ``drop_zero`` for the filtered view.
+
+    Its one form is three read-only arrays in canonical order: ``dims``
+    (int64), ``births`` and ``deaths`` (float64). ``_from_arrays``,
+    ``from_pairs`` and ``PersistenceDiagram(entries)`` all end in ``_store``,
+    the one check and order. ``entries``, the ``((dim, birth, death), ...)``
+    view of Python ints and floats, is built on first access and cached;
+    ``pairs(dim)`` builds its tuples on each call. Diagrams compare by value
+    (-0.0 equals 0.0).
     """
 
-    entries: tuple = field(default=())  # ((dim, birth, death), ...), canonical order
+    __slots__ = ("dims", "births", "deaths", "_entries")
+
+    def __init__(self, entries=()):
+        entries = list(entries)
+        rows = _pair_array([(birth, death) for _, birth, death in entries])
+        dims = np.array([int(dim) for dim, _, _ in entries], dtype=np.int64)
+        self._store(dims, rows[:, 0], rows[:, 1])
 
     @classmethod
     def from_pairs(cls, pairs_by_dim: Mapping[int, Iterable]) -> "PersistenceDiagram":
@@ -483,30 +506,67 @@ class PersistenceDiagram:
     @classmethod
     def _from_arrays(cls, dims: np.ndarray, births: np.ndarray,
                      deaths: np.ndarray) -> "PersistenceDiagram":
-        """The diagram of the rows ``(dims[r], births[r], deaths[r])``:
-        ``_check_pairs`` on every row, whose first failing row raises, then
-        the rows in ``_row_order``, which is stable, so rows that
-        compare equal (0.0 and -0.0 births, say) keep their given order. A
-        death with its birth's bits shares its birth's float object."""
+        """The diagram of the rows ``(dims[r], births[r], deaths[r])``."""
+        diag = cls.__new__(cls)
+        diag._store(dims, births, deaths)
+        return diag
+
+    def _store(self, dims, births, deaths) -> None:
+        """``_check_pairs`` on every row, whose first failing row raises,
+        then store the rows in ``_row_order``, which is stable, so rows that
+        compare equal (0.0 and -0.0 births, say) keep their given order."""
         _check_pairs(births, deaths)
         order, _ = _row_order(np.column_stack(
             [dims, _float_keys(births), _float_keys(deaths)]))
-        births, deaths = births[order], deaths[order]
-        tied = births.view(np.int64) == deaths.view(np.int64)
-        births, deaths = births.astype(object), deaths.astype(object)
-        deaths[tied] = births[tied]
-        return cls(entries=tuple(zip(dims[order].tolist(), births.tolist(),
-                                     deaths.tolist())))
+        for name, values, dtype in (("dims", dims, np.int64),
+                                    ("births", births, float),
+                                    ("deaths", deaths, float)):
+            values = np.asarray(values, dtype=dtype)[order]
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "_entries", None)
+
+    @property
+    def entries(self) -> tuple:
+        """``((dim, birth, death), ...)`` in canonical order."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(zip(
+                self.dims.tolist(), self.births.tolist(), self.deaths.tolist())))
+        return self._entries
+
+    def _pair_rows(self, dim: int) -> np.ndarray:
+        """The (birth, death) pairs of dimension ``dim`` as a (k, 2) array."""
+        keep = self.dims == dim
+        return np.column_stack([self.births[keep], self.deaths[keep]])
 
     def pairs(self, dim: int) -> tuple:
-        return tuple((b, d) for p, b, d in self.entries if p == dim)
+        births, deaths = self._pair_rows(dim).T.tolist()
+        return tuple(zip(births, deaths))
 
     def drop_zero(self) -> "PersistenceDiagram":
-        return PersistenceDiagram(
-            entries=tuple(e for e in self.entries if e[1] != e[2]))
+        keep = self.births != self.deaths
+        return PersistenceDiagram._from_arrays(
+            self.dims[keep], self.births[keep], self.deaths[keep])
+
+    def __reduce__(self):
+        return PersistenceDiagram, (self.entries,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.dims, other.dims)
+                and np.array_equal(self.births, other.births)
+                and np.array_equal(self.deaths, other.deaths))
+
+    def __hash__(self):
+        return hash((self.dims.tobytes(), (self.births + 0.0).tobytes(),
+                     (self.deaths + 0.0).tobytes()))
+
+    def __repr__(self):
+        return f"PersistenceDiagram(entries={self.entries!r})"
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.dims)
 
 
 def distances(a, b) -> np.ndarray:

@@ -104,13 +104,14 @@ def write_diagram(path, diag: PersistenceDiagram, keep_zero: bool = False,
     if not keep_zero:
         diag = diag.drop_zero()
     path = Path(path)
+    rows = zip(diag.dims.tolist(), diag.births.tolist(), diag.deaths.tolist())
     if path.suffix.lower() == ".json":
         rows = [[dim, birth, None if math.isinf(death) else death]
-                for dim, birth, death in diag.entries]
+                for dim, birth, death in rows]
         path.write_text(json.dumps(rows) + "\n")
         return
     lines = [f"{dim},{fmt_float(birth, precision)},{fmt_float(death, precision)}"
-             for dim, birth, death in diag.entries]
+             for dim, birth, death in rows]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -3,9 +3,13 @@
 Persistence images live in (birth, persistence) coordinates: each finite
 pair contributes an isotropic Gaussian scaled by a linear persistence weight
 that vanishes at zero persistence, and each pixel stores the exact integral
-of that sum over its rectangle (separable erf form). Persistence statistics
-summarize the multisets of pair means and pair persistences with eight
-descriptive statistics each. ``core._pair_array`` reads every pair.
+of that sum over its rectangle (separable erf form). ``math.erf`` runs once
+per distinct argument, and the pairs' terms are formed in ``core._blocks``
+chunks, each summed with the image so far in one order-preserving pass, so
+every pixel adds its terms in pair order, as a loop over the pairs would.
+Persistence statistics summarize the multisets of pair means and pair
+persistences with eight descriptive statistics each. ``core._pair_array``
+reads every pair.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import PointCloud, _pair_array
+from .core import PointCloud, _blocks, _pair_array
 from .errors import AllEmpty, SeriesTooShort, ValidationError
 
 STAT_NAMES = ("mean", "std", "skew", "kurtosis", "q25", "q50", "q75", "entropy")
@@ -62,10 +66,24 @@ def _resolution(resolution) -> tuple:
     return rows, cols
 
 
-def _finite(pairs) -> np.ndarray:
+def _finite_rows(pairs) -> np.ndarray:
     """The pairs with a finite death, as rows of ``_pair_array``."""
     arr = _pair_array(pairs)
     return arr[np.isfinite(arr[:, 1])]
+
+
+def _finite(pairs) -> tuple:
+    """Births, deaths and persistences (death - birth) of the pairs with a
+    finite death; ValidationError when a persistence overflows."""
+    births, deaths = _finite_rows(pairs).T
+    with np.errstate(over="ignore"):
+        pers = deaths - births
+    bad = np.flatnonzero(np.isinf(pers))
+    if len(bad):
+        raise ValidationError(
+            f"persistence of pair ({float(births[bad[0]])}, "
+            f"{float(deaths[bad[0]])}) overflows")
+    return births, deaths, pers
 
 
 def _widen(values: np.ndarray) -> tuple:
@@ -86,7 +104,7 @@ def fit_pi_grid(diagrams, resolution=(2, 2), sigma: float | None = None) -> PIGr
     bandwidth is half the pixel height.
     """
     rows, cols = _resolution(resolution)
-    births, deaths = np.concatenate([_finite(pairs) for pairs in diagrams]
+    births, deaths = np.concatenate([_finite_rows(pairs) for pairs in diagrams]
                                     + [np.empty((0, 2))]).T
     if not len(births):
         raise AllEmpty("no finite persistence pairs in the collection")
@@ -96,6 +114,17 @@ def fit_pi_grid(diagrams, resolution=(2, 2), sigma: float | None = None) -> PIGr
         sigma = 0.5 * (pers_range[1] - pers_range[0]) / rows
     return PIGrid(birth_range=_widen(births), persistence_range=pers_range,
                   resolution=(rows, cols), sigma=sigma)
+
+
+def _cell_masses(centres: np.ndarray, edges: np.ndarray, s: float) -> tuple:
+    """The Gaussian mass of each cell between consecutive ``edges``,
+    differences of 0.5 * (1 + erf((edge - centre) / s)), for each distinct
+    centre, and each centre's row. Centres are told apart by their bits, so
+    0.0 and -0.0 keep their own rows."""
+    values, row = np.unique(centres.view(np.int64), return_inverse=True)
+    args = (edges - values.view(float)[:, None]) / s
+    erf = np.fromiter(map(math.erf, args.ravel().tolist()), float, args.size)
+    return np.diff(0.5 * (1.0 + erf.reshape(args.shape)), axis=1), row
 
 
 def persistence_image(pairs, grid: PIGrid) -> np.ndarray:
@@ -110,22 +139,24 @@ def persistence_image(pairs, grid: PIGrid) -> np.ndarray:
     xs = np.linspace(*grid.birth_range, cols + 1)
     ys = np.linspace(*grid.persistence_range, rows + 1)
     s = grid.sigma * math.sqrt(2.0)
-    img = np.zeros((rows, cols))
-    births, deaths = _finite(pairs).T
-    pers = deaths - births
+    births, _, pers = _finite(pairs)
     weights = pers / p1
     kept = weights != 0.0
     births, pers, weights = births[kept], pers[kept], weights[kept]
-    # Every erf argument of every pair, then one flat pass of math.erf.
-    args = np.concatenate([((xs - births[:, None]) / s).reshape(-1),
-                           ((ys - pers[:, None]) / s).reshape(-1)])
-    erf = np.array(list(map(math.erf, args.tolist())))
-    split = len(births) * (cols + 1)
-    dcx = np.diff(0.5 * (1.0 + erf[:split].reshape(-1, cols + 1)), axis=1)
-    dcy = np.diff(0.5 * (1.0 + erf[split:].reshape(-1, rows + 1)), axis=1)
-    for w, cy, cx in zip(weights.tolist(), dcy, dcx):
-        img += w * np.outer(cy, cx)
-    return img.reshape(-1)
+    cx, bx = _cell_masses(births, xs, s)
+    cy, by = _cell_masses(pers, ys, s)
+    size = rows * cols
+    # np.add.reduce adds along axis 0 in order only while that axis is not
+    # the fastest-varying one (along that one numpy sums pairwise), so a
+    # one-pixel image gets a spare column.
+    img = np.zeros(max(size, 2))
+    for chunk in _blocks(np.full(len(weights), size)):
+        terms = np.zeros((chunk.stop - chunk.start + 1, len(img)))
+        terms[0] = img
+        terms[1:, :size] = (cy[by[chunk], :, None] * cx[bx[chunk], None, :]
+                            ).reshape(-1, size) * weights[chunk, None]
+        img = np.add.reduce(terms, axis=0)
+    return img[:size]
 
 
 def persistent_entropy(values, log_base: float = math.e) -> float:
@@ -177,9 +208,9 @@ def persistence_stats(pairs, log_base: float = math.e) -> np.ndarray:
     are population moments, kurtosis is excess kurtosis, and percentiles use
     linear interpolation.
     """
-    births, deaths = _finite(pairs).T
+    births, deaths, pers = _finite(pairs)
     return np.array(_eight_stats((births + deaths) / 2.0, log_base)
-                    + _eight_stats(deaths - births, log_base))
+                    + _eight_stats(pers, log_base))
 
 
 def stats_feature_vector(h0_pairs, h1_pairs, h2_pairs,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -386,3 +387,51 @@ def test_pd_alpha_at_huge_scale(tmp_path):
         for (b, d), (ub, ud) in zip(huge, unit):
             assert b == pytest.approx(ub * 2.0 ** 532, rel=1e-9)
             assert d == pytest.approx(ud * 2.0 ** 532, rel=1e-9)
+
+
+# SHA-256 of the files below as written before diagrams were held as arrays
+# and persistence images accumulated in blocks: 200-point noisy spheres of
+# seeds 7 and 8, every number written with 17 decimals.
+GOLDEN_SHA256 = {
+    "s7_h0.csv": "1597614e96908ef0b3b0f4d21385601cdd24494ffb4fac36628b1f1bfdf000f6",
+    "s7_h1.csv": "e03ffb5b580f60dd553d9fcad5fadb14b3fca94ddfd906e5038d97dc23599c0a",
+    "s7_h2.csv": "b881622560f0a7b0fb197a53f6c73573375aeaa87fef177455652a39d50cd5e6",
+    "s8_h0.csv": "e55c2d441903ed728163797841a3bc3fa3d0f12e595a9b761675438615d3976f",
+    "s8_h1.csv": "e6344bd8be4bb855c7710cfa0410d2135fc2400f2452abb7bf22d6fbe5142fe4",
+    "s8_h2.csv": "0b701f08f3469dd90479158c493c33f6a8a38ef6028b4834fb22850a67cfdd02",
+    "pi.csv": "d51a871f183faadd8380583e21ef0faf19e7964e8865390a8be7298b1d02990c",
+    "stats.csv": "1057659790e34fffe4fa002ada4af7fea5b071123f48455b35cb28fa2fc6a180",
+    "bottleneck": "6fa5a828ff0670d3b9031beb314552f5639d068593c0aa3a5ba98cd522dde701",
+}
+
+
+def golden_outputs(tmp_path, capsys) -> dict:
+    """Run ``pd``, ``vectorize pi``, ``vectorize stats`` and ``bottleneck``
+    on two fixed noisy spheres; the SHA-256 of each output, by name."""
+    prec = ["--precision", "17"]
+    diagrams = []
+    for seed in (7, 8):
+        cloud = tmp_path / f"s{seed}.csv"
+        assert main(["generate", "--shape", "sphere", "--n", "200", "--noise",
+                     "0.1", "--seed", str(seed), "-o", str(cloud)] + prec) == 0
+        assert main(["pd", "--method", "dr", "--maxdim", "2", str(cloud),
+                     "-o", str(tmp_path / "pd")] + prec) == 0
+        diagrams += [tmp_path / "pd" / f"s{seed}_h{p}.csv" for p in range(3)]
+    names = [str(d) for d in diagrams]
+    assert main(["vectorize", "pi", *names, "--resolution", "20x20",
+                 "-o", str(tmp_path / "pi.csv")] + prec) == 0
+    assert main(["vectorize", "stats", *names,
+                 "-o", str(tmp_path / "stats.csv")] + prec) == 0
+    capsys.readouterr()
+    for p in range(3):
+        assert main(["bottleneck", names[p], names[3 + p], "--dim", str(p)]
+                    + prec) == 0
+    out = {path.name: path.read_bytes() for path in diagrams}
+    out["pi.csv"] = (tmp_path / "pi.csv").read_bytes()
+    out["stats.csv"] = (tmp_path / "stats.csv").read_bytes()
+    out["bottleneck"] = capsys.readouterr().out.encode()
+    return {name: hashlib.sha256(data).hexdigest() for name, data in out.items()}
+
+
+def test_cli_outputs_keep_their_bytes(tmp_path, capsys):
+    assert golden_outputs(tmp_path, capsys) == GOLDEN_SHA256

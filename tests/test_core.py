@@ -337,6 +337,44 @@ def test_diagram_pairs_and_views():
         PersistenceDiagram.from_pairs({0: [(1.0, 0.5)]})
 
 
+def test_diagram_holds_arrays_and_builds_tuple_views():
+    pairs = {1: [(0.5, 2.0), (0.25, 0.25)], 0: [(0.0, 1.0), (-0.0, math.inf)]}
+    diag = PersistenceDiagram.from_pairs(pairs)
+    assert diag.dims.tolist() == [0, 0, 1, 1]
+    assert diag.births.dtype == diag.deaths.dtype == np.float64
+    assert not (diag.dims.flags.writeable or diag.births.flags.writeable
+                or diag.deaths.flags.writeable)
+    with pytest.raises(AttributeError):
+        diag.births = np.zeros(4)
+    assert diag.entries == ((0, 0.0, 1.0), (0, -0.0, math.inf),
+                            (1, 0.25, 0.25), (1, 0.5, 2.0))
+    assert math.copysign(1.0, diag.entries[1][1]) == -1.0
+    assert diag.entries is diag.entries  # built once, then kept
+    assert diag.pairs(1) == ((0.25, 0.25), (0.5, 2.0))
+    assert diag.pairs(2) == ()
+    for dim, birth, death in diag.entries:
+        assert (type(dim), type(birth), type(death)) == (int, float, float)
+    assert all(type(v) is float for pair in diag.pairs(0) for v in pair)
+    # -0.0 equals 0.0, in == and in hash, as for Python floats.
+    other = PersistenceDiagram.from_pairs(
+        {0: [(0.0, math.inf), (-0.0, 1.0)], 1: [(0.5, 2.0), (0.25, 0.25)]})
+    assert diag == other and hash(diag) == hash(other)
+    assert diag != PersistenceDiagram.from_pairs({0: [(0.0, 1.0)]})
+    assert diag != diag.entries
+    # The entries constructor and pickling give back an equal diagram.
+    assert PersistenceDiagram(diag.entries) == diag
+    assert PersistenceDiagram(entries=reversed(diag.entries)) == diag
+    assert PersistenceDiagram() == PersistenceDiagram.from_pairs({})
+    again = pickle.loads(pickle.dumps(diag))
+    assert again == diag and again.entries == diag.entries
+    assert repr(diag.drop_zero()) == (
+        "PersistenceDiagram(entries=((0, 0.0, 1.0), (0, -0.0, inf), "
+        "(1, 0.5, 2.0)))")
+    assert len(diag) == 4 and len(diag.drop_zero()) == 3
+    with pytest.raises(ValidationError, match="invalid pair"):
+        PersistenceDiagram([(0, 1.0, 0.5)])
+
+
 @pytest.mark.parametrize("birth", [-math.inf, math.inf])
 def test_rejects_infinite_birth(birth):
     # Deaths may be inf (essential classes), births may not: the bottleneck

@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from delrips import (FiltrationSpec, build_delaunay_rips, compute_diagram,
-                     delay_embed, fit_pi_grid, near_cocircular_quad,
-                     persistence_image, persistence_stats, persistent_entropy,
-                     stats_feature_vector)
+from delrips import (FiltrationSpec, ShapeClass, add_noise, build_delaunay_rips,
+                     compute_diagram, core, delay_embed, fit_pi_grid,
+                     near_cocircular_quad, persistence_image, persistence_stats,
+                     persistent_entropy, sample_shape, stats_feature_vector)
 from delrips.errors import AllEmpty, SeriesTooShort, ValidationError
 from delrips.vectorize import PIGrid, stats_header
 from naive_oracle import persistence_image_loop, quadrature_pi
@@ -256,15 +257,61 @@ class TestDelayEmbed:
             delay_embed(list(range(30)), embed_dim=4, tau=1)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_persistence_image_bit_identical_to_pair_loop(seed):
+def random_pairs(seed):
+    """Pairs with some zero persistences, one essential class, and a grid
+    resolution, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(0, 300))
     births = rng.uniform(-1.0, 2.0, n)
     pers = rng.exponential(0.5, n) * (rng.random(n) > 0.2)  # some zero pairs
     pairs = list(zip(births.tolist(), (births + pers).tolist()))
     pairs += [(0.0, math.inf)] + [(1.0, 2.5)]
-    resolution = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+    return pairs, (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+
+
+def sphere_pairs(dim):
+    """The dimension-``dim`` pairs of a 300-point noisy sphere."""
+    cloud = add_noise(sample_shape(ShapeClass(kind="sphere"), 300, 5), 0.1, 6)
+    spec = FiltrationSpec(method="delaunay_rips", max_hom_dim=2)
+    return compute_diagram(build_delaunay_rips(cloud, spec)).pairs(dim)
+
+
+# Pairs per ``core._blocks`` chunk on a 20 x 20 grid.
+CHUNK = core._BLOCK // 400
+STEPS = np.linspace(0.01, 3.0, 2 * CHUNK + 5).tolist()
+IMAGE_CASES = {
+    **{str(seed): lambda seed=seed: random_pairs(seed) for seed in range(6)},
+    "one_pixel": lambda: (random_pairs(0)[0], (1, 1)),
+    "equal_births": lambda: ([(0.25, 0.25 + p) for p in STEPS], (20, 20)),
+    "signed_zeros": lambda: (
+        [(b, b + p) for b in (0.0, -0.0) for p in (0.0, -0.0, 0.5, 1.0)]
+        + [(-1.0, -0.0), (-1.0, 0.0), (-0.5, 0.0), (-0.5, -0.0)], (20, 20)),
+    **{f"chunk{k:+d}": lambda k=k: ([(p, 2.0 * p) for p in STEPS[:CHUNK + k]],
+                                    (20, 20))
+       for k in (-1, 0, 1)},
+    "zero_persistence_only": lambda: (
+        [(0.5, 0.5), (1.0, 1.0), (-0.0, 0.0)], (20, 20)),
+    **{f"sphere_h{dim}": lambda dim=dim: (sphere_pairs(dim), (20, 20))
+       for dim in range(3)},
+}
+
+
+@pytest.mark.parametrize("case", IMAGE_CASES.values(), ids=IMAGE_CASES.keys())
+def test_persistence_image_bit_identical_to_pair_loop(case):
+    pairs, resolution = case()
     grid = fit_pi_grid([pairs], resolution)
     assert (persistence_image(pairs, grid).tobytes()
             == persistence_image_loop(pairs, grid).tobytes())
+
+
+@pytest.mark.parametrize("consume", [
+    lambda: persistence_stats([(-1e308, 1e308), (0, 1)]),
+    lambda: persistence_image([(-1e308, 1e308)],
+                              PIGrid((0.0, 1.0), (0.0, 1.0), (2, 2), 0.5)),
+])
+def test_overflowing_persistence_is_rejected(consume):
+    # The persistence 1e308 - (-1e308) used to overflow with a numpy
+    # RuntimeWarning (an error under the suite's warning filter).
+    with pytest.raises(ValidationError, match=re.escape(
+            "persistence of pair (-1e+308, 1e+308) overflows")):
+        consume()
