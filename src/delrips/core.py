@@ -15,8 +15,8 @@ one form is three arrays in the canonical pair order, and its tuple views
 Every face lookup gathers facets by ``_facet_rows`` and sorts rows by
 ``_row_order``, the one row order: a stable lexsort of packed uint64 keys.
 
-``distances`` is the one point-distance formula, with a ``math.hypot``
-guard for sums that underflow or overflow; ``distance_blocks`` runs it over
+``distances`` is the one point-distance formula, exact under scaling by a
+power of two (see there); ``distance_blocks`` runs it over
 an n x m array in row blocks, and ``_sweep_pairs`` yields, in chunks, only
 the pairs a sorted sweep cannot rule out at a given distance, so no input
 size holds the whole array. ``_blocks`` cuts rows into those chunks of
@@ -575,19 +575,25 @@ def distances(a, b) -> np.ndarray:
     summed in coordinate order, elementwise. Every point distance in the
     package comes from here, so a pair always gets the same bits.
 
-    Entries whose sum underflows below the smallest normal float
-    (coordinates near 1e-200) or overflows to inf (coordinates near 1e160)
-    are recomputed by ``math.hypot``, scaled by the largest difference;
-    identical points still get 0.0.
+    A row whose sum is not a normal float (coordinates near 1e-200 or 1e160)
+    is summed again on its differences times 2**-e, e the exponent of the
+    largest, and its root scaled back, so scaling a cloud by 2**p scales
+    each value by 2**p bit for bit (barring subnormal terms in a normal sum).
     """
-    diff = np.subtract(a, b, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
-        s = sum(diff[..., k] * diff[..., k] for k in range(diff.shape[-1]))
-        out = np.sqrt(s, out=np.empty(np.shape(s)))
+        diff = np.subtract(a, b, dtype=float)
+        out, s = _norms(diff)
         bad = ~((s >= _FLOAT_MIN) & (s < INF))
-    if bad.any():
-        out[bad] = [math.hypot(*v) for v in diff[bad].tolist()]
+        if bad.any():
+            e = np.frexp(np.abs(diff[bad]).max(axis=-1))[1]
+            out[bad] = np.ldexp(_norms(np.ldexp(diff[bad], -e[:, None]))[0], e)
     return out
+
+
+def _norms(diff) -> tuple:
+    """sqrt of the sum of squares along the last axis, in order, and the sum."""
+    s = sum(diff[..., k] * diff[..., k] for k in range(diff.shape[-1]))
+    return np.sqrt(s, out=np.empty(np.shape(s))), s
 
 
 def distance_blocks(a: np.ndarray, b: np.ndarray):
@@ -630,11 +636,11 @@ def _sweep_pairs(a: np.ndarray, b: np.ndarray, r: float):
     ``searchsorted``, the rows of b whose coordinate there lies within its
     window: r widened by ``_SWEEP_SLACK`` and by two ulps of the row's own
     coordinate. A pair outside the window is at least r apart on that axis
-    alone, and ``distances`` never rounds a pair below its largest
-    coordinate difference (rounding is monotone, sqrt(fl(x * x)) = |x| and
-    ``math.hypot`` is at least each argument); the widening is a margin
-    over those roundings. The axis is the one whose windows hold the
-    fewest pairs, counted before any distance is computed.
+    alone. ``distances`` gives a scaled row at least its largest difference
+    (sqrt(fl(m * m)) = |m| and rounding is monotone), and an unscaled row's
+    roundings are relative; the widening is a margin over them. The axis is
+    the one whose windows hold the fewest pairs, counted before any distance
+    is computed.
     """
     best = None
     for k in range(a.shape[1]):

@@ -49,10 +49,11 @@ signs come from ``certificate``, one numpy filter pass per batch with exact
 fallbacks; a cospherical facet (sign 0) sets ``degenerate``, and a failed
 check raises ``CertificateError``, also under ``python -O``.
 
-The predicates run on the coordinates scaled by a power of two that brings
-the largest one near 1. The scaling is exact, so every sign is unchanged,
-and it keeps the float filter away from underflow and overflow at extreme
-scales, where it would fall back to exact arithmetic on every call.
+The insertion loop and ``certificate`` run on the coordinates scaled by a
+power of two that brings the largest one near 1 (``predicates._scaled``).
+The scaling is exact, so every sign is unchanged, and it keeps the float
+filter away from underflow and overflow at extreme scales, where it would
+fall back to exact arithmetic on every call.
 
 The insertion loop's orientation and in-ball tests come from
 ``predicates._cloud_predicates``, which gives each test three tiers. The
@@ -77,8 +78,6 @@ take the points themselves.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,8 +86,8 @@ import numpy as np
 from .core import PointCloud, _facet_rows, _row_order
 from .errors import (AffinelyDegenerateInput, CertificateError,
                      DuplicatePoints, TooFewPoints)
-from .predicates import (_cloud_predicates, collinear3d, inball_signs,
-                         orient_signs)
+from .predicates import (_cloud_predicates, _scaled, collinear3d,
+                         inball_signs, orient_signs)
 
 GHOST = -1
 # Tests per numpy filter pass: bounds the filter's temporaries.
@@ -377,10 +376,10 @@ def certificate(points, simplices, facets) -> tuple:
     pair the exact in-ball sign of point q against simplex i times that
     simplex's orientation sign, which is positive iff q lies strictly inside
     the circumball (the facet is not locally Delaunay) and 0 when q is on it
-    or the simplex is flat. Runs the float filter in batches of ``_BATCH``
-    tests, with the exact predicates where it cannot certify.
+    or the simplex is flat. Runs the float filter on the ``_scaled`` points
+    in batches of ``_BATCH`` tests, and the exact predicates where it fails.
     """
-    coords = np.asarray(points, dtype=float)
+    coords = _scaled(np.asarray(points, dtype=float))
     verts = np.asarray(simplices, dtype=np.int64)
     orient = np.zeros(len(verts), dtype=np.int64)
     for k in range(0, len(verts), _BATCH):
@@ -411,24 +410,6 @@ def _certify(points, simplices) -> tuple:
         raise CertificateError(
             f"{int((inball > 0).sum())} interior facets are not locally Delaunay")
     return tops, incidence, bool((inball == 0).any())
-
-
-def scale_exponent(points) -> int:
-    """The binary exponent e of the largest |coordinate|, or 0 when scaling
-    by 2**-e would make some nonzero coordinate subnormal: only an exact
-    scaling keeps every sign (and every ratio)."""
-    a = np.asarray(points, dtype=float)
-    mags = np.abs(a[a != 0.0])
-    if not len(mags):
-        return 0
-    e = math.frexp(float(mags.max()))[1]
-    return 0 if math.ldexp(float(mags.min()), -e) < sys.float_info.min else e
-
-
-def _scaled(points) -> np.ndarray:
-    """The rows of an (n, d) float array times 2**-scale_exponent(points):
-    exact and one-to-one, so every predicate sign is unchanged."""
-    return np.ldexp(points, -scale_exponent(points))
 
 
 def _prescaled(points) -> tuple:
@@ -499,7 +480,7 @@ def delaunay(cloud: PointCloud) -> DelaunayComplex:
 
     real = [vs for vs in tri.verts if vs is not None and GHOST not in vs]
     del tri  # free the slots before the certificate builds its incidence
-    tops, incidence, degenerate = _certify(scaled, real)
+    tops, incidence, degenerate = _certify(cloud.points, real)
     dc = DelaunayComplex(cloud, degenerate)
     dc._cache.update({dim: (tops,), dim - 1: incidence})
     return dc

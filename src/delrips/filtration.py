@@ -30,7 +30,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .core import Filtration, PointCloud, _blocks, distance_blocks, distances
-from .delaunay import delaunay, scale_exponent
+from .delaunay import delaunay
 from .errors import DuplicatePoints, ValidationError
 from .predicates import circumdiameters, diametral_signs
 
@@ -163,14 +163,10 @@ def _alpha_scales(dc, cap):
     test per incidence. An attached face takes the coface minimum, any other
     face its circumdiameter capped at that minimum (rounding can put it
     above). Edges take their ``distances`` length, triangles and tetrahedra
-    their ``circumdiameters``. All of it runs on the points scaled by the
-    exact power of two ``scale_exponent`` gives, and the values are scaled
-    back, so extreme scales neither overflow nor underflow and ordinary ones
-    give the same bits.
+    their ``circumdiameters``. Each of these kernels scales its own inputs
+    by a power of two, so extreme scales neither overflow nor underflow.
     """
-    d = dc.cloud.dim
-    e = scale_exponent(dc.cloud.points)
-    pts = np.ldexp(dc.cloud.points, -e)
+    d, pts = dc.cloud.dim, dc.cloud.points
     value = [np.zeros(len(dc.faces(0))), distances(*pts[dc.faces(1).T])]
     value += [circumdiameters(pts[dc.faces(k)]) for k in range(2, d + 1)]
     for k in range(d - 1, 0, -1):
@@ -180,7 +176,7 @@ def _alpha_scales(dc, cap):
         inside = diametral_signs(pts[dc.faces(k)[facet_row]], pts[opposite]) > 0
         attached = np.bincount(facet_row[inside], minlength=len(low)) > 0
         value[k] = np.where(attached, low, np.minimum(value[k], low))
-    return np.ldexp(np.concatenate(value[:cap + 1]), e)
+    return np.concatenate(value[:cap + 1])
 
 
 def build_alpha(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:

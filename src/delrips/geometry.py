@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (PointCloud, _blocks, _sweep_pairs, distance_blocks,
                    distances)
-from .delaunay import _scaled, certificate, delaunay, interior_facets
+from .delaunay import certificate, delaunay, interior_facets
 from .errors import (DimensionMismatch, EmptyCloud, EpsilonTooLarge,
                      GeometryError, ValidationError)
 
@@ -152,10 +152,8 @@ def _pairs_outside(simplices, queries) -> np.ndarray:
     return np.stack([i[keep], q[keep]], axis=1)
 
 
-def _local_witness(pair: PerturbationPairing, src, tgt) -> bool:
-    """Whether a simplex proves that the Delaunay triangulation changed; the
-    certificates read ``src`` and ``tgt``, the source and target points
-    scaled by ``delaunay._scaled``.
+def _local_witness(pair: PerturbationPairing) -> bool:
+    """Whether a simplex proves that the Delaunay triangulation changed.
 
     A simplex with nonzero orientation and every other point strictly
     outside its circumball is in every Delaunay triangulation of the cloud;
@@ -174,11 +172,11 @@ def _local_witness(pair: PerturbationPairing, src, tgt) -> bool:
     pairs a simplex with its own vertex, whose zero sign would take the
     exact stage. Skipped on clouds of at most 2 * ``_NEIGHBOURS`` points.
     """
-    a = pair.source.points
+    a, b = pair.source.points, pair.target.points
     n, dim = a.shape
     if n <= 2 * _NEIGHBOURS:
         return False
-    moved = distances(a, pair.target.points)
+    moved = distances(a, b)
     for v in np.argsort(-moved, kind="stable")[:_SEEDS]:
         nearest = np.argsort(distances(a[v], a), kind="stable")
         near = np.sort(nearest[:_NEIGHBOURS + 1])
@@ -188,14 +186,14 @@ def _local_witness(pair: PerturbationPairing, src, tgt) -> bool:
             continue
         cand = near[local.faces(dim)]
         facets = _pairs_outside(cand, near)
-        _, inball = certificate(tgt, cand, facets)
+        _, inball = certificate(b, cand, facets)
         cand = cand[np.unique(facets[inball > 0, 0])]
         # A flat candidate gets sign 0 against every other point, so no
         # candidate with a zero source orientation passes.
         for rows in _blocks(np.full(len(cand), n)):
             part = cand[rows]
             facets = _pairs_outside(part, np.arange(n))
-            _, inball = certificate(src, part, facets)
+            _, inball = certificate(a, part, facets)
             inside = np.bincount(facets[inball >= 0, 0], minlength=len(part))
             if (inside == 0).any():
                 return True
@@ -217,18 +215,14 @@ def same_triangulation(pair: PerturbationPairing) -> bool:
     triangulation of the target: the answer is False. Else the top
     simplices are compared with ``delaunay(target)``'s; a full-dimensional
     triangulation's d-simplices fix all its faces. So the answer, errors
-    included, is exactly the two-triangulation comparison. Each certificate
-    runs on each cloud scaled by its ``delaunay.scale_exponent``, which
-    changes no sign, so clouds near 2**-664 or 2**532 do not take the
-    exact stage on every test.
+    included, is exactly the two-triangulation comparison.
     """
-    a, b = _scaled(pair.source.points), _scaled(pair.target.points)
-    if _local_witness(pair, a, b):
+    if _local_witness(pair):
         return False
     src = delaunay(pair.source)
     tops = src.faces(pair.source.dim)
     facets = interior_facets(src._cofaces(pair.source.dim - 1))
-    _, inball = certificate(b, tops, facets)
+    _, inball = certificate(pair.target.points, tops, facets)
     if (inball > 0).any():
         return False
     return np.array_equal(tops, delaunay(pair.target).faces(pair.source.dim))

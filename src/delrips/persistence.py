@@ -103,22 +103,24 @@ def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
                           scale_array=filt._arrays[2])
 
 
-def _sym_diff(a, b) -> list:
-    """Z2 sum of two strictly increasing index sequences: a list copy of the
-    longer one, with each entry of the shorter deleted or inserted at its
-    bisection point (a column addition mostly pairs a long column with a
-    short one)."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
+def _add_into(col: list, other) -> list:
+    """Z2 sum of two increasing index lists, made in ``col`` (in a copy of
+    ``other`` if longer) by bisection of each entry of the shorter."""
+    if len(col) < len(other):
+        col, other = list(other), col
     i = 0
-    for x in b:
-        i = bisect_left(out, x, i)
-        if i < len(out) and out[i] == x:
-            del out[i]
+    for x in other:
+        i = bisect_left(col, x, i)
+        if i < len(col) and col[i] == x:
+            del col[i]
         else:
-            out.insert(i, x)
-    return out
+            col.insert(i, x)
+    return col
+
+
+def _sym_diff(a, b) -> list:
+    """Z2 sum of two strictly increasing index sequences, as a new list."""
+    return _add_into(list(a), b)
 
 
 def _reduce(mat: BoundaryMatrix, order, owner: dict) -> ReducedMatrix:
@@ -130,7 +132,7 @@ def _reduce(mat: BoundaryMatrix, order, owner: dict) -> ReducedMatrix:
     reduction, so column i is cleared: the loop skips a column that is
     already a pivot row. Left to right, column i was already reduced to zero
     and this changes nothing; in an order that reaches column i later, it is
-    the clearing.
+    the clearing. Each addition changes the working column in place.
     """
     ptr = mat.indptr
     ind = mat.indices
@@ -141,7 +143,7 @@ def _reduce(mat: BoundaryMatrix, order, owner: dict) -> ReducedMatrix:
         col = ind[ptr[j]:ptr[j + 1]].tolist()
         while col and col[-1] in owner:
             k = owner[col[-1]]
-            col = _sym_diff(col, changed.get(k)
+            col = _add_into(col, changed.get(k)
                             or ind[ptr[k]:ptr[k + 1]].tolist())
             changed[j] = col
         if col:

@@ -67,7 +67,8 @@ an edge or a triangle?) evaluate many tests at once: the same float formula
 and bound in one numpy pass, and the exact evaluation for the tests the
 filter cannot certify. ``circumdiameters`` follows the same pattern for a
 quantity rather than a sign: a closed form in floats where its condition
-is certified, else the same formula in integers, rounded once.
+is certified, else the same formula in integers, rounded once. Each
+kernel scales its own inputs by an exact power of two (``_scaled``).
 """
 
 from __future__ import annotations
@@ -114,6 +115,22 @@ def _certified(det, permanent, bound):
     elementwise for numpy arrays."""
     errbound = bound * permanent
     return (permanent >= _UNDERFLOW_GUARD) & ((det > errbound) | (-det > errbound))
+
+
+def scale_exponent(points) -> int:
+    """The binary exponent e of the largest |coordinate|, or 0 when scaling
+    by 2**-e would make some nonzero coordinate subnormal: only an exact
+    scaling keeps every sign (and every ratio)."""
+    mags = np.abs(np.asarray(points, dtype=float))
+    e = math.frexp(float(mags.max(initial=0.0)))[1]
+    low = float(mags.min(initial=math.inf, where=mags != 0.0))
+    return 0 if math.ldexp(low, -e) < np.finfo(float).tiny else e
+
+
+def _scaled(points) -> np.ndarray:
+    """A float array times 2**-scale_exponent(points): exact, so every sign
+    is unchanged, and the filter stays clear of underflow and overflow."""
+    return np.ldexp(points, -scale_exponent(points))
 
 
 def _sign(x) -> int:
@@ -522,9 +539,10 @@ def diametral_signs(faces, queries) -> np.ndarray:
     """Exact sign of query k against the smallest circumball of face k, as
     an int array: +1 strictly inside, 0 on the sphere, -1 outside.
     ``faces`` has shape (m, 2, d) (edges in R^2 or R^3) or (m, 3, 3)
-    (triangles in R^3), ``queries`` (m, d)."""
-    pts = np.concatenate([np.asarray(faces, dtype=float),
-                          np.asarray(queries, dtype=float)[:, None, :]], axis=1)
+    (triangles in R^3), ``queries`` (m, d); all of them ``_scaled`` at once."""
+    pts = _scaled(np.concatenate([np.asarray(faces, dtype=float),
+                                  np.asarray(queries, dtype=float)[:, None, :]],
+                                 axis=1))
     if pts.shape[1] == 3:
         return _batch_signs(pts, _diametral_edge_terms, _DEDGE_BOUND)
     return _batch_signs(pts, _diametral_triangle_terms, _DTRI_BOUND)
@@ -596,8 +614,10 @@ def circumdiameters(simplices) -> np.ndarray:
     One numpy pass of the closed form num / den. Where num or den is not
     within a factor ``_DIAM_COND`` of its permanent, or may have underflowed,
     num / den is instead evaluated exactly in integers and rounded once.
+    Both run on the points times 2**-e (``scale_exponent``), scaled back.
     """
-    pts = np.asarray(simplices, dtype=float)
+    e = scale_exponent(simplices)
+    pts = np.ldexp(np.asarray(simplices, dtype=float), -e)
     if pts.shape[1] == 3:
         terms = _triangle_diameter_terms
     else:
@@ -612,7 +632,7 @@ def circumdiameters(simplices) -> np.ndarray:
         ints, shift = _integer_coords(pts[k].tolist())
         num, den, _, _ = terms(*ints, -1)
         out[k] = math.sqrt(num / (den << 2 * shift))
-    return out
+    return np.ldexp(out, e)
 
 
 def collinear3d(a, b, c) -> bool:

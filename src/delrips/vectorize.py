@@ -120,9 +120,10 @@ def _cell_masses(centres: np.ndarray, edges: np.ndarray, s: float) -> tuple:
     """The Gaussian mass of each cell between consecutive ``edges``,
     differences of 0.5 * (1 + erf((edge - centre) / s)), for each distinct
     centre, and each centre's row. Centres are told apart by their bits, so
-    0.0 and -0.0 keep their own rows."""
+    0.0 and -0.0 keep their own rows. An overflowing argument has erf +-1."""
     values, row = np.unique(centres.view(np.int64), return_inverse=True)
-    args = (edges - values.view(float)[:, None]) / s
+    with np.errstate(over="ignore"):
+        args = (edges - values.view(float)[:, None]) / s
     erf = np.fromiter(map(math.erf, args.ravel().tolist()), float, args.size)
     return np.diff(0.5 * (1.0 + erf.reshape(args.shape)), axis=1), row
 
@@ -206,10 +207,10 @@ def persistence_stats(pairs, log_base: float = math.e) -> np.ndarray:
 
     Only finite pairs contribute. An empty diagram yields 16 NaNs. Moments
     are population moments, kurtosis is excess kurtosis, and percentiles use
-    linear interpolation.
+    linear interpolation. A pair's mean birth / 2 + death / 2 cannot overflow.
     """
     births, deaths, pers = _finite(pairs)
-    return np.array(_eight_stats((births + deaths) / 2.0, log_base)
+    return np.array(_eight_stats(births / 2.0 + deaths / 2.0, log_base)
                     + _eight_stats(pers, log_base))
 
 

@@ -450,13 +450,21 @@ def test_pairwise_distances_matches_math_dist():
     assert mat[0][2] == pytest.approx(math.sqrt(2.0), abs=0)
 
 
-def _point_distance(p, q):
-    # The per-pair loop formula the numpy kernel replaced: the reference.
-    diffs = [a - b for a, b in zip(p, q)]
+def _sum_squares(diffs):
     s = diffs[0] * diffs[0] + diffs[1] * diffs[1]
-    if len(diffs) == 3:
-        s = s + diffs[2] * diffs[2]
-    return math.sqrt(s) if sys.float_info.min <= s < math.inf else math.hypot(*diffs)
+    return s + diffs[2] * diffs[2] if len(diffs) == 3 else s
+
+
+def _point_distance(p, q):
+    # The per-pair formula of the numpy kernel, in Python floats: the
+    # reference. A sum of squares that is not a normal float is summed again
+    # on the differences scaled by 2**-e, e the exponent of the largest.
+    diffs = [a - b for a, b in zip(p, q)]
+    e = 0
+    if not sys.float_info.min <= _sum_squares(diffs) < math.inf:
+        e = math.frexp(max(map(abs, diffs)))[1]
+        diffs = [math.ldexp(x, -e) for x in diffs]
+    return math.ldexp(math.sqrt(_sum_squares(diffs)), e)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -470,6 +478,55 @@ def test_pairwise_distances_equal_scalar_formula(dim, scale):
     want = [[_point_distance(p, q) for q in rows] for p in rows]
     assert mat == want
     assert mat[4][5] == 0.0 and all(math.isfinite(x) for row in mat for x in row)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [-664, 532])
+def test_distances_scale_by_a_power_of_two_bit_for_bit(dim, p):
+    # Near 2**-664 every sum of squares underflows and near 2**532 it
+    # overflows, so each row is summed scaled into range; the values are
+    # the unit-scale ones times 2**p, bit for bit.
+    pts = np.random.default_rng(30 + dim).uniform(-1.0, 1.0, (80, dim))
+    pts[7] = pts[3]  # a repeated point: distance exactly 0.0
+    want = core.distances(pts[:, None, :], pts)
+    big = np.ldexp(pts, p)
+    got = core.distances(big[:, None, :], big)
+    assert got.tobytes() == np.ldexp(want, p).tobytes()
+    assert got[3, 7] == 0.0 and (got > 0.0).sum() == 80 * 79 - 2
+    for i, j in [(0, 1), (3, 7), (5, 60)]:
+        assert core.distances(big[i], big[j]) == math.ldexp(want[i, j], p)
+
+
+def _names(tree) -> set:
+    """Every name, attribute and imported name in a module, and each
+    ``module.attribute`` and ``from module import name`` as a dotted name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+    return names
+
+
+def test_one_distance_formula_and_scaling_only_in_the_kernels():
+    # core.distances is the one point distance, so no second formula
+    # (hypot, math.dist) may appear; and the kernels scale their own
+    # inputs, so the builders and the geometry module scale nothing.
+    package = Path(delrips.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        names = _names(ast.parse(path.read_text()))
+        banned = {"hypot", "math.dist"}
+        if path.name in ("filtration.py", "geometry.py"):
+            banned |= {"scale_exponent", "_scaled", "ldexp"}
+        found += [(path.name, name) for name in sorted(banned & names)]
+    assert found == []
 
 
 def test_np_lexsort_only_in_the_one_row_order():

@@ -321,7 +321,8 @@ def test_dr_entries_share_vertex_ints_and_edge_floats(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_dr_scales_survive_tiny_coordinates(dim):
     # Near 1e-200 the squared differences underflow to 0; the scales must
-    # still be the unscaled ones times the exact power-of-two factor.
+    # still be the unscaled ones times the exact power-of-two factor, bit
+    # for bit.
     pts = np.random.default_rng(60 + dim).uniform(-1.0, 1.0, (60, dim))
     tiny = 2.0 ** -664
     cap = spec("delaunay_rips", maxdim=dim - 1)
@@ -332,14 +333,14 @@ def test_dr_scales_survive_tiny_coordinates(dim):
     for verts, scale in got.items():
         if len(verts) > 1:
             assert scale > 0.0
-            assert abs(scale - want[verts] * tiny) <= 1e-15 * want[verts] * tiny
+        assert scale == math.ldexp(want[verts], -664)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_dr_scales_survive_huge_coordinates(dim):
     # Near 1e160 the squared differences overflow to inf; the scales must
     # still be finite and the unscaled ones times the exact power-of-two
-    # factor 2**532 (about 1.4e160).
+    # factor 2**532 (about 1.4e160), bit for bit.
     pts = np.random.default_rng(160 + dim).uniform(-1.0, 1.0, (30, dim))
     huge = 2.0 ** 532
     cap = spec("delaunay_rips", maxdim=dim - 1)
@@ -349,7 +350,7 @@ def test_dr_scales_survive_huge_coordinates(dim):
     assert got.keys() == want.keys()
     for verts, scale in got.items():
         assert math.isfinite(scale)
-        assert abs(scale - want[verts] * huge) <= 1e-15 * want[verts] * huge
+        assert scale == math.ldexp(want[verts], 532)
 
 
 def test_dr_build_peak_memory_below_dense_matrix():

@@ -273,9 +273,7 @@ def _two_triangulations_agree(pair):
 
 
 def _witness(pair):
-    scaled = delrips.geometry._scaled
-    return delrips.geometry._local_witness(pair, scaled(pair.source.points),
-                                           scaled(pair.target.points))
+    return delrips.geometry._local_witness(pair)
 
 
 def _witness_corpus():
@@ -329,8 +327,9 @@ def _scaled(cloud, scale):
 @pytest.mark.parametrize("scale", [2.0 ** -664, 2.0 ** 532])
 def test_extreme_scales_scale_the_geometry(dim, scale):
     # Squared differences underflow near 2**-664 and overflow near 2**532;
-    # the distance kernel's hypot guard must keep every value finite and
-    # nonzero, and equal to the scaled unscaled value.
+    # the distance kernel sums those rows scaled into range, so every value
+    # is finite and nonzero, and the unscaled value times the scale, bit for
+    # bit.
     rng = np.random.default_rng(90 + dim)
     p = random_cloud(rng, 40, dim)
     q = PointCloud.from_points(p.points[:30] + rng.uniform(-0.05, 0.05, (30, dim)))
@@ -346,7 +345,7 @@ def test_extreme_scales_scale_the_geometry(dim, scale):
     ]
     for want, got in checks:
         assert math.isfinite(got) and got > 0.0
-        assert got == pytest.approx(scale * want, rel=1e-15, abs=0.0)
+        assert got == scale * want
 
     big = _scaled(p, scale)
     big_perturbed = epsilon_perturb(big, 0.25 * min_pairwise_distance(big), seed=5)

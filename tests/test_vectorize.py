@@ -315,3 +315,19 @@ def test_overflowing_persistence_is_rejected(consume):
     with pytest.raises(ValidationError, match=re.escape(
             "persistence of pair (-1e+308, 1e+308) overflows")):
         consume()
+
+
+def test_stats_of_a_pair_near_the_float_limit():
+    # The pair mean (birth + death) / 2 overflowed at 1.35e308 with a numpy
+    # RuntimeWarning (an error under the suite's warning filter).
+    vec = persistence_stats([(1e308, 1.7e308)])
+    assert vec[[0, 4, 5, 6]].tolist() == [1.35e308] * 4
+    assert vec[8] == 1.7e308 - 1e308
+
+
+def test_image_of_a_pair_near_the_float_limit():
+    # The erf argument (edge - birth) / s overflowed to -inf with a numpy
+    # RuntimeWarning; erf(-inf) is -1, so the pixels get no mass.
+    img = persistence_image([(-1.7e308, -1e308)],
+                            PIGrid((0.0, 1.0), (0.0, 1.0), (2, 2), 0.1))
+    assert img.tolist() == [0.0] * 4
