@@ -16,6 +16,7 @@ import numbers
 import statistics
 from dataclasses import dataclass
 
+from .core import _check_int
 from .datagen import ShapeClass, add_noise, sample_shape
 from .errors import ValidationError
 from .filtration import FiltrationSpec, _check_delaunay_cap, build
@@ -107,9 +108,11 @@ def run_grid(shape: ShapeClass, nu: float, sizes, methods, max_hom_dim: int,
     The same cloud is used for every method within a (n, trial) pair.
     Timeouts and failures enter the median at the cap value. Before any
     cell starts, raises ValidationError unless the timeout is a positive
-    finite number and each method's ``FiltrationSpec`` fits every cloud.
+    finite number, the seed an int >= 0 and each method's ``FiltrationSpec``
+    fits every cloud.
     """
     _check_timeout(timeout)
+    _check_int("seed", seed, 0)
     clouds = {n: [add_noise(sample_shape(shape, n, seed + 1000 * trial + n),
                             nu, seed + 1000 * trial + n + 1)
                   for trial in range(trials)] for n in sizes}

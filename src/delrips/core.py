@@ -46,6 +46,12 @@ _SWEEP_SLACK = 2.0 ** -20
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _check_int(name: str, v, low: int) -> None:
+    """ValidationError unless ``v`` is an int >= ``low``, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Finite ordered list of points in R^2 or R^3 with stable indices.

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
 
-from .core import PointCloud
+from .core import PointCloud, _check_int
 from .errors import UnknownShape, ValidationError
 from .geometry import _ball_offsets
 
@@ -67,9 +67,9 @@ def _triangle_centers(side: float) -> np.ndarray:
 
 
 def sample_shape(shape: ShapeClass, n: int, seed: int) -> PointCloud:
-    """n points in R^3, uniform on the ideal shape; n is an int >= 1."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+    """n points in R^3, uniform on the ideal shape; ints n >= 1, seed >= 0."""
+    _check_int("n", n, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     p = shape.params
     if shape.kind == "circle":
@@ -118,7 +118,8 @@ def _sample_torus(rng, n, big_r, small_r):
 
 def add_noise(cloud: PointCloud, nu: float, seed: int) -> PointCloud:
     """Displace each point by an independent uniform-in-ball vector of
-    magnitude at most nu."""
+    magnitude at most nu; ``seed`` is an int >= 0."""
+    _check_int("seed", seed, 0)
     if not 0 <= nu < math.inf:
         raise ValidationError("nu must be a finite number >= 0")
     if nu == 0:

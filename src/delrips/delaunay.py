@@ -45,35 +45,20 @@ The finished triangulation is certified once (Mehlhorn et al., "Checking
 geometric programs or verification of geometric structures", 1999): every
 real simplex is positively oriented and every interior facet is locally
 Delaunay, which by Delaunay's lemma makes the triangulation Delaunay. Both
-signs come from ``certificate``, one numpy filter pass per batch with exact
-fallbacks; a cospherical facet (sign 0) sets ``degenerate``, and a failed
+signs come from ``certificate``, which runs the batch kernels of
+``predicates``: one numpy filter pass per chunk of tests, with exact
+fallbacks. A cospherical facet (sign 0) sets ``degenerate``, and a failed
 check raises ``CertificateError``, also under ``python -O``.
 
-The insertion loop and ``certificate`` run on the coordinates scaled by a
-power of two that brings the largest one near 1 (``predicates._scaled``).
-The scaling is exact, so every sign is unchanged, and it keeps the float
-filter away from underflow and overflow at extreme scales, where it would
-fall back to exact arithmetic on every call.
-
-The insertion loop's orientation and in-ball tests come from
-``predicates._cloud_predicates``, which gives each test three tiers. The
-first compares the float determinant with one error bound computed from the
-scaled cloud's per-axis extents, which dominates the filter's bound for
-every tuple of the cloud. The second is the filter on the tuple's own
-permanent, and the third the exact integer evaluation. The first tier
-decides all of the 2000-point noisy sphere's tests. It is off for a cloud
-whose bound underflows or overflows, or whose extents exceed 2, and every
-sign is the exact one either way (see the ``predicates`` module doc). The
-certificate keeps the two-tier numpy batches.
-
-Every in-ball test of an insertion is against its new point p: the cavity
-search, the check that the located simplex conflicts, and a ghost's real
-neighbor when p lies on the ghost's hull facet. So each insertion takes one
-test, ``inball_from(p)``, which translates each vertex by p and lifts it
-once, on its first test, and drops those rows when the insertion ends. An
-insertion makes about 35 tests on the noisy spheres, on about 23 distinct
-vertices. The walk's orientation tests and the ghosts' hull-facet tests
-take the points themselves.
+The insertion loop and the certificate's kernels run on the coordinates
+scaled by a power of two that brings the largest one near 1
+(``predicates.scale_exponent``): exact, so every sign is unchanged, and
+clear of the underflow and overflow that would send the float filter to
+exact arithmetic at extreme scales. The loop's tests come from
+``predicates._cloud_predicates``, whose per-cloud static bound decides
+every test of the 2000-point noisy sphere. All the in-ball tests of an
+insertion (about 35, on about 23 vertices) are against its new point p, so
+it takes one ``inball_from(p)``, which lifts each vertex by p once.
 """
 
 from __future__ import annotations
@@ -86,12 +71,10 @@ import numpy as np
 from .core import PointCloud, _facet_rows, _row_order
 from .errors import (AffinelyDegenerateInput, CertificateError,
                      DuplicatePoints, TooFewPoints)
-from .predicates import (_cloud_predicates, _scaled, collinear3d,
-                         inball_signs, orient_signs)
+from .predicates import (_cloud_predicates, collinear3d, inball_signs,
+                         orient_signs, scale_exponent)
 
 GHOST = -1
-# Tests per numpy filter pass: bounds the filter's temporaries.
-_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -376,19 +359,11 @@ def certificate(points, simplices, facets) -> tuple:
     pair the exact in-ball sign of point q against simplex i times that
     simplex's orientation sign, which is positive iff q lies strictly inside
     the circumball (the facet is not locally Delaunay) and 0 when q is on it
-    or the simplex is flat. Runs the float filter on the ``_scaled`` points
-    in batches of ``_BATCH`` tests, and the exact predicates where it fails.
-    """
-    coords = _scaled(np.asarray(points, dtype=float))
-    verts = np.asarray(simplices, dtype=np.int64)
-    orient = np.zeros(len(verts), dtype=np.int64)
-    for k in range(0, len(verts), _BATCH):
-        orient[k:k + _BATCH] = orient_signs(coords[verts[k:k + _BATCH]])
-    pairs = np.asarray(facets, dtype=np.int64).reshape(-1, 2)
-    inball = np.zeros(len(pairs), dtype=np.int64)
-    for k in range(0, len(pairs), _BATCH):
-        i, q = pairs[k:k + _BATCH].T
-        inball[k:k + _BATCH] = inball_signs(coords[verts[i]], coords[q]) * orient[i]
+    or the simplex is flat, from the batch kernels of ``predicates``."""
+    orient = orient_signs(points, simplices)
+    i, q = np.asarray(facets, dtype=np.int64).reshape(-1, 2).T
+    inball = inball_signs(points, simplices, (i, q))
+    inball *= orient[i]
     return orient, inball
 
 
@@ -413,9 +388,9 @@ def _certify(points, simplices) -> tuple:
 
 
 def _prescaled(points) -> tuple:
-    """The insertion loop's points: ``_scaled(points)`` as an array and as
-    tuples of floats."""
-    scaled = _scaled(points)
+    """The insertion loop's points times 2**-``scale_exponent(points)``,
+    exact, as an array and as tuples of floats."""
+    scaled = np.ldexp(points, -scale_exponent(points))
     return scaled, tuple(map(tuple, scaled.tolist()))
 
 

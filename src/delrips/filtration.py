@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .core import Filtration, PointCloud, _blocks, distance_blocks, distances
+from .core import (Filtration, PointCloud, _blocks, _check_int,
+                   distance_blocks, distances)
 from .delaunay import delaunay
 from .errors import DuplicatePoints, ValidationError
 from .predicates import circumdiameters, diametral_signs
@@ -54,8 +55,7 @@ class FiltrationSpec:
         dim, thr = self.max_hom_dim, self.threshold
         if self.method not in _METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
-        if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 0:
-            raise ValidationError(f"max_hom_dim {dim!r} is not an integer >= 0")
+        _check_int("max_hom_dim", dim, 0)
         if thr is not None:
             if self.method != "rips":
                 raise ValidationError("threshold applies to the rips method only")
@@ -163,17 +163,17 @@ def _alpha_scales(dc, cap):
     test per incidence. An attached face takes the coface minimum, any other
     face its circumdiameter capped at that minimum (rounding can put it
     above). Edges take their ``distances`` length, triangles and tetrahedra
-    their ``circumdiameters``. Each of these kernels scales its own inputs
-    by a power of two, so extreme scales neither overflow nor underflow.
+    their ``circumdiameters``. The kernels read the cloud by the faces' ids
+    and scale it themselves: no array of all the incidences' coordinates.
     """
     d, pts = dc.cloud.dim, dc.cloud.points
     value = [np.zeros(len(dc.faces(0))), distances(*pts[dc.faces(1).T])]
-    value += [circumdiameters(pts[dc.faces(k)]) for k in range(2, d + 1)]
+    value += [circumdiameters(pts, dc.faces(k)) for k in range(2, d + 1)]
     for k in range(d - 1, 0, -1):
         _, facet_row, owner, opposite = dc._cofaces(k)
         low = np.full(len(value[k]), np.inf)
         np.minimum.at(low, facet_row, value[k + 1][owner])
-        inside = diametral_signs(pts[dc.faces(k)[facet_row]], pts[opposite]) > 0
+        inside = diametral_signs(pts, dc.faces(k), (facet_row, opposite)) > 0
         attached = np.bincount(facet_row[inside], minlength=len(low)) > 0
         value[k] = np.where(attached, low, np.minimum(value[k], low))
     return np.concatenate(value[:cap + 1])

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PointCloud, _blocks, _sweep_pairs, distance_blocks,
-                   distances)
+from .core import (PointCloud, _blocks, _check_int, _sweep_pairs,
+                   distance_blocks, distances)
 from .delaunay import certificate, delaunay, interior_facets
 from .errors import (DimensionMismatch, EmptyCloud, EpsilonTooLarge,
                      GeometryError, ValidationError)
@@ -119,7 +119,7 @@ def epsilon_perturb(cloud: PointCloud, eps: float, seed: int) -> PerturbationPai
     """Displace every point by a uniform random vector of magnitude < eps.
 
     Requires eps below half the minimum pairwise distance, which guarantees
-    the perturbation pairing is mutually unique. Deterministic per seed.
+    the perturbation pairing is mutually unique. Deterministic per seed >= 0.
     The target coordinates round, so a point whose rounded displacement
     reaches eps has its offset halved until it is below eps (at the latest
     when the offset is zero); every other point keeps the bits of its
@@ -127,6 +127,7 @@ def epsilon_perturb(cloud: PointCloud, eps: float, seed: int) -> PerturbationPai
     """
     if not eps > 0:
         raise ValidationError("eps must be positive")
+    _check_int("seed", seed, 0)
     half_min = min_pairwise_distance(cloud) / 2.0
     if eps >= half_min:
         raise EpsilonTooLarge(
@@ -204,10 +205,8 @@ def same_triangulation(pair: PerturbationPairing) -> bool:
     """True iff source and target have identical Delaunay simplex sets under
     the index pairing.
 
-    First, on clouds of more than 2 * ``_NEIGHBOURS`` points, it looks for a
-    local witness (``_local_witness``): a simplex of the source's Delaunay
-    triangulation that is not one of the target's. It triangulates only a
-    few neighbourhoods, and finding one answers False.
+    A local witness (``_local_witness``), found on a few neighbourhoods,
+    answers False.
 
     Otherwise it triangulates the source. A target point strictly inside
     the target circumball of a source top, across an interior facet

@@ -23,19 +23,14 @@ from them, is unchanged. One factory, ``_predicate``, writes the cascade;
 the four public predicates are its case without the cloud's tier.
 
 The in-ball expressions come in two steps, as Shewchuk's in-sphere and
-Devillers and Pion's write them. ``_insphere_lift`` translates a point by
-the query point e and lifts it, (x, y, z, x^2 + y^2 + z^2);
+Devillers and Pion's write them: ``_insphere_lift`` translates a point by
+the query point e and lifts it, (x, y, z, x^2 + y^2 + z^2), and
 ``_insphere_rows`` evaluates the determinant of four such rows and its
-permanent. ``_insphere_terms`` is the one calling the other, and so are the
-``_incircle_`` functions, so the numpy batches, the exact stage and the
-public predicates run one formula. All the in-ball tests of one insertion
-share its new point as e, so ``_cloud_predicates`` gives the insertion loop
-``inball_from(p)``, the in-ball test against ``points[p]`` as a function of
-vertex ids. It lifts each vertex once, on the first test that holds it, and
-keeps the rows for as long as the test is held: one insertion. Each test
-then performs the float operations of ``_insphere_terms`` in the same
-order, and after the determinant runs the same cascade: the cloud's tier,
-the permanent filter, and the exact stage on the original points.
+permanent (likewise ``_incircle_``). The batches, the exact stage and the
+public predicates run that one formula, and so does ``inball_from(p)``,
+which ``_cloud_predicates`` gives the insertion loop: the in-ball test
+against ``points[p]`` as a function of vertex ids, lifting each vertex once
+per insertion, then the same cascade on the original points.
 
 - **The bound.** Every coordinate difference of two of the cloud's points
   is at most the cloud's extent on that axis, X, Y or Z. That holds in
@@ -61,14 +56,15 @@ the permanent filter, and the exact stage on the original points.
   the largest permanent bound is 24 * 2^3 * 12. A cloud whose bound
   overflows to inf, or whose extents exceed 2, keeps the two-tier path.
 
-All predicates return -1, 0, or +1. ``orient_signs``, ``inball_signs`` and
-``diametral_signs`` (is a point strictly inside the smallest circumball of
-an edge or a triangle?) evaluate many tests at once: the same float formula
-and bound in one numpy pass, and the exact evaluation for the tests the
-filter cannot certify. ``circumdiameters`` follows the same pattern for a
-quantity rather than a sign: a closed form in floats where its condition
-is certified, else the same formula in integers, rounded once. Each
-kernel scales its own inputs by an exact power of two (``_scaled``).
+All predicates return -1, 0, or +1. The batch kernels ``orient_signs``,
+``inball_signs``, ``diametral_signs`` (is a point strictly inside the
+smallest circumball of an edge or a triangle?) and ``circumdiameters`` take
+the cloud's points and rows of vertex ids, and for tests against points
+the arrays (i, q): point q[k] against simplex rows[i[k]]. One loop,
+``_batch``, runs them all: it scales the cloud once by an exact power of
+two (``scale_exponent``), gathers one ``core._blocks`` chunk of tests at a
+time, runs the float formula and its filter in numpy, and evaluates
+exactly what the filter cannot certify.
 """
 
 from __future__ import annotations
@@ -76,6 +72,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .core import _blocks
 
 _EPS = 2.0 ** -53
 
@@ -125,12 +123,6 @@ def scale_exponent(points) -> int:
     e = math.frexp(float(mags.max(initial=0.0)))[1]
     low = float(mags.min(initial=math.inf, where=mags != 0.0))
     return 0 if math.ldexp(low, -e) < np.finfo(float).tiny else e
-
-
-def _scaled(points) -> np.ndarray:
-    """A float array times 2**-scale_exponent(points): exact, so every sign
-    is unchanged, and the filter stays clear of underflow and overflow."""
-    return np.ldexp(points, -scale_exponent(points))
 
 
 def _sign(x) -> int:
@@ -515,51 +507,65 @@ def _diametral_triangle_terms(a, b, c, q, static=None):
     return det, permanent
 
 
-def orient_signs(simplices) -> np.ndarray:
-    """Exact ``orient2d`` / ``orient3d`` sign of every simplex, as an int
-    array; ``simplices`` has shape (m, d+1, d)."""
-    pts = np.asarray(simplices, dtype=float)
-    if pts.shape[2] == 2:
-        return _batch_signs(pts, _orient2d_terms, _O2D_BOUND)
-    return _batch_signs(pts, _orient3d_terms, _O3D_BOUND)
+def orient_signs(points, rows) -> np.ndarray:
+    """Exact ``orient2d`` / ``orient3d`` sign of each simplex as an int
+    array; ``points`` is the cloud, (n, d) floats, and each row of ``rows``
+    one simplex's d+1 vertex ids."""
+    if np.shape(points)[1] == 2:
+        return _signs(points, rows, None, _orient2d_terms, _O2D_BOUND)
+    return _signs(points, rows, None, _orient3d_terms, _O3D_BOUND)
 
 
-def inball_signs(simplices, queries) -> np.ndarray:
-    """Exact ``incircle`` / ``insphere`` sign of query k against simplex k,
-    as an int array; ``simplices`` has shape (m, d+1, d), ``queries``
-    (m, d)."""
-    pts = np.concatenate([np.asarray(simplices, dtype=float),
-                          np.asarray(queries, dtype=float)[:, None, :]], axis=1)
-    if pts.shape[2] == 2:
-        return _batch_signs(pts, _incircle_terms, _ICC_BOUND)
-    return _batch_signs(pts, _insphere_terms, _ISP_BOUND)
+def inball_signs(points, rows, pairs) -> np.ndarray:
+    """Exact ``incircle`` / ``insphere`` sign of point q[k] against simplex
+    rows[i[k]] for each k, as an int array; ``pairs`` is (i, q)."""
+    if np.shape(points)[1] == 2:
+        return _signs(points, rows, pairs, _incircle_terms, _ICC_BOUND)
+    return _signs(points, rows, pairs, _insphere_terms, _ISP_BOUND)
 
 
-def diametral_signs(faces, queries) -> np.ndarray:
-    """Exact sign of query k against the smallest circumball of face k, as
-    an int array: +1 strictly inside, 0 on the sphere, -1 outside.
-    ``faces`` has shape (m, 2, d) (edges in R^2 or R^3) or (m, 3, 3)
-    (triangles in R^3), ``queries`` (m, d); all of them ``_scaled`` at once."""
-    pts = _scaled(np.concatenate([np.asarray(faces, dtype=float),
-                                  np.asarray(queries, dtype=float)[:, None, :]],
-                                 axis=1))
-    if pts.shape[1] == 3:
-        return _batch_signs(pts, _diametral_edge_terms, _DEDGE_BOUND)
-    return _batch_signs(pts, _diametral_triangle_terms, _DTRI_BOUND)
+def diametral_signs(points, rows, pairs) -> np.ndarray:
+    """Exact sign of point q[k] against the smallest circumball of face
+    rows[i[k]] for each k, as an int array, where ``pairs`` is (i, q): +1
+    strictly inside, 0 on the sphere, -1 outside. The faces are edges in
+    R^2 or R^3, or triangles in R^3."""
+    if np.shape(rows)[1] == 2:
+        return _signs(points, rows, pairs, _diametral_edge_terms, _DEDGE_BOUND)
+    return _signs(points, rows, pairs, _diametral_triangle_terms, _DTRI_BOUND)
 
 
-def _batch_signs(pts, terms, bound) -> np.ndarray:
-    """One numpy pass of a scalar predicate's float formula and static
-    filter over pts (shape (m, k, d), one test's k points per row); the
-    rows the filter cannot certify get ``_exact_sign`` of the same
-    formula."""
-    with np.errstate(all="ignore"):
-        det, permanent = terms(*pts.transpose(1, 2, 0))
+def _signs(points, rows, pairs, terms, bound) -> np.ndarray:
+    """``_batch`` of a predicate: the float sign where the static filter
+    certifies it, else ``_exact_sign``."""
+    def float_pass(*coords):
+        det, permanent = terms(*coords)
         sure = _certified(det, permanent, bound)
-        signs = np.where(sure, np.sign(det), 0.0).astype(np.int64)
-    for k in np.flatnonzero(~sure).tolist():
-        signs[k] = _exact_sign(terms, *pts[k].tolist())
-    return signs
+        return np.where(sure, np.sign(det), 0.0), sure
+    return _batch(points, rows, pairs, float_pass,
+                  lambda *pts: _exact_sign(terms, *pts), np.int64)[0]
+
+
+def _batch(points, rows, pairs, float_pass, exact, dtype) -> tuple:
+    """The batch kernels' one loop: their values as a ``dtype`` array, and
+    the e by which the points were scaled, by 2**-e (``scale_exponent``).
+    Test k is simplex rows[k] or, given ``pairs`` = (i, q), simplex
+    rows[i[k]] and point q[k]. Per ``core._blocks`` chunk of tests, each
+    counted as 4 k d entries for its k points in R^d, ``float_pass`` gets
+    one array per coordinate of the points and returns the values and where
+    they are certified; ``exact`` of the test's points replaces the rest."""
+    e = scale_exponent(points)
+    pts = np.ldexp(np.asarray(points, dtype=float), -e)
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.empty(len(rows) if pairs is None else len(pairs[0]), dtype)
+    size = 4 * (rows.shape[1] + (pairs is not None)) * pts.shape[1]
+    for chunk in _blocks(np.broadcast_to(size, len(out))):
+        coords = pts[rows[chunk] if pairs is None else np.column_stack(
+            [rows[pairs[0][chunk]], pairs[1][chunk]])]
+        with np.errstate(all="ignore"):
+            out[chunk], sure = float_pass(*coords.transpose(1, 2, 0))
+        for k in np.flatnonzero(~sure).tolist():
+            out[chunk.start + k] = exact(*coords[k].tolist())
+    return out, e
 
 
 def _triangle_diameter_terms(a, b, c, static=None):
@@ -606,33 +612,28 @@ def _tetrahedron_diameter_terms(a, b, c, d, static=None):
     return num, det * det, num_plus, det_plus * det_plus
 
 
-def circumdiameters(simplices) -> np.ndarray:
+def circumdiameters(points, rows) -> np.ndarray:
     """Circumdiameters (the diameter of the smallest circumball) of
-    triangles or tetrahedra, as a float array; ``simplices`` has shape
-    (m, 3, d) or (m, 4, 3) and each simplex must be affinely independent.
+    triangles or tetrahedra, each row of ``rows`` the vertex ids of one
+    affinely independent simplex, as a float array: ``_batch`` of the
+    closed form num / den. Where num or den is not within a factor
+    ``_DIAM_COND`` of its permanent, or may have underflowed, num / den is
+    evaluated exactly in integers and rounded once; then scaled back."""
+    terms = (_triangle_diameter_terms if np.shape(rows)[1] == 3
+             else _tetrahedron_diameter_terms)
 
-    One numpy pass of the closed form num / den. Where num or den is not
-    within a factor ``_DIAM_COND`` of its permanent, or may have underflowed,
-    num / den is instead evaluated exactly in integers and rounded once.
-    Both run on the points times 2**-e (``scale_exponent``), scaled back.
-    """
-    e = scale_exponent(simplices)
-    pts = np.ldexp(np.asarray(simplices, dtype=float), -e)
-    if pts.shape[1] == 3:
-        terms = _triangle_diameter_terms
-    else:
-        terms = _tetrahedron_diameter_terms
-    with np.errstate(all="ignore"):
-        num, den, num_plus, den_plus = terms(*pts.transpose(1, 2, 0))
+    def float_pass(*coords):
+        num, den, num_plus, den_plus = terms(*coords)
         sure = ((num >= _UNDERFLOW_GUARD) & (den >= _UNDERFLOW_GUARD)
                 & (num_plus <= _DIAM_COND * num)
                 & (den_plus <= _DIAM_COND * den))
-        out = np.sqrt(num / den)
-    for k in np.flatnonzero(~sure).tolist():
-        ints, shift = _integer_coords(pts[k].tolist())
+        return np.sqrt(num / den), sure
+
+    def exact(*simplex):
+        ints, shift = _integer_coords(simplex)
         num, den, _, _ = terms(*ints, -1)
-        out[k] = math.sqrt(num / (den << 2 * shift))
-    return np.ldexp(out, e)
+        return math.sqrt(num / (den << 2 * shift))
+    return np.ldexp(*_batch(points, rows, None, float_pass, exact, float))
 
 
 def collinear3d(a, b, c) -> bool:

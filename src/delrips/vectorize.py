@@ -20,7 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import PointCloud, _blocks, _pair_array
+from .core import PointCloud, _blocks, _check_int, _pair_array
 from .errors import AllEmpty, SeriesTooShort, ValidationError
 
 STAT_NAMES = ("mean", "std", "skew", "kurtosis", "q25", "q50", "q75", "entropy")
@@ -170,6 +170,9 @@ def persistent_entropy(values, log_base: float = math.e) -> float:
     if not vals:
         return math.nan
     total = sum(vals)
+    if total == math.inf:  # the entropy is scale-free: divide by 2**bits(n)
+        vals = [math.ldexp(v, -len(vals).bit_length()) for v in vals]
+        total = sum(vals)
     if total <= 0:
         return 0.0
     log_total = math.log(total)
@@ -185,20 +188,33 @@ def persistent_entropy(values, log_base: float = math.e) -> float:
 def _eight_stats(arr: np.ndarray, log_base: float) -> list:
     if arr.size == 0:
         return [math.nan] * 8
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = _seven_stats(arr, 0)
+    if not all(map(math.isfinite, stats)):  # a sum or difference overflowed
+        e = math.frexp(float(np.abs(arr).max()))[1]
+        stats = [v if math.isfinite(v) else w
+                 for v, w in zip(stats, _seven_stats(arr, e))]
+    return stats + [persistent_entropy(arr.tolist(), log_base)]
+
+
+def _seven_stats(arr: np.ndarray, e: int) -> list:
+    """Mean, std, skew, kurtosis and quartiles of arr times 2**-e, scaled
+    back: e = 0 keeps the bits, arr's largest exponent every sum finite."""
+    arr = np.ldexp(arr, -e)
     mean = float(arr.mean())
-    # Scaled into [0.5, 1) by 2**-e, the moments neither overflow nor underflow.
+    # Scaled into [0.5, 1) by 2**-f, the moments neither overflow nor underflow.
     centered = arr - mean
-    _, e = math.frexp(float(np.abs(centered).max()))
-    centered = np.ldexp(centered, -e)
+    _, f = math.frexp(float(np.abs(centered).max()))
+    centered = np.ldexp(centered, -f)
     m2 = float(np.mean(centered ** 2))
-    std = math.ldexp(math.sqrt(m2), e)
+    std = math.ldexp(math.sqrt(m2), f + e)
     if m2 > 0:
         skew = float(np.mean(centered ** 3)) / m2 ** 1.5
         kurt = float(np.mean(centered ** 4)) / (m2 * m2) - 3.0
     else:  # constant sample: pinned conventions
         skew, kurt = 0.0, -3.0
-    return [mean, std, skew, kurt, *np.percentile(arr, [25, 50, 75]).tolist(),
-            persistent_entropy(arr.tolist(), log_base)]
+    return [math.ldexp(mean, e), std, skew, kurt,
+            *np.ldexp(np.percentile(arr, [25, 50, 75]), e).tolist()]
 
 
 def persistence_stats(pairs, log_base: float = math.e) -> np.ndarray:
@@ -233,11 +249,10 @@ def delay_embed(series, embed_dim: int, tau: int, stride: int = 1) -> PointCloud
     2*stride, ...
     """
     vals = np.array([float(v) for v in series])
-    if embed_dim not in (2, 3):
-        raise ValidationError("embed_dim must be 2 or 3")
-    for name, v in (("tau", tau), ("stride", stride)):
-        if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
-            raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
+    if not (isinstance(embed_dim, Integral) and embed_dim in (2, 3)):
+        raise ValidationError(f"embed_dim must be 2 or 3, got {embed_dim!r}")
+    _check_int("tau", tau, 1)
+    _check_int("stride", stride, 1)
     span = (embed_dim - 1) * tau
     if len(vals) < span + 1:
         raise SeriesTooShort(

@@ -66,6 +66,20 @@ def test_timeout_must_be_positive_finite(timeout):
                  timeout=timeout, seed=5)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_invalid_seed_starts_no_cell(seed, monkeypatch):
+    # A seed of -1 made clouds from the seeds n - 1, n, ... and ran; 2.5
+    # failed in numpy after the first sizes' clouds were made.
+    def fail(*args):
+        pytest.fail("a cell was started")
+
+    monkeypatch.setattr(bench, "run_cell", fail)
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        run_grid(ShapeClass(kind="sphere"), nu=0.1, sizes=[20],
+                 methods=["delaunay_rips"], max_hom_dim=1, trials=1,
+                 timeout=7.0, seed=seed)
+
+
 @pytest.mark.parametrize("methods,max_hom_dim", [
     (["rips"], -1), (["delaunay_rips"], 3), (["rips", "alpha"], 3),
     (["delaunay_rips"], 1.5)])

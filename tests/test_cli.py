@@ -122,6 +122,15 @@ def test_generate_and_hausdorff(tmp_path, capsys):
     assert 0.0 < float(out) <= 0.05
 
 
+def test_generate_with_a_negative_seed_is_a_validation_error(tmp_path, capsys):
+    # It exited 1 with numpy's ValueError traceback.
+    out = tmp_path / "c.csv"
+    assert main(["generate", "--shape", "circle", "--n", "10", "--seed", "-1",
+                 "-o", str(out)]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_command(tmp_path):
     series = tmp_path / "series.csv"
     series.write_text("\n".join(str(i) for i in range(15)) + "\n")

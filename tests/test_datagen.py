@@ -106,6 +106,19 @@ def test_sample_size_must_be_a_positive_integer(n):
     assert len(sample_shape(ShapeClass(kind="sphere"), np.int64(3), seed=0)) == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # numpy raised its own ValueError or TypeError (None drew fresh entropy).
+    cloud = sample_shape(ShapeClass(kind="sphere"), 5, seed=0)
+    for call in (lambda: sample_shape(ShapeClass(kind="sphere"), 5, seed),
+                 lambda: add_noise(cloud, 0.1, seed),
+                 lambda: add_noise(cloud, 0.0, seed),
+                 lambda: epsilon_perturb(cloud, 1e-3, seed)):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            call()
+    assert len(sample_shape(ShapeClass(kind="sphere"), 5, np.int64(2))) == 5
+
+
 @pytest.mark.parametrize("nu", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
 def test_add_noise_rejects_nu_not_finite_and_non_negative(nu):
     # NaN used to reach the points and be reported as a non-finite point.

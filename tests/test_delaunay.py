@@ -256,7 +256,7 @@ def test_certificate_flags_cospherical_facet():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_flipped_inball_sign_trips_certificate(dim, rng, monkeypatch):
     real = DELAUNAY_MODULE.inball_signs
-    monkeypatch.setattr(DELAUNAY_MODULE, "inball_signs", lambda s, q: -real(s, q))
+    monkeypatch.setattr(DELAUNAY_MODULE, "inball_signs", lambda p, s, f: -real(p, s, f))
     with pytest.raises(CertificateError):
         delaunay(random_cloud(rng, 30, dim=dim))
 
@@ -269,7 +269,7 @@ def test_certificate_runs_under_optimize():
         "from delrips.errors import CertificateError\n"
         "mod = sys.modules['delrips.delaunay']\n"
         "real = mod.inball_signs\n"
-        "mod.inball_signs = lambda s, q: -real(s, q)\n"
+        "mod.inball_signs = lambda p, s, f: -real(p, s, f)\n"
         "cloud = delrips.PointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1.1)])\n"
         "try:\n"
         "    delrips.delaunay(cloud)\n"

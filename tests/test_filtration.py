@@ -13,6 +13,7 @@ from delrips import (DelaunayComplex, FiltrationSpec, PointCloud, ShapeClass,
                      sample_shape, sort_filtration)
 from delrips.core import pairwise_distances
 from delrips.errors import DuplicatePoints, ValidationError
+from delrips.filtration import _alpha_scales, _rips_scales
 from families import (jittered_grid, jittered_grid_member,
                       near_planar_member, uniform)
 from naive_oracle import (alpha_disagreements, closure_of, exact_alpha,
@@ -366,6 +367,25 @@ def test_dr_build_peak_memory_below_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def test_alpha_scales_peak_memory_near_rips_scales():
+    # The Alpha rule's kernels gather coordinates a chunk at a time, so its
+    # peak stays within a small factor of the Delaunay-Rips rule's on the
+    # same complex, whose faces and incidences are derived beforehand.
+    cloud = add_noise(sample_shape(ShapeClass("sphere"), 1000, 5), 0.1, 6)
+    dc = delaunay(cloud)
+    for k in range(1, 3):
+        dc._cofaces(k)
+    peaks = []
+    for rule in (_rips_scales, _alpha_scales):
+        tracemalloc.start()
+        try:
+            rule(dc, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 5 * peaks[0]
 
 
 JITTERED_GRIDS = [(2, 10, 50), (2, 12, 52), (2, 20, 110), (3, 14, 4), (3, 15, 5)]

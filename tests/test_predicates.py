@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delrips import predicates
+from delrips import core, predicates
 from delrips.predicates import (circumdiameters, collinear3d, diametral_signs,
                                 incircle, inball_signs, insphere, orient2d,
                                 orient3d, orient_signs)
@@ -88,6 +88,16 @@ def test_collinear3d():
     assert not collinear3d((0, 0, 0), (1, 1, 1), (1, 1, 1.0000000000000002))
 
 
+def _split(tuples):
+    """The batch kernels' form of tuples of k + 1 points each: one cloud of
+    all the points, a row of the first k points' ids per tuple, and the
+    pairs (i, q) of each row and its tuple's last point."""
+    pts = np.asarray(tuples, dtype=float)
+    m, k, dim = pts.shape
+    ids = np.arange(m * k).reshape(m, k)
+    return pts.reshape(-1, dim), ids[:, :-1], (np.arange(m), ids[:, -1])
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_batch_signs_match_scalar_predicates(dim, monkeypatch):
     # Generic, exactly cospherical, one-ulp-off, tiny, huge and collinear
@@ -115,17 +125,20 @@ def test_batch_signs_match_scalar_predicates(dim, monkeypatch):
     queries.append(line[-1])
     want_in = [inball(*t.tolist(), q.tolist()) for t, q in zip(simplices, queries)]
     want_or = [orient(*t.tolist()) for t in simplices]
-    assert inball_signs(np.array(simplices), np.array(queries)).tolist() == want_in
-    assert orient_signs(np.array(simplices)).tolist() == want_or
+    points, rows, pairs = _split(np.concatenate(
+        [simplices, np.array(queries)[:, None]], axis=1))
+    assert inball_signs(points, rows, pairs).tolist() == want_in
+    assert orient_signs(points, rows).tolist() == want_or
     assert 0 in want_in and 0 in want_or
 
     calls = []
     real = predicates._exact_sign
     monkeypatch.setattr(predicates, "_exact_sign",
                         lambda *a: calls.append(1) or real(*a))
-    generic = np.array(simplices[:300:5])
-    inball_signs(generic, np.array(queries[:300:5]))
-    orient_signs(generic)
+    points, rows, pairs = _split(np.concatenate(
+        [simplices[:300:5], np.array(queries[:300:5])[:, None]], axis=1))
+    inball_signs(points, rows, pairs)
+    orient_signs(points, rows)
     assert not calls
 
 
@@ -180,9 +193,9 @@ def test_signs_agree_with_rational_oracle(dim):
     want_in = [inball_oracle(*c) for c in cases]
     assert [orient(*c[:-1]) for c in cases] == want_or
     assert [inball(*c) for c in cases] == want_in
-    pts = np.array(cases, dtype=float)
-    assert orient_signs(pts[:, :-1]).tolist() == want_or
-    assert inball_signs(pts[:, :-1], pts[:, -1]).tolist() == want_in
+    points, rows, pairs = _split(cases)
+    assert orient_signs(points, rows).tolist() == want_or
+    assert inball_signs(points, rows, pairs).tolist() == want_in
     for want in (want_or, want_in):
         assert {-1, 0, 1} <= set(want)
 
@@ -254,7 +267,7 @@ def test_diametral_signs_agree_with_rational_oracle(k, dim, monkeypatch):
             scaled = np.ldexp(pts, p)
         kept = (np.ldexp(scaled, -p) == pts).all(axis=(1, 2))  # signs kept
         assert kept.sum() >= 400
-        got = diametral_signs(scaled[kept, :-1], scaled[kept, -1])
+        got = diametral_signs(*_split(scaled[kept]))
         assert (got == want[kept]).all(), p
 
     calls = []
@@ -262,8 +275,9 @@ def test_diametral_signs_agree_with_rational_oracle(k, dim, monkeypatch):
     monkeypatch.setattr(predicates, "_exact_sign",
                         lambda *a: calls.append(1) or real(*a))
     rng = np.random.default_rng(dim)
-    diametral_signs(rng.uniform(-1.0, 1.0, (200, k + 1, dim)),
-                    rng.uniform(-1.0, 1.0, (200, dim)))
+    faces = rng.uniform(-1.0, 1.0, (200, k + 1, dim))
+    queries = rng.uniform(-1.0, 1.0, (200, 1, dim))
+    diametral_signs(*_split(np.concatenate([faces, queries], axis=1)))
     assert not calls
 
 
@@ -279,12 +293,22 @@ def test_circumdiameters_match_exact_values(k, dim):
     flat[:, -1] = flat[:, :-1].mean(axis=1)
     flat[:, -1, -1] += rng.choice([1e-13, 1e-9, 1e-5], len(flat))
     ints, shift = _integer_points(simplices.reshape(-1, dim).tolist())
-    got = circumdiameters(simplices)
+    points = simplices.reshape(-1, dim)
+    got = circumdiameters(points, np.arange(len(points)).reshape(-1, k + 1))
     for i, simplex in enumerate(np.array(ints, dtype=object).reshape(
             -1, k + 1, dim).tolist()):
         m, g = exact_circumball([tuple(p) for p in simplex])
         want = Fraction(_dot(m, m), g * g << 2 * shift)
         assert abs(float(Fraction(got[i]) ** 2 / want) - 1.0) <= 2e-12
+
+
+def test_kernels_agree_with_oracle_in_small_chunks(monkeypatch):
+    # Chunks of one to four tests: each exact fallback must land on its own
+    # test, and every sign and diameter still equals the rational oracle's.
+    monkeypatch.setattr(core, "_BLOCK", 100)
+    test_signs_agree_with_rational_oracle(3)
+    test_diametral_signs_agree_with_rational_oracle(2, 3, monkeypatch)
+    test_circumdiameters_match_exact_values(3, 3)
 
 
 def _near_degenerate_tuples(base, rng, rounds):

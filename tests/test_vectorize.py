@@ -250,6 +250,12 @@ class TestDelayEmbed:
             delay_embed(range(20), 3, tau, stride)
         assert len(delay_embed(range(20), 3, np.int64(2), np.int64(3))) == 6
 
+    @pytest.mark.parametrize("embed_dim", [2.0, 3.0, True, "2", 4])
+    def test_embed_dim_is_the_integer_2_or_3(self, embed_dim):
+        # 2.0 compared equal to 2 and then raised TypeError from slicing.
+        with pytest.raises(ValidationError, match="embed_dim must be 2 or 3"):
+            delay_embed(range(20), embed_dim, 1)
+
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             delay_embed([1, 2, 3], embed_dim=3, tau=5)
@@ -323,6 +329,28 @@ def test_stats_of_a_pair_near_the_float_limit():
     vec = persistence_stats([(1e308, 1.7e308)])
     assert vec[[0, 4, 5, 6]].tolist() == [1.35e308] * 4
     assert vec[8] == 1.7e308 - 1e308
+
+
+@pytest.mark.parametrize("pairs", [
+    [(1e308, 1.7e308)] * 2,
+    [(-1.7e308, -1.6e308), (1.6e308, 1.7e308), (1e308, 1.7e308)]])
+def test_stats_whose_sums_overflow(pairs):
+    # The sum behind a mean, a centred value or a quartile's interpolation
+    # overflowed (inf or NaN, with a RuntimeWarning raised inside numpy).
+    # Each statistic is that of the values times 2**-1024, scaled back.
+    got = persistence_stats(pairs)
+    small = persistence_stats([(math.ldexp(b, -1024), math.ldexp(d, -1024))
+                               for b, d in pairs])
+    units, free = [0, 1, 4, 5, 6, 8, 9, 12, 13, 14], [2, 3, 10, 11]
+    assert got[units].tolist() == np.ldexp(small[units], 1024).tolist()
+    assert got[free].tolist() == small[free].tolist()
+    assert got[[7, 15]] == pytest.approx(small[[7, 15]], rel=1e-12)
+
+
+def test_entropy_of_values_whose_sum_overflows():
+    # The sum overflowed to inf, so every term was 0 * -inf: NaN.
+    assert persistent_entropy([1e308, 1.7e308]) == pytest.approx(
+        persistent_entropy([1.0, 1.7]), rel=1e-12)
 
 
 def test_image_of_a_pair_near_the_float_limit():
