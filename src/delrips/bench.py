@@ -10,15 +10,12 @@ enumeration dies in the child rather than the parent.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
-import numbers
 import statistics
 from dataclasses import dataclass
 
-from .core import _check_int
+from .core import _check_int, _check_real
 from .datagen import ShapeClass, add_noise, sample_shape
-from .errors import ValidationError
 from .filtration import FiltrationSpec, _check_delaunay_cap, build
 from .persistence import compute_diagram
 
@@ -60,19 +57,13 @@ def _worker(conn, spec, points):
         conn.close()
 
 
-def _check_timeout(timeout) -> None:
-    if not (isinstance(timeout, numbers.Real) and 0 < timeout < math.inf):
-        raise ValidationError(
-            f"timeout must be a positive finite number, got {timeout!r}")
-
-
 def run_cell(method: str, points, max_hom_dim: int, trial: int,
              timeout: float) -> BenchCell:
     """One cell in a child process, capped at ``timeout`` seconds. Before
     the child starts, raises ValidationError unless the timeout is a
     positive finite number and the method's ``FiltrationSpec`` fits the
     points."""
-    _check_timeout(timeout)
+    _check_real("timeout", timeout, 0, above=True)
     spec = FiltrationSpec(method=method, max_hom_dim=max_hom_dim)
     if method != "rips" and len(points):
         _check_delaunay_cap(spec, len(points[0]))
@@ -108,10 +99,11 @@ def run_grid(shape: ShapeClass, nu: float, sizes, methods, max_hom_dim: int,
     The same cloud is used for every method within a (n, trial) pair.
     Timeouts and failures enter the median at the cap value. Before any
     cell starts, raises ValidationError unless the timeout is a positive
-    finite number, the seed an int >= 0 and each method's ``FiltrationSpec``
-    fits every cloud.
+    finite number, the trials an int >= 1, the seed an int >= 0 and each
+    method's ``FiltrationSpec`` fits every cloud.
     """
-    _check_timeout(timeout)
+    _check_real("timeout", timeout, 0, above=True)
+    _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
     clouds = {n: [add_noise(sample_shape(shape, n, seed + 1000 * trial + n),
                             nu, seed + 1000 * trial + n + 1)

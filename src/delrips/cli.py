@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .core import PersistenceDiagram
+from .core import PersistenceDiagram, _check_int, _check_real
 from .datagen import SHAPE_KINDS, ShapeClass, add_noise, near_cocircular_quad, sample_shape
 from .delaunay import delaunay
 from .errors import (DelripsError, InfiniteDistance, InputFormatError,
@@ -55,13 +55,11 @@ def _parse_sizes(text: str):
                 raise ValueError(text)
             start, stop = parts[0], parts[1]
             step = parts[2] if len(parts) > 2 else 100
-            if step < 1:
-                raise argparse.ArgumentTypeError(
-                    f"the step of {text!r} must be positive")
+            _check_int("step", step, 1)
             sizes = list(range(start, stop + 1, step))
         else:
             sizes = [int(v) for v in text.split(",")]
-    except ValueError:
+    except (ValueError, ValidationError):
         raise argparse.ArgumentTypeError(
             f"expected start:stop[:step] or a comma list of integers, "
             f"got {text!r}") from None
@@ -85,25 +83,20 @@ def _parse_methods(text: str):
         raise argparse.ArgumentTypeError(f"unknown method {exc}") from None
 
 
-def _number(convert, ok, what: str):
-    """Argparse type: a number that ``convert`` reads and ``ok`` accepts."""
+def _number(check, low, **bounds):
+    """Argparse type: the text as an int (for ``_check_int``) or a float,
+    if ``check`` accepts it, else a usage error with the check's message."""
     def parse(text: str):
         try:
-            value = convert(text)
+            value = (int if check is _check_int else float)(text)
         except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected a {what}, got {text!r}")
+            value = text
+        try:
+            check("value", value, low, **bounds)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return parse
-
-
-_positive_int = _number(int, lambda v: v >= 1, "positive integer")
-_non_negative_int = _number(int, lambda v: v >= 0, "non-negative integer")
-_positive_float = _number(float, lambda v: 0 < v < math.inf,
-                          "positive finite number")
-_non_negative_float = _number(float, lambda v: 0 <= v < math.inf,
-                              "non-negative finite number")
 
 
 def _filtration_spec(args) -> FiltrationSpec:
@@ -122,9 +115,8 @@ def _write_dimension(path, diag: PersistenceDiagram, p: int, args):
 
 def cmd_generate(args) -> int:
     shape = ShapeClass(kind=args.shape)
-    cloud = sample_shape(shape, args.n, args.seed)
-    if args.noise > 0:
-        cloud = add_noise(cloud, args.noise, args.seed + 1)
+    cloud = add_noise(sample_shape(shape, args.n, args.seed), args.noise,
+                      args.seed + 1)
     write_point_cloud(args.output, cloud, args.precision)
     print(f"wrote {len(cloud)} points to {args.output}")
     return 0
@@ -256,7 +248,7 @@ def cmd_demo_instability(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--precision", type=_non_negative_int,
+    p.add_argument("--precision", type=_number(_check_int, 0),
                    default=DEFAULT_PRECISION,
                    help="decimal places in numeric output")
 
@@ -273,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=SHAPE_KINDS, required=True,
                    help="shape class to sample")
     p.add_argument("--n", type=int, default=500, help="number of points")
-    p.add_argument("--noise", type=_non_negative_float, default=0.0,
+    p.add_argument("--noise", type=_number(_check_real, 0), default=0.0,
                    help="max magnitude of uniform-in-ball noise")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("-o", "--output", required=True, help="point file to write")
@@ -294,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="point file (CSV x,y[,z] or JSON)")
     p.add_argument("--method", choices=sorted(_METHOD_ALIASES), default="dr",
                    help="filtration to build")
-    p.add_argument("--maxdim", type=int, default=1,
+    p.add_argument("--maxdim", type=_number(_check_int, 0), default=1,
                    help="largest homology dimension to compute")
     p.add_argument("--threshold", type=float, default=None,
                    help="scale cap, rips only; omit for no cap")
@@ -309,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bottleneck distance of two diagram files", **fmt)
     p.add_argument("diagram_a")
     p.add_argument("diagram_b")
-    p.add_argument("--dim", type=int, default=1, help="homology dimension")
+    p.add_argument("--dim", type=_number(_check_int, 0), default=1,
+                   help="homology dimension")
     p.add_argument("--diagonal-cost", choices=("half", "full"), default="half",
                    help="diagonal cost: (death-birth)/2 or death-birth")
     _add_common(p)
@@ -332,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="RxC, or one block per dimension")
     vp.add_argument("--sigma", type=float, default=None,
                     help="Gaussian bandwidth; None uses half the pixel height")
-    vp.add_argument("--maxdim", type=int, default=2,
+    vp.add_argument("--maxdim", type=_number(_check_int, 0), default=2,
                     help="largest homology dimension to vectorize")
     vp.add_argument("-o", "--output", required=True, help="feature CSV to write")
     _add_common(vp)
@@ -351,17 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-time benchmark over a size grid", **fmt)
     p.add_argument("--shape", choices=SHAPE_KINDS, default="sphere",
                    help="sampled shape class")
-    p.add_argument("--nu", type=_non_negative_float, default=0.1,
+    p.add_argument("--nu", type=_number(_check_real, 0), default=0.1,
                    help="noise magnitude")
     p.add_argument("--sizes", type=_parse_sizes, default="100:500:100",
                    help="start:stop[:step] or comma list")
     p.add_argument("--methods", type=_parse_methods, default="dr,rips,alpha",
                    help="comma list of methods to time")
-    p.add_argument("--maxdim", type=int, default=1,
+    p.add_argument("--maxdim", type=_number(_check_int, 0), default=1,
                    help="largest homology dimension to compute")
-    p.add_argument("--trials", type=_positive_int, default=10,
+    p.add_argument("--trials", type=_number(_check_int, 1), default=10,
                    help="trials per cell")
-    p.add_argument("--timeout", type=_positive_float, default=7.0,
+    p.add_argument("--timeout", type=_number(_check_real, 0, above=True),
+                   default=7.0,
                    help="per-cell wall-time cap in seconds")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("-o", "--output", required=True, help="CSV file to write")

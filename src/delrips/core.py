@@ -15,6 +15,10 @@ one form is three arrays in the canonical pair order, and its tuple views
 Every face lookup gathers facets by ``_facet_rows`` and sorts rows by
 ``_row_order``, the one row order: a stable lexsort of packed uint64 keys.
 
+Every numeric argument is checked by ``_check_int`` or ``_check_real``, the
+one number rule: bools, non-reals, NaN, ints beyond the float range and, unless
+allowed, infinities fail with ``<name> must be <rule>, got <value>``.
+
 ``distances`` is the one point-distance formula, exact under scaling by a
 power of two (see there); ``distance_blocks`` runs it over
 an n x m array in row blocks, and ``_sweep_pairs`` yields, in chunks, only
@@ -47,9 +51,27 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def _check_int(name: str, v, low: int) -> None:
-    """ValidationError unless ``v`` is an int >= ``low``, not a bool."""
-    if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+    """``_check_real`` for an int >= ``low``."""
+    _check_real(name, v, low, integer=True)
+
+
+def _check_real(name: str, v, low: float = -INF, *, above: bool = False,
+                below: float = INF, finite: bool = True,
+                integer: bool = False) -> None:
+    """ValidationError unless ``v`` is a real number (an int if ``integer``)
+    within the float range, not a bool or NaN, at least ``low`` (above it
+    if ``above``), below ``below`` and, if ``finite``, not infinite."""
+    kind = Integral if integer else Real
+    try:
+        x = float(v) if isinstance(v, kind) and not isinstance(v, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    within = (x > low if above else x >= low) and (x < below or x == below == INF)
+    if not (within and (abs(x) < INF or not finite)):
+        what = "an integer" if integer else f"a {'finite ' * finite}number"
+        rule = ([f"{'>' if above else '>='} {low}"] * (low > -INF)
+                + [f"< {below}"] * (below < INF))
+        raise ValidationError(f"{name} must be {' '.join([what] + rule)}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -237,9 +259,7 @@ class Filtration(_Frozen):
         """Store the form, then the one constructor check: ``max_dim`` an int
         >= 0, then a ValidationError naming the first entry in filtration
         order above the cap or with a negative or NaN scale."""
-        if (isinstance(max_dim, bool) or not isinstance(max_dim, Integral)
-                or max_dim < 0):
-            raise ValidationError(f"max_dim {max_dim!r} is not an integer >= 0")
+        _check_int("max_dim", max_dim, 0)
         object.__setattr__(self, "max_dim", max_dim)
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_arrays", arrays)

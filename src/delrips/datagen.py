@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Mapping
 
 import numpy as np
 
-from .core import PointCloud, _check_int
+from .core import PointCloud, _check_int, _check_real
 from .errors import UnknownShape, ValidationError
 from .geometry import _ball_offsets
 
@@ -49,10 +48,7 @@ class ShapeClass:
             raise ValidationError(f"unknown parameters for {self.kind}: {unknown}")
         merged.update(self.params)
         for name, value in merged.items():
-            bound = ">= 0" if name == "spread" else "> 0"
-            if (isinstance(value, bool) or not isinstance(value, Real) or not
-                    (0 <= value < math.inf and (value > 0 or name == "spread"))):
-                raise ValidationError(f"{name} {value!r} is not a finite number {bound}")
+            _check_real(name, value, 0, above=name != "spread")
         if self.kind == "torus" and merged["minor_radius"] > merged["major_radius"]:
             raise ValidationError("torus minor_radius must be <= major_radius")
         object.__setattr__(self, "params", merged)
@@ -120,8 +116,7 @@ def add_noise(cloud: PointCloud, nu: float, seed: int) -> PointCloud:
     """Displace each point by an independent uniform-in-ball vector of
     magnitude at most nu; ``seed`` is an int >= 0."""
     _check_int("seed", seed, 0)
-    if not 0 <= nu < math.inf:
-        raise ValidationError("nu must be a finite number >= 0")
+    _check_real("nu", nu, 0)
     if nu == 0:
         return cloud
     offsets = _ball_offsets(np.random.default_rng(seed), len(cloud), cloud.dim, nu)
@@ -139,9 +134,7 @@ def near_cocircular_quad(x: float) -> PointCloud:
     fourth point sits inside the circle and the triangulation pairs it with
     the two off-axis points.
     """
-    if x >= 2.0 - math.sqrt(3.0):
-        raise ValidationError(
-            f"x must be below 2 - sqrt(3) ~ 0.2679, got {x}")
+    _check_real("x", x, below=2.0 - math.sqrt(3.0))
     s = math.sqrt(3.0) / 2.0
     return PointCloud.from_points(
         [(-1.0, 0.0), (0.5, s), (0.5, -s), (1.0 - x, 0.0)])

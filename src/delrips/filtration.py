@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .core import (Filtration, PointCloud, _blocks, _check_int,
+from .core import (Filtration, PointCloud, _blocks, _check_int, _check_real,
                    distance_blocks, distances)
 from .delaunay import delaunay
 from .errors import DuplicatePoints, ValidationError
@@ -44,7 +43,8 @@ class FiltrationSpec:
 
     ``max_hom_dim``, an int >= 0, is the largest homology dimension the output
     should support; simplices up to dimension ``max_hom_dim + 1`` are built.
-    ``threshold``, a real >= 0, caps the scale (Rips only); None means no cap.
+    ``threshold``, a real >= 0, caps the scale (Rips only); None or inf
+    means no cap.
     """
 
     method: str = "delaunay_rips"
@@ -59,8 +59,7 @@ class FiltrationSpec:
         if thr is not None:
             if self.method != "rips":
                 raise ValidationError("threshold applies to the rips method only")
-            if not (isinstance(thr, Real) and thr >= 0):
-                raise ValidationError(f"threshold {thr!r} is not a number >= 0")
+            _check_real("threshold", thr, 0, finite=False)
 
 
 def _check_delaunay_cap(spec: FiltrationSpec, ambient_dim: int):

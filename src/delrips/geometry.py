@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PointCloud, _blocks, _check_int, _sweep_pairs,
+from .core import (PointCloud, _blocks, _check_int, _check_real, _sweep_pairs,
                    distance_blocks, distances)
 from .delaunay import certificate, delaunay, interior_facets
 from .errors import (DimensionMismatch, EmptyCloud, EpsilonTooLarge,
@@ -86,8 +86,7 @@ class PerturbationPairing:
             raise ValidationError("source and target sizes differ")
         if self.source.dim != self.target.dim:
             raise DimensionMismatch("source and target dimensions differ")
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be positive")
+        _check_real("epsilon", self.epsilon, 0, above=True)
         a, b = self.source.points, self.target.points
         moved = distances(a, b)
         far = np.flatnonzero(~(moved < self.epsilon))
@@ -125,8 +124,7 @@ def epsilon_perturb(cloud: PointCloud, eps: float, seed: int) -> PerturbationPai
     when the offset is zero); every other point keeps the bits of its
     offset.
     """
-    if not eps > 0:
-        raise ValidationError("eps must be positive")
+    _check_real("eps", eps, 0, above=True)
     _check_int("seed", seed, 0)
     half_min = min_pairwise_distance(cloud) / 2.0
     if eps >= half_min:

@@ -118,11 +118,6 @@ def _add_into(col: list, other) -> list:
     return col
 
 
-def _sym_diff(a, b) -> list:
-    """Z2 sum of two strictly increasing index sequences, as a new list."""
-    return _add_into(list(a), b)
-
-
 def _reduce(mat: BoundaryMatrix, order, owner: dict) -> ReducedMatrix:
     """Reduce the columns in the given order until all pivots are distinct.
 

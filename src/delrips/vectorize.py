@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core import PointCloud, _blocks, _check_int, _pair_array
+from .core import PointCloud, _blocks, _check_int, _check_real, _pair_array
 from .errors import AllEmpty, SeriesTooShort, ValidationError
 
 STAT_NAMES = ("mean", "std", "skew", "kurtosis", "q25", "q50", "q75", "entropy")
@@ -30,9 +29,10 @@ STAT_NAMES = ("mean", "std", "skew", "kurtosis", "q25", "q50", "q75", "entropy")
 class PIGrid:
     """Persistence-image grid: value ranges, resolution, and bandwidth.
 
-    ``resolution`` is (rows, cols) = (persistence bins, birth bins), ints
-    >= 1; the flattened image is row-major with row 0 the lowest persistence
-    band. Pair weights divide by the persistence range's end, above 0.
+    Ranges are two finite reals a finite width apart. ``resolution`` is
+    (rows, cols) = (persistence bins, birth bins), ints >= 1; the flattened
+    image is row-major with row 0 the lowest persistence band. Pair weights
+    divide by the persistence range's end, above 0.
     """
 
     birth_range: tuple
@@ -41,29 +41,28 @@ class PIGrid:
     sigma: float
 
     def __post_init__(self):
-        b0, b1 = self.birth_range
-        p0, p1 = self.persistence_range
-        if not (b1 > b0 and p1 > max(p0, 0)):
-            raise ValidationError("degenerate grid ranges (or persistence <= 0)")
-        _resolution(self.resolution)
-        if not 0 < self.sigma < math.inf:
-            raise ValidationError("sigma must be positive and finite")
+        for name in ("birth_range", "persistence_range"):
+            start, end = _two(name, getattr(self, name), _check_real)
+            _check_real(f"{name} width", float(end) - float(start), 0, above=True)
+        _check_real("persistence_range[1]", end, 0, above=True)
+        _two("resolution", self.resolution, _check_int, 1)
+        _check_real("sigma", self.sigma, 0, above=True)
 
     @property
     def size(self) -> int:
         return self.resolution[0] * self.resolution[1]
 
 
-def _resolution(resolution) -> tuple:
-    """``(rows, cols)``: two ints >= 1, not bools, else ValidationError."""
+def _two(name: str, value, check, *bounds) -> tuple:
+    """The two items of ``value``, each accepted by ``check`` with these
+    bounds as ``name[0]`` and ``name[1]``; else ValidationError."""
     try:
-        rows, cols = resolution
+        first, second = value
     except (TypeError, ValueError):
-        rows = cols = None
-    if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
-               for v in (rows, cols)):
-        raise ValidationError(f"resolution {resolution} is not two ints >= 1")
-    return rows, cols
+        raise ValidationError(f"{name} must be two numbers, got {value!r}") from None
+    check(f"{name}[0]", first, *bounds)
+    check(f"{name}[1]", second, *bounds)
+    return first, second
 
 
 def _finite_rows(pairs) -> np.ndarray:
@@ -103,7 +102,7 @@ def fit_pi_grid(diagrams, resolution=(2, 2), sigma: float | None = None) -> PIGr
     the collection. Degenerate ranges are widened slightly; the default
     bandwidth is half the pixel height.
     """
-    rows, cols = _resolution(resolution)
+    rows, cols = _two("resolution", resolution, _check_int, 1)
     births, deaths = np.concatenate([_finite_rows(pairs) for pairs in diagrams]
                                     + [np.empty((0, 2))]).T
     if not len(births):
@@ -164,8 +163,13 @@ def persistent_entropy(values, log_base: float = math.e) -> float:
     """Shannon entropy of the normalized value multiset.
 
     Zero values contribute nothing (the 0*log(0) limit); an empty multiset
-    has no defined entropy and returns NaN.
+    has no defined entropy and returns NaN. ``log_base`` must be a finite
+    real above 0 and not 1, even then.
     """
+    _check_real("log_base", log_base, 0, above=True)
+    if log_base == 1:
+        raise ValidationError(
+            f"log_base must be a finite number > 0 and not 1, got {log_base!r}")
     vals = [v for v in values]
     if not vals:
         return math.nan
@@ -186,15 +190,16 @@ def persistent_entropy(values, log_base: float = math.e) -> float:
 
 
 def _eight_stats(arr: np.ndarray, log_base: float) -> list:
+    entropy = persistent_entropy(arr.tolist(), log_base)  # checks log_base
     if arr.size == 0:
-        return [math.nan] * 8
+        return [math.nan] * 7 + [entropy]
     with np.errstate(over="ignore", invalid="ignore"):
         stats = _seven_stats(arr, 0)
     if not all(map(math.isfinite, stats)):  # a sum or difference overflowed
         e = math.frexp(float(np.abs(arr).max()))[1]
         stats = [v if math.isfinite(v) else w
                  for v, w in zip(stats, _seven_stats(arr, e))]
-    return stats + [persistent_entropy(arr.tolist(), log_base)]
+    return stats + [entropy]
 
 
 def _seven_stats(arr: np.ndarray, e: int) -> list:
@@ -248,8 +253,11 @@ def delay_embed(series, embed_dim: int, tau: int, stride: int = 1) -> PointCloud
     Produces points (x_i, x_{i+tau}, ..., x_{i+(m-1)tau}) for i = 0, stride,
     2*stride, ...
     """
-    vals = np.array([float(v) for v in series])
-    if not (isinstance(embed_dim, Integral) and embed_dim in (2, 3)):
+    try:
+        vals = np.array([float(v) for v in series])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"a series value is not a number: {exc}") from None
+    if not (isinstance(embed_dim, (int, np.integer)) and embed_dim in (2, 3)):
         raise ValidationError(f"embed_dim must be 2 or 3, got {embed_dim!r}")
     _check_int("tau", tau, 1)
     _check_int("stride", stride, 1)

@@ -23,11 +23,11 @@ from delrips import (FiltrationSpec, PointCloud, bottleneck, boundary_matrix,
 from delrips.bench import run_grid
 from delrips.datagen import ShapeClass
 from delrips.errors import EpsilonTooLarge
-from delrips.persistence import _sym_diff, extract_pairs
+from delrips.persistence import extract_pairs
 from delrips.vectorize import fit_pi_grid
 from families import jittered_grid_member, near_planar_member
 from naive_oracle import (brute_bottleneck, closure_of, dense,
-                          naive_vr_diagram)
+                          merge_sym_diff, naive_vr_diagram)
 
 SQ3 = math.sqrt(3.0)
 TOL = 1e-9
@@ -273,7 +273,7 @@ def test_criterion_9_property_suites():
             for col in mat.columns:
                 acc = []
                 for i in col:
-                    acc = _sym_diff(acc, mat.columns[i])
+                    acc = merge_sym_diff(acc, mat.columns[i])
                 dd_ok &= acc == []
 
     metric_ok = True

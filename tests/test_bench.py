@@ -58,9 +58,9 @@ def test_grid_medians_and_cloud_sharing():
 def test_timeout_must_be_positive_finite(timeout):
     # A cloud that builds in milliseconds was reported as a timeout at a
     # negative cap; now neither entry point starts a cell.
-    with pytest.raises(ValidationError, match="positive finite"):
+    with pytest.raises(ValidationError, match="timeout must be a finite number > 0"):
         run_cell("delaunay_rips", sphere_points(20), 1, 0, timeout)
-    with pytest.raises(ValidationError, match="positive finite"):
+    with pytest.raises(ValidationError, match="timeout must be a finite number > 0"):
         run_grid(ShapeClass(kind="sphere"), nu=0.1, sizes=[20],
                  methods=["delaunay_rips"], max_hom_dim=1, trials=1,
                  timeout=timeout, seed=5)

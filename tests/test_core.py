@@ -16,8 +16,14 @@ from delrips import (Filtration, FiltrationSpec, PersistenceDiagram,
                      PerturbationPairing, PointCloud, ShapeClass, add_noise,
                      bottleneck, boundary_matrix, build, delaunay, sample_shape,
                      sort_filtration)
+from delrips.bench import run_cell, run_grid
+from delrips.cli import main
 from delrips.core import pairwise_distances
+from delrips.datagen import near_cocircular_quad
 from delrips.errors import InvalidFiltration, ValidationError
+from delrips.geometry import epsilon_perturb
+from delrips.vectorize import (PIGrid, persistence_stats, persistent_entropy,
+                               stats_feature_vector)
 from families import uniform
 
 SQ3 = math.sqrt(3.0)
@@ -318,8 +324,8 @@ def test_filtration_rejects_overcap_and_bad_scale():
 @pytest.mark.parametrize("max_dim", [1.5, True, False, "2", None, -1, 2.0])
 def test_filtration_max_dim_must_be_an_integer(max_dim):
     # 1.5 and True were accepted and "2" raised TypeError from the entry
-    # loop; the message is FiltrationSpec's.
-    with pytest.raises(ValidationError, match="max_dim .* is not an integer >= 0"):
+    # loop; the message is _check_int's.
+    with pytest.raises(ValidationError, match="max_dim must be an integer >= 0"):
         Filtration(entries=(((0,), 0.0),), max_dim=max_dim)
     assert Filtration(entries=(((0,), 0.0),), max_dim=np.int64(0)).max_dim == 0
 
@@ -543,6 +549,116 @@ def test_np_lexsort_only_in_the_one_row_order():
         sites += [(path.name, owner.get(node)) for node in ast.walk(tree)
                   if getattr(node, "attr", getattr(node, "id", "")) == "lexsort"]
     assert sites == [("core.py", "_row_order")]
+
+
+_PAIR = PointCloud.from_points([(0.0, 0.0), (1.0, 0.0)])
+
+
+def _grid(birth=(0.0, 1.0), persistence=(0.0, 1.0), resolution=(2, 2),
+          sigma=0.1):
+    return PIGrid(birth, persistence, resolution, sigma)
+
+
+def _cli(*argv):
+    """A call that runs the CLI with the value, as text, in place of {}."""
+    return lambda v: main([a.format(v) for a in argv])
+
+
+# (id, start of the message, call with the value, values just past the bound)
+_NUMERIC_ARGUMENTS = [
+    ("Filtration", "max_dim", lambda v: Filtration((((0,), 0.0),), v), [-1]),
+    ("FiltrationSpec", "threshold", lambda v: FiltrationSpec("rips", 1, v),
+     [-5e-324]),
+    ("PIGrid-birth-start", "birth_range", lambda v: _grid(birth=(v, 1.0)),
+     [1.0]),
+    ("PIGrid-birth-end", "birth_range",
+     lambda v: _grid(birth=(-1.7e308, v)), [-1.7e308, 1.7e308]),
+    ("PIGrid-persistence-start", "persistence_range",
+     lambda v: _grid(persistence=(v, 1.0)), [1.0]),
+    ("PIGrid-persistence-end", "persistence_range",
+     lambda v: _grid(persistence=(-1.0, v)), [0.0]),
+    ("PIGrid-rows", "resolution[0]", lambda v: _grid(resolution=(v, 2)), [0]),
+    ("PIGrid-cols", "resolution[1]", lambda v: _grid(resolution=(2, v)), [0]),
+    ("PIGrid-sigma", "sigma", lambda v: _grid(sigma=v), [0.0]),
+    ("ShapeClass-radius", "radius",
+     lambda v: ShapeClass("sphere", {"radius": v}), [0.0]),
+    ("ShapeClass-spread", "spread",
+     lambda v: ShapeClass("three_clusters", {"spread": v}), [-5e-324]),
+    ("add_noise", "nu", lambda v: add_noise(_PAIR, v, 0), [-5e-324]),
+    ("near_cocircular_quad", "x", near_cocircular_quad, [2.0 - SQ3]),
+    ("PerturbationPairing", "epsilon",
+     lambda v: PerturbationPairing(_PAIR, _PAIR, v), [0.0]),
+    ("epsilon_perturb", "eps", lambda v: epsilon_perturb(_PAIR, v, 0), [0.0]),
+    ("run_cell", "timeout",
+     lambda v: run_cell("delaunay_rips", _PAIR.points, 1, 0, v), [0.0]),
+    ("run_grid-timeout", "timeout",
+     lambda v: run_grid(ShapeClass("sphere"), 0.1, [20], ["rips"], 1, 1, v, 0),
+     [0.0]),
+    ("run_grid-trials", "trials",
+     lambda v: run_grid(ShapeClass("sphere"), 0.1, [20], ["rips"], 1, v, 7.0, 0),
+     [0, 1.5]),
+    ("persistent_entropy", "log_base", lambda v: persistent_entropy([1, 2], v),
+     [0.0, 1.0, -2.0]),
+    ("persistence_stats", "log_base", lambda v: persistence_stats([], v),
+     [0, 1.0]),
+    ("stats_feature_vector", "log_base",
+     lambda v: stats_feature_vector([(0, 1)], [], [], log_base=v), [0, 1.0]),
+    ("cli-precision", "--precision",
+     _cli("hausdorff", "--precision={}", "a.csv", "b.csv"), [-1]),
+    ("cli-noise", "--noise",
+     _cli("generate", "--shape", "sphere", "--noise={}", "-o", "c.csv"),
+     [-5e-324]),
+    ("cli-nu", "--nu", _cli("bench", "--nu={}", "-o", "b.csv"), [-5e-324]),
+    ("cli-trials", "--trials", _cli("bench", "--trials={}", "-o", "b.csv"),
+     [0, 1.5]),
+    ("cli-timeout", "--timeout", _cli("bench", "--timeout={}", "-o", "b.csv"),
+     [0.0]),
+    ("cli-bench-maxdim", "--maxdim",
+     _cli("bench", "--maxdim={}", "-o", "b.csv"), [-1]),
+    ("cli-pd-maxdim", "--maxdim", _cli("pd", "--maxdim={}", "c.csv"), [-1]),
+    ("cli-pi-maxdim", "--maxdim",
+     _cli("vectorize", "pi", "d.csv", "--maxdim={}", "-o", "f.csv"), [-1]),
+    ("cli-dim", "--dim", _cli("bottleneck", "a.csv", "b.csv", "--dim={}"), [-1]),
+]
+_BAD_NUMBERS = {"str": "a", "None": None, "bool": True, "nan": math.nan,
+                "inf": math.inf, "-inf": -math.inf, "1e400": 10 ** 400}
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{case}-{key}")
+    for case, name, call, past in _NUMERIC_ARGUMENTS
+    for key, value in [*_BAD_NUMBERS.items(),
+                       *((f"past{i}", v) for i, v in enumerate(past))]
+    if name != "threshold" or key not in ("None", "inf")])  # no cap
+def test_every_numeric_argument_follows_one_rule(name, call, value, capsys):
+    # core._check_int and core._check_real check every numeric argument:
+    # a bad value is a ValidationError naming the argument (a usage error
+    # for a CLI option), never a TypeError, a ZeroDivisionError, a NaN
+    # image or an accepted negative dimension.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if name.startswith("--"):
+            with pytest.raises(SystemExit) as exc:
+                call(value)
+            assert exc.value.code == 2
+            assert f"error: argument {name}: value must" in capsys.readouterr().err
+        else:
+            with pytest.raises(ValidationError, match=(
+                    f"^{re.escape(name)}\\S*( width)? must be .*, got ")):
+                call(value)
+
+
+def test_only_core_imports_numbers():
+    # One number rule: every other module checks numbers through core.
+    importers = []
+    for path in sorted(Path(delrips.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "numbers" in names:
+                importers.append(path.name)
+    assert importers == ["core.py"]
 
 
 def test_every_module_level_import_is_used():

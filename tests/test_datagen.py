@@ -65,25 +65,46 @@ def test_shape_validation():
         sample_shape(ShapeClass(kind="circle"), 0, seed=0)
 
 
+# The case ids are kept from the earlier message format, so each case keeps
+# its name in the suite's reports.
+_SHAPE_CASE_IDS = [
+    "torus-params0-^major_radius 0.0 is not a finite number > 0$",
+    "torus-params1-^minor_radius -1.0 is not",
+    "torus-params2-<= major_radius",
+    "circle-params3-^radius 0.0 is not a finite number > 0$",
+    "sphere-params4-^radius inf is not",
+    "sphere-params5-^radius nan is not",
+    "sphere-params6-^radius True is not",
+    "sphere-params7-^radius '1.0' is not",
+    "sphere-params8-^radius None is not",
+    "random-params9-^half_width -1.0 is not",
+    "three_clusters-params10-^side 0 is not",
+    "three_clusters-params11-^spread -0.1 is not a finite number >= 0$",
+    "nested_clusters-params12-^sub_side 0.0 is not",
+    "nested_clusters-params13-^spread inf is not",
+]
+
+
 @pytest.mark.parametrize("kind, params, message", [
     # A 0/0 acceptance ratio: the torus sampler never returned.
     ("torus", {"major_radius": 0.0, "minor_radius": 0.0},
-     "^major_radius 0.0 is not a finite number > 0$"),
+     "^major_radius must be a finite number > 0, got 0.0$"),
     # A negative radius: a RuntimeWarning from the sampler.
-    ("torus", {"major_radius": 1.0, "minor_radius": -1.0}, "^minor_radius -1.0 is not"),
+    ("torus", {"major_radius": 1.0, "minor_radius": -1.0},
+     "^minor_radius must be a finite number > 0, got -1.0$"),
     ("torus", {"major_radius": 1.0, "minor_radius": 1.5}, "<= major_radius"),
-    ("circle", {"radius": 0.0}, "^radius 0.0 is not a finite number > 0$"),
-    ("sphere", {"radius": math.inf}, "^radius inf is not"),
-    ("sphere", {"radius": math.nan}, "^radius nan is not"),
-    ("sphere", {"radius": True}, "^radius True is not"),
-    ("sphere", {"radius": "1.0"}, "^radius '1.0' is not"),
-    ("sphere", {"radius": None}, "^radius None is not"),
-    ("random", {"half_width": -1.0}, "^half_width -1.0 is not"),
-    ("three_clusters", {"side": 0}, "^side 0 is not"),
-    ("three_clusters", {"spread": -0.1}, "^spread -0.1 is not a finite number >= 0$"),
-    ("nested_clusters", {"sub_side": 0.0}, "^sub_side 0.0 is not"),
-    ("nested_clusters", {"spread": math.inf}, "^spread inf is not"),
-])
+    ("circle", {"radius": 0.0}, "^radius must be a finite number > 0, got 0.0$"),
+    ("sphere", {"radius": math.inf}, "^radius must be a finite number > 0, got inf$"),
+    ("sphere", {"radius": math.nan}, "^radius must be a finite number > 0, got nan$"),
+    ("sphere", {"radius": True}, "^radius must be a finite number > 0, got True$"),
+    ("sphere", {"radius": "1.0"}, "^radius must be a finite number > 0, got '1.0'$"),
+    ("sphere", {"radius": None}, "^radius must be a finite number > 0, got None$"),
+    ("random", {"half_width": -1.0}, "^half_width must be a finite number > 0, got -1.0$"),
+    ("three_clusters", {"side": 0}, "^side must be a finite number > 0, got 0$"),
+    ("three_clusters", {"spread": -0.1}, "^spread must be a finite number >= 0, got -0.1$"),
+    ("nested_clusters", {"sub_side": 0.0}, "^sub_side must be a finite number > 0, got 0.0$"),
+    ("nested_clusters", {"spread": math.inf}, "^spread must be a finite number >= 0, got inf$"),
+], ids=_SHAPE_CASE_IDS)
 def test_shape_parameters_are_checked(kind, params, message):
     with pytest.raises(ValidationError, match=message):
         ShapeClass(kind=kind, params=params)
@@ -123,7 +144,7 @@ def test_seed_must_be_a_non_negative_integer(seed):
 def test_add_noise_rejects_nu_not_finite_and_non_negative(nu):
     # NaN used to reach the points and be reported as a non-finite point.
     cloud = sample_shape(ShapeClass(kind="sphere"), 5, seed=0)
-    with pytest.raises(ValidationError, match=r"^nu must be a finite number >= 0$"):
+    with pytest.raises(ValidationError, match=r"^nu must be a finite number >= 0, got "):
         add_noise(cloud, nu, seed=1)
 
 

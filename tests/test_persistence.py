@@ -195,7 +195,7 @@ def test_vr_matches_naive_powerset_oracle(rng):
 
 
 def test_boundary_of_boundary_is_zero(rng):
-    from delrips.persistence import _sym_diff
+    from naive_oracle import merge_sym_diff
 
     for _ in range(4):
         pc = random_cloud(rng, int(rng.integers(3, 15)))
@@ -204,7 +204,7 @@ def test_boundary_of_boundary_is_zero(rng):
         for col in mat.columns:
             acc = []
             for face_idx in col:
-                acc = _sym_diff(acc, mat.columns[face_idx])
+                acc = merge_sym_diff(acc, mat.columns[face_idx])
             assert acc == []
 
 

@@ -25,7 +25,7 @@ class TestGrid:
     def test_overflowing_persistence_is_a_degenerate_range(self):
         # 1e308 - (-1e308) is inf, as in Python floats, with no numpy
         # overflow warning (an error under the suite's warning filter).
-        with pytest.raises(ValidationError, match="degenerate grid ranges"):
+        with pytest.raises(ValidationError, match=r"^persistence_range\[0\] must be a finite number"):
             fit_pi_grid([[(-1e308, 1e308)]])
 
     def test_min_max_ranges(self):
@@ -56,15 +56,15 @@ class TestGrid:
             with pytest.raises(ValidationError, match="sigma"):
                 PIGrid((0, 1), (0, 1), (2, 2), sigma)
         # The pair weights divide by the persistence range's upper end.
-        with pytest.raises(ValidationError, match="persistence <= 0"):
+        with pytest.raises(ValidationError, match=r"^persistence_range\[1\] must be a finite number > 0"):
             PIGrid((0, 1), (-1.0, 0.0), (2, 2), 0.1)
         # ("a", 2) raised TypeError from fit_pi_grid's sigma guard, (2,) and
         # None unpacking errors.
         for resolution in ((1.5, 2), (2, 2.0), (True, 2), (2, "2"), ("a", 2),
                            (2,), (2, 2, 2), None, (0, 2)):
-            with pytest.raises(ValidationError, match="is not two ints >= 1"):
+            with pytest.raises(ValidationError, match="^resolution"):
                 PIGrid((0, 1), (0, 1), resolution, 0.1)
-            with pytest.raises(ValidationError, match="is not two ints >= 1"):
+            with pytest.raises(ValidationError, match="^resolution"):
                 fit_pi_grid([[(0.0, 1.0)]], resolution=resolution)
         assert PIGrid((0, 1), (-1.0, 1e-300), (np.int64(2), 1), 0.1).size == 2
         # The resolution is checked before the default sigma divides by it.
@@ -255,6 +255,11 @@ class TestDelayEmbed:
         # 2.0 compared equal to 2 and then raised TypeError from slicing.
         with pytest.raises(ValidationError, match="embed_dim must be 2 or 3"):
             delay_embed(range(20), embed_dim, 1)
+
+    def test_series_values_must_be_numbers(self):
+        # float("a") raised a bare ValueError.
+        with pytest.raises(ValidationError, match="not a number"):
+            delay_embed(["a", "b", "c"], 2, 1)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
