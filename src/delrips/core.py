@@ -231,7 +231,7 @@ class Filtration(_Frozen):
         faces = [_vertex_rows([entries[p][0] for p in pos.tolist()], k + 1)
                  for k, pos in enumerate(positions)]
         for verts, s in entries:
-            if not isinstance(s, Real):
+            if not isinstance(s, Real) or isinstance(s, bool):
                 raise ValidationError(f"non-real scale {s!r} for {verts}")
         try:
             scales = np.array([s for _, s in entries], dtype=float)
@@ -483,6 +483,13 @@ def _check_pairs(births: np.ndarray, deaths: np.ndarray) -> None:
                               f"death {float(deaths[bad[0]])}")
 
 
+def _dims(dims) -> np.ndarray:
+    """Homology dimensions, each checked as an int >= 0, as an int64 array."""
+    for dim in dims:
+        _check_int("dim", dim, 0)
+    return np.array(list(dims), dtype=np.int64)
+
+
 def _pair_array(pairs) -> np.ndarray:
     """(birth, death) pairs as a (k, 2) float64 array, in one numpy pass (a
     None reads as NaN), checked by ``_check_pairs``; else ValidationError."""
@@ -518,14 +525,12 @@ class PersistenceDiagram(_Frozen):
     def __init__(self, entries=()):
         entries = list(entries)
         rows = _pair_array([(birth, death) for _, birth, death in entries])
-        dims = np.array([int(dim) for dim, _, _ in entries], dtype=np.int64)
-        self._store(dims, rows[:, 0], rows[:, 1])
+        self._store(_dims([dim for dim, _, _ in entries]), rows[:, 0], rows[:, 1])
 
     @classmethod
     def from_pairs(cls, pairs_by_dim: Mapping[int, Iterable]) -> "PersistenceDiagram":
         arrays = [_pair_array(pairs) for pairs in pairs_by_dim.values()]
-        dims = np.repeat([int(dim) for dim in pairs_by_dim],
-                         [len(a) for a in arrays]).astype(np.int64)
+        dims = np.repeat(_dims(pairs_by_dim), [len(a) for a in arrays])
         rows = np.concatenate(arrays + [np.empty((0, 2))])
         return cls._from_arrays(dims, rows[:, 0], rows[:, 1])
 

@@ -38,7 +38,7 @@ a <= b (a == b in 2-D) as the one int a*n + b.
 ``delaunay`` sorts the real simplices into a lexicographic int64 array. The
 one face routine, ``facet_incidence``, maps each dimension's simplices to
 their facets once, top-down on demand; ``DelaunayComplex`` keeps the map for
-the certificate, the faces, both scale rules and ``same_triangulation``.
+the certificate, the faces and both scale rules.
 Both sort by ``core._row_order``, the package's one row order.
 
 The finished triangulation is certified once (Mehlhorn et al., "Checking

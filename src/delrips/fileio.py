@@ -12,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-from .core import PersistenceDiagram, PointCloud
+from .core import PersistenceDiagram, PointCloud, _check_int
 from .errors import InputFormatError
 
 DEFAULT_PRECISION = 10
@@ -21,7 +21,13 @@ DEFAULT_PRECISION = 10
 def fmt_float(x: float, precision: int = DEFAULT_PRECISION) -> str:
     """``x`` with ``precision`` decimals and no trailing zeros after the
     decimal point; a nonzero value that would round to 0 keeps ``precision``
-    significant digits."""
+    significant digits. ``precision`` is an int >= 0 (ValidationError)."""
+    _check_int("precision", precision, 0)
+    return _fmt(x, precision)
+
+
+def _fmt(x: float, precision: int) -> str:
+    """``fmt_float`` less the check, which each writer makes once per call."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     s = f"{x:.{precision}f}"
@@ -54,12 +60,13 @@ def read_point_cloud(path) -> PointCloud:
 
 
 def write_point_cloud(path, cloud: PointCloud, precision: int = DEFAULT_PRECISION):
+    _check_int("precision", precision, 0)
     path = Path(path)
     rows = cloud.points.tolist()
     if path.suffix.lower() == ".json":
         path.write_text(json.dumps(rows) + "\n")
         return
-    lines = [",".join(fmt_float(x, precision) for x in p) for p in rows]
+    lines = [",".join(_fmt(x, precision) for x in p) for p in rows]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -101,6 +108,7 @@ def read_diagram(path) -> PersistenceDiagram:
 
 def write_diagram(path, diag: PersistenceDiagram, keep_zero: bool = False,
                   precision: int = DEFAULT_PRECISION):
+    _check_int("precision", precision, 0)
     if not keep_zero:
         diag = diag.drop_zero()
     path = Path(path)
@@ -110,15 +118,14 @@ def write_diagram(path, diag: PersistenceDiagram, keep_zero: bool = False,
                 for dim, birth, death in rows]
         path.write_text(json.dumps(rows) + "\n")
         return
-    lines = [f"{dim},{fmt_float(birth, precision)},{fmt_float(death, precision)}"
+    lines = [f"{dim},{_fmt(birth, precision)},{_fmt(death, precision)}"
              for dim, birth, death in rows]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_features_csv(path, header, rows, precision: int = DEFAULT_PRECISION):
     """One CSV row per sample; NaNs written as `nan`."""
+    _check_int("precision", precision, 0)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            "nan" if math.isnan(v) else fmt_float(v, precision) for v in row))
+    lines += [",".join(_fmt(v, precision) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -12,8 +12,7 @@ triangulations would. It first looks for a local witness, a simplex whose
 empty circumball proves it is in the source's triangulation and whose
 target circumball holds a target point strictly inside (Mehlhorn et al.,
 "Checking geometric programs or verification of geometric structures",
-1999). Only when there is none does it triangulate the source, and then
-the target if no in-ball test proves the change.
+1999). Only when there is none does it triangulate both clouds and compare.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .core import (PointCloud, _blocks, _check_int, _check_real, _sweep_pairs,
                    distance_blocks, distances)
-from .delaunay import certificate, delaunay, interior_facets
+from .delaunay import certificate, delaunay
 from .errors import (DimensionMismatch, EmptyCloud, EpsilonTooLarge,
                      GeometryError, ValidationError)
 
@@ -204,22 +203,13 @@ def same_triangulation(pair: PerturbationPairing) -> bool:
     the index pairing.
 
     A local witness (``_local_witness``), found on a few neighbourhoods,
-    answers False.
-
-    Otherwise it triangulates the source. A target point strictly inside
-    the target circumball of a source top, across an interior facet
-    (``delaunay.certificate``), proves that top is in no Delaunay
-    triangulation of the target: the answer is False. Else the top
-    simplices are compared with ``delaunay(target)``'s; a full-dimensional
-    triangulation's d-simplices fix all its faces. So the answer, errors
-    included, is exactly the two-triangulation comparison.
+    answers False. Otherwise the top simplices of ``delaunay(source)`` and
+    ``delaunay(target)`` are compared; a full-dimensional triangulation's
+    d-simplices fix all its faces. So the answer, errors included, is
+    exactly the two-triangulation comparison.
     """
     if _local_witness(pair):
         return False
-    src = delaunay(pair.source)
-    tops = src.faces(pair.source.dim)
-    facets = interior_facets(src._cofaces(pair.source.dim - 1))
-    _, inball = certificate(pair.target.points, tops, facets)
-    if (inball > 0).any():
-        return False
-    return np.array_equal(tops, delaunay(pair.target).faces(pair.source.dim))
+    dim = pair.source.dim
+    return np.array_equal(delaunay(pair.source).faces(dim),
+                          delaunay(pair.target).faces(dim))

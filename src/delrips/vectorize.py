@@ -65,16 +65,12 @@ def _two(name: str, value, check, *bounds) -> tuple:
     return first, second
 
 
-def _finite_rows(pairs) -> np.ndarray:
-    """The pairs with a finite death, as rows of ``_pair_array``."""
-    arr = _pair_array(pairs)
-    return arr[np.isfinite(arr[:, 1])]
-
-
 def _finite(pairs) -> tuple:
-    """Births, deaths and persistences (death - birth) of the pairs with a
-    finite death; ValidationError when a persistence overflows."""
-    births, deaths = _finite_rows(pairs).T
+    """Births, deaths and persistences (death - birth) of the pairs, read by
+    ``_pair_array``, with a finite death; ValidationError when a persistence
+    overflows."""
+    arr = _pair_array(pairs)
+    births, deaths = arr[np.isfinite(arr[:, 1])].T
     with np.errstate(over="ignore"):
         pers = deaths - births
     bad = np.flatnonzero(np.isinf(pers))
@@ -103,12 +99,12 @@ def fit_pi_grid(diagrams, resolution=(2, 2), sigma: float | None = None) -> PIGr
     bandwidth is half the pixel height.
     """
     rows, cols = _two("resolution", resolution, _check_int, 1)
-    births, deaths = np.concatenate([_finite_rows(pairs) for pairs in diagrams]
-                                    + [np.empty((0, 2))]).T
+    births, _, pers = np.concatenate(
+        [np.array(_finite(pairs)) for pairs in diagrams] + [np.empty((3, 0))],
+        axis=1)
     if not len(births):
         raise AllEmpty("no finite persistence pairs in the collection")
-    with np.errstate(over="ignore"):  # an inf persistence, as in floats
-        pers_range = _widen(deaths - births)
+    pers_range = _widen(pers)
     if sigma is None:
         sigma = 0.5 * (pers_range[1] - pers_range[0]) / rows
     return PIGrid(birth_range=_widen(births), persistence_range=pers_range,

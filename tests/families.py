@@ -2,6 +2,9 @@
 adversarial families, jittered grids and near-planar sets, on which Alpha
 once rejected clouds that ``delaunay()`` accepts.
 
+``cocircular_square`` is the exact tie that ``near_cocircular_quad`` only
+nearly reaches.
+
 The regression families number their clouds by seed: the jittered grid of
 seed s has 10 + s % 50 points (seeds 0-149 in R^2 and R^3), the near-planar
 cloud of seed s has 20 + s points in R^3 with z jitter 1e-9 (seeds 0-49).
@@ -35,3 +38,10 @@ def jittered_grid_member(dim, seed):
 
 def near_planar_member(seed):
     return near_planar(20 + seed, seed, 1e-9)
+
+
+def cocircular_square(x):
+    """(-1, 0), (0, 1), (0, -1) and (1 - x, 0): on the unit circle, exactly
+    in binary, at x = 0; the fourth point is outside it for x < 0 and
+    inside for 0 < x < 2."""
+    return np.array([(-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0 - x, 0.0)])

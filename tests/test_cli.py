@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delrips import (FiltrationSpec, PointCloud, build_delaunay_rips,
-                     compute_diagram, delaunay, hausdorff_distance,
-                     near_cocircular_quad)
+import delrips.fileio
+from delrips import (FiltrationSpec, PersistenceDiagram, PointCloud,
+                     build_delaunay_rips, compute_diagram, delaunay,
+                     hausdorff_distance, near_cocircular_quad)
 from delrips.cli import main
+from delrips.errors import ValidationError
 from delrips.fileio import (read_diagram, read_point_cloud, write_diagram,
-                            write_point_cloud)
+                            write_features_csv, write_point_cloud)
 from delrips import bottleneck
 from families import jittered_grid_member, near_planar_member
 
@@ -105,6 +107,43 @@ def test_point_cloud_files_keep_their_bytes(tmp_path):
     for (name, precision), text in want.items():
         write_point_cloud(tmp_path / name, cloud, precision)
         assert (tmp_path / name).read_bytes() == text.encode()
+
+
+_WRITERS = {
+    "write_point_cloud": lambda path, precision: write_point_cloud(
+        path, near_cocircular_quad(0.1), precision),
+    "write_diagram": lambda path, precision: write_diagram(
+        path, PersistenceDiagram.from_pairs({0: [(0.0, 0.5), (0.0, math.inf)]}),
+        precision=precision),
+    "write_diagram-empty": lambda path, precision: write_diagram(
+        path, PersistenceDiagram(), precision=precision),
+    "write_features_csv": lambda path, precision: write_features_csv(
+        path, ["a", "b"], [[0.5, math.nan], [1.0, 2.0]], precision),
+}
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("precision", [-1, 1.5, True, None])
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS.keys())
+def test_writers_check_precision_before_writing(tmp_path, write, precision,
+                                                suffix):
+    # -1 raised a bare ValueError from the format spec, or was accepted
+    # where nothing was formatted (JSON files, an empty diagram).
+    path = tmp_path / f"out{suffix}"
+    with pytest.raises(ValidationError,
+                       match="^precision must be an integer >= 0, got "):
+        write(path, precision)
+    assert not path.exists()
+
+
+def test_writers_check_precision_once(tmp_path, monkeypatch):
+    calls = []
+    check = delrips.fileio._check_int
+    monkeypatch.setattr(delrips.fileio, "_check_int",
+                        lambda *args: calls.append(args) or check(*args))
+    for name, write in _WRITERS.items():
+        write(tmp_path / f"{name}.csv", 3)
+    assert calls == [("precision", 3, 0)] * len(_WRITERS)
 
 
 def test_generate_and_hausdorff(tmp_path, capsys):

@@ -21,6 +21,7 @@ from delrips.cli import main
 from delrips.core import pairwise_distances
 from delrips.datagen import near_cocircular_quad
 from delrips.errors import InvalidFiltration, ValidationError
+from delrips.fileio import fmt_float
 from delrips.geometry import epsilon_perturb
 from delrips.vectorize import (PIGrid, persistence_stats, persistent_entropy,
                                stats_feature_vector)
@@ -287,10 +288,11 @@ def test_filtration_keeps_the_given_entries():
     assert repr(filt) == f"Filtration(entries={given!r}, max_dim=0)"
 
 
-@pytest.mark.parametrize("scale", ["1.5", None, b"1", 1j, [1.0], (1.0, 2.0)])
+@pytest.mark.parametrize("scale", ["1.5", None, b"1", 1j, [1.0], (1.0, 2.0),
+                                   True, False])
 def test_filtration_rejects_a_scale_that_is_not_real(scale):
     # "1.5" and None raised TypeError from the entry loop; a string is
-    # never parsed as a number.
+    # never parsed as a number, and a bool is not a scale.
     with pytest.raises(ValidationError, match="non-real scale .* for \\(1,\\)"):
         Filtration(entries=(((0,), 0.0), ((1,), scale)), max_dim=0)
 
@@ -564,9 +566,15 @@ def _cli(*argv):
     return lambda v: main([a.format(v) for a in argv])
 
 
-# (id, start of the message, call with the value, values just past the bound)
+# (id, start of the message, call with the value, values just past the bound
+# and other bad values)
 _NUMERIC_ARGUMENTS = [
     ("Filtration", "max_dim", lambda v: Filtration((((0,), 0.0),), v), [-1]),
+    ("PersistenceDiagram", "dim",
+     lambda v: PersistenceDiagram([(v, 0.0, 1.0)]), [-1, 1.5, "1"]),
+    ("from_pairs", "dim",
+     lambda v: PersistenceDiagram.from_pairs({v: [(0.0, 1.0)]}), [-1, 2.7]),
+    ("fmt_float", "precision", lambda v: fmt_float(1.5, v), [-1]),
     ("FiltrationSpec", "threshold", lambda v: FiltrationSpec("rips", 1, v),
      [-5e-324]),
     ("PIGrid-birth-start", "birth_range", lambda v: _grid(birth=(v, 1.0)),

@@ -14,7 +14,7 @@ from delrips import (DelaunayComplex, FiltrationSpec, PointCloud, ShapeClass,
 from delrips.core import pairwise_distances
 from delrips.errors import DuplicatePoints, ValidationError
 from delrips.filtration import _alpha_scales, _rips_scales
-from families import (jittered_grid, jittered_grid_member,
+from families import (cocircular_square, jittered_grid, jittered_grid_member,
                       near_planar_member, uniform)
 from naive_oracle import (alpha_disagreements, closure_of, exact_alpha,
                           rips_entries)
@@ -211,6 +211,19 @@ class TestDelaunayRips:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_delaunay_rips(near_cocircular_quad(0.1), spec("delaunay_rips"))
+
+    @pytest.mark.parametrize("x, tie", [(0.0, True), (2.0 ** -20, False),
+                                        (-2.0 ** -20, False)])
+    def test_cocircular_square_ties_only_at_zero(self, x, tie):
+        cloud = PointCloud.from_points(cocircular_square(x))
+        assert delaunay(cloud).degenerate == tie
+        for build, method in ((build_delaunay_rips, "delaunay_rips"),
+                              (build_alpha, "alpha")):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                build(cloud, spec(method))
+            assert [str(w.message).startswith("cospherical points")
+                    for w in record] == [True] * tie
 
     def test_scale_is_max_edge_scale(self, rng):
         for _ in range(5):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_facet_incidence, random_cloud
-from families import (jittered_grid, jittered_grid_member, near_planar_member,
-                      uniform)
+from families import (cocircular_square, jittered_grid, jittered_grid_member,
+                      near_planar_member, uniform)
 import delrips.geometry
 import delrips.predicates
 from delrips import (PerturbationPairing, PointCloud, ShapeClass, add_noise,
@@ -129,8 +129,8 @@ class TestSameTriangulation:
         assert not same_triangulation(pair)
 
     def test_matches_two_triangulations(self):
-        # The certificate shortcuts must give exactly the answer of comparing
-        # both Delaunay triangulations.
+        # The witness must give exactly the answer of comparing both
+        # Delaunay triangulations.
         rng = np.random.default_rng(606)
         pairs = []
         for k in range(360):
@@ -164,6 +164,10 @@ class TestSameTriangulation:
                 ca, cb = near_cocircular_quad(a), near_cocircular_quad(b)
                 eps = 1.01 * max(hausdorff_distance(ca, cb), 1e-12)
                 pairs.append(PerturbationPairing(source=ca, target=cb, epsilon=eps))
+        t = 2.0 ** -20
+        for a, b in [(-t, 0.0), (0.0, t), (-t, t)]:  # across an exact tie
+            ca, cb = (PointCloud.from_points(cocircular_square(x)) for x in (a, b))
+            pairs.append(PerturbationPairing(source=ca, target=cb, epsilon=4 * t))
         assert len(pairs) >= 400
         got = [same_triangulation(pair) for pair in pairs]
         want = [closure_of(delaunay(pair.source).top_simplices)
@@ -172,19 +176,20 @@ class TestSameTriangulation:
         assert got == want
         assert 100 <= sum(want) <= len(want) - 100
         assert all(got[360:390])
+        assert want[-3:] == [True, False, False]  # the tie breaks as x < 0
 
-    def test_changed_pair_triangulates_source_only(self, monkeypatch):
-        # Below the witness's size cut: the source's certificate decides.
+    def test_changed_pair_triangulates_both_clouds(self, monkeypatch):
+        # Below the witness's size cut the two triangulations decide.
         calls = _count_delaunay(monkeypatch)
         pair = _changed_pair(_WITNESS_CUT)
         assert not same_triangulation(pair)
-        assert calls == [pair.source]
+        assert calls == [pair.source, pair.target]
 
     def test_decided_pair_reuses_the_source_incidence(self, monkeypatch):
         pair = _changed_pair(_WITNESS_CUT)
         calls = count_facet_incidence(monkeypatch)
         assert not same_triangulation(pair)
-        assert calls == [3]
+        assert calls == [3, 3]
 
     @pytest.mark.parametrize("n", [_WITNESS_CUT + 1, 80, 300])
     def test_witness_decided_pair_triangulates_neither_cloud(self, monkeypatch, n):

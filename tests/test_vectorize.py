@@ -23,9 +23,10 @@ class TestGrid:
         assert b1 - b0 > 0 and p1 - p0 > 0
 
     def test_overflowing_persistence_is_a_degenerate_range(self):
-        # 1e308 - (-1e308) is inf, as in Python floats, with no numpy
-        # overflow warning (an error under the suite's warning filter).
-        with pytest.raises(ValidationError, match=r"^persistence_range\[0\] must be a finite number"):
+        # 1e308 - (-1e308) is inf, with no numpy overflow warning (an error
+        # under the suite's warning filter); the message names the pair.
+        with pytest.raises(ValidationError, match=re.escape(
+                "persistence of pair (-1e+308, 1e+308) overflows")):
             fit_pi_grid([[(-1e308, 1e308)]])
 
     def test_min_max_ranges(self):
