@@ -45,7 +45,7 @@ def _worker(conn, spec, points):
     try:
         from .core import PointCloud
 
-        cloud = PointCloud.from_points(points)
+        cloud = PointCloud(points)
         t0 = time.perf_counter()
         filt = build(cloud, spec)
         compute_diagram(filt)

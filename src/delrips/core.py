@@ -1,12 +1,13 @@
 """Shared domain types: point clouds, simplices, filtrations, diagrams.
 
-A point cloud's one form is a read-only (n, dim) float64 array, and a
-filtration's is integer arrays (see ``Filtration``); each is converted and
-checked once when it is made. A simplex is a strictly increasing tuple of
-point indices; its dimension is ``len(verts) - 1``. ``Filtration._from_arrays``
-is the one step that makes the canonical filtration order and
-``boundary_csr`` the one check of it (order, duplicates, closure, face
-before coface). All types are immutable after construction.
+A point cloud's one form is a read-only (n, dim) float64 array, made only
+by ``PointCloud(points)``, and a filtration's is integer arrays (see
+``Filtration``); each is converted and checked once when it is made. A
+simplex is a strictly increasing tuple of point indices; its dimension is
+``len(verts) - 1``. ``Filtration._from_arrays`` is the one step that makes
+the canonical filtration order and ``boundary_csr`` the one check of it
+(order, duplicates, closure, face before coface). All types are immutable
+after construction.
 Every raw (birth, death) pair is read by ``_pair_array``; the one pair rule,
 ``_check_pairs``, runs there and in ``PersistenceDiagram._store``. A diagram's
 one form is three arrays in the canonical pair order, and its tuple views
@@ -34,7 +35,7 @@ import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass
 from numbers import Integral, Real
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -78,30 +79,35 @@ def _check_real(name: str, v, low: float = -INF, *, above: bool = False,
 class PointCloud:
     """Finite ordered list of points in R^2 or R^3 with stable indices.
 
-    ``points`` is a read-only (n, dim) float64 array, converted and checked
-    once here: a rectangular array of numbers is copied in one numpy pass,
-    anything else (ragged rows, None, strings) converts point by point, so
-    it raises as ``float()`` does. Every point must have ``dim``
-    coordinates, all finite; the first offending point is named in the
-    ValidationError. Clouds compare by value (-0.0 equals 0.0).
+    ``PointCloud(points)``, the one constructor, converts and checks
+    ``points`` (an array or any iterable of points) once into a read-only
+    (n, dim) float64 array: a rectangular array of numbers is copied in one
+    numpy pass, anything else (ragged rows, None, strings) converts point by
+    point, so it raises as ``float()`` does. ``dim`` is the width of the
+    first point; every point must have ``dim`` coordinates, all finite, and
+    there must be one (ValidationError, naming the first offending point).
+    Clouds compare by value (-0.0 equals 0.0).
     """
 
     points: np.ndarray
-    dim: int
 
     def __post_init__(self):
-        dim = self.dim
+        points = self.points
+        points = points if isinstance(points, np.ndarray) else list(points)
+        if not len(points):
+            raise ValidationError("point cloud is empty")
+        dim = len(points[0])
         if dim not in (2, 3):
             raise ValidationError(f"ambient dimension must be 2 or 3, got {dim}")
         try:
-            arr = np.asarray(self.points)
+            arr = np.asarray(points)
         except ValueError:  # ragged rows
             arr = None
         wrong = None
         if arr is not None and arr.shape[1:] == (dim,) and arr.dtype.kind in "biuf":
             pts = np.array(arr, dtype=float)
         else:
-            rows = [tuple(map(float, p)) for p in self.points]
+            rows = [tuple(map(float, p)) for p in points]
             first = next((i for i, p in enumerate(rows) if len(p) != dim),
                          len(rows))
             # The points before the first wrong length are checked for
@@ -117,25 +123,21 @@ class PointCloud:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def from_points(cls, points: Sequence[Sequence[float]]) -> "PointCloud":
-        """A cloud of the given points, its dimension that of the first;
-        ValidationError when there are none."""
-        points = points if isinstance(points, np.ndarray) else list(points)
-        if not len(points):
-            raise ValidationError("point cloud is empty")
-        return cls(points=points, dim=len(points[0]))
+    @property
+    def dim(self) -> int:
+        """The ambient dimension, 2 or 3."""
+        return self.points.shape[1]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.points, other.points)
+        return np.array_equal(self.points, other.points)
 
     def __hash__(self):
         return hash((self.dim, (self.points + 0.0).tobytes()))
 
     def __reduce__(self):
-        return PointCloud, (self.points, self.dim)
+        return PointCloud, (self.points,)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -484,9 +486,10 @@ def _check_pairs(births: np.ndarray, deaths: np.ndarray) -> None:
 
 
 def _dims(dims) -> np.ndarray:
-    """Homology dimensions, each checked as an int >= 0, as an int64 array."""
+    """Homology dimensions, each checked as an int >= 0 and below 2**53 (so
+    the float comparison is exact and int64 holds it), as an int64 array."""
     for dim in dims:
-        _check_int("dim", dim, 0)
+        _check_real("dim", dim, 0, below=2 ** 53, integer=True)
     return np.array(list(dims), dtype=np.int64)
 
 

@@ -92,7 +92,7 @@ def sample_shape(shape: ShapeClass, n: int, seed: int) -> PointCloud:
         centers = np.array([m + s for m in main for s in sub])
         idx = np.arange(n) % 9
         pts = centers[idx] + p["spread"] * rng.standard_normal((n, 3))
-    return PointCloud.from_points(pts)
+    return PointCloud(pts)
 
 
 def _sample_torus(rng, n, big_r, small_r):
@@ -120,7 +120,7 @@ def add_noise(cloud: PointCloud, nu: float, seed: int) -> PointCloud:
     if nu == 0:
         return cloud
     offsets = _ball_offsets(np.random.default_rng(seed), len(cloud), cloud.dim, nu)
-    return PointCloud.from_points(cloud.points + offsets)
+    return PointCloud(cloud.points + offsets)
 
 
 def near_cocircular_quad(x: float) -> PointCloud:
@@ -136,5 +136,4 @@ def near_cocircular_quad(x: float) -> PointCloud:
     """
     _check_real("x", x, below=2.0 - math.sqrt(3.0))
     s = math.sqrt(3.0) / 2.0
-    return PointCloud.from_points(
-        [(-1.0, 0.0), (0.5, s), (0.5, -s), (1.0 - x, 0.0)])
+    return PointCloud([(-1.0, 0.0), (0.5, s), (0.5, -s), (1.0 - x, 0.0)])

@@ -397,14 +397,8 @@ def _prescaled(points) -> tuple:
 def _initial_vertices(pts, dim, orient):
     """First dim+1 affinely independent points in index order; ``orient`` is
     the cloud's orient2d or orient3d."""
-    chosen = [0]
-    for i in range(1, len(pts)):
-        if pts[i] != pts[0]:
-            chosen.append(i)
-            break
-    if len(chosen) < 2:
-        raise AffinelyDegenerateInput("all points coincide")
-    for i in range(chosen[1] + 1, len(pts)):
+    chosen = [0, 1]  # distinct: ``delaunay`` rejects repeated points first
+    for i in range(2, len(pts)):
         a, b, c = pts[chosen[0]], pts[chosen[1]], pts[i]
         flat = orient(a, b, c) == 0 if dim == 2 else collinear3d(a, b, c)
         if not flat:

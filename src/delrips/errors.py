@@ -1,8 +1,9 @@
 """Exception taxonomy.
 
-ValidationError covers bad arguments and broken structural invariants (CLI
-exit code 2), GeometryError covers failures of geometric computations on
-otherwise well-formed input (exit code 3).
+ValidationError covers bad arguments and broken structural invariants, a
+cloud with no points among them (CLI exit code 2), GeometryError failures of
+geometric computations on otherwise well-formed input (exit code 3), and
+InputFormatError files that do not parse (exit code 4).
 """
 
 
@@ -28,10 +29,6 @@ class AffinelyDegenerateInput(GeometryError):
 
 class DuplicatePoints(GeometryError):
     """Two input points coincide exactly."""
-
-
-class EmptyCloud(ValidationError):
-    """Operation requires a non-empty point cloud."""
 
 
 class DimensionMismatch(ValidationError):

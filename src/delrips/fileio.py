@@ -2,8 +2,9 @@
 
 Point files: CSV with one `x,y[,z]` line per point (no header), or a JSON
 array of coordinate arrays. Diagram files: CSV lines `dim,birth,death` with
-`inf` for essential classes, or JSON rows with null deaths. Floats are
-written with 10 decimal places, trailing zeros trimmed.
+`inf` for essential classes, or JSON rows with null deaths, both read into
+rows for ``PersistenceDiagram(rows)`` (a JSON dimension as decoded). Floats
+are written with 10 decimal places, trailing zeros trimmed.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def read_point_cloud(path) -> PointCloud:
         else:
             rows = [[float(tok) for tok in line.split(",")]
                     for line in text.splitlines() if line.strip()]
-        return PointCloud.from_points(rows)
+        return PointCloud(rows)
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"bad point file {path}: {exc}") from exc
 
@@ -87,21 +88,17 @@ def read_series(path) -> list:
 def read_diagram(path) -> PersistenceDiagram:
     path = Path(path)
     text = _read_text(path)
-    pairs: dict = {}
     try:
         if path.suffix.lower() == ".json":
-            for dim, birth, death in json.loads(text):
-                d = math.inf if death is None else float(death)
-                pairs.setdefault(int(dim), []).append((float(birth), d))
+            rows = [(dim, float(birth),
+                     math.inf if death is None else float(death))
+                    for dim, birth, death in json.loads(text)]
         else:
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                dim, birth, death = line.split(",")
-                pairs.setdefault(int(dim), []).append(
-                    (float(birth), float(death)))
-        return PersistenceDiagram.from_pairs(pairs)
+            lines = [line.split(",") for line in text.splitlines()
+                     if line.strip()]
+            rows = [(int(dim), float(birth), float(death))
+                    for dim, birth, death in lines]
+        return PersistenceDiagram(rows)
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"bad diagram file {path}: {exc}") from exc
 

@@ -75,8 +75,6 @@ def build_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     max_hom_dim + 2 whose edges are all within the threshold, at the Rips
     scale of ``_rips_scales``."""
     n = len(cloud)
-    if n == 0:
-        raise ValidationError("point cloud is empty")
     dist = np.empty((n, n))
     for rows, block in distance_blocks(cloud.points, cloud.points):
         dist[rows] = block

@@ -25,8 +25,8 @@ import numpy as np
 from .core import (PointCloud, _blocks, _check_int, _check_real, _sweep_pairs,
                    distance_blocks, distances)
 from .delaunay import certificate, delaunay
-from .errors import (DimensionMismatch, EmptyCloud, EpsilonTooLarge,
-                     GeometryError, ValidationError)
+from .errors import (DimensionMismatch, EpsilonTooLarge, GeometryError,
+                     ValidationError)
 
 # The local witness of ``same_triangulation``: up to _SEEDS seed points,
 # each triangulated with its _NEIGHBOURS nearest source points, on clouds of
@@ -40,8 +40,6 @@ _SEEDS = 2
 
 def hausdorff_distance(p: PointCloud, q: PointCloud) -> float:
     """Symmetric Hausdorff distance between two finite clouds."""
-    if len(p) == 0 or len(q) == 0:
-        raise EmptyCloud("hausdorff_distance requires non-empty clouds")
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimensions differ: {p.dim} vs {q.dim}")
     p_to_q = 0.0
@@ -137,7 +135,7 @@ def epsilon_perturb(cloud: PointCloud, eps: float, seed: int) -> PerturbationPai
         offsets[far] /= 2.0
         target[far] = cloud.points[far] + offsets[far]
         far = far[~(distances(cloud.points[far], target[far]) < eps)]
-    return PerturbationPairing(source=cloud, target=PointCloud.from_points(target),
+    return PerturbationPairing(source=cloud, target=PointCloud(target),
                                epsilon=eps)
 
 
@@ -179,7 +177,7 @@ def _local_witness(pair: PerturbationPairing) -> bool:
         nearest = np.argsort(distances(a[v], a), kind="stable")
         near = np.sort(nearest[:_NEIGHBOURS + 1])
         try:
-            local = delaunay(PointCloud.from_points(a[near]))
+            local = delaunay(PointCloud(a[near]))
         except GeometryError:
             continue
         cand = near[local.faces(dim)]

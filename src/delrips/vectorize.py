@@ -262,5 +262,5 @@ def delay_embed(series, embed_dim: int, tau: int, stride: int = 1) -> PointCloud
         raise SeriesTooShort(
             f"series of length {len(vals)} cannot host an embedding with "
             f"window {span + 1}")
-    return PointCloud.from_points(np.column_stack(
+    return PointCloud(np.column_stack(
         [vals[k * tau:][:len(vals) - span:stride] for k in range(embed_dim)]))

@@ -7,7 +7,7 @@ from delrips import PointCloud
 
 
 def random_cloud(rng, n, dim=2, width=1.0):
-    return PointCloud.from_points(rng.uniform(-width, width, (n, dim)))
+    return PointCloud(rng.uniform(-width, width, (n, dim)))
 
 
 @pytest.fixture

@@ -183,9 +183,9 @@ def test_criterion_6_final_complex_identity():
         dim = 2 if trial % 2 == 0 else 3
         n = int(rng.integers(dim + 2, 41))
         clouds.append(random_cloud(rng, n, dim=dim))
-    clouds += [PointCloud.from_points(jittered_grid_member(dim, seed))
+    clouds += [PointCloud(jittered_grid_member(dim, seed))
                for seed in range(0, 150, 10) for dim in (2, 3)]
-    clouds += [PointCloud.from_points(near_planar_member(seed))
+    clouds += [PointCloud(near_planar_member(seed))
                for seed in range(0, 50, 5)]
     ok = True
     with warnings.catch_warnings():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from delrips import (FiltrationSpec, PersistenceDiagram, PointCloud,
                      build_delaunay_rips, compute_diagram, delaunay,
                      hausdorff_distance, near_cocircular_quad)
 from delrips.cli import main
-from delrips.errors import ValidationError
+from delrips.errors import InputFormatError, ValidationError
 from delrips.fileio import (read_diagram, read_point_cloud, write_diagram,
                             write_features_csv, write_point_cloud)
 from delrips import bottleneck
@@ -76,6 +77,51 @@ def test_diagram_round_trip(tmp_path):
     assert read_diagram(jpath) == diag  # json keeps full precision
 
 
+@pytest.mark.parametrize("dim", ["1.5", "true", '"1"', "-1", "null",
+                                 str(2 ** 63), str(2 ** 70)])
+def test_json_diagram_dimension_is_checked_as_given(tmp_path, capsys, dim):
+    # The decoded dimension goes to PersistenceDiagram unconverted, so 1.5
+    # and true do not load as dimension 1, and 2**70 is a ValidationError,
+    # not an OverflowError.
+    path = tmp_path / "bad.json"
+    path.write_text(f"[[0, 0.0, 1.0], [{dim}, 0.0, 2.0]]\n")
+    with pytest.raises(ValidationError, match="^dim must be an integer >= 0"):
+        read_diagram(path)
+    good = tmp_path / "good.csv"
+    good.write_text("1,0,2\n")
+    assert main(["bottleneck", str(path), str(good), "--dim", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: dim must be an integer")
+
+
+@pytest.mark.parametrize("line, code", [
+    ("1.5,0,1", 4), ("true,0,1", 4), ("x,0,1", 4), ("0,a,1", 4), ("0,0", 4),
+    ("0,0,1,2", 4), ("-1,0,1", 2)])
+def test_csv_diagram_keeps_its_exit_codes(tmp_path, capsys, line, code):
+    # CSV is text, so a dimension that int() cannot parse is a format error
+    # (exit 4); one that parses, like -1, is the diagram's to reject (exit 2).
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,0,1\n{line}\n")
+    with pytest.raises(InputFormatError if code == 4 else ValidationError):
+        read_diagram(path)
+    assert main(["bottleneck", str(path), str(path)]) == code
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_diagram_file_names_its_first_bad_pair_in_file_order(tmp_path,
+                                                              suffix):
+    # Rows are checked in file order, not grouped by dimension first, so the
+    # dimension-0 pair on line 2 is named before the dimension-1 pair after.
+    rows = [(1, 0.0, 1.0), (0, 3.0, 2.0), (1, 5.0, 4.0), (0, 0.0, 1.0)]
+    path = tmp_path / f"diag{suffix}"
+    if suffix == ".json":
+        path.write_text(json.dumps(rows))
+    else:
+        path.write_text("".join(f"{d},{b},{e}\n" for d, b, e in rows))
+    with pytest.raises(ValidationError) as exc:
+        read_diagram(path)
+    assert str(exc.value) == "invalid pair: birth 3.0, death 2.0"
+
+
 def test_point_cloud_json_round_trip(tmp_path):
     cloud = near_cocircular_quad(0.1)
     path = tmp_path / "quad.json"
@@ -87,9 +133,9 @@ def test_point_cloud_json_round_trip(tmp_path):
 
 def test_point_cloud_files_keep_their_bytes(tmp_path):
     # Bytes written for this cloud before clouds were held as arrays.
-    cloud = PointCloud.from_points([(0.1, -0.0, 2.0 ** -1074),
-                                    (1e300, -2.5, 1 / 3),
-                                    (12345.678901234, 1e-12, -7.0)])
+    cloud = PointCloud([(0.1, -0.0, 2.0 ** -1074),
+                        (1e300, -2.5, 1 / 3),
+                        (12345.678901234, 1e-12, -7.0)])
     big = ("1000000000000000052504760255204420248704468581108159154915854115"
            "5118024579889081957863713750804478640437044438328838781769425232"
            "3536043057564479218478670698284838720092657580373783023379478809"
@@ -394,11 +440,11 @@ def test_malformed_option_is_usage_error(argv, capsys):
 def test_hausdorff_at_extreme_scales(tmp_path, capsys, scale):
     rng = np.random.default_rng(17)
     pts = rng.uniform(-1.0, 1.0, (30, 3))
-    clouds = [PointCloud.from_points(pts),
-              PointCloud.from_points(pts + rng.uniform(-0.1, 0.1, pts.shape))]
+    clouds = [PointCloud(pts),
+              PointCloud(pts + rng.uniform(-0.1, 0.1, pts.shape))]
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, cloud in zip(paths, clouds):
-        write_point_cloud(path, PointCloud.from_points(cloud.points * scale))
+        write_point_cloud(path, PointCloud(cloud.points * scale))
     capsys.readouterr()
     assert main(["hausdorff", *map(str, paths)]) == 0
     got = float(capsys.readouterr().out.strip())
@@ -415,7 +461,7 @@ def test_pd_alpha_on_regression_families(tmp_path, pts):
     # These clouds made Alpha raise DegenerateSimplex (exit 3), though
     # delaunay() accepts them.
     path = tmp_path / "cloud.json"
-    write_point_cloud(path, PointCloud.from_points(pts))
+    write_point_cloud(path, PointCloud(pts))
     maxdim = pts.shape[1] - 1
     assert main(["pd", "--method", "alpha", "--maxdim", str(maxdim),
                  str(path)]) == 0
@@ -430,7 +476,7 @@ def test_pd_alpha_at_huge_scale(tmp_path):
     pts = np.random.default_rng(19).uniform(-1.0, 1.0, (30, 3))
     for name, scale in (("unit", 1.0), ("huge", 2.0 ** 532)):
         write_point_cloud(tmp_path / f"{name}.json",
-                          PointCloud.from_points(pts * scale))
+                          PointCloud(pts * scale))
         assert main(["pd", "--method", "alpha", "--maxdim", "2",
                      "--keep-zero-pairs", str(tmp_path / f"{name}.json")]) == 0
     for p in range(3):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import pickle
 import re
@@ -32,15 +33,31 @@ SQ3 = math.sqrt(3.0)
 
 def test_point_cloud_validation():
     with pytest.raises(ValidationError):
-        PointCloud.from_points([])
+        PointCloud([])
     with pytest.raises(ValidationError):
-        PointCloud.from_points([(1.0,)])  # 1D not supported
+        PointCloud([(1.0,)])  # 1D not supported
     with pytest.raises(ValidationError):
-        PointCloud.from_points([(0.0, math.nan)])
+        PointCloud([(0.0, math.nan)])
     with pytest.raises(ValidationError):
-        PointCloud(points=((0.0, 0.0), (1.0,)), dim=2)
-    pc = PointCloud.from_points([(0, 0, 0), (1, 2, 3)])
+        PointCloud(points=((0.0, 0.0), (1.0,)))
+    pc = PointCloud([(0, 0, 0), (1, 2, 3)])
     assert pc.dim == 3 and len(pc) == 2 and pc[1].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_point_cloud_has_one_constructor():
+    # The dimension comes from the points; there is no argument to pass it
+    # and no way to make a cloud without points.
+    with pytest.raises(TypeError):
+        PointCloud([(0.0, 0.0)], dim=2)
+    with pytest.raises(TypeError):
+        PointCloud(points=[(0.0, 0.0)], dim=2)
+    with pytest.raises(ValidationError, match="^point cloud is empty$"):
+        PointCloud(iter([]))
+    assert [f.name for f in dataclasses.fields(PointCloud)] == ["points"]
+    pc = PointCloud(iter([(0, 0), (1, 2)]))
+    assert pc.dim == 2 and pc.points.shape == (2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pc.dim = 3
 
 
 @pytest.mark.parametrize("points, want", [
@@ -54,7 +71,7 @@ def test_point_cloud_validation():
     ((p for p in [(1, 2), (3, 4)]), ((1.0, 2.0), (3.0, 4.0))),
 ])
 def test_from_points_makes_python_floats(points, want):
-    pc = PointCloud.from_points(points)
+    pc = PointCloud(points)
     assert pc.points.dtype == np.float64 and pc.dim == len(want[0])
     assert pc.points.shape == (len(want), len(want[0]))
     assert [[x.hex() for x in p] for p in pc.points.tolist()] == [
@@ -63,7 +80,7 @@ def test_from_points_makes_python_floats(points, want):
 
 def test_points_are_a_read_only_copy():
     given = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    pc = PointCloud.from_points(given)
+    pc = PointCloud(given)
     with pytest.raises(ValueError):
         pc.points[0, 0] = 9.0
     with pytest.raises(ValueError):
@@ -74,11 +91,11 @@ def test_points_are_a_read_only_copy():
 
 
 def test_equal_clouds_hash_equally_and_survive_pickle():
-    a = PointCloud.from_points([(0.0, 1.0), (2.0, -0.0)])
-    b = PointCloud.from_points([(-0.0, 1.0), (2.0, 0.0)])
+    a = PointCloud([(0.0, 1.0), (2.0, -0.0)])
+    b = PointCloud([(-0.0, 1.0), (2.0, 0.0)])
     assert a == b and hash(a) == hash(b)
-    assert a != PointCloud.from_points([(0.0, 1.0), (2.0, 2.0 ** -1074)])
-    assert a != PointCloud.from_points([(0.0, 1.0, 0.0), (2.0, 0.0, 0.0)])
+    assert a != PointCloud([(0.0, 1.0), (2.0, 2.0 ** -1074)])
+    assert a != PointCloud([(0.0, 1.0, 0.0), (2.0, 0.0, 0.0)])
     back = pickle.loads(pickle.dumps(a))
     assert back == a and hash(back) == hash(a)
     assert not back.points.flags.writeable
@@ -88,7 +105,7 @@ def test_equal_clouds_hash_equally_and_survive_pickle():
     pairs = [PerturbationPairing(source=p, target=q, epsilon=0.5)
              for p, q in ((a, b), (b, a))]
     assert pairs[0] == pairs[1] and hash(pairs[0]) == hash(pairs[1])
-    tri = [delaunay(PointCloud.from_points([(0, 0), (1, 0), (0, z)]))
+    tri = [delaunay(PointCloud([(0, 0), (1, 0), (0, z)]))
            for z in (1, 1.0)]
     assert tri[0] == tri[1] and hash(tri[0]) == hash(tri[1])
 
@@ -110,7 +127,7 @@ def test_equal_clouds_hash_equally_and_survive_pickle():
 ])
 def test_from_points_rejects_with_the_same_messages(points, message):
     with pytest.raises(ValidationError) as exc:
-        PointCloud.from_points(points)
+        PointCloud(points)
     assert str(exc.value) == message
 
 
@@ -122,7 +139,7 @@ def test_from_points_raises_as_float_does(points, error):
     # What float() cannot convert raises as float() does (a point file
     # reader maps these to its own error), never as a cloud of NaNs.
     with pytest.raises(error):
-        PointCloud.from_points(points)
+        PointCloud(points)
 
 
 def test_sort_vertices_before_edge_any_input_order():
@@ -203,10 +220,10 @@ def _sort_corpus():
     clouds = {
         "sphere": (add_noise(sample_shape(ShapeClass(kind="sphere"), 300, 1),
                              0.1, 2), 0.3),
-        "grid-6^3": (PointCloud.from_points(grid3), 1.5),
-        "grid-9^2": (PointCloud.from_points(
+        "grid-6^3": (PointCloud(grid3), 1.5),
+        "grid-9^2": (PointCloud(
             [(x, y) for x in range(9) for y in range(9)]), 1.5),
-        "uniform-40": (PointCloud.from_points(uniform(3, 40, 5)), None),
+        "uniform-40": (PointCloud(uniform(3, 40, 5)), None),
     }
     for c, (name, (cloud, threshold)) in enumerate(clouds.items()):
         for m, method in enumerate(("delaunay_rips", "alpha", "rips")):
@@ -450,7 +467,7 @@ def test_pair_array_reads_numbers_in_one_numpy_pass():
 
 
 def test_pairwise_distances_matches_math_dist():
-    pc = PointCloud.from_points([(0, 0), (3, 4), (1, 1)])
+    pc = PointCloud([(0, 0), (3, 4), (1, 1)])
     mat = pairwise_distances(pc)
     assert mat[0][1] == 5.0
     assert mat[1][0] == 5.0
@@ -480,7 +497,7 @@ def _point_distance(p, q):
 def test_pairwise_distances_equal_scalar_formula(dim, scale):
     pts = np.random.default_rng(dim).standard_normal((70, dim)) * scale
     pts[5] = pts[4]  # a repeated point: distance exactly 0.0
-    pc = PointCloud.from_points(pts)
+    pc = PointCloud(pts)
     mat = pairwise_distances(pc)
     rows = pc.points.tolist()
     want = [[_point_distance(p, q) for q in rows] for p in rows]
@@ -553,7 +570,7 @@ def test_np_lexsort_only_in_the_one_row_order():
     assert sites == [("core.py", "_row_order")]
 
 
-_PAIR = PointCloud.from_points([(0.0, 0.0), (1.0, 0.0)])
+_PAIR = PointCloud([(0.0, 0.0), (1.0, 0.0)])
 
 
 def _grid(birth=(0.0, 1.0), persistence=(0.0, 1.0), resolution=(2, 2),
@@ -571,9 +588,11 @@ def _cli(*argv):
 _NUMERIC_ARGUMENTS = [
     ("Filtration", "max_dim", lambda v: Filtration((((0,), 0.0),), v), [-1]),
     ("PersistenceDiagram", "dim",
-     lambda v: PersistenceDiagram([(v, 0.0, 1.0)]), [-1, 1.5, "1"]),
+     lambda v: PersistenceDiagram([(v, 0.0, 1.0)]),
+     [-1, 1.5, "1", 2 ** 63, 2 ** 70]),
     ("from_pairs", "dim",
-     lambda v: PersistenceDiagram.from_pairs({v: [(0.0, 1.0)]}), [-1, 2.7]),
+     lambda v: PersistenceDiagram.from_pairs({v: [(0.0, 1.0)]}),
+     [-1, 2.7, 2 ** 63, 2 ** 70]),
     ("fmt_float", "precision", lambda v: fmt_float(1.5, v), [-1]),
     ("FiltrationSpec", "threshold", lambda v: FiltrationSpec("rips", 1, v),
      [-5e-324]),

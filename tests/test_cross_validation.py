@@ -36,7 +36,7 @@ def test_points_almost_on_a_circle():
     n = 9
     pts = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
            for k in range(n)]
-    dc = delaunay(PointCloud.from_points(pts))
+    dc = delaunay(PointCloud(pts))
     assert not dc.degenerate
     assert len(dc.top_simplices) == n - 2  # convex position
     assert_empty_circumballs(dc)
@@ -52,7 +52,7 @@ def test_points_exactly_on_a_circle():
         if y:
             pts += [(x, -y), (-x, y)]
     pts = [(float(x), float(y)) for x, y in sorted(set(pts))]
-    dc = delaunay(PointCloud.from_points(pts))
+    dc = delaunay(PointCloud(pts))
     assert dc.degenerate
     assert len(dc.top_simplices) == len(pts) - 2
     assert_empty_circumballs(dc)
@@ -65,7 +65,7 @@ def test_two_concentric_rings():
         for k in range(8):
             a = 2 * math.pi * k / 8 + (0.1 if r > 1 else 0.0)
             pts.append((r * math.cos(a), r * math.sin(a)))
-    dc = delaunay(PointCloud.from_points(pts))
+    dc = delaunay(PointCloud(pts))
     assert_empty_circumballs(dc)
     _check_2d_structure(dc)
 
@@ -74,7 +74,7 @@ def test_coarse_grid_snap(rng):
     # Snapping to a coarse grid creates many exact cocircular quadruples.
     raw = rng.uniform(0, 8, (40, 2))
     snapped = sorted({(float(round(x)), float(round(y))) for x, y in raw})
-    dc = delaunay(PointCloud.from_points(snapped))
+    dc = delaunay(PointCloud(snapped))
     assert_empty_circumballs(dc)
     _check_2d_structure(dc)
 
@@ -82,7 +82,7 @@ def test_coarse_grid_snap(rng):
 def test_cube_corners_cospherical():
     pts = [(float(i), float(j), float(k))
            for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    dc = delaunay(PointCloud.from_points(pts))
+    dc = delaunay(PointCloud(pts))
     assert dc.degenerate
     assert_empty_circumballs(dc)
     vol = 0.0
@@ -96,14 +96,14 @@ def test_sphere_points_all_cospherical():
     rng = np.random.default_rng(77)
     v = rng.standard_normal((30, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    dc = delaunay(PointCloud.from_points(v))
+    dc = delaunay(PointCloud(v))
     assert_empty_circumballs(dc)
 
 
 def test_collinear_run_inside_cloud():
     pts = [(float(i), 0.0) for i in range(5)]
     pts += [(2.0, 3.0), (2.0, -3.0)]
-    dc = delaunay(PointCloud.from_points(pts))
+    dc = delaunay(PointCloud(pts))
     assert_empty_circumballs(dc)
     _check_2d_structure(dc)
 
@@ -114,14 +114,14 @@ def test_diagram_invariant_under_point_permutation(rng):
     reference = compute_diagram(build_delaunay_rips(base, spec))
     for perm in list(permutations(range(3)))[:3]:
         order = list(rng.permutation(len(base)))
-        cloud = PointCloud.from_points([base[i] for i in order])
+        cloud = PointCloud([base[i] for i in order])
         diag = compute_diagram(build_delaunay_rips(cloud, spec))
         assert diag == reference
 
 
 def test_alpha_edges_match_definition_oracle(rng):
     # Right triangle first: hypotenuse value sqrt(2), legs 1.
-    pc = PointCloud.from_points([(0, 0), (1, 0), (0, 1)])
+    pc = PointCloud([(0, 0), (1, 0), (0, 1)])
     scales = dict(build_alpha(pc, FiltrationSpec(method="alpha")).entries)
     for (a, b), expect in (((1, 2), math.sqrt(2)), ((0, 1), 1.0)):
         oracle = naive_alpha_edge_value(pc.points, a, b)

@@ -41,7 +41,7 @@ def assert_empty_circumballs(dc):
 
 
 def test_three_points_single_triangle():
-    dc = delaunay(PointCloud.from_points([(0, 0), (2, 0), (1, 5)]))
+    dc = delaunay(PointCloud([(0, 0), (2, 0), (1, 5)]))
     assert dc.top_simplices == ((0, 1, 2),)
     assert closure_of(dc.top_simplices) == {(0,), (1,), (2,), (0, 1), (0, 2),
                                             (1, 2), (0, 1, 2)}
@@ -49,14 +49,14 @@ def test_three_points_single_triangle():
 
 
 def test_unit_square_degenerate_single_diagonal():
-    dc = delaunay(PointCloud.from_points([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    dc = delaunay(PointCloud([(0, 0), (1, 0), (1, 1), (0, 1)]))
     assert dc.degenerate
     edges = _faces(dc, 1)
     diagonals = [e for e in edges if e in ((0, 2), (1, 3))]
     assert len(diagonals) == 1  # exactly one diagonal, picked by tie-break
     assert len(dc.top_simplices) == 2
     # Determinism: same input gives byte-identical output.
-    dc2 = delaunay(PointCloud.from_points([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    dc2 = delaunay(PointCloud([(0, 0), (1, 0), (1, 1), (0, 1)]))
     assert dc2.top_simplices == dc.top_simplices
 
 
@@ -77,14 +77,14 @@ def test_quad_outside_circle_flips_edge():
 
 def test_error_too_few_points():
     with pytest.raises(TooFewPoints):
-        delaunay(PointCloud.from_points([(0, 0), (1, 1)]))
+        delaunay(PointCloud([(0, 0), (1, 1)]))
     with pytest.raises(TooFewPoints):
-        delaunay(PointCloud.from_points([(0, 0, 0), (1, 1, 1), (2, 0, 1)]))
+        delaunay(PointCloud([(0, 0, 0), (1, 1, 1), (2, 0, 1)]))
 
 
 def test_error_duplicates():
     with pytest.raises(DuplicatePoints):
-        delaunay(PointCloud.from_points([(0, 0), (1, 1), (0, 0)]))
+        delaunay(PointCloud([(0, 0), (1, 1), (0, 0)]))
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** -664, 2.0 ** 532])
@@ -96,31 +96,31 @@ def test_duplicates_named_at_every_scale(scale, dim):
     pts[9] = pts[4]
     pts[11] = pts[2]
     with pytest.raises(DuplicatePoints, match=r"^points 4 and 9 coincide$"):
-        delaunay(PointCloud.from_points(pts * scale))
+        delaunay(PointCloud(pts * scale))
     pts[9, 0], pts[4, 0] = 0.0, -0.0  # signed zeros coincide too
     with pytest.raises(DuplicatePoints, match=r"^points 4 and 9 coincide$"):
-        delaunay(PointCloud.from_points(pts * scale))
+        delaunay(PointCloud(pts * scale))
     with pytest.raises(DuplicatePoints, match=r"^points 0 and 1 coincide$"):
-        delaunay(PointCloud.from_points(np.zeros((dim + 1, dim))))
+        delaunay(PointCloud(np.zeros((dim + 1, dim))))
 
 
 def test_error_affinely_degenerate():
     with pytest.raises(AffinelyDegenerateInput):
-        delaunay(PointCloud.from_points([(0, 0), (1, 1), (2, 2), (3, 3)]))
+        delaunay(PointCloud([(0, 0), (1, 1), (2, 2), (3, 3)]))
     with pytest.raises(AffinelyDegenerateInput):
-        delaunay(PointCloud.from_points(
+        delaunay(PointCloud(
             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]))
 
 
 def test_collinear_point_on_hull_edge():
-    dc = delaunay(PointCloud.from_points([(0, 0), (1, 0), (2, 0), (1, 1)]))
+    dc = delaunay(PointCloud([(0, 0), (1, 0), (2, 0), (1, 1)]))
     assert dc.top_simplices == ((0, 1, 3), (1, 2, 3))
     assert_empty_circumballs(dc)
 
 
 def test_integer_grid_degenerate_but_valid():
     pts = [(float(i), float(j)) for i in range(4) for j in range(4)]
-    dc = delaunay(PointCloud.from_points(pts))
+    dc = delaunay(PointCloud(pts))
     assert dc.degenerate
     assert len(dc.top_simplices) == 18  # 2*(n-1)^2 triangles tile the square
     assert_empty_circumballs(dc)
@@ -190,7 +190,7 @@ def test_random_3d_clouds_are_delaunay(rng):
 def test_3d_grid_degenerate_but_valid():
     pts = [(float(i), float(j), float(k))
            for i in range(3) for j in range(3) for k in range(2)]
-    dc = delaunay(PointCloud.from_points(pts))
+    dc = delaunay(PointCloud(pts))
     assert dc.degenerate
     assert_empty_circumballs(dc)
     # Tetra volumes must tile the 2x2x1 box.
@@ -270,7 +270,7 @@ def test_certificate_runs_under_optimize():
         "mod = sys.modules['delrips.delaunay']\n"
         "real = mod.inball_signs\n"
         "mod.inball_signs = lambda p, s, f: -real(p, s, f)\n"
-        "cloud = delrips.PointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1.1)])\n"
+        "cloud = delrips.PointCloud([(0, 0), (1, 0), (0, 1), (1, 1.1)])\n"
         "try:\n"
         "    delrips.delaunay(cloud)\n"
         "except CertificateError:\n"

@@ -92,7 +92,7 @@ def _digest(dc):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_golden_triangulation(name):
-    cloud = PointCloud.from_points(CORPUS[name]())
+    cloud = PointCloud(CORPUS[name]())
     assert _digest(delaunay(cloud)) == GOLDEN[name]
 
 
@@ -101,7 +101,7 @@ def test_matches_qhull_at_n2000(dim):
     # Generic uniform clouds: the triangulation is unique, so it must equal
     # Qhull's simplex for simplex.
     pts = uniform(dim, 2000, 20 + dim)
-    dc = delaunay(PointCloud.from_points(pts))
+    dc = delaunay(PointCloud(pts))
     want = {tuple(sorted(int(v) for v in s))
             for s in scipy.spatial.Delaunay(pts).simplices}
     assert not dc.degenerate
@@ -115,7 +115,7 @@ DEGENERATE = {"cospherical-r9", "cube-corners", "integer-grid-3x3x2"}
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_degenerate_flag(name):
-    cloud = PointCloud.from_points(CORPUS[name]())
+    cloud = PointCloud(CORPUS[name]())
     assert delaunay(cloud).degenerate == (name in DEGENERATE)
 
 
@@ -129,10 +129,10 @@ def test_extreme_scales_stay_on_the_float_filter(name, unscaled, monkeypatch):
     real = predicates._exact_sign
     monkeypatch.setattr(predicates, "_exact_sign",
                         lambda *a: calls.append(1) or real(*a))
-    delaunay(PointCloud.from_points(uniform(*unscaled)))
+    delaunay(PointCloud(uniform(*unscaled)))
     unscaled_calls = len(calls)
     calls.clear()
-    cloud = PointCloud.from_points(CORPUS[name]())
+    cloud = PointCloud(CORPUS[name]())
     dc = delaunay(cloud)
     assert len(calls) <= unscaled_calls + 10
     assert dc.cloud is cloud
@@ -143,7 +143,7 @@ def test_output_does_not_depend_on_the_walk_start(name, monkeypatch):
     # The walk only seeds the cavity search, so starting every walk at the
     # last simplex created instead of the nested-grid start changes nothing.
     monkeypatch.setattr(_Triangulation, "_start", lambda self, p: self.last)
-    cloud = PointCloud.from_points(CORPUS[name]())
+    cloud = PointCloud(CORPUS[name]())
     assert _digest(delaunay(cloud)) == GOLDEN[name]
 
 
@@ -159,7 +159,7 @@ def test_nested_grid_start_bounds_the_walk(monkeypatch):
         return (lambda *a: calls.append(1) or orient(*a)), inball_from
 
     monkeypatch.setattr(DELAUNAY_MODULE, "_cloud_predicates", counted)
-    delaunay(PointCloud.from_points(CORPUS["dr-sphere3d-seed1"]()))
+    delaunay(PointCloud(CORPUS["dr-sphere3d-seed1"]()))
     assert len(calls) <= 35_000
 
 
@@ -197,8 +197,8 @@ def test_static_tier_changes_no_triangulation(monkeypatch):
     clouds = ([jittered_grid_member(dim, seed)
                for dim in (2, 3) for seed in range(150)]
               + [near_planar_member(seed) for seed in range(50)])
-    clouds = [PointCloud.from_points(pts) for pts in clouds]
-    clouds.append(PointCloud.from_points(CORPUS["dr-sphere3d-seed1"]()))
+    clouds = [PointCloud(pts) for pts in clouds]
+    clouds.append(PointCloud(CORPUS["dr-sphere3d-seed1"]()))
     filtered = []
     real = predicates._certified
     monkeypatch.setattr(predicates, "_certified",

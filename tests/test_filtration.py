@@ -60,7 +60,7 @@ class TestSpecValidation:
 
 
 def random_cloud_2d():
-    return PointCloud.from_points([(0, 0), (1, 0), (0, 1), (0.4, 0.7)])
+    return PointCloud([(0, 0), (1, 0), (0, 1), (0.4, 0.7)])
 
 
 def _rips_corpus():
@@ -88,11 +88,11 @@ def test_rips_matches_reference_loop(name, max_hom_dim):
     # none, 0 (only duplicates joined), an exact edge length (ties at the
     # threshold are kept), half the longest edge, and inf.
     points = RIPS_CORPUS[name]
-    cloud = PointCloud(points=points, dim=points.shape[1])
-    if len(cloud) == 0:
-        with pytest.raises(ValidationError, match="empty"):
-            build_rips(cloud, spec("rips", maxdim=max_hom_dim))
+    if len(points) == 0:  # no cloud to build from
+        with pytest.raises(ValidationError, match="^point cloud is empty$"):
+            PointCloud(points)
         return
+    cloud = PointCloud(points)
     lengths = sorted(s for verts, s in rips_entries(cloud, 0, None)
                      if len(verts) == 2) or [0.0]
     for threshold in (None, 0.0, lengths[len(lengths) // 2],
@@ -108,7 +108,7 @@ def test_rips_matches_reference_loop(name, max_hom_dim):
 def test_rips_build_peak_memory_near_its_arrays():
     # Entry tuples take over 6 times the bytes of the face and scale
     # arrays; the build makes no tuples and stays within 3 times.
-    cloud = PointCloud.from_points(uniform(3, 150, 2021))
+    cloud = PointCloud(uniform(3, 150, 2021))
     tracemalloc.start()
     try:
         filt = build_rips(cloud, spec("rips", maxdim=1))
@@ -122,13 +122,13 @@ def test_rips_build_peak_memory_near_its_arrays():
 
 class TestRips:
     def test_single_point(self):
-        filt = build_rips(PointCloud.from_points([(5, 7)]), spec("rips"))
+        filt = build_rips(PointCloud([(5, 7)]), spec("rips"))
         assert filt.entries == (((0,), 0.0),)
         assert filt.max_dim == 2
 
     def test_equilateral_triangle(self):
         s = 2.5
-        pc = PointCloud.from_points(
+        pc = PointCloud(
             [(0, 0), (s, 0), (s / 2, s * SQ3 / 2)])
         filt = build_rips(pc, spec("rips", maxdim=1))
         scales = dict(filt.entries)
@@ -146,7 +146,7 @@ class TestRips:
         assert len(filt) == 12 + 66 + 220
 
     def test_threshold_caps_simplices(self):
-        pc = PointCloud.from_points([(0, 0), (1, 0), (10, 0), (0.5, 0.9)])
+        pc = PointCloud([(0, 0), (1, 0), (10, 0), (0.5, 0.9)])
         filt = build_rips(pc, spec("rips", maxdim=1, threshold=2.0))
         assert all(s <= 2.0 for _, s in filt.entries)
         assert (0, 2) not in {verts for verts, _ in filt.entries}
@@ -172,13 +172,13 @@ class TestDelaunayRips:
         assert all(scales[(i,)] == 0.0 for i in range(4))
 
     def test_triangle_equals_rips(self):
-        pc = PointCloud.from_points([(0, 0), (2, 0), (1, 3)])
+        pc = PointCloud([(0, 0), (2, 0), (1, 3)])
         assert (build_delaunay_rips(pc, spec("delaunay_rips"))
                 == build_rips(pc, spec("rips")))
 
     def test_rectangle_h1_pair(self):
         # Cocircular rectangle: the tie-break diagonal gives H1 = (2, sqrt 5).
-        pc = PointCloud.from_points([(0, 0), (2, 0), (2, 1), (0, 1)])
+        pc = PointCloud([(0, 0), (2, 0), (2, 1), (0, 1)])
         with pytest.warns(UserWarning):
             filt = build_alpha(pc, spec("alpha"))  # degeneracy warns
         with pytest.warns(UserWarning):
@@ -188,23 +188,23 @@ class TestDelaunayRips:
         assert nonzero == [(2.0, pytest.approx(math.sqrt(5)))]
 
     def test_tiny_clouds(self):
-        one = build_delaunay_rips(PointCloud.from_points([(1, 2)]),
+        one = build_delaunay_rips(PointCloud([(1, 2)]),
                                   spec("delaunay_rips"))
         assert one.entries == (((0,), 0.0),)
-        two = build_delaunay_rips(PointCloud.from_points([(0, 0), (0, 3)]),
+        two = build_delaunay_rips(PointCloud([(0, 0), (0, 3)]),
                                   spec("delaunay_rips"))
         assert two.entries == (((0,), 0.0), ((1,), 0.0), ((0, 1), 3.0))
 
     @pytest.mark.parametrize("build", [build_delaunay_rips, build_alpha])
     def test_two_coincident_points_raise(self, build):
-        pc = PointCloud.from_points([(0, 0), (0, 0)])
+        pc = PointCloud([(0, 0), (0, 0)])
         method = "alpha" if build is build_alpha else "delaunay_rips"
         with pytest.raises(DuplicatePoints, match="points 0 and 1 coincide"):
             build(pc, spec(method))
         assert build_rips(pc, spec("rips")).entries[-1] == ((0, 1), 0.0)
 
     def test_tie_break_warns_at_the_caller(self):
-        square = PointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+        square = PointCloud([(0, 0), (1, 0), (0, 1), (1, 1)])
         with pytest.warns(UserWarning, match="cospherical points") as record:
             build_delaunay_rips(square, spec("delaunay_rips"))
         assert record[0].filename == __file__
@@ -215,7 +215,7 @@ class TestDelaunayRips:
     @pytest.mark.parametrize("x, tie", [(0.0, True), (2.0 ** -20, False),
                                         (-2.0 ** -20, False)])
     def test_cocircular_square_ties_only_at_zero(self, x, tie):
-        cloud = PointCloud.from_points(cocircular_square(x))
+        cloud = PointCloud(cocircular_square(x))
         assert delaunay(cloud).degenerate == tie
         for build, method in ((build_delaunay_rips, "delaunay_rips"),
                               (build_alpha, "alpha")):
@@ -237,12 +237,12 @@ class TestDelaunayRips:
 
 def _noisy(kind, n, seed, dim):
     cloud = add_noise(sample_shape(ShapeClass(kind=kind), n, seed), 0.1, seed + 1)
-    return PointCloud.from_points([p[:dim] for p in cloud.points])
+    return PointCloud([p[:dim] for p in cloud.points])
 
 
 def _scaled_uniform(dim, seed):
     rng = np.random.default_rng(seed)
-    return PointCloud.from_points(rng.uniform(-1.0, 1.0, (50, dim)) * 1e150)
+    return PointCloud(rng.uniform(-1.0, 1.0, (50, dim)) * 1e150)
 
 
 BIT_IDENTITY_CLOUDS = {
@@ -253,24 +253,24 @@ BIT_IDENTITY_CLOUDS = {
     "quad-plus": lambda: near_cocircular_quad(0.1),
     "uniform-r2-1e150": lambda: _scaled_uniform(2, 7),
     "uniform-r3-1e150": lambda: _scaled_uniform(3, 8),
-    "jittered-grid-r2": lambda: PointCloud.from_points(jittered_grid(2, 60, 33)),
-    "jittered-grid-r3": lambda: PointCloud.from_points(jittered_grid(3, 50, 34)),
-    "near-planar-r3": lambda: PointCloud.from_points(near_planar_member(30)),
-    "integer-grid-r2": lambda: PointCloud.from_points(
+    "jittered-grid-r2": lambda: PointCloud(jittered_grid(2, 60, 33)),
+    "jittered-grid-r3": lambda: PointCloud(jittered_grid(3, 50, 34)),
+    "near-planar-r3": lambda: PointCloud(near_planar_member(30)),
+    "integer-grid-r2": lambda: PointCloud(
         [(i, j) for i in range(5) for j in range(4)]),
-    "integer-grid-r3": lambda: PointCloud.from_points(
+    "integer-grid-r3": lambda: PointCloud(
         [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]),
-    "uniform-r2-tiny": lambda: PointCloud.from_points(
+    "uniform-r2-tiny": lambda: PointCloud(
         uniform(2, 60, 35) * 2.0 ** -664),
-    "uniform-r3-tiny": lambda: PointCloud.from_points(
+    "uniform-r3-tiny": lambda: PointCloud(
         uniform(3, 60, 36) * 2.0 ** -664),
-    "uniform-r2-huge": lambda: PointCloud.from_points(
+    "uniform-r2-huge": lambda: PointCloud(
         uniform(2, 60, 37) * 2.0 ** 532),
-    "uniform-r3-huge": lambda: PointCloud.from_points(
+    "uniform-r3-huge": lambda: PointCloud(
         uniform(3, 60, 38) * 2.0 ** 532),
-    "triangle": lambda: PointCloud.from_points([(0.0, 0.0), (3.0, 0.5),
-                                                (1.0, 2.0)]),
-    "tetrahedron": lambda: PointCloud.from_points(
+    "triangle": lambda: PointCloud([(0.0, 0.0), (3.0, 0.5),
+                                    (1.0, 2.0)]),
+    "tetrahedron": lambda: PointCloud(
         [(0.0, 0.0, 0.0), (2.0, 0.0, 0.5), (0.5, 1.5, 0.0), (0.5, 0.5, 1.0)]),
 }
 
@@ -325,7 +325,7 @@ def test_build_never_reads_top_simplices(method, build, rng, monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_dr_entries_share_vertex_ints_and_edge_floats(dim):
-    cloud = PointCloud.from_points(uniform(dim, 400, 40 + dim))
+    cloud = PointCloud(uniform(dim, 400, 40 + dim))
     filt = build_delaunay_rips(cloud, spec("delaunay_rips", maxdim=dim - 1))
     edges = sum(1 for verts, _ in filt.entries if len(verts) == 2)
     assert len({id(v) for verts, _ in filt.entries for v in verts}) <= len(cloud)
@@ -340,8 +340,8 @@ def test_dr_scales_survive_tiny_coordinates(dim):
     pts = np.random.default_rng(60 + dim).uniform(-1.0, 1.0, (60, dim))
     tiny = 2.0 ** -664
     cap = spec("delaunay_rips", maxdim=dim - 1)
-    want = dict(build_delaunay_rips(PointCloud.from_points(pts), cap).entries)
-    got = dict(build_delaunay_rips(PointCloud.from_points(pts * tiny),
+    want = dict(build_delaunay_rips(PointCloud(pts), cap).entries)
+    got = dict(build_delaunay_rips(PointCloud(pts * tiny),
                                    cap).entries)
     assert got.keys() == want.keys()
     for verts, scale in got.items():
@@ -358,8 +358,8 @@ def test_dr_scales_survive_huge_coordinates(dim):
     pts = np.random.default_rng(160 + dim).uniform(-1.0, 1.0, (30, dim))
     huge = 2.0 ** 532
     cap = spec("delaunay_rips", maxdim=dim - 1)
-    want = dict(build_delaunay_rips(PointCloud.from_points(pts), cap).entries)
-    got = dict(build_delaunay_rips(PointCloud.from_points(pts * huge),
+    want = dict(build_delaunay_rips(PointCloud(pts), cap).entries)
+    got = dict(build_delaunay_rips(PointCloud(pts * huge),
                                    cap).entries)
     assert got.keys() == want.keys()
     for verts, scale in got.items():
@@ -371,7 +371,7 @@ def test_dr_build_peak_memory_below_dense_matrix():
     # The old build held the n x n distance matrix; its bare float payload
     # (n*n*8 bytes) alone exceeds what the output-sensitive build allocates.
     n = 1000
-    cloud = PointCloud.from_points(
+    cloud = PointCloud(
         np.random.default_rng(2024).uniform(0.0, 1.0, (n, 2)))
     tracemalloc.start()
     try:
@@ -406,17 +406,17 @@ JITTERED_GRIDS = [(2, 10, 50), (2, 12, 52), (2, 20, 110), (3, 14, 4), (3, 15, 5)
 
 class TestAlpha:
     def test_two_points(self):
-        filt = build_alpha(PointCloud.from_points([(0, 0), (0, 1.5)]),
+        filt = build_alpha(PointCloud([(0, 0), (0, 1.5)]),
                            spec("alpha"))
         assert dict(filt.entries)[(0, 1)] == pytest.approx(1.5)
 
     def test_gabriel_edge_scale_is_length(self):
-        pc = PointCloud.from_points([(0, 0), (1, 0), (0.5, 5)])
+        pc = PointCloud([(0, 0), (1, 0), (0.5, 5)])
         scales = dict(build_alpha(pc, spec("alpha")).entries)
         assert scales[(0, 1)] == pytest.approx(1.0)  # diametral ball empty
 
     def test_right_triangle_values(self):
-        pc = PointCloud.from_points([(0, 0), (1, 0), (0, 1)])
+        pc = PointCloud([(0, 0), (1, 0), (0, 1)])
         filt = build_alpha(pc, spec("alpha"))
         scales = dict(filt.entries)
         # Circumcenter sits on the hypotenuse midpoint: hypotenuse and
@@ -431,7 +431,7 @@ class TestAlpha:
     def test_non_gabriel_edge_inherits_coface_value(self):
         # Very obtuse triangle: the long edge's diametral ball contains the
         # apex, so the edge enters with its triangle at the circumdiameter.
-        pc = PointCloud.from_points([(0, 0), (4, 0), (2, 0.5)])
+        pc = PointCloud([(0, 0), (4, 0), (2, 0.5)])
         scales = dict(build_alpha(pc, spec("alpha")).entries)
         # Base 4 and height 0.5: R = abc / 4A = 4.25, so the diameter is 8.5.
         assert scales[(0, 1)] == pytest.approx(8.5)
@@ -442,7 +442,7 @@ class TestAlpha:
     # above a coface's, so the unclamped filtration was not monotone.
     @pytest.mark.parametrize("dim,n,seed", JITTERED_GRIDS)
     def test_monotone_on_jittered_grid(self, dim, n, seed):
-        pc = PointCloud.from_points(jittered_grid(dim, n, seed))
+        pc = PointCloud(jittered_grid(dim, n, seed))
         filt = build_alpha(pc, spec("alpha", maxdim=dim - 1))
         assert sort_filtration(filt) == filt
         compute_diagram(filt)
@@ -453,7 +453,7 @@ class TestAlpha:
     # 1e-12 (relative), capped at that minimum.
     @pytest.mark.parametrize("dim,n,seed", JITTERED_GRIDS)
     def test_equals_coface_dict_reference_on_jittered_grid(self, dim, n, seed):
-        pc = PointCloud.from_points(jittered_grid(dim, n, seed))
+        pc = PointCloud(jittered_grid(dim, n, seed))
         exact = exact_alpha(pc)
         for cap in range(1, dim + 1):
             filt = build_alpha(pc, spec("alpha", maxdim=cap - 1))
@@ -472,7 +472,7 @@ class TestAlpha:
     @pytest.mark.filterwarnings("ignore:cospherical points")
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_equals_coface_dict_reference_on_golden_corpus(self, name):
-        cloud = PointCloud.from_points(CORPUS[name]())
+        cloud = PointCloud(CORPUS[name]())
         filt = build_alpha(cloud, spec("alpha", maxdim=cloud.dim - 1))
         assert alpha_disagreements(filt.entries, exact_alpha(cloud)) == []
 
@@ -487,8 +487,8 @@ class TestAlpha:
                 -1.0, 1.0, (40, dim))
             for cap in range(1, dim + 1):
                 sp = spec("alpha", maxdim=cap - 1)
-                want = build_alpha(PointCloud.from_points(pts), sp).entries
-                got = build_alpha(PointCloud.from_points(np.ldexp(pts, p)),
+                want = build_alpha(PointCloud(pts), sp).entries
+                got = build_alpha(PointCloud(np.ldexp(pts, p)),
                                   sp).entries
                 assert got == tuple((v, math.ldexp(s, p)) for v, s in want)
 
@@ -573,7 +573,7 @@ FAMILY_CLOUDS = (
 @pytest.mark.filterwarnings("ignore:cospherical points")
 @pytest.mark.parametrize("member,args", FAMILY_CLOUDS)
 def test_regression_families_on_all_builders(member, args):
-    cloud = PointCloud.from_points(member(*args))
+    cloud = PointCloud(member(*args))
     exact = exact_alpha(cloud)
     for cap in range(1, cloud.dim + 1):
         sp = spec("alpha", maxdim=cap - 1)

@@ -29,8 +29,8 @@ class TestHausdorff:
         assert hausdorff_distance(pc, pc) == 0.0
 
     def test_single_pair(self):
-        p = PointCloud.from_points([(0, 0)])
-        q = PointCloud.from_points([(3, 4)])
+        p = PointCloud([(0, 0)])
+        q = PointCloud([(3, 4)])
         assert hausdorff_distance(p, q) == 5.0
 
     def test_instability_pair_value(self):
@@ -51,15 +51,15 @@ class TestHausdorff:
                            + hausdorff_distance(c, b) + 1e-12)
 
     def test_errors(self):
-        p = PointCloud.from_points([(0, 0)])
-        q = PointCloud.from_points([(0, 0, 0)])
+        p = PointCloud([(0, 0)])
+        q = PointCloud([(0, 0, 0)])
         with pytest.raises(DimensionMismatch):
             hausdorff_distance(p, q)
 
 
 class TestEpsilonPerturb:
     def test_tiny_eps_bound(self):
-        pc = PointCloud.from_points([(0, 0), (1, 0), (0, 1), (2, 2)])
+        pc = PointCloud([(0, 0), (1, 0), (0, 1), (2, 2)])
         pair = epsilon_perturb(pc, 1e-12, seed=5)
         assert hausdorff_distance(pair.source, pair.target) < 1e-12
 
@@ -72,7 +72,7 @@ class TestEpsilonPerturb:
             assert dh == pytest.approx(_max_displacement(pair), abs=1e-15)
 
     def test_deterministic_per_seed(self):
-        pc = PointCloud.from_points([(0, 0), (3, 0), (0, 3)])
+        pc = PointCloud([(0, 0), (3, 0), (0, 3)])
         a = epsilon_perturb(pc, 0.1, seed=9)
         b = epsilon_perturb(pc, 0.1, seed=9)
         assert np.array_equal(a.target.points, b.target.points)
@@ -80,7 +80,7 @@ class TestEpsilonPerturb:
         assert not np.array_equal(c.target.points, a.target.points)
 
     def test_eps_too_large(self):
-        pc = PointCloud.from_points([(0, 0), (1, 0), (0, 1)])
+        pc = PointCloud([(0, 0), (1, 0), (0, 1)])
         with pytest.raises(EpsilonTooLarge):
             epsilon_perturb(pc, 0.5, seed=1)
         with pytest.raises(ValidationError):
@@ -104,8 +104,8 @@ class TestEpsilonPerturb:
         assert 20 in changed
 
     def test_pairing_validation(self):
-        src = PointCloud.from_points([(0, 0), (1, 0)])
-        bad = PointCloud.from_points([(0.9, 0), (1.05, 0)])  # not unique
+        src = PointCloud([(0, 0), (1, 0)])
+        bad = PointCloud([(0.9, 0), (1.05, 0)])  # not unique
         with pytest.raises(ValidationError):
             PerturbationPairing(source=src, target=bad, epsilon=1.0)
 
@@ -136,7 +136,7 @@ class TestSameTriangulation:
         for k in range(360):
             dim = 2 + k % 2
             n = int(rng.integers(dim + 3, 30 if dim == 2 else 18))
-            cloud = PointCloud.from_points(rng.uniform(-1.0, 1.0, (n, dim)))
+            cloud = PointCloud(rng.uniform(-1.0, 1.0, (n, dim)))
             # Half log-uniform over 1e-9..0.45 (mostly unchanged), half in
             # 0.05..0.45 (mostly changed), of the minimum distance.
             frac = (10.0 ** rng.uniform(-9.0, math.log10(0.45)) if k < 180
@@ -146,7 +146,7 @@ class TestSameTriangulation:
         shapes = ([(s, s) for s in range(3, 9)]
                   + [(2, 2, 2), (3, 3, 2), (2, 2, 4), (3, 3, 3)])
         for shape in shapes:  # integer grids: zero signs, exact copies
-            grid = PointCloud.from_points(
+            grid = PointCloud(
                 np.indices(shape).reshape(len(shape), -1).T)
             pairs.append(PerturbationPairing(source=grid, target=grid, epsilon=0.5))
         for k in range(20):  # mirror images: every orientation reverses
@@ -155,8 +155,8 @@ class TestSameTriangulation:
             pts = np.column_stack([np.arange(n) + rng.uniform(0.0, 0.2, n),
                                    rng.uniform(-0.1, 0.1, (n, dim - 1))])
             mirror = pts * np.array([1.0] * (dim - 1) + [-1.0])
-            pairs.append(PerturbationPairing(source=PointCloud.from_points(pts),
-                                             target=PointCloud.from_points(mirror),
+            pairs.append(PerturbationPairing(source=PointCloud(pts),
+                                             target=PointCloud(mirror),
                                              epsilon=0.25))
         xs = [-0.2, -0.05, -0.01, -1e-9, 0.0, 1e-9, 0.01, 0.05, 0.2]
         for a in xs:  # the near-cocircular quad across x = 0
@@ -166,7 +166,7 @@ class TestSameTriangulation:
                 pairs.append(PerturbationPairing(source=ca, target=cb, epsilon=eps))
         t = 2.0 ** -20
         for a, b in [(-t, 0.0), (0.0, t), (-t, t)]:  # across an exact tie
-            ca, cb = (PointCloud.from_points(cocircular_square(x)) for x in (a, b))
+            ca, cb = (PointCloud(cocircular_square(x)) for x in (a, b))
             pairs.append(PerturbationPairing(source=ca, target=cb, epsilon=4 * t))
         assert len(pairs) >= 400
         got = [same_triangulation(pair) for pair in pairs]
@@ -221,8 +221,8 @@ class TestSameTriangulation:
         src = np.vstack([square, far])
         tgt = src.copy()
         tgt[2] = target_p2
-        pair = PerturbationPairing(source=PointCloud.from_points(src),
-                                   target=PointCloud.from_points(tgt),
+        pair = PerturbationPairing(source=PointCloud(src),
+                                   target=PointCloud(tgt),
                                    epsilon=0.01)
 
         class OneTriangle:
@@ -299,7 +299,7 @@ def _witness_corpus():
                             0.1, k + 1).points
         else:
             pts = uniform(dim, n, 400 + k)
-        cloud = PointCloud.from_points(pts)
+        cloud = PointCloud(pts)
         frac = (10.0 ** rng.uniform(-9.0, -2.0) if k % 4 < 2
                 else rng.uniform(0.05, 0.45))
         pairs.append(epsilon_perturb(cloud, frac * min_pairwise_distance(cloud),
@@ -310,11 +310,11 @@ def _witness_corpus():
         pts = np.column_stack([np.arange(n) + rng.uniform(0.0, 0.2, n),
                                rng.uniform(-0.1, 0.1, (n, dim - 1))])
         mirror = pts * np.array([1.0] * (dim - 1) + [-1.0])
-        pairs.append(PerturbationPairing(source=PointCloud.from_points(pts),
-                                         target=PointCloud.from_points(mirror),
+        pairs.append(PerturbationPairing(source=PointCloud(pts),
+                                         target=PointCloud(mirror),
                                          epsilon=0.25))
     for shape in [(9, 9), (12, 7), (5, 5, 5), (4, 4, 5)]:  # zero signs
-        grid = PointCloud.from_points(np.indices(shape).reshape(len(shape), -1).T)
+        grid = PointCloud(np.indices(shape).reshape(len(shape), -1).T)
         pairs.append(PerturbationPairing(source=grid, target=grid, epsilon=0.5))
     return pairs
 
@@ -325,7 +325,7 @@ def _max_displacement(pair):
 
 
 def _scaled(cloud, scale):
-    return PointCloud.from_points(cloud.points * scale)
+    return PointCloud(cloud.points * scale)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -337,7 +337,7 @@ def test_extreme_scales_scale_the_geometry(dim, scale):
     # bit.
     rng = np.random.default_rng(90 + dim)
     p = random_cloud(rng, 40, dim)
-    q = PointCloud.from_points(p.points[:30] + rng.uniform(-0.05, 0.05, (30, dim)))
+    q = PointCloud(p.points[:30] + rng.uniform(-0.05, 0.05, (30, dim)))
     eps = 0.25 * min_pairwise_distance(p)
     pair = epsilon_perturb(p, eps, seed=dim)
     big_pair = PerturbationPairing(source=_scaled(p, scale),
@@ -399,12 +399,12 @@ def test_distance_blocks_stay_below_the_full_array():
     # the (n, m, 3) difference tensor three times that.
     rng = np.random.default_rng(2000)
     p = random_cloud(rng, 2000, dim=3)
-    q = PointCloud.from_points(p.points + rng.uniform(-1e-4, 1e-4, (2000, 3)))
+    q = PointCloud(p.points + rng.uniform(-1e-4, 1e-4, (2000, 3)))
     # Along x every circle point is within any window of every other, so
     # a sweep along x would yield all n^2 pairs.
-    circle = PointCloud.from_points(_circle_and_far_point(2000))
-    moved = PointCloud.from_points(circle.points
-                                   + rng.uniform(-1e-4, 1e-4, (2001, 3)))
+    circle = PointCloud(_circle_and_far_point(2000))
+    moved = PointCloud(circle.points
+                       + rng.uniform(-1e-4, 1e-4, (2001, 3)))
     calls = [lambda: hausdorff_distance(p, q),
              lambda: min_pairwise_distance(p),
              lambda: PerturbationPairing(source=p, target=q, epsilon=2e-4),
@@ -473,14 +473,14 @@ def _check_sweep(a, b, r):
 
 
 def _check_min(pts):
-    got = min_pairwise_distance(PointCloud.from_points(pts))
+    got = min_pairwise_distance(PointCloud(pts))
     assert got.hex() == blocked_min_distance(pts).hex()
 
 
 def _pairing_accepted(a, b, eps):
     try:
-        PerturbationPairing(source=PointCloud.from_points(a),
-                            target=PointCloud.from_points(b), epsilon=eps)
+        PerturbationPairing(source=PointCloud(a),
+                            target=PointCloud(b), epsilon=eps)
     except ValidationError as exc:
         return str(exc)
     return True
@@ -543,7 +543,7 @@ def test_sweep_matches_the_full_array_on_random_clouds(rows, scale, frac):
 
 @pytest.mark.parametrize("make", [
     lambda n: add_noise(sample_shape(ShapeClass(kind="sphere"), n, 1), 0.1, 2),
-    lambda n: PointCloud.from_points(_circle_and_far_point(n - 1)),
+    lambda n: PointCloud(_circle_and_far_point(n - 1)),
 ], ids=["noisy-sphere", "circle-and-far-point"])
 def test_sweep_set_up_evaluates_few_distances(monkeypatch, make):
     # At n = 2000 the full array has n^2 entries; the sweep keeps the work

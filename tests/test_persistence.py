@@ -143,11 +143,11 @@ def _shortcut_clouds(rng):
             yield "delaunay_rips", cloud
             yield "alpha", cloud
         for seed in (3, 41):
-            cloud = PointCloud.from_points(jittered_grid_member(dim, seed))
+            cloud = PointCloud(jittered_grid_member(dim, seed))
             yield "delaunay_rips", cloud
             yield "alpha", cloud
     for seed in (5, 30):
-        cloud = PointCloud.from_points(near_planar_member(seed))
+        cloud = PointCloud(near_planar_member(seed))
         yield "delaunay_rips", cloud
         yield "alpha", cloud
 
@@ -222,7 +222,7 @@ def test_h0_pair_count_equals_n(rng):
 def test_dimension_cap_suppresses_top_births(rng):
     # Simplices at the cap contribute kill columns but no classes of their
     # own dimension: an equilateral triangle at max_hom_dim=0 reports only H0.
-    pc = PointCloud.from_points([(0, 0), (1, 0), (0.5, 1)])
+    pc = PointCloud([(0, 0), (1, 0), (0.5, 1)])
     filt = build_rips(pc, FiltrationSpec(method="rips", max_hom_dim=0))
     diag = compute_diagram(filt)
     assert {dim for dim, _, _ in diag.entries} == {0}

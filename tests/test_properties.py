@@ -111,7 +111,7 @@ points_2d = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(points_2d)
 def test_rips_output_is_canonically_sorted(pts):
-    cloud = PointCloud.from_points(pts)
+    cloud = PointCloud(pts)
     filt = build_rips(cloud, FiltrationSpec(method="rips", max_hom_dim=1))
     assert sort_filtration(filt) == filt
 
@@ -146,7 +146,7 @@ def _corrupt(entries, how, rng):
 def test_array_check_equals_dict_reference(seed, dim, method, data):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(dim + 2, 9 if method == "rips" else 30))
-    cloud = PointCloud.from_points(rng.uniform(-1.0, 1.0, (n, dim)))
+    cloud = PointCloud(rng.uniform(-1.0, 1.0, (n, dim)))
     maxdim = data.draw(st.integers(0, dim - 1), label="max_hom_dim")
     filt = build(cloud, FiltrationSpec(method=method, max_hom_dim=maxdim))
     assert (boundary_matrix(filt).columns
