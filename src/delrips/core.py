@@ -2,7 +2,8 @@
 
 A point cloud's one form is a read-only (n, dim) float64 array, made only
 by ``PointCloud(points)``, and a filtration's is integer arrays (see
-``Filtration``); each is converted and checked once when it is made. A
+``Filtration``); each is converted and checked once when it is made and
+keeps only its arrays, from which every tuple view is built on each read. A
 simplex is a strictly increasing tuple of point indices; its dimension is
 ``len(verts) - 1``. ``Filtration._from_arrays`` is the one step that makes
 the canonical filtration order and ``boundary_csr`` the one check of it
@@ -11,7 +12,7 @@ after construction.
 Every raw (birth, death) pair is read by ``_pair_array``; the one pair rule,
 ``_check_pairs``, runs there and in ``PersistenceDiagram._store``. A diagram's
 one form is three arrays in the canonical pair order, and its tuple views
-(``entries``, ``pairs``) are built from them when read.
+(``entries``, ``pairs``) are built from them on each read.
 
 Every face lookup gathers facets by ``_facet_rows`` and sorts rows by
 ``_row_order``, the one row order: a stable lexsort of packed uint64 keys.
@@ -164,29 +165,8 @@ def _vertex_rows(rows: list, width: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _vertex_objects(faces: list) -> list:
-    """Each int64 array of ``faces`` as Python ints, one object per id when
-    the ids span fewer values than the arrays hold (a builder's run 0..n-1)."""
-    lo = min((int(f.min()) for f in faces if f.size), default=0)
-    top = max((int(f.max()) for f in faces if f.size), default=-1)
-    if top - lo >= sum(f.size for f in faces):
-        return [f.astype(object) for f in faces]
-    ids = (lo + np.arange(top - lo + 1)).astype(object)
-    return [ids[f - lo] for f in faces]
-
-
-def _shared_floats(values: np.ndarray) -> list:
-    """A float64 array as Python floats, one object per run of equal values
-    (so one per value when ``values`` is sorted, as filtration scales are)."""
-    new = np.ones(len(values), dtype=bool)
-    new[1:] = values.view(np.int64)[1:] != values.view(np.int64)[:-1]
-    objects = np.empty(int(new.sum()), dtype=object)
-    objects[:] = values[new].tolist()
-    return objects[np.cumsum(new) - 1].tolist()
-
-
 def _row_tuples(rows: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D object array as a 1-D object array of tuples."""
+    """The rows of a 2-D int array as a 1-D object array of int tuples."""
     columns = (rows[:, c].tolist() for c in range(rows.shape[1]))
     return np.fromiter(zip(*columns), dtype=object, count=len(rows))
 
@@ -217,11 +197,11 @@ class Filtration(_Frozen):
     ``_from_arrays``; ``Filtration(entries, max_dim)`` converts at once, so
     vertex ids must be integers that fit in int64, simplices non-empty and
     scales real numbers (ValidationError otherwise). Both end in ``_check``.
-    ``entries``, the ``((verts, scale), ...)`` view, is the tuple given, or
-    is built on first access and cached, sharing one float object per value.
+    ``entries``, the ``((verts, scale), ...)`` view of Python ints and
+    floats, is built from the arrays on each read and kept nowhere.
     """
 
-    __slots__ = ("max_dim", "_entries", "_arrays")
+    __slots__ = ("max_dim", "_arrays")
 
     def __init__(self, entries, max_dim: int):
         entries = tuple(entries)
@@ -239,7 +219,7 @@ class Filtration(_Frozen):
             scales = np.array([s for _, s in entries], dtype=float)
         except OverflowError:  # an int or fraction beyond the float range
             raise ValidationError("a scale does not fit in a float") from None
-        self._check(max_dim, entries, (faces, positions, scales))
+        self._check(max_dim, (faces, positions, scales))
 
     @classmethod
     def _from_arrays(cls, faces: list, scales: np.ndarray,
@@ -254,16 +234,15 @@ class Filtration(_Frozen):
         position[order] = np.arange(len(order))
         positions = np.split(position, np.cumsum([len(f) for f in faces[:-1]]))
         filt = cls.__new__(cls)
-        filt._check(max_dim, None, (faces, positions, scales[order]))
+        filt._check(max_dim, (faces, positions, scales[order]))
         return filt
 
-    def _check(self, max_dim, entries, arrays) -> None:
+    def _check(self, max_dim, arrays) -> None:
         """Store the form, then the one constructor check: ``max_dim`` an int
         >= 0, then a ValidationError naming the first entry in filtration
         order above the cap or with a negative or NaN scale."""
         _check_int("max_dim", max_dim, 0)
         object.__setattr__(self, "max_dim", max_dim)
-        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_arrays", arrays)
         _, positions, scales = arrays
         over = [int(pos.min()) for pos in positions[max_dim + 1:] if len(pos)]
@@ -279,14 +258,11 @@ class Filtration(_Frozen):
     @property
     def entries(self) -> tuple:
         """``((verts, scale), ...)`` in filtration order."""
-        if self._entries is None:
-            faces, positions, scales = self._arrays
-            verts = np.empty(len(scales), dtype=object)
-            for ids, pos in zip(_vertex_objects(faces), positions):
-                verts[pos] = _row_tuples(ids)
-            entries = tuple(zip(verts.tolist(), _shared_floats(scales)))
-            object.__setattr__(self, "_entries", entries)
-        return self._entries
+        faces, positions, scales = self._arrays
+        verts = np.empty(len(scales), dtype=object)
+        for rows, pos in zip(faces, positions):
+            verts[pos] = _row_tuples(rows)
+        return tuple(zip(verts.tolist(), scales.tolist()))
 
     def __reduce__(self):
         return Filtration, (self.entries, self.max_dim)
@@ -518,12 +494,12 @@ class PersistenceDiagram(_Frozen):
     (int64), ``births`` and ``deaths`` (float64). ``_from_arrays``,
     ``from_pairs`` and ``PersistenceDiagram(entries)`` all end in ``_store``,
     the one check and order. ``entries``, the ``((dim, birth, death), ...)``
-    view of Python ints and floats, is built on first access and cached;
-    ``pairs(dim)`` builds its tuples on each call. Diagrams compare by value
+    view of Python ints and floats, and the ``pairs(dim)`` tuples are built
+    from the arrays on each read and kept nowhere. Diagrams compare by value
     (-0.0 equals 0.0).
     """
 
-    __slots__ = ("dims", "births", "deaths", "_entries")
+    __slots__ = ("dims", "births", "deaths")
 
     def __init__(self, entries=()):
         entries = list(entries)
@@ -558,15 +534,12 @@ class PersistenceDiagram(_Frozen):
             values = np.asarray(values, dtype=dtype)[order]
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "_entries", None)
 
     @property
     def entries(self) -> tuple:
         """``((dim, birth, death), ...)`` in canonical order."""
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(zip(
-                self.dims.tolist(), self.births.tolist(), self.deaths.tolist())))
-        return self._entries
+        return tuple(zip(self.dims.tolist(), self.births.tolist(),
+                         self.deaths.tolist()))
 
     def _pair_rows(self, dim: int) -> np.ndarray:
         """The (birth, death) pairs of dimension ``dim`` as a (k, 2) array."""

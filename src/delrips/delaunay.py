@@ -64,7 +64,6 @@ it takes one ``inball_from(p)``, which lifts each vertex by p once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +83,7 @@ class DelaunayComplex:
     ``faces(k)`` gives the k-faces as a sorted int array: the d-simplices
     as the triangulation made them, lower faces as the facets of the
     (k+1)-faces, derived on first use and kept. ``top_simplices``, the
-    d-simplices as a tuple of vertex tuples, is built on first read.
+    d-simplices as a tuple of vertex tuples, is built on each read.
 
     ``degenerate`` is set when some cospherical (d+2)-point configuration was
     resolved by the insertion-order tie-break, i.e. the triangulation is not
@@ -114,7 +113,7 @@ class DelaunayComplex:
                 cache[dim] = (np.empty((0, max(dim + 1, 0)), np.int64),)
         return cache[dim]
 
-    @cached_property
+    @property
     def top_simplices(self) -> tuple:
         """The d-simplices as sorted vertex tuples, in sorted order."""
         return tuple(map(tuple, self.faces(self.cloud.dim).tolist()))

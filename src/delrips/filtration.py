@@ -3,11 +3,12 @@
 All three builders share the distance (diameter) scale convention: a
 simplex's scale is the diameter of the smallest witnessing configuration, so
 the Rips and Delaunay-Rips scale of a simplex is its largest pairwise vertex
-distance (the rule at ``_rips_scales``), and Alpha scales are twice the
-usual radius values. Each builder lists its faces by dimension, then
-vertices, and returns through one ordering step, ``Filtration._from_arrays``,
-which makes the integer-array form without per-simplex tuples; outputs
-satisfy the closure and monotonicity invariants by construction.
+distance (``_rips_faces`` computes it for Rips, ``_rips_scales`` for
+Delaunay-Rips), and Alpha scales are twice the usual radius values. Each
+builder lists its faces by dimension, then vertices, and returns through one
+ordering step, ``Filtration._from_arrays``, which makes the integer-array
+form without per-simplex tuples; outputs satisfy the closure and
+monotonicity invariants by construction.
 
 Rips grows each dimension from the one below in numpy, on the n x n array of
 ``distance_blocks``. Delaunay-Rips and Alpha are the faces of
@@ -70,10 +71,18 @@ def _check_delaunay_cap(spec: FiltrationSpec, ambient_dim: int):
             f"has none above {ambient_dim}")
 
 
+def _check_method(spec: FiltrationSpec, method: str) -> None:
+    """ValidationError unless ``spec`` names the builder's own method."""
+    if spec.method != method:
+        raise ValidationError(
+            f"spec method {spec.method!r} does not match the {method} builder")
+
+
 def build_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     """Vietoris-Rips filtration: every vertex subset of size up to
     max_hom_dim + 2 whose edges are all within the threshold, at the Rips
-    scale of ``_rips_scales``."""
+    scale, its longest edge, which ``_rips_faces`` computes as it grows."""
+    _check_method(spec, "rips")
     n = len(cloud)
     dist = np.empty((n, n))
     for rows, block in distance_blocks(cloud.points, cloud.points):
@@ -130,11 +139,11 @@ def _delaunay_filtration(cloud: PointCloud, spec: FiltrationSpec,
 
 
 def _rips_scales(dc, cap):
-    """The Rips rule of both Rips builders: vertices at 0, edges at their
-    ``distances`` length, and each higher simplex at the maximum over its
-    facets, its largest edge length. Here it runs bottom-up over the
-    Delaunay faces, the twin of Alpha's coface minimum, with lengths for the
-    Delaunay edges only, so no O(n^2) array is made."""
+    """The Rips rule for Delaunay-Rips (``build_rips`` grows the same values
+    in ``_rips_faces``): vertices at 0, edges at their ``distances`` length,
+    each higher simplex at the maximum over its facets, its largest edge
+    length. It runs bottom-up over the Delaunay faces, the twin of Alpha's
+    coface minimum, with Delaunay edge lengths only, so no O(n^2) array."""
     value = [np.zeros(len(dc.faces(0))), distances(*dc.cloud.points[dc.faces(1).T])]
     for k in range(2, cap + 1):
         _, facet_row, owner, _ = dc._cofaces(k - 1)
@@ -146,6 +155,7 @@ def _rips_scales(dc, cap):
 def build_delaunay_rips(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     """Delaunay-Rips filtration: the faces of the Delaunay triangulation at
     the Rips scale of ``_rips_scales``."""
+    _check_method(spec, "delaunay_rips")
     return _delaunay_filtration(cloud, spec, _rips_scales)
 
 
@@ -179,6 +189,7 @@ def _alpha_scales(dc, cap):
 def build_alpha(cloud: PointCloud, spec: FiltrationSpec) -> Filtration:
     """Alpha filtration on the Delaunay triangulation, in the shared diameter
     convention (scales are twice the usual alpha radii)."""
+    _check_method(spec, "alpha")
     return _delaunay_filtration(cloud, spec, _alpha_scales)
 
 

@@ -5,7 +5,7 @@ order: column j is ``indices[indptr[j]:indptr[j + 1]]``, the sorted
 positions of simplex j's facets, so its pivot (the youngest facet) is its
 last entry. ``boundary_matrix`` takes these arrays from
 ``core.boundary_csr``, the one filtration check; the matrices' ``columns``
-tuple views are built only when read.
+tuple views are built from the arrays on each read.
 
 ``reduce_standard`` is the textbook left-to-right reduction, the reference.
 ``reduce_twist``, which ``compute_diagram`` runs, gives the same pivots and
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +35,7 @@ class BoundaryMatrix:
     ``indices[indptr[j]:indptr[j + 1]]``, strictly increasing row indices;
     ``scale_array`` holds each simplex's scale and ``dim_array`` its
     dimension (one less than its number of facets, 0 for a vertex).
-    ``columns``, a tuple of row-index tuples, is built on first read; it
-    shares one int object per index."""
+    ``columns``, a tuple of row-index tuples, is built on each read."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -50,12 +48,7 @@ class BoundaryMatrix:
     def dim_array(self) -> np.ndarray:
         return np.maximum(np.diff(self.indptr) - 1, 0)
 
-    @cached_property
-    def _ids(self) -> np.ndarray:
-        """The column indices as one int object each, shared by the views."""
-        return np.arange(len(self)).astype(object)
-
-    @cached_property
+    @property
     def columns(self) -> tuple:
         cols = np.empty(len(self), dtype=object)
         cols.fill(())
@@ -63,7 +56,7 @@ class BoundaryMatrix:
         for k in range(1, int(dims.max(initial=0)) + 1):
             pos = np.flatnonzero(dims == k)
             rows = self.indices[self.indptr[pos][:, None] + np.arange(k + 1)]
-            cols[pos] = _row_tuples(self._ids[rows])
+            cols[pos] = _row_tuples(rows)
         return tuple(cols.tolist())
 
 
@@ -72,19 +65,18 @@ class ReducedMatrix:
     """A reduced boundary matrix: ``low_array`` holds each column's pivot
     row (-1 for a zero column) and ``changed`` the columns that an addition
     changed, as sorted row lists; every other column is the boundary's, or
-    zero when its simplex is a pivot row (cleared). ``columns`` is a tuple
-    view."""
+    zero when its simplex is a pivot row (cleared). ``columns``, the tuple
+    view, is built on each read."""
 
     boundary: BoundaryMatrix
     low_array: np.ndarray
     changed: dict
 
-    @cached_property
+    @property
     def columns(self) -> tuple:
         cols = list(self.boundary.columns)
-        ids = self.boundary._ids
         for j, col in self.changed.items():
-            cols[j] = tuple(ids[col].tolist()) if col else ()
+            cols[j] = tuple(col)
         for i in self.low_array[self.low_array >= 0].tolist():
             cols[i] = ()
         return tuple(cols)

@@ -293,16 +293,25 @@ def test_sort_keeps_negative_and_extreme_vertex_ids(a, b, c):
     assert [verts for verts, _ in out.entries[:3]] == [(a,), (b,), (c,)]
 
 
-def test_filtration_keeps_the_given_entries():
+def test_filtration_converts_the_given_entries():
     verts, scale = (0,), Fraction(1, 2)
     given = ((verts, scale), ((1,), 1))
     filt = Filtration(entries=list(given), max_dim=0)
     assert filt.entries == given
-    assert filt.entries[0][0] is verts and filt.entries[0][1] is scale
     assert filt._arrays[2].tolist() == [0.5, 1.0]
     back = pickle.loads(pickle.dumps(filt))
     assert back == filt and hash(back) == hash(filt)
-    assert repr(filt) == f"Filtration(entries={given!r}, max_dim=0)"
+
+
+def test_filtration_converts_scales_to_floats():
+    # The entries are read back from the arrays, not kept as given.
+    assert (Filtration([((0,), Fraction(1, 3))], max_dim=0)
+            == Filtration([((0,), 1 / 3)], max_dim=0))
+    filt = Filtration([((0,), 0), ((1,), Fraction(1, 3)),
+                       ((0, 1), np.float32(2.0))], max_dim=1)
+    assert filt.entries == (((0,), 0.0), ((1,), 1 / 3), ((0, 1), 2.0))
+    assert all(type(scale) is float for _, scale in filt.entries)
+    assert all(type(v) is int for verts, _ in filt.entries for v in verts)
 
 
 @pytest.mark.parametrize("scale", ["1.5", None, b"1", 1j, [1.0], (1.0, 2.0),
@@ -374,7 +383,7 @@ def test_diagram_holds_arrays_and_builds_tuple_views():
     assert diag.entries == ((0, 0.0, 1.0), (0, -0.0, math.inf),
                             (1, 0.25, 0.25), (1, 0.5, 2.0))
     assert math.copysign(1.0, diag.entries[1][1]) == -1.0
-    assert diag.entries is diag.entries  # built once, then kept
+    assert diag.entries == diag.entries
     assert diag.pairs(1) == ((0.25, 0.25), (0.5, 2.0))
     assert diag.pairs(2) == ()
     for dim, birth, death in diag.entries:

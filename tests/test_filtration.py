@@ -40,6 +40,18 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             build_alpha(pc, spec("alpha", maxdim=2))
 
+    @pytest.mark.parametrize("builder, method", [
+        (builder, method)
+        for builder, own in ((build_rips, "rips"),
+                             (build_delaunay_rips, "delaunay_rips"),
+                             (build_alpha, "alpha"))
+        for method in ("rips", "delaunay_rips", "alpha") if method != own])
+    def test_builder_rejects_a_spec_for_another_method(self, builder, method):
+        # build_delaunay_rips built Delaunay-Rips from a Rips spec, dropping
+        # its threshold, and build_rips built Rips from an Alpha spec.
+        with pytest.raises(ValidationError, match="does not match"):
+            builder(random_cloud_2d(), spec(method))
+
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             FiltrationSpec(method="cech")
@@ -321,15 +333,6 @@ def test_build_never_reads_top_simplices(method, build, rng, monkeypatch):
     assert ({verts for verts, _ in filt.entries if len(verts) == 4}
             == set(delaunay(cloud).top_simplices))
     assert len(diag) > 60
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_dr_entries_share_vertex_ints_and_edge_floats(dim):
-    cloud = PointCloud(uniform(dim, 400, 40 + dim))
-    filt = build_delaunay_rips(cloud, spec("delaunay_rips", maxdim=dim - 1))
-    edges = sum(1 for verts, _ in filt.entries if len(verts) == 2)
-    assert len({id(v) for verts, _ in filt.entries for v in verts}) <= len(cloud)
-    assert len({id(scale) for _, scale in filt.entries}) <= edges + 1
 
 
 @pytest.mark.parametrize("dim", [2, 3])

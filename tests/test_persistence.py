@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
-from delrips import (Filtration, FiltrationSpec, PointCloud, boundary_matrix,
-                     build, build_delaunay_rips, build_rips, compute_diagram,
-                     extract_pairs, near_cocircular_quad, reduce_standard,
-                     reduce_twist, sort_filtration)
+from delrips import (Filtration, FiltrationSpec, PersistenceDiagram,
+                     PointCloud, boundary_matrix, build, build_delaunay_rips,
+                     build_rips, compute_diagram, delaunay, extract_pairs,
+                     near_cocircular_quad, reduce_standard, reduce_twist,
+                     sort_filtration)
 from delrips.errors import (InvalidFiltration, UnsortedFiltration,
                             ValidationError)
 from delrips.persistence import BoundaryMatrix, ReducedMatrix, _apparent_pairs
@@ -228,17 +229,29 @@ def test_dimension_cap_suppresses_top_births(rng):
     assert {dim for dim, _, _ in diag.entries} == {0}
 
 
-def test_boundary_matrix_shares_int_and_float_objects(rng):
-    cloud = random_cloud(rng, 300, dim=3)
+def test_objects_keep_only_their_arrays(rng):
+    # Every tuple view is built from the arrays on each read and kept by
+    # no object: reading them all leaves each object's state as it was.
+    cloud = random_cloud(rng, 60, dim=3)
+    dc = delaunay(cloud)
     filt = build_delaunay_rips(cloud, FiltrationSpec(max_hom_dim=2))
     mat = boundary_matrix(filt)
     red = reduce_twist(mat)
     assert red.changed
-    for columns in (mat.columns, red.columns):
-        rows = [i for col in columns for i in col]
-        assert len({id(i) for i in rows}) == len(set(rows))
-    scales = [scale for _, scale in filt.entries]
-    assert len({id(s) for s in scales}) == len(set(scales))
+    diag = extract_pairs(red, filt)
+    cached = set(dc._cache)
+    for obj, view in ((filt, "entries"), (diag, "entries"), (mat, "columns"),
+                      (red, "columns"), (dc, "top_simplices")):
+        first = getattr(obj, view)
+        assert first and getattr(obj, view) == first
+        assert getattr(obj, view) is not first
+    assert Filtration.__slots__ == ("max_dim", "_arrays")
+    assert PersistenceDiagram.__slots__ == ("dims", "births", "deaths")
+    assert not hasattr(filt, "__dict__") and not hasattr(diag, "__dict__")
+    assert list(vars(mat)) == ["indptr", "indices", "scale_array"]
+    assert list(vars(red)) == ["boundary", "low_array", "changed"]
+    assert list(vars(dc)) == ["cloud", "degenerate", "_cache"]
+    assert set(dc._cache) == cached
 
 
 @pytest.mark.parametrize("method", ["delaunay_rips", "alpha"])
